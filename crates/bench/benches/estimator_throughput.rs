@@ -95,8 +95,10 @@ fn bench_estimators(c: &mut Criterion) {
     }
     group.finish();
 
-    // Multi-query batches: one merged-plan sweep answers the whole batch
-    // (throughput counts queries, so ns/query amortization shows directly).
+    // Multi-query batches over a recurring hot set: the first call merges
+    // the cold queries into one sweep, later calls read each plan's
+    // query-product memo (throughput counts queries, so ns/query
+    // amortization shows directly).
     let mut group = c.benchmark_group("estimate_range_batch_2d");
     let (k1, k2) = (203usize, 5usize);
     let mut rng = StdRng::seed_from_u64(13);

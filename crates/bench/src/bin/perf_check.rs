@@ -2,10 +2,11 @@
 //! if the hot paths regressed against the committed anchor numbers.
 //!
 //! Usage: cargo run --release -p spatial-bench --bin perf_check --
-//!          [--anchor BENCH_pr10.json] [--tolerance 0.25]
+//!          [--anchor BENCH_pr13.json] [--tolerance 0.25]
 //!
 //! Compares the blocked kernels' build ns/(obj·inst) and estimate
-//! ns/(est·inst) — join and range paths — at the 440-instance
+//! ns/(est·inst) — join and cold range paths (the range queries never
+//! repeat, so each one runs the blocked ξ cover kernel) — at the 440-instance
 //! configuration against the matching records in the anchor file (a copy
 //! of `perf_probe` output; see EXPERIMENTS.md "Performance baseline").
 //! Anchor entries are matched by **lane width**, not kernel name: each
@@ -18,11 +19,15 @@
 //! amortize it) and 64-connection wire QPS with and without the
 //! coalescing window (anchor over measured, so a *drop* fails — the
 //! multiplexer's headline number). The multi-query batch kernel's
-//! `batchq` record is guarded twice: amortized batch-64 ns/query against
-//! its anchor, and — machine-independently — the batch-64-over-batch-1
-//! speedup against a hard 1.5x floor (tolerance 0): if batching a request
-//! batch into one sweep stops paying at least 1.5x, the kernel (or its
-//! dedup) broke, whatever the runner. The elastic-topology `rebalance`
+//! `batchq` record is guarded three times: amortized batch-64 ns/query
+//! against its anchor, and — machine-independently, tolerance 0 — two
+//! ratios measured within the run: the batch-64-over-batch-1 speedup
+//! against a hard 1.5x floor (if answering a request batch in one call
+//! stops paying at least 1.5x, the batch path or its dedup broke, whatever
+//! the runner), and the adaptive-`maxLevel` warm-over-cold ns/query ratio
+//! against a hard 5.1x floor (if a hot plan's query-product memo stops
+//! saving at least 5.1x over a cold compile-and-sweep, the memo path
+//! regressed or stopped being used). The elastic-topology `rebalance`
 //! record is guarded three ways: split wall time and worst ingest cutover
 //! pause against their anchors (net-width tolerance — both are
 //! wall-clock, and the anchor was recorded from the same quick preset CI
@@ -72,6 +77,13 @@ const NET_TOLERANCE: f64 = 1.0;
 /// it is enforced with zero tolerance.
 const BATCH_SPEEDUP_FLOOR: f64 = 1.5;
 
+/// Minimum cold-over-warm ns/query ratio of the batchq probe's
+/// adaptive-`maxLevel` pair: what a memoized hot plan must keep saving over
+/// a cold one. Set at ~0.75x the ratio `BENCH_pr13.json` records (6.86x,
+/// the median of eleven full runs); machine-independent (both sides
+/// measured in the same run), so it is enforced with zero tolerance.
+const WARM_OVER_COLD_FLOOR: f64 = 5.1;
+
 /// Minimum post-churn-over-pre-churn routed QPS ratio the rebalance probe
 /// must keep. Machine-independent (both sides measured in the same run),
 /// so it is enforced with zero tolerance.
@@ -92,7 +104,7 @@ fn main() {
             eprintln!("{e}");
             std::process::exit(2);
         });
-    let anchor_name = args.get("anchor").unwrap_or("BENCH_pr10.json");
+    let anchor_name = args.get("anchor").unwrap_or("BENCH_pr13.json");
     let anchor_path = workspace_file(anchor_name);
     let anchors = Anchors::load(&anchor_path).unwrap_or_else(|e| {
         eprintln!(
@@ -168,7 +180,7 @@ fn main() {
             k.ns_per_estimate_instance[0],
         );
         metrics.push((
-            format!("estimate/range/{} ns/(est·inst)", k.kernel),
+            format!("estimate/range-cold/{} ns/(est·inst)", k.kernel),
             anchor,
             measured,
             measured / anchor,
@@ -201,8 +213,8 @@ fn main() {
         ));
     }
     // The batch kernel: amortized batch-64 latency vs its anchor, plus the
-    // machine-independent speedup floor (both sides of that ratio come from
-    // this run, so it gets no tolerance).
+    // machine-independent batching and memo floors (both sides of each
+    // ratio come from this run, so they get no tolerance).
     let b64 = batchq
         .points
         .iter()
@@ -221,6 +233,14 @@ fn main() {
         BATCH_SPEEDUP_FLOOR,
         batchq.speedup_b64_over_b1,
         BATCH_SPEEDUP_FLOOR / batchq.speedup_b64_over_b1,
+        0.0,
+    ));
+    let warm_over_cold = batchq.adaptive.speedup_warm_over_cold;
+    metrics.push((
+        format!("batchq/warm-over-cold (floor {WARM_OVER_COLD_FLOOR}x)"),
+        WARM_OVER_COLD_FLOOR,
+        warm_over_cold,
+        WARM_OVER_COLD_FLOOR / warm_over_cold,
         0.0,
     ));
     // Elastic topology: the split's wall cost (journal replay + swap) and

@@ -21,6 +21,11 @@ use std::time::Instant;
 /// microseconds per call, so each point averages thousands of calls).
 const ESTIMATE_PROBE_BUDGET_MS: u128 = 250;
 
+/// Distinct queries the estimate probe cycles on its cold range path: 16x
+/// the 64 plans one query context caches, so no query is still cached when
+/// it comes round again and every estimate compiles and evaluates cold.
+pub const COLD_RANGE_POOL: usize = 1024;
+
 /// `(name, lane_width, block_size)` of a build kernel, recorded with every
 /// probe point.
 pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
@@ -163,15 +168,23 @@ pub struct EstimateProbeRecord {
     pub join_kernels: Vec<QueryKernelRecord>,
     /// Adjacent-kernel ratios (e.g. batched over scalar, wide over batched).
     pub join_speedups: Vec<Speedup>,
-    /// Range-path timings per kernel.
+    /// Cold range-path timings per kernel: no query repeats within the
+    /// plan cache's reach, so every estimate compiles its plan and runs the
+    /// blocked ξ cover kernel (the path every first query takes).
     pub range_kernels: Vec<QueryKernelRecord>,
-    /// Adjacent-kernel ratios for the range path.
+    /// Adjacent-kernel ratios for the cold range path.
     pub range_speedups: Vec<Speedup>,
+    /// Warm range-path timings per kernel: a recurring set of 8 queries,
+    /// answered from their plans' query-product memos.
+    pub range_warm_kernels: Vec<QueryKernelRecord>,
 }
 
 /// Estimation-path throughput under the given query kernels, for the join
 /// (counter-product combine) and range (query-side ξ sums) paths, appended
-/// to `results/perf_probe.json` like the build probe.
+/// to `results/perf_probe.json` like the build probe. The range path is
+/// timed cold (a pool of [`COLD_RANGE_POOL`] queries, far more than one
+/// context's plan cache holds, so every lookup misses) and warm (8 recurring
+/// queries, answered from their memos).
 pub fn estimate_probe(
     threads: usize,
     quick: bool,
@@ -196,6 +209,7 @@ pub fn estimate_probe(
         join_speedups: Vec::new(),
         range_kernels: Vec::new(),
         range_speedups: Vec::new(),
+        range_warm_kernels: Vec::new(),
     };
 
     for &kernel in kernels {
@@ -208,6 +222,13 @@ pub fn estimate_probe(
             ns_per_estimate_instance: Vec::new(),
         };
         let mut range_rec = QueryKernelRecord {
+            kernel: name.into(),
+            lane_width,
+            block_size,
+            ns_per_estimate: Vec::new(),
+            ns_per_estimate_instance: Vec::new(),
+        };
+        let mut range_warm_rec = QueryKernelRecord {
             kernel: name.into(),
             lane_width,
             block_size,
@@ -247,23 +268,27 @@ pub fn estimate_probe(
             );
             let mut sk = rq.new_sketch();
             par_insert_batch(&mut sk, &data, threads).unwrap();
-            let queries = range_query_workload(9, 8, bits);
-            let mut qi = 0usize;
-            let ns = time_ns_per_call(|| {
-                qi = (qi + 1) % queries.len();
-                rq.estimate_with(&mut ctx, &sk, &queries[qi]).unwrap().value
-            });
-            println!(
-                "range  {kernel:?} kernel, instances {instances}: {ns:.0} ns/estimate ({:.2} ns/(est.inst))",
-                ns / instances as f64
-            );
-            range_rec.ns_per_estimate.push(ns);
-            range_rec
-                .ns_per_estimate_instance
-                .push(ns / instances as f64);
+            for (temp, pool, rec) in [
+                ("cold", COLD_RANGE_POOL, &mut range_rec),
+                ("warm", 8, &mut range_warm_rec),
+            ] {
+                let queries = range_query_workload(9, pool, bits);
+                let mut qi = 0usize;
+                let ns = time_ns_per_call(|| {
+                    qi = (qi + 1) % queries.len();
+                    rq.estimate_with(&mut ctx, &sk, &queries[qi]).unwrap().value
+                });
+                println!(
+                    "range  {kernel:?} kernel {temp}, instances {instances}: {ns:.0} ns/estimate ({:.2} ns/(est.inst))",
+                    ns / instances as f64
+                );
+                rec.ns_per_estimate.push(ns);
+                rec.ns_per_estimate_instance.push(ns / instances as f64);
+            }
         }
         record.join_kernels.push(join_rec);
         record.range_kernels.push(range_rec);
+        record.range_warm_kernels.push(range_warm_rec);
     }
     let names: Vec<&'static str> = kernels.iter().map(|&k| query_kernel_meta(k).0).collect();
     let join_ns: Vec<Vec<f64>> = record
@@ -713,22 +738,24 @@ pub fn net_probe(quick: bool) -> NetProbeRecord {
 }
 
 /// Compiled-plan cache counters recorded with the batch probe — the
-/// serializable mirror of [`sketch::PlanCacheReport`], covering both the
-/// single-query plan LRU and the merged multi-query plan LRU.
+/// serializable mirror of [`sketch::PlanCacheReport`]: the plan LRU and
+/// the query-product memos its hot plans carry.
 #[derive(serde::Serialize)]
 pub struct PlanCacheMeta {
-    /// Single-query plan cache hits.
+    /// Plan cache hits.
     pub single_hits: u64,
-    /// Single-query plan cache misses (cold compiles).
+    /// Plan cache misses (cold compiles).
     pub single_misses: u64,
-    /// Single-query plans evicted by the LRU.
+    /// Plans evicted by the LRU.
     pub single_evictions: u64,
-    /// Merged multi-query plan cache hits.
-    pub multi_hits: u64,
-    /// Merged multi-query plan cache misses (batch merges).
-    pub multi_misses: u64,
-    /// Merged plans evicted by the LRU.
-    pub multi_evictions: u64,
+    /// Query-product memos filled (once per plan, on its first hit).
+    pub memo_fills: u64,
+    /// Estimates answered from an already-filled memo.
+    pub memo_reuses: u64,
+    /// Memoized plans evicted (memo freed with the plan).
+    pub memo_dropped: u64,
+    /// Memo bytes held by the cached plans at the snapshot.
+    pub memo_resident_bytes: u64,
 }
 
 /// Snapshots a [`sketch::PlanCacheReport`] into the serializable probe
@@ -738,9 +765,10 @@ pub fn plan_cache_meta(report: &sketch::PlanCacheReport) -> PlanCacheMeta {
         single_hits: report.single.hits,
         single_misses: report.single.misses,
         single_evictions: report.single.evictions,
-        multi_hits: report.multi.hits,
-        multi_misses: report.multi.misses,
-        multi_evictions: report.multi.evictions,
+        memo_fills: report.memo.fills,
+        memo_reuses: report.memo.reuses,
+        memo_dropped: report.memo.dropped,
+        memo_resident_bytes: report.memo.resident_bytes,
     }
 }
 
@@ -753,6 +781,28 @@ pub struct BatchPoint {
     pub ns_per_query: f64,
     /// Latency normalized per query and boosting instance.
     pub ns_per_query_instance: f64,
+}
+
+/// The `--probe batchq` sweep's warm-vs-cold pair on an adaptive-`maxLevel`
+/// sketch, the configuration the serving benchmark uses: the same batch
+/// shape answered from query-product memos (a recurring hot set) and from
+/// never-repeating queries (every plan compiled and merged fresh).
+#[derive(serde::Serialize)]
+pub struct AdaptiveBatchPoints {
+    /// The §6.5 adaptive `maxLevel` the sketch was built with.
+    pub max_level: u32,
+    /// Queries per `estimate_batch_with` call at both points.
+    pub batch: usize,
+    /// Amortized latency per query over the warm hot set: every plan is
+    /// cached with its memo filled, so each answer is one counter dot
+    /// product per instance.
+    pub warm_ns_per_query: f64,
+    /// Amortized latency per query when no query ever repeats: plan
+    /// compiles, one merged cover sweep per batch, LRU churn.
+    pub cold_ns_per_query: f64,
+    /// `cold_ns_per_query / warm_ns_per_query`: how much a warm query
+    /// saves over a cold one.
+    pub speedup_warm_over_cold: f64,
 }
 
 /// The `--probe batchq` record: multi-query batch kernel throughput vs the
@@ -771,43 +821,23 @@ pub struct BatchProbeRecord {
     pub dispatch: DispatchMeta,
     /// Distinct queries in the cycled hot set.
     pub query_set: usize,
-    /// Amortized per-query timings at each batch size (batch 1 takes the
-    /// sequential single-query path — the baseline the kernel amortizes).
+    /// Amortized per-query timings at each batch size over the hot set on
+    /// the fully dyadic sketch (batch 1 takes the sequential single-query
+    /// path — the baseline the batch amortizes).
     pub points: Vec<BatchPoint>,
     /// Batch-1 ns/query over batch-64 ns/query: how much cheaper each
-    /// query gets when a whole batch shares one sweep over the sketch.
+    /// query gets when a whole batch is answered in one call.
     pub speedup_b64_over_b1: f64,
-    /// Plan-cache counters accumulated across the whole sweep.
+    /// Plan-cache counters accumulated across the `points` sweep.
     pub plan_cache: PlanCacheMeta,
+    /// Warm (memo) vs cold (merged sweep) on an adaptive-`maxLevel` sketch.
+    pub adaptive: AdaptiveBatchPoints,
 }
 
-/// Multi-query batch throughput: amortized ns/query of
-/// `estimate_batch_with` at batch sizes 1/8/64 over a 32-query hot set
-/// (the shape the TCP front-end's `max_batch` drain produces), on the same
-/// sketch configuration as the net probe so the records compose. Batch 1
-/// routes through the sequential single-query path, so
-/// `speedup_b64_over_b1` is exactly the batching win. Appends a record to
-/// `results/perf_probe.json`.
-pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
-    let bits = 14u32;
-    let objects = if quick { 5_000 } else { 20_000 };
-    let data: Vec<geometry::HyperRect<2>> =
-        datagen::SyntheticSpec::paper(objects, bits, 0.0, 5).generate();
-    let (k1, k2) = (203usize, 5usize);
-    let instances = k1 * k2;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let rq = sketch::RangeQuery::<2>::new(
-        &mut rng,
-        SketchConfig::new(k1, k2),
-        [bits, bits],
-        sketch::RangeStrategy::Transform,
-    );
-    let mut sk = rq.new_sketch();
-    par_insert_batch(&mut sk, &data, threads).unwrap();
-
-    // Serving-shaped hot set: 28 ranges + 4 stabs at range corners.
-    let rects = range_query_workload(9, 32, bits);
-    let hot: Vec<BatchQuery<2>> = rects
+/// The hot-set shape every batchq point uses: ranges, with every 8th query
+/// a stab at its rect's low corner.
+fn batchq_queries(rects: &[geometry::HyperRect<2>]) -> Vec<BatchQuery<2>> {
+    rects
         .iter()
         .enumerate()
         .map(|(i, q)| {
@@ -817,23 +847,46 @@ pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
                 BatchQuery::Range(*q)
             }
         })
-        .collect();
+        .collect()
+}
 
-    let mut record = BatchProbeRecord {
-        probe: "batchq".into(),
-        objects: data.len(),
-        domain_bits: bits,
-        instances,
-        dispatch: dispatch_meta(),
-        query_set: hot.len(),
-        points: Vec::new(),
-        speedup_b64_over_b1: 0.0,
-        plan_cache: plan_cache_meta(&sketch::PlanCacheReport::default()),
+/// Multi-query batch throughput: amortized ns/query of
+/// `estimate_batch_with` at batch sizes 1/8/64 over a 32-query hot set
+/// (the shape the TCP front-end's `max_batch` drain produces), on the same
+/// sketch configuration as the net probe so the records compose. Batch 1
+/// routes through the sequential single-query path, so
+/// `speedup_b64_over_b1` is exactly the batching win. A second,
+/// adaptive-`maxLevel` sketch times batch-8 calls warm (hot set, memos
+/// filled) and cold (never-repeating queries, merged sweep). Appends a
+/// record to `results/perf_probe.json`.
+pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
+    let bits = 14u32;
+    let objects = if quick { 5_000 } else { 20_000 };
+    let data: Vec<geometry::HyperRect<2>> =
+        datagen::SyntheticSpec::paper(objects, bits, 0.0, 5).generate();
+    let (k1, k2) = (203usize, 5usize);
+    let instances = k1 * k2;
+    let build = |config: SketchConfig| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let rq = sketch::RangeQuery::<2>::new(
+            &mut rng,
+            config,
+            [bits, bits],
+            sketch::RangeStrategy::Transform,
+        );
+        let mut sk = rq.new_sketch();
+        par_insert_batch(&mut sk, &data, threads).unwrap();
+        (rq, sk)
     };
+    let (rq, sk) = build(SketchConfig::new(k1, k2));
+
+    // Serving-shaped hot set: 28 ranges + 4 stabs at range corners.
+    let hot = batchq_queries(&range_query_workload(9, 32, bits));
+    let mut points = Vec::new();
     let mut ctx = QueryContext::new();
     for &batch in &[1usize, 8, 64] {
-        // Deterministic compositions cycling the hot set, so the merged
-        // plans recur the way a steady serving hot set makes them recur.
+        // Deterministic compositions cycling the hot set, so every query
+        // recurs the way a steady serving hot set makes it recur.
         let compositions = if batch >= hot.len() {
             1
         } else {
@@ -849,41 +902,99 @@ pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
         let mut bi = 0usize;
         let ns_call = time_ns_per_call(|| {
             bi = (bi + 1) % batches.len();
-            rq.estimate_batch_with(&mut ctx, &sk, &batches[bi])
-                .iter()
-                .map(|r| r.as_ref().unwrap().value)
-                .sum()
+            answer_sum(&rq, &mut ctx, &sk, &batches[bi])
         });
         let ns_per_query = ns_call / batch as f64;
         println!(
             "batchq batch {batch:>2}: {ns_per_query:.0} ns/query ({:.2} ns/(query.inst))",
             ns_per_query / instances as f64
         );
-        record.points.push(BatchPoint {
+        points.push(BatchPoint {
             batch,
             ns_per_query,
             ns_per_query_instance: ns_per_query / instances as f64,
         });
     }
-    record.speedup_b64_over_b1 =
-        record.points[0].ns_per_query / record.points.last().unwrap().ns_per_query;
-    record.plan_cache = plan_cache_meta(&ctx.plan_cache_report());
+    let speedup_b64_over_b1 = points[0].ns_per_query / points.last().unwrap().ns_per_query;
+    let plan_cache = plan_cache_meta(&ctx.plan_cache_report());
+    println!("batchq batch-64 speedup over batch-1: {speedup_b64_over_b1:.2}x");
     println!(
-        "batchq batch-64 speedup over batch-1: {:.2}x",
-        record.speedup_b64_over_b1
+        "batchq plan cache: {}h/{}m/{}e, memo {} fills/{} reuses/{} dropped, {} B resident",
+        plan_cache.single_hits,
+        plan_cache.single_misses,
+        plan_cache.single_evictions,
+        plan_cache.memo_fills,
+        plan_cache.memo_reuses,
+        plan_cache.memo_dropped,
+        plan_cache.memo_resident_bytes,
     );
+
+    // Warm vs cold at the optimizer-shaped batch of 8, under the §6.5
+    // adaptive maxLevel (longer covers: the cold path's ξ work grows, the
+    // warm path's dot product does not).
+    let max_level =
+        sketch::plan::adaptive_max_level(crate::runner::mean_sketch_extent(&[&data]), bits + 2);
+    let (rq, sk) = build(SketchConfig::new(k1, k2).with_max_level(max_level));
+    let batch = 8usize;
+    let mut ctx = QueryContext::new();
+    let warm_batches: Vec<&[BatchQuery<2>]> = hot.chunks(batch).collect();
+    for b in warm_batches.iter().chain(&warm_batches) {
+        // Two passes: the first compiles each plan, the second fills its memo.
+        answer_sum(&rq, &mut ctx, &sk, b);
+    }
+    let mut bi = 0usize;
+    let warm_ns_per_query = time_ns_per_call(|| {
+        bi = (bi + 1) % warm_batches.len();
+        answer_sum(&rq, &mut ctx, &sk, warm_batches[bi])
+    }) / batch as f64;
+    let mut seed = 1_000u64;
+    let cold_ns_per_query = time_ns_per_call(|| {
+        seed += 1;
+        let fresh = batchq_queries(&range_query_workload(seed, batch, bits));
+        answer_sum(&rq, &mut ctx, &sk, &fresh)
+    }) / batch as f64;
+    let adaptive = AdaptiveBatchPoints {
+        max_level,
+        batch,
+        warm_ns_per_query,
+        cold_ns_per_query,
+        speedup_warm_over_cold: cold_ns_per_query / warm_ns_per_query,
+    };
     println!(
-        "batchq plan cache: single {}h/{}m/{}e, multi {}h/{}m/{}e",
-        record.plan_cache.single_hits,
-        record.plan_cache.single_misses,
-        record.plan_cache.single_evictions,
-        record.plan_cache.multi_hits,
-        record.plan_cache.multi_misses,
-        record.plan_cache.multi_evictions,
+        "batchq adaptive maxLevel {max_level}, batch {batch}: warm {warm_ns_per_query:.0} ns/query, \
+         cold {cold_ns_per_query:.0} ns/query ({:.2}x warm over cold)",
+        adaptive.speedup_warm_over_cold
     );
+
+    let record = BatchProbeRecord {
+        probe: "batchq".into(),
+        objects: data.len(),
+        domain_bits: bits,
+        instances,
+        dispatch: dispatch_meta(),
+        query_set: hot.len(),
+        points,
+        speedup_b64_over_b1,
+        plan_cache,
+        adaptive,
+    };
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
     record
+}
+
+/// Answers one batch, returning the sum of its estimates (a sink the
+/// optimizer cannot discard).
+fn answer_sum(
+    rq: &sketch::RangeQuery<2>,
+    ctx: &mut QueryContext,
+    sk: &sketch::SketchSet<2>,
+    batch: &[BatchQuery<2>],
+) -> f64 {
+    rq.estimate_batch_with(ctx, sk, batch)
+        .iter()
+        .map(|r| r.as_ref().unwrap().value)
+        .sum()
 }
 
 /// One shard count's serve-path throughput.

@@ -24,8 +24,8 @@ use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
 use crate::estimators::SketchConfig;
 use crate::query::{
-    MultiQueryPlan, PartialEstimate, PlanKey, QueryContext, QueryKernel, XiQueryPlan, XiWordTerm,
-    PLAN_CLASS_MULTI, PLAN_CLASS_OVERLAP, PLAN_CLASS_STAB,
+    MultiQueryPlan, PartialEstimate, PlanKey, PlanRef, QueryContext, QueryKernel, XiQueryPlan,
+    XiWordTerm, PLAN_CLASS_OVERLAP, PLAN_CLASS_STAB,
 };
 use crate::schema::{DimSpec, SketchSchema};
 use dyadic::{interval_cover, point_cover};
@@ -252,7 +252,7 @@ impl<const D: usize> RangeQuery<D> {
         ctx: &mut QueryContext,
         sketch: &SketchSet<D>,
         q: &HyperRect<D>,
-    ) -> Result<Option<std::sync::Arc<XiQueryPlan<D>>>> {
+    ) -> Result<Option<PlanRef<D>>> {
         self.check_sketch(sketch)?;
         match self.overlap_key(sketch, q)? {
             None => Ok(None),
@@ -316,7 +316,7 @@ impl<const D: usize> RangeQuery<D> {
         ctx: &mut QueryContext,
         sketch: &SketchSet<D>,
         p: &Point<D>,
-    ) -> Result<std::sync::Arc<XiQueryPlan<D>>> {
+    ) -> Result<PlanRef<D>> {
         self.check_sketch(sketch)?;
         let key = self.stab_key(sketch, p)?;
         Ok(ctx.plan_for(key, || self.stab_plan(p)))
@@ -345,21 +345,21 @@ impl<const D: usize> RangeQuery<D> {
         Ok(ctx.xi_partial(&plan, sketch))
     }
 
-    /// Answers a whole batch of range/stab queries in **one kernel sweep**
-    /// over the sketch: the batch's unique queries are compiled (or
-    /// recalled) and merged into a `MultiQueryPlan` whose per-dimension
-    /// worklists deduplicate shared cover cells, so each unique cell pays
-    /// one ξ evaluation per instance block and only a cheap carry-save fold
-    /// per owning query. Every answer is **bit-identical** to the
-    /// corresponding single-query call (`estimate_with` /
-    /// `estimate_stab_with`) — exact `i64` lane sums make sharing free, and
-    /// per-query f64 term order is preserved.
+    /// Answers a whole batch of range/stab queries, sharing work across it.
+    /// Warm queries (plan-cache hits) are answered from their plans'
+    /// query-product memos — one counter dot product each. Two or more cold
+    /// queries are merged fresh into a `MultiQueryPlan` whose per-dimension
+    /// worklists deduplicate shared cover cells, and answered in **one
+    /// kernel sweep**: each unique cell pays one ξ evaluation per instance
+    /// block and only a cheap carry-save fold per owning query. Every answer
+    /// is **bit-identical** to the corresponding single-query call
+    /// (`estimate_with` / `estimate_stab_with`) — exact `i64` lane sums
+    /// make sharing free, and per-query f64 term order is preserved.
     ///
     /// Per-query failures (domain overflow) fail only that slot; degenerate
     /// rects yield zero estimates; duplicate queries are answered once and
-    /// cloned. Batches on the scalar kernel — and batches with a single
-    /// unique query — take the sequential per-query path, which doubles as
-    /// the differential oracle.
+    /// cloned. Batches on the scalar kernel take the sequential per-query
+    /// path, which doubles as the differential oracle.
     pub fn estimate_batch_with(
         &self,
         ctx: &mut QueryContext,
@@ -410,64 +410,34 @@ impl<const D: usize> RangeQuery<D> {
             });
             outcomes.push(Outcome::Unique(u));
         }
+        let plans: Vec<PlanRef<D>> = uniques
+            .into_iter()
+            .map(|(key, q)| match q {
+                BatchQuery::Range(rect) => ctx.plan_for(key, || self.overlap_plan(&rect)),
+                BatchQuery::Stab(p) => ctx.plan_for(key, || self.stab_plan(&p)),
+            })
+            .collect();
+        let mut estimates: Vec<Option<Estimate>> = vec![None; plans.len()];
+        // Cold plans share one merged sweep; a lone cold plan, warm plans
+        // and the scalar oracle take the single-query fill.
+        let cold: Vec<usize> = (0..plans.len()).filter(|&u| !plans[u].hit).collect();
         let kernel = ctx.kernel().resolve(self.schema.instances());
-        let estimates: Vec<Estimate> = if kernel == QueryKernel::Scalar || uniques.len() <= 1 {
-            // Sequential path: per-query plans and fills, exactly the
-            // single-query code — the oracle the merged path must bit-match,
-            // and the no-overhead path for batches of one.
-            uniques
-                .iter()
-                .map(|(key, q)| {
-                    let plan = match q {
-                        BatchQuery::Range(rect) => {
-                            ctx.plan_for(key.clone(), || self.overlap_plan(rect))
-                        }
-                        BatchQuery::Stab(p) => ctx.plan_for(key.clone(), || self.stab_plan(p)),
-                    };
-                    ctx.xi_estimate(&plan, sketch)
-                })
-                .collect()
-        } else {
-            // Merged path: one worklist sweep for all unique queries. The
-            // merged plan is memoized under the batch's flattened signature
-            // (class tag + coordinates per unique query, in batch order) —
-            // a serving loop draining a recurring hot set compiles it once.
-            let mut sig = Vec::with_capacity(uniques.len() * (1 + 2 * D));
-            for (_, q) in &uniques {
-                match q {
-                    BatchQuery::Range(rect) => {
-                        sig.push(u64::from(PLAN_CLASS_OVERLAP));
-                        for dim in 0..D {
-                            sig.push(rect.range(dim).lo());
-                            sig.push(rect.range(dim).hi());
-                        }
-                    }
-                    BatchQuery::Stab(p) => {
-                        sig.push(u64::from(PLAN_CLASS_STAB));
-                        sig.extend_from_slice(p);
-                    }
-                }
+        if kernel != QueryKernel::Scalar && cold.len() > 1 {
+            let merged = MultiQueryPlan::merge(
+                &cold
+                    .iter()
+                    .map(|&u| &*plans[u].plan)
+                    .collect::<Vec<&XiQueryPlan<D>>>(),
+            );
+            for (&u, est) in cold.iter().zip(ctx.multi_xi_estimate(&merged, sketch)) {
+                estimates[u] = Some(est);
             }
-            let mkey = PlanKey::new(self.schema.id(), PLAN_CLASS_MULTI, sig);
-            let mplan = match ctx.multi_plan_lookup::<D>(&mkey) {
-                Some(plan) => plan,
-                None => {
-                    let singles: Vec<Arc<XiQueryPlan<D>>> = uniques
-                        .iter()
-                        .map(|(key, q)| match q {
-                            BatchQuery::Range(rect) => {
-                                ctx.plan_for(key.clone(), || self.overlap_plan(rect))
-                            }
-                            BatchQuery::Stab(p) => ctx.plan_for(key.clone(), || self.stab_plan(p)),
-                        })
-                        .collect();
-                    let merged = Arc::new(MultiQueryPlan::merge(&singles));
-                    ctx.multi_plan_insert(mkey, Arc::clone(&merged));
-                    merged
-                }
-            };
-            ctx.multi_xi_estimate(&mplan, sketch)
-        };
+        }
+        let estimates: Vec<Estimate> = plans
+            .iter()
+            .zip(estimates)
+            .map(|(plan, est)| est.unwrap_or_else(|| ctx.xi_estimate(plan, sketch)))
+            .collect();
         outcomes
             .into_iter()
             .map(|o| match o {

@@ -112,5 +112,7 @@ pub use persist::{
     snapshot_schema, snapshot_sketch, SchemaSnapshot, SketchPairSnapshot, SketchSnapshot,
 };
 pub use plan::Guarantee;
-pub use query::{PartialEstimate, PlanCacheReport, PlanCacheStats, QueryContext, QueryKernel};
+pub use query::{
+    PartialEstimate, PlanCacheReport, PlanCacheStats, PlanMemoStats, QueryContext, QueryKernel,
+};
 pub use schema::{BoostShape, DimSpec, SchemaLanes, SketchSchema};

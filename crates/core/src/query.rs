@@ -43,21 +43,45 @@
 //! issuing repeated queries skips cover compilation entirely and allocates
 //! only the returned [`Estimate`] per call. One context serves every
 //! estimator and every dimensionality.
+//!
+//! ## Query-product memos
+//!
+//! The blocked kernels split the query side in two stages. First, per word
+//! term `t` and instance `i`, the exact `i64` query product
+//! `q[t][i] = Π_dim ξ̄-sum(cover list)` — the expensive ξ evaluation, a
+//! function of the query and the schema's seeds only, never of the data.
+//! Second, the combine `Z_i = Σ_t prod_f64(q[t][i], X_i[word_t])`, terms in
+//! plan order. Since the first stage ignores the counters, a plan caches
+//! its products (term-major, `terms × instances`) once it proves hot:
+//!
+//! * **Filled on the first cache hit, never on a miss.** A freshly compiled
+//!   plan computes its products into context scratch; one-shot traffic pays
+//!   no memo time or memory. The second lookup of the same plan fills the
+//!   memo, and every later estimate — single, batch or shard partial —
+//!   runs only the combine: one counter dot product per instance.
+//! * **Dropped with the plan.** The memo lives inside the cached plan, so
+//!   LRU eviction frees it; [`PlanCacheReport::memo`] counts fills, reuses,
+//!   drops and resident bytes.
+//! * **Valid across ingest.** Counters change under inserts and deletes;
+//!   the products do not, and the plan key pins the schema.
+//! * **Bit-identical.** The memo stores the same exact `i64` products the
+//!   cold path computes, and the combine adds them per instance in the same
+//!   term order, so the f64 operation sequence — hence every estimate — is
+//!   unchanged. [`QueryKernel::Scalar`] never reads a memo and stays the
+//!   oracle (`crates/core/tests/batch_differential.rs` checks cold, filling
+//!   and warm rounds against it).
 
 use crate::atomic::SketchSet;
 use crate::boost::{mean_median_with, Estimate};
 use crate::estimator::Term;
 use crate::kernel::{self, Width};
-use crate::schema::{BoostShape, SchemaLanes};
+use crate::schema::{BoostShape, SchemaLanes, SketchSchema};
 use fourwise::{BlockSums, IndexPre, MultiBlockSums, WideLane, WideLane512};
 
 #[cfg(doc)]
 use fourwise::BLOCK_LANES;
 use std::any::Any;
-use std::sync::Arc;
-
-#[cfg(doc)]
-use crate::schema::SketchSchema;
+use std::sync::{Arc, OnceLock};
 
 /// Which implementation evaluates estimates over the instance grid.
 ///
@@ -102,14 +126,12 @@ impl QueryKernel {
 }
 
 /// Most compiled plans one [`QueryContext`] retains (least recently used
-/// entries are evicted first). Plans are a few hundred bytes each.
+/// entries are evicted first). A plan's cover lists grow with the query's
+/// cover length (longer under an adaptive `maxLevel`), and a warm plan also
+/// holds its query-product memo of `terms × instances` `i64`s — a 2-d range
+/// plan at 1015 instances carries 4 × 1015 × 8 B ≈ 32 KB. One context thus
+/// holds at most `64 × terms × instances × 8` bytes of memos.
 const PLAN_CACHE_CAPACITY: usize = 64;
-
-/// Most compiled [`MultiQueryPlan`]s one [`QueryContext`] retains. Merged
-/// batch plans are keyed by the whole batch signature and can reach tens of
-/// kilobytes each, so the cache is smaller than the single-plan one —
-/// serving loops see few distinct batch compositions per worker.
-const MULTI_PLAN_CACHE_CAPACITY: usize = 16;
 
 /// Identity of a compiled query plan: the schema (which pins the ξ kind,
 /// domain layout and maxLevel), the query class, and the query coordinates
@@ -135,8 +157,6 @@ impl PlanKey {
 /// from the same coordinates).
 pub(crate) const PLAN_CLASS_OVERLAP: u8 = 0;
 pub(crate) const PLAN_CLASS_STAB: u8 = 1;
-/// A merged multi-query plan, keyed by the batch's unique-query signature.
-pub(crate) const PLAN_CLASS_MULTI: u8 = 2;
 
 /// Point-in-time counters of one compiled-plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -149,29 +169,59 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
-/// Counters of both of a [`QueryContext`]'s plan caches, reported next to
-/// [`crate::kernel::dispatch_report`] by the bench probes.
+/// Counters of the query-product memos cached plans carry (see the module
+/// docs' "Query-product memos").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanMemoStats {
+    /// Memos computed: at most one per cached plan, on its first cache hit
+    /// under a blocked kernel.
+    pub fills: u64,
+    /// Estimates answered from an already-filled memo.
+    pub reuses: u64,
+    /// Memoized plans evicted from the cache; the memo is freed with the
+    /// plan.
+    pub dropped: u64,
+    /// Memo bytes held by the plans currently cached.
+    pub resident_bytes: u64,
+}
+
+/// Counters of a [`QueryContext`]'s plan cache and its memos, reported next
+/// to [`crate::kernel::dispatch_report`] by the bench probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheReport {
     /// The single-query `XiQueryPlan` LRU.
     pub single: PlanCacheStats,
-    /// The merged `MultiQueryPlan` LRU fed by the batch entry points.
+    /// Always zero. This reported a second LRU of merged batch plans, which
+    /// the memos made redundant: warm batch queries are answered from their
+    /// memos and cold ones are merged fresh per batch. The field stays so
+    /// existing readers of the report keep compiling.
     pub multi: PlanCacheStats,
+    /// The cached plans' query-product memos.
+    pub memo: PlanMemoStats,
 }
 
-/// A bounded LRU of compiled, type-erased query plans.
-#[derive(Clone)]
+/// A cached plan, type-erased over its dimensionality.
+trait CachedPlan: Any + Send + Sync {
+    /// Bytes held by the plan's query-product memo (0 while unfilled).
+    fn memo_bytes(&self) -> usize;
+}
+
+impl<const D: usize> CachedPlan for XiQueryPlan<D> {
+    fn memo_bytes(&self) -> usize {
+        self.memo
+            .get()
+            .map_or(0, |m| std::mem::size_of_val::<[i64]>(m))
+    }
+}
+
+/// A bounded LRU of compiled query plans, plus the memo counters.
+#[derive(Clone, Default)]
 struct PlanCache {
     /// Most recently used last; linear scans are fine at this capacity.
-    entries: Vec<(PlanKey, Arc<dyn Any + Send + Sync>)>,
-    capacity: usize,
+    entries: Vec<(PlanKey, Arc<dyn CachedPlan>)>,
     stats: PlanCacheStats,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::with_capacity(PLAN_CACHE_CAPACITY)
-    }
+    /// Fills, reuses and drops; resident bytes are summed on report.
+    memo: PlanMemoStats,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -179,27 +229,21 @@ impl std::fmt::Debug for PlanCache {
         f.debug_struct("PlanCache")
             .field("entries", &self.entries.len())
             .field("stats", &self.stats)
+            .field("memo", &self.memo)
             .finish()
     }
 }
 
 impl PlanCache {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            capacity,
-            stats: PlanCacheStats::default(),
-        }
-    }
-
     /// Looks `key` up, refreshing its recency on a hit. Counts a miss (and
     /// drops the stale entry) when the stored plan is of the wrong type —
     /// impossible for well-formed keys, handled defensively rather than
     /// serving a wrong-typed plan.
-    fn lookup<T: Any + Send + Sync>(&mut self, key: &PlanKey) -> Option<Arc<T>> {
+    fn lookup<const D: usize>(&mut self, key: &PlanKey) -> Option<Arc<XiQueryPlan<D>>> {
         if let Some(pos) = self.entries.iter().position(|(k, _)| k == key) {
             let entry = self.entries.remove(pos);
-            if let Ok(plan) = entry.1.clone().downcast::<T>() {
+            let any: Arc<dyn Any + Send + Sync> = entry.1.clone();
+            if let Ok(plan) = any.downcast::<XiQueryPlan<D>>() {
                 self.entries.push(entry);
                 self.stats.hits += 1;
                 return Some(plan);
@@ -210,14 +254,71 @@ impl PlanCache {
     }
 
     /// Caches a freshly compiled plan, evicting the least recently used
-    /// entry at capacity.
-    fn insert<T: Any + Send + Sync>(&mut self, key: PlanKey, plan: Arc<T>) {
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
+    /// entry (and with it any memo it holds) at capacity.
+    fn insert<const D: usize>(&mut self, key: PlanKey, plan: Arc<XiQueryPlan<D>>) {
+        if self.entries.len() >= PLAN_CACHE_CAPACITY {
+            let (_, evicted) = self.entries.remove(0);
             self.stats.evictions += 1;
+            if evicted.memo_bytes() > 0 {
+                self.memo.dropped += 1;
+            }
         }
-        self.entries.push((key, plan as Arc<dyn Any + Send + Sync>));
+        self.entries.push((key, plan));
     }
+
+    fn report(&self) -> PlanCacheReport {
+        let resident: usize = self.entries.iter().map(|(_, p)| p.memo_bytes()).sum();
+        PlanCacheReport {
+            single: self.stats,
+            multi: PlanCacheStats::default(),
+            memo: PlanMemoStats {
+                resident_bytes: resident as u64,
+                ..self.memo
+            },
+        }
+    }
+}
+
+/// A plan handed out by [`QueryContext::plan_for`], with whether the lookup
+/// hit the cache — a hit is what licenses filling the plan's memo.
+pub(crate) struct PlanRef<const D: usize> {
+    pub plan: Arc<XiQueryPlan<D>>,
+    pub hit: bool,
+}
+
+/// One query-side sum bank per blocked lane width.
+#[derive(Debug, Clone, Default)]
+struct SumBanks {
+    narrow: BlockSums<u64>,
+    wide: BlockSums<WideLane>,
+    wide512: BlockSums<WideLane512>,
+}
+
+impl SumBanks {
+    /// Fills `out` with the plan's query products (see [`xi_products`]) at
+    /// the lane width of the (resolved, blocked) `kernel`.
+    fn products<const D: usize>(
+        &mut self,
+        kernel: QueryKernel,
+        plan: &XiQueryPlan<D>,
+        schema: &SketchSchema<D>,
+        out: &mut [i64],
+    ) {
+        match kernel {
+            QueryKernel::Batched => xi_products(plan, schema, &mut self.narrow, out),
+            QueryKernel::Wide => xi_products(plan, schema, &mut self.wide, out),
+            QueryKernel::Wide512 => xi_products(plan, schema, &mut self.wide512, out),
+            QueryKernel::Scalar => unreachable!("the scalar oracle evaluates per instance"),
+            QueryKernel::Auto => unreachable!("resolve() never returns Auto"),
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: makes the next memo fill on this thread panic after its
+    /// products are computed but before the memo is stored.
+    static PANIC_IN_NEXT_MEMO_FILL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Reusable estimation scratch shared by every estimator: the atomic
@@ -235,11 +336,9 @@ pub struct QueryContext {
     /// Sort scratch for the median step.
     med: Vec<f64>,
     /// Query-side per-lane cover sums, one slot per (dimension, list) pair.
-    sums: BlockSums<u64>,
-    /// The wide kernel's sum bank.
-    sums_wide: BlockSums<WideLane>,
-    /// The 512-lane kernel's sum bank.
-    sums_wide512: BlockSums<WideLane512>,
+    sums: SumBanks,
+    /// A cold plan's query products (term-major), recomputed per call.
+    qprod: Vec<i64>,
     /// The multi-query kernel's slot banks, one per lane width.
     msums: MultiBlockSums<u64>,
     msums_wide: MultiBlockSums<WideLane>,
@@ -248,8 +347,6 @@ pub struct QueryContext {
     atomic_multi: Vec<f64>,
     /// Compiled query plans, memoized per (schema, query).
     plans: PlanCache,
-    /// Merged multi-query plans, memoized per batch signature.
-    mplans: PlanCache,
 }
 
 impl Default for QueryContext {
@@ -259,15 +356,13 @@ impl Default for QueryContext {
             atomic: Vec::new(),
             rows: Vec::new(),
             med: Vec::new(),
-            sums: BlockSums::new(),
-            sums_wide: BlockSums::new(),
-            sums_wide512: BlockSums::new(),
+            sums: SumBanks::default(),
+            qprod: Vec::new(),
             msums: MultiBlockSums::new(),
             msums_wide: MultiBlockSums::new(),
             msums_wide512: MultiBlockSums::new(),
             atomic_multi: Vec::new(),
             plans: PlanCache::default(),
-            mplans: PlanCache::with_capacity(MULTI_PLAN_CACHE_CAPACITY),
         }
     }
 }
@@ -303,14 +398,11 @@ impl QueryContext {
         (self.plans.stats.hits, self.plans.stats.misses)
     }
 
-    /// Hit/miss/eviction counters of both plan caches (the single-query
-    /// `XiQueryPlan` LRU and the merged multi-query LRU) since the context
-    /// was created.
+    /// Hit/miss/eviction counters of the plan cache and the fill, reuse,
+    /// drop and resident-byte counters of its query-product memos, since
+    /// the context was created.
     pub fn plan_cache_report(&self) -> PlanCacheReport {
-        PlanCacheReport {
-            single: self.plans.stats,
-            multi: self.mplans.stats,
-        }
+        self.plans.report()
     }
 
     /// Looks up the compiled plan for `key`, compiling and caching it on a
@@ -320,32 +412,13 @@ impl QueryContext {
         &mut self,
         key: PlanKey,
         compile: impl FnOnce() -> XiQueryPlan<D>,
-    ) -> Arc<XiQueryPlan<D>> {
-        if let Some(plan) = self.plans.lookup::<XiQueryPlan<D>>(&key) {
-            return plan;
+    ) -> PlanRef<D> {
+        if let Some(plan) = self.plans.lookup::<D>(&key) {
+            return PlanRef { plan, hit: true };
         }
         let plan = Arc::new(compile());
         self.plans.insert(key, plan.clone());
-        plan
-    }
-
-    /// Looks up a merged multi-query plan by its batch signature. Split from
-    /// the insert so the miss path can compile the constituent single-query
-    /// plans through [`QueryContext::plan_for`] in between.
-    pub(crate) fn multi_plan_lookup<const D: usize>(
-        &mut self,
-        key: &PlanKey,
-    ) -> Option<Arc<MultiQueryPlan<D>>> {
-        self.mplans.lookup::<MultiQueryPlan<D>>(key)
-    }
-
-    /// Caches a freshly merged multi-query plan under its batch signature.
-    pub(crate) fn multi_plan_insert<const D: usize>(
-        &mut self,
-        key: PlanKey,
-        plan: Arc<MultiQueryPlan<D>>,
-    ) {
-        self.mplans.insert(key, plan);
+        PlanRef { plan, hit: false }
     }
 
     /// Boosts whatever the fill pass left in `self.atomic`.
@@ -396,36 +469,54 @@ impl QueryContext {
 
     /// Query-side fill: leaves the atomic grid of `Z_i = Σ_t X_i[word_t] ·
     /// Π_dim ξ̄-sum of the term's chosen cover list` in `self.atomic`.
-    fn xi_fill<const D: usize>(&mut self, plan: &XiQueryPlan<D>, sketch: &SketchSet<D>) {
-        let shape = sketch.schema().shape();
-        self.atomic.resize(shape.instances(), 0.0);
-        match self.kernel.resolve(shape.instances()) {
-            QueryKernel::Scalar => xi_fill_scalar(plan, sketch, 0, &mut self.atomic),
-            QueryKernel::Batched => {
-                xi_fill_blocked::<u64, D>(plan, sketch, 0, &mut self.atomic, &mut self.sums)
-            }
-            QueryKernel::Wide => xi_fill_blocked::<WideLane, D>(
-                plan,
-                sketch,
-                0,
-                &mut self.atomic,
-                &mut self.sums_wide,
-            ),
-            QueryKernel::Wide512 => xi_fill_blocked::<WideLane512, D>(
-                plan,
-                sketch,
-                0,
-                &mut self.atomic,
-                &mut self.sums_wide512,
-            ),
-            QueryKernel::Auto => unreachable!("resolve() never returns Auto"),
+    ///
+    /// The blocked kernels take the query products from the plan's memo
+    /// when it is filled, fill it when this lookup was a cache hit, and
+    /// otherwise compute them into context scratch; the scalar oracle
+    /// ignores the memo entirely.
+    fn xi_fill<const D: usize>(&mut self, plan: &PlanRef<D>, sketch: &SketchSet<D>) {
+        let PlanRef { plan, hit } = plan;
+        let schema = sketch.schema();
+        let instances = schema.instances();
+        self.atomic.resize(instances, 0.0);
+        let kernel = self.kernel.resolve(instances);
+        if kernel == QueryKernel::Scalar {
+            return xi_fill_scalar(plan, sketch, 0, &mut self.atomic);
         }
+        let products: &[i64] = if let Some(memo) = plan.memo.get() {
+            self.plans.memo.reuses += 1;
+            memo
+        } else if *hit {
+            let mut filled = false;
+            let memo = plan.memo.get_or_init(|| {
+                let mut memo = vec![0; plan.terms.len() * instances];
+                self.sums.products(kernel, plan, schema, &mut memo);
+                #[cfg(test)]
+                if PANIC_IN_NEXT_MEMO_FILL.with(|p| p.replace(false)) {
+                    panic!("injected memo-fill panic");
+                }
+                filled = true;
+                memo.into_boxed_slice()
+            });
+            if filled {
+                self.plans.memo.fills += 1;
+            } else {
+                // Another context sharing the plan filled it meanwhile.
+                self.plans.memo.reuses += 1;
+            }
+            memo
+        } else {
+            self.qprod.resize(plan.terms.len() * instances, 0);
+            self.sums.products(kernel, plan, schema, &mut self.qprod);
+            &self.qprod
+        };
+        xi_combine(&plan.terms, products, sketch, &mut self.atomic);
     }
 
     /// Query-side combine, boosted.
     pub(crate) fn xi_estimate<const D: usize>(
         &mut self,
-        plan: &XiQueryPlan<D>,
+        plan: &PlanRef<D>,
         sketch: &SketchSet<D>,
     ) -> Estimate {
         self.xi_fill(plan, sketch);
@@ -485,7 +576,7 @@ impl QueryContext {
     /// [`PartialEstimate`].
     pub(crate) fn xi_partial<const D: usize>(
         &mut self,
-        plan: &XiQueryPlan<D>,
+        plan: &PlanRef<D>,
         sketch: &SketchSet<D>,
     ) -> PartialEstimate {
         self.xi_fill(plan, sketch);
@@ -595,8 +686,9 @@ pub(crate) struct XiWordTerm<const D: usize> {
 }
 
 /// A compiled query side: the cover node lists (ids + GF cubes precomputed
-/// once per query, shared by every instance) and the word terms combining
-/// them with maintained counters.
+/// once per query, shared by every instance), the word terms combining
+/// them with maintained counters, and — once the plan is hot — the memo of
+/// its per-term, per-instance query products.
 #[derive(Debug, Clone)]
 pub(crate) struct XiQueryPlan<const D: usize> {
     /// `lists[dim]` holds that dimension's cover lists (e.g. the query
@@ -604,6 +696,9 @@ pub(crate) struct XiQueryPlan<const D: usize> {
     pub lists: [Vec<Vec<IndexPre>>; D],
     /// The word terms, in maintained-word order.
     pub terms: Vec<XiWordTerm<D>>,
+    /// The [`xi_products`] of this plan over its schema, term-major; set on
+    /// the plan's first cache hit under a blocked kernel (module docs).
+    pub memo: OnceLock<Box<[i64]>>,
 }
 
 impl<const D: usize> Default for XiQueryPlan<D> {
@@ -611,6 +706,7 @@ impl<const D: usize> Default for XiQueryPlan<D> {
         Self {
             lists: std::array::from_fn(|_| Vec::new()),
             terms: Vec::new(),
+            memo: OnceLock::new(),
         }
     }
 }
@@ -657,7 +753,7 @@ impl<const D: usize> MultiQueryPlan<D> {
     /// into one worklist. Slot assignment is sequential per (plan, list) in
     /// plan order, so term evaluation order inside each query — and hence
     /// its f64 rounding — is unchanged from the single-query path.
-    pub(crate) fn merge(plans: &[Arc<XiQueryPlan<D>>]) -> Self {
+    pub(crate) fn merge(plans: &[&XiQueryPlan<D>]) -> Self {
         let mut dims: [MultiDimList; D] = std::array::from_fn(|_| MultiDimList::default());
         let mut slot_base = vec![[0usize; D]; plans.len()];
         for (p, plan) in plans.iter().enumerate() {
@@ -821,53 +917,62 @@ pub(crate) fn xi_fill_scalar<const D: usize>(
     }
 }
 
-/// Fills the query-side atomic estimates of whole instance blocks starting
-/// at `first_block` (blocks of `L::LANES` lanes): every cover list is
-/// evaluated for all lanes in one bit-sliced pass over the schema's packed
-/// seed planes, then word terms combine the per-lane sums with the block's
-/// contiguous counter rows.
-pub(crate) fn xi_fill_blocked<L: SchemaLanes, const D: usize>(
+/// Fills `out` (term-major: `out[t * instances + i]`) with every instance's
+/// exact query product of each word term, `Π_dim ξ̄-sum(list chosen by the
+/// term)`: every cover list is evaluated for all lanes of an instance block
+/// in one bit-sliced pass over the schema's packed seed planes, then each
+/// term's product is folded across the lanes in dimension order — the
+/// scalar path's order, so the `i64` products are bit-identical to it.
+/// Depends on the query and the schema only, never on counters: this is
+/// what a hot plan memoizes.
+pub(crate) fn xi_products<L: SchemaLanes, const D: usize>(
     plan: &XiQueryPlan<D>,
-    sketch: &SketchSet<D>,
-    first_block: usize,
-    out: &mut [f64],
+    schema: &SketchSchema<D>,
     sums: &mut BlockSums<L>,
+    out: &mut [i64],
 ) {
-    let schema = sketch.schema();
-    let w = sketch.words().len();
-    let counters = sketch.counters();
+    let instances = schema.instances();
+    debug_assert_eq!(out.len(), plan.terms.len() * instances);
     let stride = plan.max_slots();
     sums.reserve_slots(D * stride);
-    let mut filled = 0usize;
-    let mut b = first_block;
-    while filled < out.len() {
+    for (b, block) in L::seed_blocks(schema, 0).iter().enumerate() {
         let base = b * L::LANES;
-        let lanes = L::seed_blocks(schema, 0)[b].lanes();
+        let lanes = block.lanes();
         for (dim, lists) in plan.lists.iter().enumerate() {
             let xb = &L::seed_blocks(schema, dim)[b];
             for (slot, list) in lists.iter().enumerate() {
                 sums.eval_into(dim * stride + slot, xb, list);
             }
         }
-        let cb = &counters[base * w..(base + lanes) * w];
-        let z = &mut out[filled..filled + lanes];
-        z.fill(0.0);
-        for t in &plan.terms {
-            let word = t.word;
-            // The per-lane query product is folded once per term across all
-            // lanes ([`BlockSums::slot_products`]) instead of re-walking the
-            // dimension slots inside the lane loop: the inner loop below is
-            // then a single multiply-accumulate per lane, which LLVM
-            // autovectorizes. Fold order matches the scalar path's dimension
-            // order, so the (exact) i64 products are bit-identical.
-            let ids: [usize; D] = std::array::from_fn(|d| d * stride + t.slots[d]);
-            let q = sums.slot_products(&ids, lanes);
-            for (lane, slot) in z.iter_mut().enumerate() {
-                *slot += prod_f64(q[lane], cb[lane * w + word]);
-            }
+        for (t, term) in plan.terms.iter().enumerate() {
+            let ids: [usize; D] = std::array::from_fn(|d| d * stride + term.slots[d]);
+            let start = t * instances + base;
+            out[start..start + lanes].copy_from_slice(sums.slot_products(&ids, lanes));
         }
-        filled += lanes;
-        b += 1;
+    }
+}
+
+/// Combines query products ([`xi_products`] layout) with the sketch's
+/// counters: `out[i] = Σ_t prod_f64(products[t][i], X_i[word_t])`, each
+/// instance accumulating from `0.0` in term order — the scalar path's f64
+/// operation sequence. Terms walk in the outer loop so the accumulations of
+/// different instances stay independent (one multiply-add per instance per
+/// term, which LLVM autovectorizes).
+fn xi_combine<const D: usize>(
+    terms: &[XiWordTerm<D>],
+    products: &[i64],
+    sketch: &SketchSet<D>,
+    out: &mut [f64],
+) {
+    let w = sketch.words().len();
+    let rows = sketch.counters().chunks_exact(w);
+    let n = out.len();
+    out.fill(0.0);
+    for (t, term) in terms.iter().enumerate() {
+        let q = &products[t * n..(t + 1) * n];
+        for ((z, &q), row) in out.iter_mut().zip(q).zip(rows.clone()) {
+            *z += prod_f64(q, row[term.word]);
+        }
     }
 }
 
@@ -881,7 +986,7 @@ pub(crate) fn xi_fill_blocked<L: SchemaLanes, const D: usize>(
 /// Bit-identity: per-lane sums are exact `i64`s, so sharing cell
 /// evaluations cannot change them; per query, terms accumulate in plan
 /// order and slot products fold in dimension order — the same f64 operation
-/// sequence as [`xi_fill_blocked`], hence as the scalar oracle.
+/// sequence as [`xi_products`] + [`xi_combine`], hence as the scalar oracle.
 pub(crate) fn multi_xi_fill_blocked<L: SchemaLanes, const D: usize>(
     plan: &MultiQueryPlan<D>,
     sketch: &SketchSet<D>,
@@ -1065,10 +1170,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_plan_merge_bit_matches_single_plans() {
-        let mut rng = StdRng::seed_from_u64(210);
-        // 70 instances: one full 64-lane block plus a 6-lane tail.
+    /// A 2-d sketch at 70 instances (one full 64-lane block plus a 6-lane
+    /// tail) over random rects, and `n` synthetic plans with overlapping
+    /// cover cells (shared ids across plans and a duplicate inside one list).
+    fn synthetic_plans(seed: u64, n: usize) -> (SketchSet<2>, Vec<XiQueryPlan<2>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let schema = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
@@ -1082,9 +1188,7 @@ mod tests {
             let y = rng.gen_range(0..200u64);
             sk.insert(&rect2(x, x + 9, y, y + 5)).unwrap();
         }
-        // Three synthetic plans with overlapping cover cells (shared ids
-        // across plans and a duplicate inside one list).
-        let plans: Vec<Arc<XiQueryPlan<2>>> = (0..3usize)
+        let plans = (0..n)
             .map(|p| {
                 let mut plan = XiQueryPlan::<2>::default();
                 for (dim, lists) in plan.lists.iter_mut().enumerate() {
@@ -1106,10 +1210,130 @@ mod tests {
                         slots: std::array::from_fn(|d| (mask >> d ^ p) & 1),
                     })
                     .collect();
-                Arc::new(plan)
+                plan
             })
             .collect();
-        let merged = MultiQueryPlan::merge(&plans);
+        (sk, plans)
+    }
+
+    fn plan_key(i: u64) -> PlanKey {
+        PlanKey::new(i, PLAN_CLASS_OVERLAP, vec![i, i + 1])
+    }
+
+    /// The scalar oracle's estimate of `plan` (never touches the memo).
+    fn oracle(plan: &XiQueryPlan<2>, sk: &SketchSet<2>) -> Estimate {
+        let cold = PlanRef {
+            plan: Arc::new(plan.clone()),
+            hit: false,
+        };
+        QueryContext::new()
+            .with_kernel(QueryKernel::Scalar)
+            .xi_estimate(&cold, sk)
+    }
+
+    fn assert_same(a: &Estimate, b: &Estimate, label: &str) {
+        assert_eq!(a.value.to_bits(), b.value.to_bits(), "{label}: value");
+        let bits = |e: &Estimate| e.row_means.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{label}: row means");
+    }
+
+    #[test]
+    fn memo_fills_on_first_hit_never_on_a_miss() {
+        let (sk, plans) = synthetic_plans(220, 1);
+        let plan = &plans[0];
+        let want = oracle(plan, &sk);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Batched);
+        let cold = ctx.plan_for(plan_key(0), || plan.clone());
+        assert!(!cold.hit);
+        assert_same(&ctx.xi_estimate(&cold, &sk), &want, "miss");
+        assert!(cold.plan.memo.get().is_none(), "a miss fills no memo");
+        assert_eq!(ctx.plan_cache_report().memo, PlanMemoStats::default());
+
+        let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
+        assert!(hot.hit);
+        assert_same(&ctx.xi_estimate(&hot, &sk), &want, "first hit");
+        let bytes = (plan.terms.len() * sk.schema().instances() * 8) as u64;
+        let report = ctx.plan_cache_report().memo;
+        assert_eq!((report.fills, report.reuses), (1, 0));
+        assert_eq!(report.resident_bytes, bytes);
+        let warm = ctx.plan_for(plan_key(0), || unreachable!("cached"));
+        assert_same(&ctx.xi_estimate(&warm, &sk), &want, "warm");
+        assert_eq!(ctx.plan_cache_report().memo.reuses, 1);
+    }
+
+    #[test]
+    fn evicted_plan_frees_its_memo() {
+        let (sk, plans) = synthetic_plans(221, 1);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
+        let _ = ctx.plan_for(plan_key(0), || plans[0].clone());
+        let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
+        ctx.xi_estimate(&hot, &sk);
+        assert!(hot.plan.memo.get().is_some());
+        let weak = Arc::downgrade(&hot.plan);
+        drop(hot);
+        for i in 1..=PLAN_CACHE_CAPACITY as u64 {
+            let _ = ctx.plan_for::<2>(plan_key(i), XiQueryPlan::default);
+        }
+        assert!(
+            weak.upgrade().is_none(),
+            "the evicted plan and memo are freed"
+        );
+        let report = ctx.plan_cache_report();
+        assert_eq!(report.single.evictions, 1);
+        assert_eq!(report.memo.dropped, 1);
+        assert_eq!(report.memo.resident_bytes, 0);
+    }
+
+    #[test]
+    fn scalar_context_ignores_memos_of_hot_plans() {
+        let (sk, plans) = synthetic_plans(222, 3);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide512);
+        for _ in 0..2 {
+            for (i, plan) in plans.iter().enumerate() {
+                let r = ctx.plan_for(plan_key(i as u64), || plan.clone());
+                ctx.xi_estimate(&r, &sk);
+            }
+        }
+        let memoized = ctx.plan_cache_report().memo;
+        assert_eq!(memoized.fills, 3);
+        ctx.set_kernel(QueryKernel::Scalar);
+        for (i, plan) in plans.iter().enumerate() {
+            let r = ctx.plan_for(plan_key(i as u64), || unreachable!("cached"));
+            assert!(r.plan.memo.get().is_some());
+            assert_same(&ctx.xi_estimate(&r, &sk), &oracle(plan, &sk), "scalar");
+        }
+        assert_eq!(
+            ctx.plan_cache_report().memo,
+            memoized,
+            "scalar reads no memo"
+        );
+    }
+
+    #[test]
+    fn panicking_memo_fill_leaves_the_plan_usable() {
+        let (sk, plans) = synthetic_plans(223, 1);
+        let want = oracle(&plans[0], &sk);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Batched);
+        let _ = ctx.plan_for(plan_key(0), || plans[0].clone());
+        let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
+        PANIC_IN_NEXT_MEMO_FILL.with(|p| p.set(true));
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.xi_estimate(&hot, &sk)));
+        assert!(unwound.is_err(), "the injected panic fired");
+        assert!(hot.plan.memo.get().is_none(), "no half-filled memo");
+        assert_eq!(ctx.plan_cache_report().memo.fills, 0);
+        drop(hot);
+        // The plan stays cached; the next hit fills the memo and answers.
+        let again = ctx.plan_for(plan_key(0), || unreachable!("still cached"));
+        assert_same(&ctx.xi_estimate(&again, &sk), &want, "after panic");
+        assert!(again.plan.memo.get().is_some());
+        assert_eq!(ctx.plan_cache_report().memo.fills, 1);
+    }
+
+    #[test]
+    fn multi_plan_merge_bit_matches_single_plans() {
+        let (sk, plans) = synthetic_plans(210, 3);
+        let merged = MultiQueryPlan::merge(&plans.iter().collect::<Vec<_>>());
         assert_eq!(merged.queries.len(), 3);
         // Dedup really happened: unique cells < total list entries.
         let total: usize = plans
@@ -1119,13 +1343,13 @@ mod tests {
             .sum();
         assert!(merged.unique_cells() < total, "{} cells", total);
 
-        let instances = schema.instances();
+        let instances = sk.schema().instances();
         check::<u64>(&plans, &merged, &sk, instances);
         check::<fourwise::WideLane>(&plans, &merged, &sk, instances);
         check::<fourwise::WideLane512>(&plans, &merged, &sk, instances);
 
         fn check<L: SchemaLanes>(
-            plans: &[Arc<XiQueryPlan<2>>],
+            plans: &[XiQueryPlan<2>],
             merged: &MultiQueryPlan<2>,
             sk: &SketchSet<2>,
             instances: usize,
@@ -1135,14 +1359,18 @@ mod tests {
             multi_xi_fill_blocked::<L, 2>(merged, sk, &mut multi_out, &mut msums);
             let mut sums = BlockSums::<L>::new();
             for (q, plan) in plans.iter().enumerate() {
+                // The single-plan blocked path (products, then combine) and
+                // the scalar oracle agree with the merged fill.
+                let mut products = vec![0i64; plan.terms.len() * instances];
+                xi_products::<L, 2>(plan, sk.schema(), &mut sums, &mut products);
                 let mut single = vec![0.0f64; instances];
-                xi_fill_blocked::<L, 2>(plan, sk, 0, &mut single, &mut sums);
-                for (i, (a, b)) in single
-                    .iter()
-                    .zip(&multi_out[q * instances..(q + 1) * instances])
-                    .enumerate()
-                {
+                xi_combine(&plan.terms, &products, sk, &mut single);
+                let mut scalar = vec![0.0f64; instances];
+                xi_fill_scalar(plan, sk, 0, &mut scalar);
+                let multi = &multi_out[q * instances..(q + 1) * instances];
+                for (i, ((a, b), c)) in single.iter().zip(multi).zip(&scalar).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "query {q} instance {i}");
+                    assert_eq!(c.to_bits(), b.to_bits(), "scalar query {q} instance {i}");
                 }
             }
         }

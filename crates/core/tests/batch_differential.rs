@@ -11,6 +11,14 @@
 //! overlapping rects, exact duplicates, stabs at shared data corners,
 //! degenerate rects and out-of-domain failures.
 //!
+//! Each kernel answers every batch in three rounds — cold (plan-cache
+//! misses: the merged sweep), the first hit (which fills each plan's
+//! query-product memo) and warm (answered from the memos) — then a batch
+//! mixing warm and brand-new queries, and the shard-partial entry points
+//! after warm-up. Every round must match the scalar oracle bit for bit, and
+//! the memo counters must show exactly one fill per unique query, all of
+//! them in the first-hit round.
+//!
 //! Heavyweight cases (batch 64, multi-block 3-d) are gated to the
 //! `tests-release` lane with `#[cfg_attr(debug_assertions, ignore)]`,
 //! following the ROADMAP convention.
@@ -21,8 +29,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sketch::estimators::SketchConfig;
 use sketch::{
-    BatchQuery, Estimate, QueryContext, QueryKernel, RangeQuery, RangeStrategy, Result, SketchSet,
+    preferred_lane_width, BatchQuery, Estimate, PlanMemoStats, QueryContext, QueryKernel,
+    RangeQuery, RangeStrategy, Result, SketchSet,
 };
+use std::collections::HashSet;
 
 const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 
@@ -106,10 +116,49 @@ fn oracle<const D: usize>(
     }
 }
 
+fn check_batch(got: &[Result<Estimate>], want: &[Result<Estimate>], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: reply arity");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let slot = format!("{label}/slot{i}");
+        match (g, w) {
+            (Ok(g), Ok(w)) => assert_bit_identical(w, g, &slot),
+            (Err(g), Err(w)) => assert_eq!(g, w, "{slot}: errors diverged"),
+            (g, w) => panic!("{slot}: batched {g:?} vs oracle {w:?}"),
+        }
+    }
+}
+
+/// Distinct queries of `batch` that compile a plan: everything but failing
+/// slots and degenerate rects.
+fn live_uniques<const D: usize>(batch: &[BatchQuery<D>], want: &[Result<Estimate>]) -> usize {
+    batch
+        .iter()
+        .zip(want)
+        .filter(|(q, w)| w.is_ok() && !matches!(q, BatchQuery::Range(r) if r.is_degenerate()))
+        .map(|(q, _)| *q)
+        .collect::<HashSet<_>>()
+        .len()
+}
+
+/// Whether `kernel` reads and fills query-product memos on this schema:
+/// every blocked kernel does, the scalar oracle never.
+fn memoizes(kernel: QueryKernel, instances: usize) -> bool {
+    match kernel {
+        QueryKernel::Scalar => false,
+        QueryKernel::Auto => preferred_lane_width(instances) > 1,
+        _ => true,
+    }
+}
+
+/// Memo counter growth between two reports.
+fn memo_delta(before: PlanMemoStats, after: PlanMemoStats) -> (u64, u64) {
+    (after.fills - before.fills, after.reuses - before.reuses)
+}
+
 /// One configuration: a sketch over random data, batches of every requested
 /// size through the full kernel matrix, each slot compared bit-for-bit
-/// against the sequential scalar oracle. Each kernel runs every batch twice
-/// — the second round rides the warm multi-plan cache and must not drift.
+/// against the sequential scalar oracle over three rounds (cold, memo fill,
+/// warm), a half-warm half-new batch, and the partial entry points.
 fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: u64) {
     let label = format!("batch/{kind:?}/{D}d/{k1}x1");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -122,6 +171,7 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
     let mut sk = rq.new_sketch();
     let data = rand_rects::<D>(&mut rng, 60, 255);
     sk.insert_slice(&data).unwrap();
+    let instances = rq.schema().instances();
     let mut octx = QueryContext::new().with_kernel(QueryKernel::Scalar);
     for &n in sizes {
         let batch = batch_of(&data, n, 255);
@@ -129,6 +179,25 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
             .iter()
             .map(|q| oracle(&rq, &mut octx, &sk, q))
             .collect();
+        let uniques = live_uniques(&batch, &want) as u64;
+        // Half of the mixed batch repeats the (by then warm) batch; the other
+        // half is new: fresh rects plus a stab, so at least two cold queries
+        // take the merged sweep.
+        let mut mixed: Vec<BatchQuery<D>> = batch[..n.div_ceil(2)].to_vec();
+        mixed.extend(
+            rand_rects::<D>(&mut rng, n.div_ceil(2).max(2) - 1, 255)
+                .into_iter()
+                .map(BatchQuery::Range),
+        );
+        mixed.push(BatchQuery::Stab(std::array::from_fn(|d| {
+            data[n % data.len()].range(d).hi()
+        })));
+        let mixed_want: Vec<Result<Estimate>> = mixed
+            .iter()
+            .map(|q| oracle(&rq, &mut octx, &sk, q))
+            .collect();
+        let mixed_warm = live_uniques(&mixed[..n.div_ceil(2)], &mixed_want) as u64;
+        let mixed_cold = live_uniques(&mixed, &mixed_want) as u64 - mixed_warm;
         for kernel in [
             QueryKernel::Scalar,
             QueryKernel::Batched,
@@ -136,26 +205,77 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
             QueryKernel::Wide512,
             QueryKernel::Auto,
         ] {
+            let label = format!("{label}/{kernel:?}/n{n}");
+            let memo = memoizes(kernel, instances);
+            let per_memo = |count: u64| if memo { count } else { 0 };
             let mut ctx = QueryContext::new().with_kernel(kernel);
-            for round in 0..2 {
+            let mut before = ctx.plan_cache_report().memo;
+            for round in ["cold", "fill", "warm"] {
                 let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
-                assert_eq!(got.len(), want.len(), "{label}: reply arity");
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    let slot = format!("{label}/{kernel:?}/n{n}/round{round}/slot{i}");
-                    match (g, w) {
-                        (Ok(g), Ok(w)) => assert_bit_identical(w, g, &slot),
-                        (Err(g), Err(w)) => assert_eq!(g, w, "{slot}: errors diverged"),
-                        (g, w) => panic!("{slot}: batched {g:?} vs oracle {w:?}"),
+                check_batch(&got, &want, &format!("{label}/{round}"));
+                let after = ctx.plan_cache_report().memo;
+                let (fills, reuses) = memo_delta(before, after);
+                let (want_fills, want_reuses) = match round {
+                    "cold" => (0, 0),
+                    "fill" => (per_memo(uniques), 0),
+                    _ => (0, per_memo(uniques)),
+                };
+                assert_eq!(fills, want_fills, "{label}/{round}: memo fills");
+                assert_eq!(reuses, want_reuses, "{label}/{round}: memo reuses");
+                before = after;
+            }
+            assert_eq!(
+                ctx.plan_cache_report().single.misses,
+                uniques,
+                "{label}: one compile per unique query"
+            );
+
+            // Warm and new queries in one batch: the warm half reads its
+            // memos, the new half is merged cold and fills nothing — until
+            // it repeats.
+            for round in ["mixed", "mixed-again"] {
+                let got = rq.estimate_batch_with(&mut ctx, &sk, &mixed);
+                check_batch(&got, &mixed_want, &format!("{label}/{round}"));
+                let after = ctx.plan_cache_report().memo;
+                let (fills, reuses) = memo_delta(before, after);
+                let (want_fills, want_reuses) = match round {
+                    "mixed" => (0, per_memo(mixed_warm)),
+                    _ => (per_memo(mixed_cold), per_memo(mixed_warm)),
+                };
+                assert_eq!(fills, want_fills, "{label}/{round}: memo fills");
+                assert_eq!(reuses, want_reuses, "{label}/{round}: memo reuses");
+                before = after;
+            }
+
+            // The shard-partial entry points read the same memos.
+            for (i, q) in batch.iter().enumerate() {
+                let (got, scalar) = match q {
+                    BatchQuery::Range(rect) => (
+                        rq.estimate_partial_with(&mut ctx, &sk, rect),
+                        rq.estimate_partial_with(&mut octx, &sk, rect),
+                    ),
+                    BatchQuery::Stab(p) => (
+                        rq.estimate_stab_partial_with(&mut ctx, &sk, p),
+                        rq.estimate_stab_partial_with(&mut octx, &sk, p),
+                    ),
+                };
+                let slot = format!("{label}/partial/slot{i}");
+                match (&got, &scalar, &want[i]) {
+                    (Ok(g), Ok(s), Ok(w)) => {
+                        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(g.atomic()), bits(s.atomic()), "{slot}: atomic grid");
+                        assert_bit_identical(w, &g.boost(), &slot);
                     }
+                    (Err(g), Err(_), Err(w)) => assert_eq!(g, w, "{slot}: errors diverged"),
+                    _ => panic!("{slot}: partial {got:?} vs scalar {scalar:?}"),
                 }
             }
-            if kernel == QueryKernel::Batched && n > 1 {
-                // The second round recalled the merged plan instead of
-                // recompiling it.
-                let report = ctx.plan_cache_report();
-                assert_eq!(report.multi.misses, 1, "{label}/n{n}: multi-plan misses");
-                assert_eq!(report.multi.hits, 1, "{label}/n{n}: multi-plan hits");
-            }
+            let after = ctx.plan_cache_report().memo;
+            assert_eq!(
+                memo_delta(before, after).0,
+                0,
+                "{label}: partials fill nothing"
+            );
         }
     }
 }
