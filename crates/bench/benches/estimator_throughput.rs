@@ -1,10 +1,10 @@
-//! Microbench: the estimation path under both query kernels.
+//! Microbench: the estimation path under every query kernel.
 //!
 //! Measures whole `estimate` calls — scratch-reusing [`QueryContext`] form —
 //! for the spatial join (counter-product combine) and the range query
 //! (query-side ξ evaluation against maintained counters) across instance
-//! counts and the full kernel matrix: scalar oracle, 64-lane batched,
-//! 256-lane wide and 512-lane wide — plus the multi-query batch kernel
+//! counts and the full kernel matrix: scalar oracle, 256-lane wide and
+//! 512-lane wide — plus the multi-query batch kernel
 //! (`estimate_batch_with`) at batch sizes 1/8/64 over a serving-shaped hot
 //! set. The build-side twin lives in `update_throughput`/`xi_throughput`.
 
@@ -16,12 +16,7 @@ use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
 use sketch::{BatchQuery, QueryContext, QueryKernel, RangeQuery, RangeStrategy};
 
-const KERNELS: [QueryKernel; 4] = [
-    QueryKernel::Scalar,
-    QueryKernel::Batched,
-    QueryKernel::Wide,
-    QueryKernel::Wide512,
-];
+const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512];
 
 fn rects(n: usize, seed: u64) -> Vec<HyperRect<2>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -124,11 +119,7 @@ fn bench_estimators(c: &mut Criterion) {
     for batch in [1usize, 8, 64] {
         let queries: Vec<BatchQuery<2>> = (0..batch).map(|j| hot[j % hot.len()]).collect();
         group.throughput(Throughput::Elements(batch as u64));
-        for kernel in [
-            QueryKernel::Batched,
-            QueryKernel::Wide,
-            QueryKernel::Wide512,
-        ] {
+        for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
             group.bench_function(format!("{kernel:?}/batch{batch}"), |b| {
                 let mut ctx = QueryContext::new().with_kernel(kernel);
                 b.iter(|| {

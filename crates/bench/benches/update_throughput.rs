@@ -37,11 +37,7 @@ fn bench_updates(c: &mut Criterion) {
             SpatialJoin::<2>::new(&mut rng, config, [BITS, BITS], EndpointStrategy::Transform);
         // Serial inserts per blocked kernel (the scalar oracle lives in
         // perf_probe's sweep; here the bit-sliced block widths race).
-        for kernel in [
-            BuildKernel::Batched,
-            BuildKernel::Wide,
-            BuildKernel::Wide512,
-        ] {
+        for kernel in [BuildKernel::Wide, BuildKernel::Wide512] {
             group.bench_function(format!("sketch_{instances}inst_serial_{kernel:?}"), |b| {
                 b.iter_batched(
                     || join.new_sketch_r().with_kernel(kernel),

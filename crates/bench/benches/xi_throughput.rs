@@ -1,9 +1,8 @@
 //! Microbench: four-wise independent variable generation — the innermost
 //! operation of every sketch update. Compares the BCH construction (with
 //! and without shared cube precomputation) against the cubic-polynomial
-//! family, the bit-sliced block evaluation behind the batched (64-lane),
-//! wide (256-lane) and wide512 (512-lane) build kernels, plus the GF(2^k)
-//! cube itself.
+//! family, the bit-sliced block evaluation behind the wide (256-lane) and
+//! wide512 (512-lane) build kernels, plus the GF(2^k) cube itself.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fourwise::{
@@ -81,7 +80,6 @@ fn bench_xi(c: &mut Criterion) {
         }
         group.finish();
     }
-    bench_blocks::<u64>(c, &mut rng, bits, &indices);
     bench_blocks::<WideLane>(c, &mut rng, bits, &indices);
     bench_blocks::<WideLane512>(c, &mut rng, bits, &indices);
 

@@ -10,8 +10,9 @@
 //! configuration against the matching records in the anchor file (a copy
 //! of `perf_probe` output; see EXPERIMENTS.md "Performance baseline").
 //! Anchor entries are matched by **lane width**, not kernel name: each
-//! bit-sliced width (64/256/512) carries its own anchor set, so adding a
-//! width means extending the anchor file rather than re-keying it. The
+//! bit-sliced width (256/512) carries its own anchor set, so adding a
+//! width means extending the anchor file rather than re-keying it (the
+//! anchors' 64-lane rows belong to a retired kernel and are not read). The
 //! network front-end's `net` sweep is guarded at the configurations that
 //! isolate each mechanism — anchor points are matched by
 //! `(clients, batch, coalesce_us)`: single-connection p50 round-trip
@@ -59,7 +60,7 @@
 use serde::Value;
 use sketch::{BuildKernel, QueryKernel};
 use spatial_bench::probes::{
-    batchq_probe, build_probe, estimate_probe, net_probe, rebalance_probe,
+    batchq_probe, build_probe, estimate_probe, net_probe, rebalance_probe, QUICK_SHAPES,
 };
 use spatial_bench::report::Table;
 use spatial_bench::runner::default_threads;
@@ -122,23 +123,15 @@ fn main() {
     );
     let build = build_probe(
         threads,
-        true,
-        &[
-            BuildKernel::Batched,
-            BuildKernel::Wide,
-            BuildKernel::Wide512,
-        ],
+        QUICK_SHAPES,
+        &[BuildKernel::Wide, BuildKernel::Wide512],
         "ci-build",
         false,
     );
     let estimate = estimate_probe(
         threads,
-        true,
-        &[
-            QueryKernel::Batched,
-            QueryKernel::Wide,
-            QueryKernel::Wide512,
-        ],
+        QUICK_SHAPES,
+        &[QueryKernel::Wide, QueryKernel::Wide512],
         "ci-estimate",
     );
     assert_eq!(build.instances, vec![ANCHOR_INSTANCES as usize]);

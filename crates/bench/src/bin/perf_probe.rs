@@ -1,8 +1,8 @@
 //! Build/estimate/serve throughput probe plus quick maxLevel sanity sweeps.
 //!
 //! The default probe times the sketch build under the whole maintenance
-//! kernel matrix (scalar oracle, 64-lane batched, 256-lane wide, 512-lane
-//! wide; see `sketch::BuildKernel`) and appends one JSON record per run to
+//! kernel matrix (scalar oracle, 256-lane wide, 512-lane wide; see
+//! `sketch::BuildKernel`) and appends one JSON record per run to
 //! `results/perf_probe.json` — the committed `BENCH_*.json` anchors are
 //! copies of such records. Every per-kernel record carries the kernel
 //! variant, its lane width and its instance-block size, and every record
@@ -10,8 +10,9 @@
 //! `SKETCH_KERNEL` pin, the auto-selected width cap), so anchors stay
 //! self-describing. `--probe estimate` times the *estimation* path the same
 //! way under all query kernels (`sketch::QueryKernel`), join and range;
-//! `--probe wide` is the quick blocked-width head-to-head sweeping all
-//! three bit-sliced widths (64/256/512, build and estimate); `--probe
+//! `--probe wide` is the blocked-width head-to-head: both bit-sliced widths
+//! (256/512) at 64, 192, 440, 1015 and 4100 instances, build and estimate
+//! (`--quick` keeps only the 440-instance point); `--probe
 //! serve` times the serving layer — router QPS vs shard count (1/2/4)
 //! through `spatial-serve`'s sharded store, against the direct
 //! single-sketch baseline; `--probe net` sweeps the TCP front-end
@@ -48,6 +49,7 @@ use sketch::{par_insert_batch, BoostShape, BuildKernel, QueryKernel};
 use spatial_bench::cli::Args;
 use spatial_bench::probes::{
     batchq_probe, build_probe, estimate_probe, net_probe, rebalance_probe, serve_probe,
+    BUILD_SHAPES, ESTIMATE_SHAPES, QUICK_SHAPES, WIDTH_SWEEP_SHAPES,
 };
 use spatial_bench::report::rel_error;
 use spatial_bench::runner::{default_threads, shape_for_words};
@@ -58,43 +60,37 @@ fn main() {
         std::process::exit(2);
     });
     let threads = default_threads();
+    let shapes = |full| {
+        if args.has("quick") {
+            QUICK_SHAPES
+        } else {
+            full
+        }
+    };
 
     match args.get("probe") {
         Some("estimate") => {
             estimate_probe(
                 threads,
-                args.has("quick"),
-                &[
-                    QueryKernel::Scalar,
-                    QueryKernel::Batched,
-                    QueryKernel::Wide,
-                    QueryKernel::Wide512,
-                ],
+                shapes(ESTIMATE_SHAPES),
+                &[QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512],
                 "estimate",
             );
             return;
         }
         Some("wide") => {
-            // Head-to-head of the three blocked widths, build + estimate.
+            // Head-to-head of the two blocked widths, build + estimate.
             build_probe(
                 threads,
-                args.has("quick"),
-                &[
-                    BuildKernel::Batched,
-                    BuildKernel::Wide,
-                    BuildKernel::Wide512,
-                ],
+                shapes(WIDTH_SWEEP_SHAPES),
+                &[BuildKernel::Wide, BuildKernel::Wide512],
                 "wide-build",
                 false,
             );
             estimate_probe(
                 threads,
-                args.has("quick"),
-                &[
-                    QueryKernel::Batched,
-                    QueryKernel::Wide,
-                    QueryKernel::Wide512,
-                ],
+                shapes(WIDTH_SWEEP_SHAPES),
+                &[QueryKernel::Wide, QueryKernel::Wide512],
                 "wide-estimate",
             );
             return;
@@ -207,13 +203,8 @@ fn main() {
     // copies of such records), so successive runs stay diffable.
     build_probe(
         threads,
-        args.has("quick"),
-        &[
-            BuildKernel::Scalar,
-            BuildKernel::Batched,
-            BuildKernel::Wide,
-            BuildKernel::Wide512,
-        ],
+        shapes(BUILD_SHAPES),
+        &[BuildKernel::Scalar, BuildKernel::Wide, BuildKernel::Wide512],
         "build",
         true,
     );

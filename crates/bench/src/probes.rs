@@ -26,12 +26,26 @@ const ESTIMATE_PROBE_BUDGET_MS: u128 = 250;
 /// it comes round again and every estimate compiles and evaluates cold.
 pub const COLD_RANGE_POOL: usize = 1024;
 
+/// `(k1, k2)` boosting shapes of the quick build and estimate presets (the
+/// points `perf_check` reruns and anchors).
+pub const QUICK_SHAPES: &[(usize, usize)] = &[(88, 5)];
+
+/// Shapes of the full build sweep: 440, 2200 and 6000 instances.
+pub const BUILD_SHAPES: &[(usize, usize)] = &[(88, 5), (440, 5), (1200, 5)];
+
+/// Shapes of the full estimate sweep: 440, 1015 and 4100 instances.
+pub const ESTIMATE_SHAPES: &[(usize, usize)] = &[(88, 5), (203, 5), (820, 5)];
+
+/// Shapes of the blocked-width sweep (`perf_probe --probe wide`): 64, 192,
+/// 440, 1015 and 4100 instances — one occupied 64-lane word, a 256-lane
+/// block three quarters full, and the quick and full estimate points.
+pub const WIDTH_SWEEP_SHAPES: &[(usize, usize)] = &[(64, 1), (64, 3), (88, 5), (203, 5), (820, 5)];
+
 /// `(name, lane_width, block_size)` of a build kernel, recorded with every
 /// probe point.
 pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
     match kernel {
         BuildKernel::Scalar => ("scalar", 1, 1),
-        BuildKernel::Batched => ("batched", 64, 64),
         BuildKernel::Wide => ("wide", 256, 256),
         BuildKernel::Wide512 => ("wide512", 512, 512),
     }
@@ -41,7 +55,6 @@ pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
 pub fn query_kernel_meta(kernel: QueryKernel) -> (&'static str, usize, usize) {
     match kernel {
         QueryKernel::Scalar => ("scalar", 1, 1),
-        QueryKernel::Batched => ("batched", 64, 64),
         QueryKernel::Wide => ("wide", 256, 256),
         QueryKernel::Wide512 => ("wide512", 512, 512),
         QueryKernel::Auto => ("auto", 0, 0),
@@ -139,7 +152,7 @@ fn speedups_of(names: &[&'static str], ns_per_kernel: &[Vec<f64>]) -> Vec<Speedu
 /// One query kernel's estimate timings across the instance configurations.
 #[derive(serde::Serialize)]
 pub struct QueryKernelRecord {
-    /// Kernel name (`scalar` / `batched` / `wide`).
+    /// Kernel name (`scalar` / `wide` / `wide512`).
     pub kernel: String,
     /// Instance lanes per kernel word.
     pub lane_width: usize,
@@ -166,7 +179,7 @@ pub struct EstimateProbeRecord {
     pub dispatch: DispatchMeta,
     /// Join-path timings per kernel.
     pub join_kernels: Vec<QueryKernelRecord>,
-    /// Adjacent-kernel ratios (e.g. batched over scalar, wide over batched).
+    /// Adjacent-kernel ratios (e.g. wide over scalar, wide512 over wide).
     pub join_speedups: Vec<Speedup>,
     /// Cold range-path timings per kernel: no query repeats within the
     /// plan cache's reach, so every estimate compiles its plan and runs the
@@ -184,21 +197,16 @@ pub struct EstimateProbeRecord {
 /// to `results/perf_probe.json` like the build probe. The range path is
 /// timed cold (a pool of [`COLD_RANGE_POOL`] queries, far more than one
 /// context's plan cache holds, so every lookup misses) and warm (8 recurring
-/// queries, answered from their memos).
+/// queries, answered from their memos), at every `(k1, k2)` of `configs`.
 pub fn estimate_probe(
     threads: usize,
-    quick: bool,
+    configs: &[(usize, usize)],
     kernels: &[QueryKernel],
     probe: &str,
 ) -> EstimateProbeRecord {
     let bits = 14u32;
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(20_000, bits, 0.0, 5).generate();
-    let configs: &[(usize, usize)] = if quick {
-        &[(88, 5)]
-    } else {
-        &[(88, 5), (203, 5), (820, 5)]
-    };
     let mut record = EstimateProbeRecord {
         probe: probe.into(),
         objects: data.len(),
@@ -323,7 +331,7 @@ pub fn estimate_probe(
 /// One build kernel's timings across the instance configurations.
 #[derive(serde::Serialize)]
 pub struct KernelRecord {
-    /// Kernel name (`scalar` / `batched` / `wide`).
+    /// Kernel name (`scalar` / `wide` / `wide512`).
     pub kernel: String,
     /// Instance lanes per kernel word.
     pub lane_width: usize,
@@ -352,7 +360,7 @@ pub struct BuildProbeRecord {
     pub dispatch: DispatchMeta,
     /// Per-kernel timings.
     pub kernels: Vec<KernelRecord>,
-    /// Adjacent-kernel ratios (e.g. batched over scalar, wide over batched).
+    /// Adjacent-kernel ratios (e.g. wide over scalar, wide512 over wide).
     pub speedups: Vec<Speedup>,
     /// `None` (serialized as null) when the probe skips the exact join.
     pub exact_join_pairs: Option<u64>,
@@ -360,22 +368,18 @@ pub struct BuildProbeRecord {
     pub exact_join_secs: Option<f64>,
 }
 
-/// Build-throughput sweep per maintenance kernel; optionally one exact-join
-/// timing. Appends a record to `results/perf_probe.json`.
+/// Build-throughput sweep per maintenance kernel at every `(k1, k2)` of
+/// `configs`; optionally one exact-join timing. Appends a record to
+/// `results/perf_probe.json`.
 pub fn build_probe(
     threads: usize,
-    quick: bool,
+    configs: &[(usize, usize)],
     kernels: &[BuildKernel],
     probe: &str,
     exact: bool,
 ) -> BuildProbeRecord {
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(50_000, 14, 0.0, 1).generate();
-    let configs: &[(usize, usize)] = if quick {
-        &[(88, 5)]
-    } else {
-        &[(88, 5), (440, 5), (1200, 5)]
-    };
     let mut record = BuildProbeRecord {
         probe: probe.into(),
         objects: data.len(),

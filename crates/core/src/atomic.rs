@@ -9,13 +9,19 @@
 //!
 //! The hot loop is arranged so that per-object work shared by *all*
 //! instances (dyadic covers and the GF(2^k) index cubes) is computed once
-//! into a per-object scratch. Four kernels can then apply the scratch to
+//! into a per-object scratch. Three kernels can then apply the scratch to
 //! the counters (see [`BuildKernel`]): the scalar reference path walks
 //! instances one at a time, while the blocked paths evaluate ξ for a whole
-//! [`Lane`] word of instances per operation (bit-sliced seed planes,
-//! `fourwise::batch`) — [`BLOCK_LANES`] lanes batched, 256 or 512 lanes
-//! wide — and walk the counter array one contiguous instance-block at a
-//! time. All four produce bit-identical counters.
+//! [`Lane`] word of 256 or 512 instances per operation (bit-sliced seed
+//! planes, `fourwise::batch`) and walk the counter array one contiguous
+//! instance-block at a time. All three produce bit-identical counters.
+//!
+//! Both the scratch and the blocked kernels do only what the word set
+//! reads: each word multiplies one component per dimension, so a dimension
+//! no word reads the lower point cover of (say) never compiles that list
+//! and never sums it over an instance block (`DimNeeds`). The range
+//! sketches' `{I, U}^D` words read neither the lower point cover nor the
+//! leaves; the join sketches' `{I, E}^D` words never read the leaves.
 
 use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
@@ -23,9 +29,6 @@ use crate::kernel::{self, Width};
 use crate::schema::{SchemaLanes, SketchSchema};
 use dyadic::{interval_cover_into, point_cover_into};
 use fourwise::{IndexPre, Lane, LaneCounter, WideLane, WideLane512};
-
-#[cfg(doc)]
-use fourwise::BLOCK_LANES;
 use geometry::transform::{shrink_interval, triple, triple_interval};
 use geometry::{HyperRect, Interval};
 use std::sync::Arc;
@@ -38,28 +41,20 @@ pub(crate) const OBJ_CHUNK: usize = 128;
 /// Which implementation maintains the counters on insert/delete.
 ///
 /// All kernels compute the exact same integer counter updates — the scalar
-/// path is retained as the differential-test oracle and for pathological
-/// shapes (it has no per-block fixed costs), and each blocked width doubles
-/// as the oracle for the next (the oracle chain Scalar → Batched → Wide →
-/// Wide512). [`SketchSet::new`] picks the default per schema through the
-/// runtime dispatcher (`sketch::kernel`): the `SKETCH_KERNEL` env override
-/// if set, otherwise the instance-count heuristic capped by the detected
-/// CPU vector width — [`BuildKernel::Wide512`] from
-/// [`kernel::WIDE512_MIN_INSTANCES`] instances on `avx512f` machines,
-/// [`BuildKernel::Wide`] from [`kernel::WIDE_MIN_INSTANCES`], and
-/// [`BuildKernel::Batched`] below.
+/// path is retained as the differential-test oracle of both blocked widths.
+/// [`SketchSet::new`] picks the default per schema through the runtime
+/// dispatcher (`sketch::kernel`): the `SKETCH_KERNEL` env override if set,
+/// otherwise [`BuildKernel::Wide512`] from
+/// [`kernel::WIDE512_MIN_INSTANCES`] instances on `avx512f` machines and
+/// [`BuildKernel::Wide`] everywhere else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BuildKernel {
     /// Per-instance scalar ξ evaluation (the original reference path).
     Scalar,
-    /// Bit-sliced evaluation of [`BLOCK_LANES`] instances per pass with a
-    /// cache-blocked counter walk.
-    #[default]
-    Batched,
     /// Bit-sliced evaluation of 256 instances per pass over
-    /// [`WideLane`]-packed seed planes — the same kernel as
-    /// [`BuildKernel::Batched`] instantiated at the four-word lane width
-    /// LLVM autovectorizes.
+    /// [`WideLane`]-packed seed planes with a cache-blocked counter walk —
+    /// the four-word lane width LLVM autovectorizes.
+    #[default]
     Wide,
     /// Bit-sliced evaluation of 512 instances per pass over
     /// [`WideLane512`]-packed seed planes (the AVX-512 register shape).
@@ -70,7 +65,6 @@ impl From<Width> for BuildKernel {
     fn from(width: Width) -> Self {
         match width {
             Width::Scalar => BuildKernel::Scalar,
-            Width::Batched => BuildKernel::Batched,
             Width::Wide => BuildKernel::Wide,
             Width::Wide512 => BuildKernel::Wide512,
         }
@@ -118,13 +112,38 @@ impl EndpointPolicy {
     }
 }
 
-/// Which component inputs a dimension actually needs (derived from the word
-/// set so updates skip unused cover computations).
+/// Which component inputs one dimension's words read — the interval cover,
+/// the lower and upper point covers (`E` reads both) and the leaf signs —
+/// derived from the word set: [`SketchSet::fill_scratch`] compiles only
+/// these lists and the blocked kernels sum and unpack only these, so a
+/// range sketch's `{I, U}` words never pay for the lower point cover or the
+/// leaves. The scalar oracle evaluates every component regardless (an
+/// uncompiled list sums to zero, and no word reads it).
 #[derive(Debug, Clone, Copy, Default)]
 struct DimNeeds {
     cover: bool,
-    pcover: bool,
+    lo: bool,
+    hi: bool,
     leaf: bool,
+}
+
+impl DimNeeds {
+    /// Per dimension, the components some word of `words` reads.
+    fn of<const D: usize>(words: &[Word<D>]) -> [DimNeeds; D] {
+        let mut needs = [DimNeeds::default(); D];
+        for w in words {
+            for (n, comp) in needs.iter_mut().zip(w.iter()) {
+                match comp {
+                    Comp::Interval => n.cover = true,
+                    Comp::Endpoints => (n.lo, n.hi) = (true, true),
+                    Comp::LowerPoint => n.lo = true,
+                    Comp::UpperPoint => n.hi = true,
+                    Comp::LowerLeaf | Comp::UpperLeaf => n.leaf = true,
+                }
+            }
+        }
+        needs
+    }
 }
 
 /// Per-dimension precomputed node lists for one object.
@@ -136,6 +155,8 @@ pub(crate) struct DimScratch {
     leaf_lo: IndexPre,
     leaf_hi: IndexPre,
     geo_present: bool,
+    /// The components this scratch carries (the filling sketch's needs).
+    needs: DimNeeds,
     /// Reusable node-id buffer (avoids per-update allocation).
     ids: Vec<u64>,
 }
@@ -157,6 +178,7 @@ impl<const D: usize> RectScratch<D> {
                 leaf_lo: IndexPre { index: 0, cube: 0 },
                 leaf_hi: IndexPre { index: 0, cube: 0 },
                 geo_present: false,
+                needs: DimNeeds::default(),
                 ids: Vec::new(),
             }),
         }
@@ -278,10 +300,8 @@ pub struct SketchSet<const D: usize> {
     len: i64,
     kernel: BuildKernel,
     scratch: RectScratch<D>,
-    /// Lazily allocated batched-kernel working memory (`None` until first
-    /// batched update).
-    lanes: Option<LaneScratch<u64, D>>,
-    /// Wide-kernel working memory, likewise lazy.
+    /// Lazily allocated wide-kernel working memory (`None` until the first
+    /// blocked update).
     lanes_wide: Option<LaneScratch<WideLane, D>>,
     /// 512-lane-kernel working memory, likewise lazy.
     lanes_wide512: Option<LaneScratch<WideLane512, D>>,
@@ -303,18 +323,7 @@ impl<const D: usize> SketchSet<D> {
         policy: EndpointPolicy,
     ) -> Self {
         assert!(!words.is_empty(), "sketch sets need at least one word");
-        let mut needs = [DimNeeds::default(); D];
-        for w in words.iter() {
-            for (dim, comp) in w.iter().enumerate() {
-                match comp {
-                    Comp::Interval => needs[dim].cover = true,
-                    Comp::Endpoints | Comp::LowerPoint | Comp::UpperPoint => {
-                        needs[dim].pcover = true
-                    }
-                    Comp::LowerLeaf | Comp::UpperLeaf => needs[dim].leaf = true,
-                }
-            }
-        }
+        let needs = DimNeeds::of(&words);
         let data_bits = std::array::from_fn(|i| schema.dims()[i].sketch_bits - policy.extra_bits());
         let counters = vec![0i64; schema.instances() * words.len()];
         let kernel = kernel::preferred(schema.instances()).into();
@@ -328,7 +337,6 @@ impl<const D: usize> SketchSet<D> {
             len: 0,
             kernel,
             scratch: RectScratch::new(),
-            lanes: None,
             lanes_wide: None,
             lanes_wide512: None,
         }
@@ -393,7 +401,7 @@ impl<const D: usize> SketchSet<D> {
     }
 
     /// The full counter array, instance-major (`[instance][word]`) — the
-    /// batched query kernel walks whole instance blocks of it contiguously.
+    /// blocked query kernels walk whole instance blocks of it contiguously.
     pub(crate) fn counters(&self) -> &[i64] {
         &self.counters
     }
@@ -434,7 +442,7 @@ impl<const D: usize> SketchSet<D> {
 
     /// Applies one signed update per rectangle, amortizing the per-object
     /// cover computation across the slice: objects are ingested in chunks of
-    /// `OBJ_CHUNK` (128) scratches, and (under the batched kernel) each instance
+    /// `OBJ_CHUNK` (128) scratches, and (under a blocked kernel) each instance
     /// block streams over a whole chunk before the walk moves to the next
     /// block, so a block's counters and packed seed planes stay cache-hot.
     ///
@@ -462,41 +470,27 @@ impl<const D: usize> SketchSet<D> {
     /// seed planes and counter rows stay cache-hot).
     fn apply_chunk(&mut self, scratches: &[RectScratch<D>], delta: i64) {
         match self.kernel {
-            BuildKernel::Batched => {
-                let mut lanes = self.lanes.take().unwrap_or_else(LaneScratch::new);
-                apply_chunk_blocked(
-                    &self.schema,
-                    &self.words,
-                    scratches,
-                    &mut lanes,
-                    &mut self.counters,
-                    delta,
-                );
-                self.lanes = Some(lanes);
-            }
             BuildKernel::Wide => {
-                let mut lanes = self.lanes_wide.take().unwrap_or_else(LaneScratch::new);
+                let lanes = self.lanes_wide.get_or_insert_with(LaneScratch::new);
                 apply_chunk_blocked(
                     &self.schema,
                     &self.words,
                     scratches,
-                    &mut lanes,
+                    lanes,
                     &mut self.counters,
                     delta,
                 );
-                self.lanes_wide = Some(lanes);
             }
             BuildKernel::Wide512 => {
-                let mut lanes = self.lanes_wide512.take().unwrap_or_else(LaneScratch::new);
+                let lanes = self.lanes_wide512.get_or_insert_with(LaneScratch::new);
                 apply_chunk_blocked(
                     &self.schema,
                     &self.words,
                     scratches,
-                    &mut lanes,
+                    lanes,
                     &mut self.counters,
                     delta,
                 );
-                self.lanes_wide512 = Some(lanes);
             }
             BuildKernel::Scalar => {
                 let w = self.words.len();
@@ -553,29 +547,30 @@ impl<const D: usize> SketchSet<D> {
             let dyadic = &self.schema.dyadic()[dim];
             let ctx = &self.schema.xi_ctx()[dim];
             let max_level = self.schema.dims()[dim].max_level;
+            let needs = self.needs[dim];
+            ds.needs = needs;
             ds.cover.clear();
             ds.pcover_lo.clear();
             ds.pcover_hi.clear();
             ds.geo_present = geo.is_some();
             if let Some(g) = geo {
-                let needs = &self.needs[dim];
                 if needs.cover {
                     ds.ids.clear();
                     interval_cover_into(dyadic, &g, max_level, &mut ds.ids);
                     ds.cover.extend(ds.ids.iter().map(|&id| ctx.precompute(id)));
                 }
-                if needs.pcover {
-                    ds.ids.clear();
-                    point_cover_into(dyadic, g.lo(), max_level, &mut ds.ids);
-                    ds.pcover_lo
-                        .extend(ds.ids.iter().map(|&id| ctx.precompute(id)));
-                    ds.ids.clear();
-                    point_cover_into(dyadic, g.hi(), max_level, &mut ds.ids);
-                    ds.pcover_hi
-                        .extend(ds.ids.iter().map(|&id| ctx.precompute(id)));
+                for (need, coord, list) in [
+                    (needs.lo, g.lo(), &mut ds.pcover_lo),
+                    (needs.hi, g.hi(), &mut ds.pcover_hi),
+                ] {
+                    if need {
+                        ds.ids.clear();
+                        point_cover_into(dyadic, coord, max_level, &mut ds.ids);
+                        list.extend(ds.ids.iter().map(|&id| ctx.precompute(id)));
+                    }
                 }
             }
-            if self.needs[dim].leaf {
+            if needs.leaf {
                 ds.leaf_lo = ctx.precompute(dyadic.leaf(leaf_lo));
                 ds.leaf_hi = ctx.precompute(dyadic.leaf(leaf_hi));
             }
@@ -687,8 +682,8 @@ pub(crate) fn apply_instance<const D: usize>(
 }
 
 /// Streams a chunk of object scratches over every instance block at lane
-/// width `L`: the cache-blocked outer walk shared by the batched and wide
-/// kernels ([`SketchSet::update_slice`] and the single-object path alike).
+/// width `L`: the cache-blocked outer walk shared by the blocked kernels
+/// ([`SketchSet::update_slice`] and the single-object path alike).
 pub(crate) fn apply_chunk_blocked<L: SchemaLanes, const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
@@ -746,13 +741,14 @@ fn prefetch_scratch<const D: usize>(scratch: &RectScratch<D>) {
 /// Applies one object's scratch to a whole instance block's counter rows.
 ///
 /// `counter_rows` must hold exactly the block's rows (`lanes × words.len()`
-/// counters, instance-major). The per-dimension component sums for all lanes
-/// are computed by one bit-sliced pass over the cover nodes; the word
-/// products then run word-major — per word, the per-lane product column is
-/// built up dimension by dimension with contiguous elementwise multiplies
-/// (see [`DimLanes::mul_into`]) and scattered into the counter rows once.
-/// Generic over the [`Lane`] width — the batched (64-lane) and the two wide
-/// (256/512-lane) kernels are the instantiations.
+/// counters, instance-major). Per dimension, only the components the
+/// scratch carries — those the words read ([`DimNeeds`]) — are computed for
+/// all lanes, each cover list by one bit-sliced pass over its nodes; the word products then run word-major —
+/// per word, the per-lane product column is built up dimension by
+/// dimension with contiguous elementwise multiplies (see
+/// [`DimLanes::mul_into`]) and scattered into the counter rows once.
+/// Generic over the [`Lane`] width — the 256- and 512-lane kernels are the
+/// instantiations.
 pub(crate) fn apply_block<L: SchemaLanes, const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
@@ -771,20 +767,28 @@ pub(crate) fn apply_block<L: SchemaLanes, const D: usize>(
     for (dim, dl) in dims.iter_mut().enumerate() {
         let xb = &L::seed_blocks(schema, dim)[block];
         let ds = &scratch.dims[dim];
-        if ds.geo_present {
-            xb.sum_pre_into(&ds.cover, counter, &mut dl.interval);
-            xb.sum_pre_into(&ds.pcover_lo, counter, &mut dl.lo);
-            xb.sum_pre_into(&ds.pcover_hi, counter, &mut dl.hi);
-        } else {
-            dl.interval[..lanes].fill(0);
-            dl.lo[..lanes].fill(0);
-            dl.hi[..lanes].fill(0);
+        let needs = ds.needs;
+        for (need, list, out) in [
+            (needs.cover, &ds.cover, &mut dl.interval),
+            (needs.lo, &ds.pcover_lo, &mut dl.lo),
+            (needs.hi, &ds.pcover_hi, &mut dl.hi),
+        ] {
+            if !need {
+                continue;
+            }
+            if ds.geo_present {
+                xb.sum_pre_into(list, counter, out);
+            } else {
+                out[..lanes].fill(0);
+            }
         }
-        let mask_lo = xb.eval_mask(ds.leaf_lo);
-        let mask_hi = xb.eval_mask(ds.leaf_hi);
-        for j in 0..lanes {
-            dl.leaf_lo[j] = 1 - 2 * mask_lo.bit(j) as i64;
-            dl.leaf_hi[j] = 1 - 2 * mask_hi.bit(j) as i64;
+        if needs.leaf {
+            let mask_lo = xb.eval_mask(ds.leaf_lo);
+            let mask_hi = xb.eval_mask(ds.leaf_hi);
+            for j in 0..lanes {
+                dl.leaf_lo[j] = 1 - 2 * mask_lo.bit(j) as i64;
+                dl.leaf_hi[j] = 1 - 2 * mask_hi.bit(j) as i64;
+            }
         }
     }
     let w = words.len();

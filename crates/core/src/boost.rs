@@ -35,8 +35,8 @@ pub fn mean_median(atomic: &[f64], k1: usize, k2: usize) -> (f64, Vec<f64>) {
 
 /// Allocation-free core of [`mean_median`]: row means are written into
 /// `row_means` (cleared and refilled) and the median is taken over `scratch`
-/// (likewise reused), so a caller boosting many estimates — the batched
-/// query kernel in particular — pays no per-estimate allocation once the
+/// (likewise reused), so a caller boosting many estimates — the blocked
+/// query kernels in particular — pays no per-estimate allocation once the
 /// buffers have grown to `k2` entries.
 pub fn mean_median_with(
     atomic: &[f64],

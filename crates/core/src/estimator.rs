@@ -18,7 +18,7 @@
 //! factor list by cartesian expansion, which is exactly how the paper derives
 //! its higher-dimensional estimators from per-dimension counting arguments.
 //! Evaluating the expanded terms over the instance grid is delegated to the
-//! [`crate::query`] kernels (scalar oracle vs batched block-evaluated).
+//! [`crate::query`] kernels (scalar oracle vs blocked, block-evaluated).
 
 use crate::atomic::{EndpointPolicy, SketchSet};
 use crate::boost::Estimate;

@@ -1,48 +1,43 @@
 //! Kernel-width selection shared by the build and query dispatches.
 //!
 //! Both kernel enums ([`crate::atomic::BuildKernel`],
-//! [`crate::query::QueryKernel`]) offer the same four implementations —
-//! scalar oracle, 64-lane batched, 256-lane wide, 512-lane wide — and pick
-//! the same default the same way, in dispatch order:
+//! [`crate::query::QueryKernel`]) offer the same three implementations —
+//! scalar oracle, 256-lane wide, 512-lane wide — and pick the same default
+//! the same way, in dispatch order:
 //!
 //! 1. the `SKETCH_KERNEL` environment variable, when set to `scalar`,
-//!    `batched`, `wide` or `wide512`, pins every default-kernel code path in
-//!    the process (the tests-release CI lane uses this to run the whole
-//!    suite under each kernel of the matrix); otherwise
-//! 2. runtime CPU detection caps the lane width: the 512-lane kernel is
-//!    only preferred where the CPU reports 512-bit vector registers
-//!    (`avx512f`), since an eight-word lane on a 256-bit machine doubles
-//!    register pressure for no extra lane-op throughput — detection runs
-//!    once per process via [`std::arch::is_x86_feature_detected`] on
-//!    x86_64 and falls back to the portable 256-lane cap elsewhere; then
-//! 3. a width heuristic on the schema's instance count: wider lanes
-//!    amortize their fixed per-block costs only once the boosting grid
-//!    fills most of one block ([`WIDE_MIN_INSTANCES`],
-//!    [`WIDE512_MIN_INSTANCES`]); below the thresholds the narrower blocks
-//!    waste fewer tail lanes.
+//!    `wide` or `wide512`, pins every default-kernel code path in the
+//!    process (the tests-release CI lane uses this to run the whole suite
+//!    under each kernel of the matrix); otherwise
+//! 2. the 256-lane kernel, unless the schema has at least
+//!    [`WIDE512_MIN_INSTANCES`] instances *and* runtime CPU detection
+//!    reports 512-bit vector registers (`avx512f`): then the 512-lane
+//!    kernel. An eight-word lane on a 256-bit machine doubles register
+//!    pressure for no extra lane-op throughput, and a mostly empty 512-lane
+//!    block wastes its fixed per-block costs. Detection runs once per
+//!    process via [`std::arch::is_x86_feature_detected`] on x86_64 and
+//!    falls back to the portable 256-lane cap elsewhere.
 //!
-//! Explicit kernel choices (`with_kernel`/`set_kernel`) always win over all
-//! three; all kernels are bit-identical, so selection is purely about speed.
+//! One 256-lane block serves every smaller schema: the occupancy-skip folds
+//! (`fourwise::batch`) make a partly filled block cost about what its
+//! occupied words cost, so narrower blocks have nothing left to win.
+//!
+//! Explicit kernel choices (`with_kernel`/`set_kernel`) always win over
+//! both; all kernels are bit-identical, so selection is purely about speed.
 //! [`dispatch_report`] exposes the resolved decision inputs for probes and
 //! tests.
 
 use std::sync::OnceLock;
 
-/// Instance count at which schemas default to the 256-lane wide kernels: at
-/// three 64-lane blocks a single wide block is ≥75% occupied, the point
-/// where fewer, fatter passes beat smaller tails.
-pub const WIDE_MIN_INSTANCES: usize = 3 * fourwise::BLOCK_LANES;
-
 /// Instance count at which schemas default to the 512-lane kernels (where
-/// the CPU cap allows them): six 64-lane blocks fill one 512-lane block to
-/// ≥75%, the same occupancy bar the 256-lane threshold clears.
-pub const WIDE512_MIN_INSTANCES: usize = 6 * fourwise::BLOCK_LANES;
+/// the CPU cap allows them): the point where one 512-lane block is ≥75%
+/// occupied.
+pub const WIDE512_MIN_INSTANCES: usize = 3 * fourwise::WIDE512_LANES / 4;
 
 /// A resolved kernel width (no `Auto`): what the dispatches branch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Width {
     Scalar,
-    Batched,
     Wide,
     Wide512,
 }
@@ -52,7 +47,6 @@ impl Width {
     pub(crate) fn lanes(self) -> usize {
         match self {
             Width::Scalar => 1,
-            Width::Batched => fourwise::BLOCK_LANES,
             Width::Wide => fourwise::WIDE_LANES,
             Width::Wide512 => fourwise::WIDE512_LANES,
         }
@@ -61,7 +55,6 @@ impl Width {
     fn name(self) -> &'static str {
         match self {
             Width::Scalar => "scalar",
-            Width::Batched => "batched",
             Width::Wide => "wide",
             Width::Wide512 => "wide512",
         }
@@ -127,11 +120,10 @@ pub(crate) fn parse_override(value: &str) -> Result<Option<Width>, String> {
     match value.trim().to_ascii_lowercase().as_str() {
         "" => Ok(None),
         "scalar" => Ok(Some(Width::Scalar)),
-        "batched" => Ok(Some(Width::Batched)),
         "wide" => Ok(Some(Width::Wide)),
         "wide512" => Ok(Some(Width::Wide512)),
         other => Err(format!(
-            "SKETCH_KERNEL must be `scalar`, `batched`, `wide` or `wide512` (got `{other}`)"
+            "SKETCH_KERNEL must be `scalar`, `wide` or `wide512` (got `{other}`)"
         )),
     }
 }
@@ -151,18 +143,17 @@ pub(crate) fn env_override() -> Option<Width> {
 }
 
 /// The default kernel width for a schema with `instances` boosting
-/// instances: the env override when present; otherwise the instance-count
-/// heuristic capped by the detected CPU vector width.
+/// instances: the env override when present; otherwise the 256-lane width,
+/// or the 512-lane one for schemas wide enough to fill it on a CPU with
+/// 512-bit vectors.
 pub(crate) fn preferred(instances: usize) -> Width {
     if let Some(width) = env_override() {
         return width;
     }
     if instances >= WIDE512_MIN_INSTANCES && cpu_vector() == CpuVector::Avx512 {
         Width::Wide512
-    } else if instances >= WIDE_MIN_INSTANCES {
-        Width::Wide
     } else {
-        Width::Batched
+        Width::Wide
     }
 }
 
@@ -184,20 +175,17 @@ pub struct DispatchReport {
     pub cpu: CpuVector,
     /// Widest lane width the capability allows the heuristic to pick.
     pub max_lane_width: usize,
-    /// Instance threshold for the 256-lane width.
-    pub wide_min_instances: usize,
     /// Instance threshold for the 512-lane width (subject to the CPU cap).
     pub wide512_min_instances: usize,
 }
 
 /// The process-wide dispatch decision: env override → CPU capability →
-/// instance thresholds. Stable for the life of the process.
+/// instance threshold. Stable for the life of the process.
 pub fn dispatch_report() -> DispatchReport {
     DispatchReport {
         env_override: env_override().map(Width::name),
         cpu: cpu_vector(),
         max_lane_width: cpu_vector().max_lane_width(),
-        wide_min_instances: WIDE_MIN_INSTANCES,
         wide512_min_instances: WIDE512_MIN_INSTANCES,
     }
 }
@@ -211,26 +199,29 @@ mod tests {
         assert_eq!(parse_override(""), Ok(None));
         assert_eq!(parse_override("  "), Ok(None));
         assert_eq!(parse_override("scalar"), Ok(Some(Width::Scalar)));
-        assert_eq!(parse_override("Batched"), Ok(Some(Width::Batched)));
         assert_eq!(parse_override("WIDE"), Ok(Some(Width::Wide)));
         assert_eq!(parse_override("wide512"), Ok(Some(Width::Wide512)));
         assert!(parse_override("simd").is_err());
+        // The retired 64-lane width is rejected like any unknown name, and
+        // the message lists only the widths that remain.
+        let err = parse_override("batched").unwrap_err();
+        assert!(err.contains("`scalar`, `wide` or `wide512`"), "{err}");
+        assert!(!err.contains("`batched`,"), "{err}");
     }
 
     #[test]
     fn heuristic_switches_at_threshold() {
         // Dispatch-aware: under a SKETCH_KERNEL override every instance
-        // count resolves to the pinned width; without one, the thresholds
-        // apply up to the CPU capability cap.
+        // count resolves to the pinned width; without one, every schema
+        // runs 256 lanes up to the 512-lane threshold, then the CPU cap.
         if let Some(width) = env_override() {
-            for instances in [1, WIDE_MIN_INSTANCES, WIDE512_MIN_INSTANCES, 4100] {
+            for instances in [1, 64, WIDE512_MIN_INSTANCES, 4100] {
                 assert_eq!(preferred(instances), width);
             }
             return;
         }
-        assert_eq!(preferred(1), Width::Batched);
-        assert_eq!(preferred(WIDE_MIN_INSTANCES - 1), Width::Batched);
-        assert_eq!(preferred(WIDE_MIN_INSTANCES), Width::Wide);
+        assert_eq!(preferred(1), Width::Wide);
+        assert_eq!(preferred(160), Width::Wide);
         assert_eq!(preferred(WIDE512_MIN_INSTANCES - 1), Width::Wide);
         let top = if cpu_vector() == CpuVector::Avx512 {
             Width::Wide512
@@ -247,11 +238,10 @@ mod tests {
         assert_eq!(report.cpu, cpu_vector());
         assert_eq!(report.max_lane_width, cpu_vector().max_lane_width());
         assert!(report.max_lane_width >= fourwise::WIDE_LANES);
-        assert_eq!(report.wide_min_instances, WIDE_MIN_INSTANCES);
         assert_eq!(report.wide512_min_instances, WIDE512_MIN_INSTANCES);
         match report.env_override {
             Some(name) => {
-                assert!(["scalar", "batched", "wide", "wide512"].contains(&name));
+                assert!(["scalar", "wide", "wide512"].contains(&name));
                 assert_eq!(
                     preferred_lane_width(WIDE512_MIN_INSTANCES),
                     env_override().unwrap().lanes()

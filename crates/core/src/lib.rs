@@ -26,21 +26,21 @@
 //! * [`schema`] — the shared seeds and boosting-grid shape that make
 //!   sketches combinable;
 //! * [`atomic`] — the maintained counters ([`atomic::SketchSet`]) with
-//!   streaming insert/delete, linear merge, and four bit-identical
-//!   maintenance kernels ([`atomic::BuildKernel`]: scalar oracle, 64-lane
-//!   batched, 256-lane wide, 512-lane wide — instantiations of one
+//!   streaming insert/delete, linear merge, and three bit-identical
+//!   maintenance kernels ([`atomic::BuildKernel`]: scalar oracle, 256-lane
+//!   wide, 512-lane wide — the latter two instantiations of one
 //!   lane-width-generic kernel over [`fourwise::Lane`]);
 //! * [`estimator`] — generic term-expansion machinery turning per-dimension
 //!   counting identities into d-dimensional estimators;
 //! * [`estimators`] — ready-made estimators for every query class in the
 //!   paper;
 //! * [`query`] — the estimation-side evaluation kernels
-//!   ([`query::QueryKernel`]: scalar oracle, batched, wide, wide512,
-//!   auto-resolved per schema) and the shared [`query::QueryContext`]
+//!   ([`query::QueryKernel`]: scalar oracle, wide, wide512, auto-resolved
+//!   per schema) and the shared [`query::QueryContext`]
 //!   scratch — including a compiled-plan cache for repeated queries — every
 //!   estimator evaluates through;
 //! * [`kernel`] — the shared kernel-width dispatch (`SKETCH_KERNEL` env
-//!   override → runtime CPU detection → instance-count heuristic);
+//!   override → runtime CPU detection and instance-count threshold);
 //! * [`boost`] — mean-then-median boosting (Figure 1);
 //! * [`selfjoin`] — exact and sketched self-join sizes (`SJ`), the accuracy
 //!   currency of every variance bound;
@@ -103,7 +103,7 @@ pub use estimators::range::{BatchQuery, RangeQuery, RangeStrategy};
 pub use estimators::SketchConfig;
 pub use kernel::{
     cpu_vector, dispatch_report, preferred_lane_width, CpuVector, DispatchReport,
-    WIDE512_MIN_INSTANCES, WIDE_MIN_INSTANCES,
+    WIDE512_MIN_INSTANCES,
 };
 pub use log::{LogEntry, LogRetention, UpdateLog};
 pub use par::{par_estimate, par_insert_batch, par_merge_batch, par_update_batch};

@@ -5,11 +5,11 @@
 //! perfectly across the instance axis: the per-object dyadic covers and
 //! GF(2^k) cubes are computed once (they are seed-independent), then worker
 //! threads apply them to disjoint slices of the counter array. Under the
-//! blocked kernels ([`BuildKernel::Batched`], [`BuildKernel::Wide`],
-//! [`BuildKernel::Wide512`]) the split is aligned to whole instance blocks
-//! *at the kernel's lane width* (64, 256 or 512 instances) so each worker
-//! runs the bit-sliced kernel over its own contiguous counter range; the
-//! scalar kernel splits per instance as before. This is how the experiment
+//! blocked kernels ([`BuildKernel::Wide`], [`BuildKernel::Wide512`]) the
+//! split is aligned to whole instance blocks *at the kernel's lane width*
+//! (256 or 512 instances) so each worker runs the bit-sliced kernel over
+//! its own contiguous counter range; the scalar kernel splits per instance
+//! as before. This is how the experiment
 //! harness affords the paper's thousands-of-instances configurations.
 //!
 //! Estimation parallelizes the same way ([`par_estimate`]): the atomic
@@ -86,9 +86,6 @@ pub fn par_update_batch<const D: usize>(
                         });
                     }
                 });
-            }
-            BuildKernel::Batched => {
-                par_apply_blocked::<u64, D>(&schema, &words, filled, counters, threads, delta)
             }
             BuildKernel::Wide => {
                 par_apply_blocked::<WideLane, D>(&schema, &words, filled, counters, threads, delta)
@@ -238,8 +235,8 @@ pub fn par_estimate<const D: usize>(
         QueryKernel::Wide => par_fill_pair::<WideLane, D>(pair, r, s, threads, &mut atomic),
         QueryKernel::Wide512 => par_fill_pair::<WideLane512, D>(pair, r, s, threads, &mut atomic),
         // The scalar oracle has no blocked form; its estimates are
-        // bit-identical to the batched fill, which parallelizes.
-        _ => par_fill_pair::<u64, D>(pair, r, s, threads, &mut atomic),
+        // bit-identical to the wide fill, which parallelizes.
+        _ => par_fill_pair::<WideLane, D>(pair, r, s, threads, &mut atomic),
     }
     Ok(Estimate::from_grid(&atomic, shape.k1, shape.k2))
 }
@@ -287,12 +284,7 @@ mod tests {
         for r in &data {
             seq.insert(r).unwrap();
         }
-        for kernel in [
-            BuildKernel::Scalar,
-            BuildKernel::Batched,
-            BuildKernel::Wide,
-            BuildKernel::Wide512,
-        ] {
+        for kernel in [BuildKernel::Scalar, BuildKernel::Wide, BuildKernel::Wide512] {
             for threads in [1usize, 2, 3, 8] {
                 let mut par = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw)
                     .with_kernel(kernel);
@@ -311,9 +303,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_across_block_boundary() {
-        // 300 instances: one full 256-lane wide block plus a 44-lane tail
-        // (and five 64-lane blocks), split across workers that cannot divide
-        // either block count evenly.
+        // 300 instances: one full 256-lane wide block plus a 44-lane tail,
+        // split across workers that cannot divide the block count evenly.
         let mut rng = StdRng::seed_from_u64(104);
         let schema = SketchSchema::<2>::new(
             &mut rng,
@@ -328,11 +319,7 @@ mod tests {
         for r in &data {
             seq.insert(r).unwrap();
         }
-        for kernel in [
-            BuildKernel::Batched,
-            BuildKernel::Wide,
-            BuildKernel::Wide512,
-        ] {
+        for kernel in [BuildKernel::Wide, BuildKernel::Wide512] {
             for threads in [1usize, 2, 5] {
                 let mut par = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw)
                     .with_kernel(kernel);
@@ -395,7 +382,7 @@ mod tests {
         use crate::query::{QueryContext, QueryKernel};
 
         let mut rng = StdRng::seed_from_u64(105);
-        // 67 instances: a full 64-lane block plus a 3-lane tail.
+        // 67 instances: one partial block with two occupied words.
         let join = SpatialJoin::<2>::new(
             &mut rng,
             SketchConfig::new(67, 1),
@@ -407,12 +394,7 @@ mod tests {
         par_insert_batch(&mut r, &rects(150, 6), 4).unwrap();
         par_insert_batch(&mut s, &rects(150, 7), 4).unwrap();
         let seq = join.estimate(&r, &s).unwrap();
-        for kernel in [
-            QueryKernel::Scalar,
-            QueryKernel::Batched,
-            QueryKernel::Wide,
-            QueryKernel::Wide512,
-        ] {
+        for kernel in [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512] {
             let mut ctx = QueryContext::new().with_kernel(kernel);
             let est = join.estimate_with(&mut ctx, &r, &s).unwrap();
             assert_eq!(seq.value.to_bits(), est.value.to_bits(), "{kernel:?}");

@@ -1,4 +1,4 @@
-//! The batched query kernel: block-evaluated estimation.
+//! The blocked query kernels: block-evaluated estimation.
 //!
 //! Every estimator in the paper reduces to the same inner loop: per boosting
 //! instance, form an atomic estimate `Z_i` — either a signed sum of counter
@@ -16,26 +16,26 @@
 //!   time, instantiate each instance's ξ families and evaluate covers
 //!   per-instance (the query path), or form counter products with plain
 //!   128-bit widening (the pair path). Kept as the differential oracle.
-//! * [`QueryKernel::Batched`] — walk whole [`BLOCK_LANES`]-lane instance
-//!   blocks: query-side cover node ids and their GF(2^k) cubes are computed
-//!   **once per query**, evaluated for 64 instances per pass via the packed
-//!   seed planes already stored in [`SketchSchema`] (per-lane sums through
-//!   [`fourwise::BlockSums`]), and combined with the block's contiguous
-//!   counter rows term-major — independent f64 accumulations across lanes
-//!   instead of one serial chain per instance, and counter products take a
-//!   64-bit fast path instead of the 128-bit soft-float conversion.
-//! * [`QueryKernel::Wide`] — the same blocked kernel instantiated at the
-//!   256-lane [`fourwise::WideLane`] width: four-word lane operations LLVM
-//!   autovectorizes, and a quarter of the per-block fixed costs.
-//! * [`QueryKernel::Wide512`] — the blocked kernel at the 512-lane
-//!   [`fourwise::WideLane512`] width, an eighth of the per-block fixed
-//!   costs; preferred by the runtime dispatcher only on CPUs reporting
+//! * [`QueryKernel::Wide`] — walk whole 256-lane instance blocks:
+//!   query-side cover node ids and their GF(2^k) cubes are computed **once
+//!   per query**, evaluated for a block of instances per pass via the
+//!   schema's packed [`fourwise::WideLane`] seed planes (per-lane sums
+//!   through [`fourwise::BlockSums`]; four-word lane operations LLVM
+//!   autovectorizes, and partly filled blocks fold only their occupied
+//!   words), and combined with the block's contiguous counter rows
+//!   term-major — independent f64 accumulations across lanes instead of
+//!   one serial chain per instance, and counter products take a 64-bit
+//!   fast path instead of the 128-bit soft-float conversion.
+//! * [`QueryKernel::Wide512`] — the same blocked kernel at the 512-lane
+//!   [`fourwise::WideLane512`] width, half the per-block fixed costs;
+//!   preferred by the runtime dispatcher only for schemas of at least
+//!   [`crate::kernel::WIDE512_MIN_INSTANCES`] instances on CPUs reporting
 //!   512-bit vector registers.
 //!
 //! The default ([`QueryKernel::Auto`]) resolves per estimate from the
 //! sketch's schema through the shared dispatch chain ([`crate::kernel`]):
-//! the `SKETCH_KERNEL` env override if set, otherwise the instance-count
-//! width heuristic capped by runtime CPU detection.
+//! the `SKETCH_KERNEL` env override if set, otherwise the 256-lane kernel,
+//! or the 512-lane one where the schema and the CPU both allow it.
 //!
 //! A [`QueryContext`] owns all the kernel scratch (atomic grid, lane sums,
 //! boosting buffers) **plus a compiled-plan cache**: query-side
@@ -77,32 +77,27 @@ use crate::estimator::Term;
 use crate::kernel::{self, Width};
 use crate::schema::{BoostShape, SchemaLanes, SketchSchema};
 use fourwise::{BlockSums, IndexPre, MultiBlockSums, WideLane, WideLane512};
-
-#[cfg(doc)]
-use fourwise::BLOCK_LANES;
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
 /// Which implementation evaluates estimates over the instance grid.
 ///
 /// All kernels compute bit-identical estimates — the scalar path is
-/// retained as the differential-test oracle and the batched path as the
-/// oracle for the wide path, mirroring [`crate::atomic::BuildKernel`] on
-/// the build side.
+/// retained as the differential-test oracle of both blocked widths,
+/// mirroring [`crate::atomic::BuildKernel`] on the build side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryKernel {
     /// Resolve per estimate from the sketch's schema: the `SKETCH_KERNEL`
-    /// env override if set, otherwise a width heuristic on the instance
-    /// count (see [`crate::kernel::WIDE_MIN_INSTANCES`]).
+    /// env override if set, otherwise the 256-lane kernel, or the 512-lane
+    /// one from [`crate::kernel::WIDE512_MIN_INSTANCES`] instances on CPUs
+    /// with 512-bit vectors.
     #[default]
     Auto,
     /// Per-instance evaluation (the original reference path).
     Scalar,
-    /// Bit-sliced evaluation of [`BLOCK_LANES`] instances per pass over the
-    /// schema's packed seed planes, with block-contiguous counter walks.
-    Batched,
     /// Bit-sliced evaluation of 256 instances per pass over the schema's
-    /// [`fourwise::WideLane`]-packed seed planes.
+    /// [`fourwise::WideLane`]-packed seed planes, with block-contiguous
+    /// counter walks.
     Wide,
     /// Bit-sliced evaluation of 512 instances per pass over the schema's
     /// [`fourwise::WideLane512`]-packed seed planes.
@@ -116,7 +111,6 @@ impl QueryKernel {
         match self {
             QueryKernel::Auto => match kernel::preferred(instances) {
                 Width::Scalar => QueryKernel::Scalar,
-                Width::Batched => QueryKernel::Batched,
                 Width::Wide => QueryKernel::Wide,
                 Width::Wide512 => QueryKernel::Wide512,
             },
@@ -289,7 +283,6 @@ pub(crate) struct PlanRef<const D: usize> {
 /// One query-side sum bank per blocked lane width.
 #[derive(Debug, Clone, Default)]
 struct SumBanks {
-    narrow: BlockSums<u64>,
     wide: BlockSums<WideLane>,
     wide512: BlockSums<WideLane512>,
 }
@@ -305,7 +298,6 @@ impl SumBanks {
         out: &mut [i64],
     ) {
         match kernel {
-            QueryKernel::Batched => xi_products(plan, schema, &mut self.narrow, out),
             QueryKernel::Wide => xi_products(plan, schema, &mut self.wide, out),
             QueryKernel::Wide512 => xi_products(plan, schema, &mut self.wide512, out),
             QueryKernel::Scalar => unreachable!("the scalar oracle evaluates per instance"),
@@ -340,10 +332,9 @@ pub struct QueryContext {
     /// A cold plan's query products (term-major), recomputed per call.
     qprod: Vec<i64>,
     /// The multi-query kernel's slot banks, one per lane width.
-    msums: MultiBlockSums<u64>,
     msums_wide: MultiBlockSums<WideLane>,
     msums_wide512: MultiBlockSums<WideLane512>,
-    /// Batched atomic grids, query-major (`atomic_multi[q * instances + i]`).
+    /// Multi-query atomic grids, query-major (`atomic_multi[q * instances + i]`).
     atomic_multi: Vec<f64>,
     /// Compiled query plans, memoized per (schema, query).
     plans: PlanCache,
@@ -358,7 +349,6 @@ impl Default for QueryContext {
             med: Vec::new(),
             sums: SumBanks::default(),
             qprod: Vec::new(),
-            msums: MultiBlockSums::new(),
             msums_wide: MultiBlockSums::new(),
             msums_wide512: MultiBlockSums::new(),
             atomic_multi: Vec::new(),
@@ -457,7 +447,6 @@ impl QueryContext {
         self.atomic.resize(shape.instances(), 0.0);
         match self.kernel.resolve(shape.instances()) {
             QueryKernel::Scalar => pair_fill_scalar(terms, r, s, 0, &mut self.atomic),
-            QueryKernel::Batched => pair_fill_blocked::<u64, D>(terms, r, s, 0, &mut self.atomic),
             QueryKernel::Wide => pair_fill_blocked::<WideLane, D>(terms, r, s, 0, &mut self.atomic),
             QueryKernel::Wide512 => {
                 pair_fill_blocked::<WideLane512, D>(terms, r, s, 0, &mut self.atomic)
@@ -539,12 +528,6 @@ impl QueryContext {
         self.atomic_multi.clear();
         self.atomic_multi.resize(nq * instances, 0.0);
         match self.kernel.resolve(instances) {
-            QueryKernel::Batched => multi_xi_fill_blocked::<u64, D>(
-                plan,
-                sketch,
-                &mut self.atomic_multi,
-                &mut self.msums,
-            ),
             QueryKernel::Wide => multi_xi_fill_blocked::<WideLane, D>(
                 plan,
                 sketch,
@@ -1071,14 +1054,11 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_width_and_explicit_kernels_pass_through() {
-        use crate::kernel::{cpu_vector, CpuVector, WIDE512_MIN_INSTANCES, WIDE_MIN_INSTANCES};
+        use crate::kernel::{cpu_vector, CpuVector, WIDE512_MIN_INSTANCES};
         if crate::kernel::env_override().is_none() {
+            assert_eq!(QueryKernel::Auto.resolve(1), QueryKernel::Wide);
             assert_eq!(
-                QueryKernel::Auto.resolve(WIDE_MIN_INSTANCES - 1),
-                QueryKernel::Batched
-            );
-            assert_eq!(
-                QueryKernel::Auto.resolve(WIDE_MIN_INSTANCES),
+                QueryKernel::Auto.resolve(WIDE512_MIN_INSTANCES - 1),
                 QueryKernel::Wide
             );
             let top = if cpu_vector() == CpuVector::Avx512 {
@@ -1088,12 +1068,7 @@ mod tests {
             };
             assert_eq!(QueryKernel::Auto.resolve(WIDE512_MIN_INSTANCES), top);
         }
-        for k in [
-            QueryKernel::Scalar,
-            QueryKernel::Batched,
-            QueryKernel::Wide,
-            QueryKernel::Wide512,
-        ] {
+        for k in [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512] {
             assert_eq!(k.resolve(1), k);
             assert_eq!(k.resolve(10_000), k);
         }
@@ -1102,7 +1077,7 @@ mod tests {
     #[test]
     fn pair_kernels_agree_on_built_sketches() {
         let mut rng = StdRng::seed_from_u64(200);
-        // 70 instances: one full block plus a 6-lane tail.
+        // 70 instances: one partial block with two occupied words.
         let schema = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
@@ -1136,16 +1111,11 @@ mod tests {
             },
         ];
         let mut scalar_out = vec![0.0; schema.instances()];
-        let mut batched_out = vec![0.0; schema.instances()];
         let mut wide_out = vec![0.0; schema.instances()];
         let mut wide512_out = vec![0.0; schema.instances()];
         pair_fill_scalar(&terms, &r, &s, 0, &mut scalar_out);
-        pair_fill_blocked::<u64, 2>(&terms, &r, &s, 0, &mut batched_out);
         pair_fill_blocked::<fourwise::WideLane, 2>(&terms, &r, &s, 0, &mut wide_out);
         pair_fill_blocked::<fourwise::WideLane512, 2>(&terms, &r, &s, 0, &mut wide512_out);
-        for (i, (a, b)) in scalar_out.iter().zip(batched_out.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "batched instance {i}");
-        }
         for (i, (a, b)) in scalar_out.iter().zip(wide_out.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "wide instance {i}");
         }
@@ -1157,12 +1127,7 @@ mod tests {
         let mut ctx = QueryContext::new().with_kernel(QueryKernel::Scalar);
         let es = ctx.pair_estimate(&terms, &r, &s);
         assert_eq!(es.row_means.len(), 2);
-        for kernel in [
-            QueryKernel::Batched,
-            QueryKernel::Wide,
-            QueryKernel::Wide512,
-            QueryKernel::Auto,
-        ] {
+        for kernel in [QueryKernel::Wide, QueryKernel::Wide512, QueryKernel::Auto] {
             ctx.set_kernel(kernel);
             let eb = ctx.pair_estimate(&terms, &r, &s);
             assert_eq!(es.value.to_bits(), eb.value.to_bits(), "{kernel:?}");
@@ -1170,8 +1135,7 @@ mod tests {
         }
     }
 
-    /// A 2-d sketch at 70 instances (one full 64-lane block plus a 6-lane
-    /// tail) over random rects, and `n` synthetic plans with overlapping
+    /// A 2-d sketch at 70 instances (one partial block) over random rects, and `n` synthetic plans with overlapping
     /// cover cells (shared ids across plans and a duplicate inside one list).
     fn synthetic_plans(seed: u64, n: usize) -> (SketchSet<2>, Vec<XiQueryPlan<2>>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1242,7 +1206,7 @@ mod tests {
         let (sk, plans) = synthetic_plans(220, 1);
         let plan = &plans[0];
         let want = oracle(plan, &sk);
-        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Batched);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
         let cold = ctx.plan_for(plan_key(0), || plan.clone());
         assert!(!cold.hit);
         assert_same(&ctx.xi_estimate(&cold, &sk), &want, "miss");
@@ -1313,7 +1277,7 @@ mod tests {
     fn panicking_memo_fill_leaves_the_plan_usable() {
         let (sk, plans) = synthetic_plans(223, 1);
         let want = oracle(&plans[0], &sk);
-        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Batched);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide512);
         let _ = ctx.plan_for(plan_key(0), || plans[0].clone());
         let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
         PANIC_IN_NEXT_MEMO_FILL.with(|p| p.set(true));
@@ -1344,7 +1308,6 @@ mod tests {
         assert!(merged.unique_cells() < total, "{} cells", total);
 
         let instances = sk.schema().instances();
-        check::<u64>(&plans, &merged, &sk, instances);
         check::<fourwise::WideLane>(&plans, &merged, &sk, instances);
         check::<fourwise::WideLane512>(&plans, &merged, &sk, instances);
 

@@ -10,7 +10,7 @@
 
 use crate::error::{Result, SketchError};
 use dyadic::DyadicDomain;
-use fourwise::{Lane, WideLane, WideLane512, XiBlock, XiContext, XiKind, XiSeed, BLOCK_LANES};
+use fourwise::{Lane, WideLane, WideLane512, XiBlock, XiContext, XiKind, XiSeed};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -83,14 +83,10 @@ pub struct SketchSchema<const D: usize> {
     /// One seed per (instance, dimension); instance `i = row * k1 + col`.
     seeds: Vec<[XiSeed; D]>,
     /// Per dimension, the instance seeds re-packed into bit-sliced
-    /// evaluation blocks of [`BLOCK_LANES`] consecutive instances (the last
-    /// block may be partial) — the batched build kernel's working set.
-    seed_blocks: [Vec<XiBlock>; D],
-    /// The same seeds re-packed at the 256-lane [`WideLane`] width — the
-    /// wide kernels' working set. Packed lazily on first wide-kernel use:
-    /// schemas below the wide-width threshold never pay for it (a partial
-    /// wide block allocates full-width planes, so small schemas would store
-    /// strictly more than their 64-lane packing).
+    /// evaluation blocks of 256 consecutive instances ([`WideLane`]; the
+    /// last block may be partial) — the blocked kernels' working set.
+    /// Packed lazily on first blocked-kernel use, so a schema that only
+    /// ever runs the 512-lane width (or the scalar oracle) never packs it.
     seed_blocks_wide: OnceLock<[Vec<XiBlock<WideLane>>; D]>,
     /// And at the 512-lane [`WideLane512`] width, equally lazily — only
     /// schemas the runtime dispatcher (or an explicit kernel choice) sends
@@ -120,7 +116,6 @@ impl<const D: usize> SketchSchema<D> {
             }
             seeds.push(row);
         }
-        let seed_blocks = pack_seed_blocks(&xi_ctx, &seeds);
         Arc::new(Self {
             id: SCHEMA_COUNTER.fetch_add(1, Ordering::Relaxed),
             kind,
@@ -129,7 +124,6 @@ impl<const D: usize> SketchSchema<D> {
             dyadic,
             xi_ctx,
             seeds,
-            seed_blocks,
             seed_blocks_wide: OnceLock::new(),
             seed_blocks_wide512: OnceLock::new(),
         })
@@ -149,7 +143,6 @@ impl<const D: usize> SketchSchema<D> {
         let dyadic = dims.map(|d| DyadicDomain::new(d.sketch_bits));
         let xi_ctx: [XiContext; D] =
             std::array::from_fn(|i| XiContext::new(kind, dims[i].sketch_bits + 1));
-        let seed_blocks = pack_seed_blocks(&xi_ctx, &seeds);
         Arc::new(Self {
             id: SCHEMA_COUNTER.fetch_add(1, Ordering::Relaxed),
             kind,
@@ -158,7 +151,6 @@ impl<const D: usize> SketchSchema<D> {
             dyadic,
             xi_ctx,
             seeds,
-            seed_blocks,
             seed_blocks_wide: OnceLock::new(),
             seed_blocks_wide512: OnceLock::new(),
         })
@@ -204,21 +196,10 @@ impl<const D: usize> SketchSchema<D> {
         &self.seeds[instance]
     }
 
-    /// Bit-sliced evaluation blocks of dimension `dim`: block `b` packs the
-    /// seeds of instances `[b·BLOCK_LANES, (b+1)·BLOCK_LANES)` (the last
-    /// block holds the remainder).
-    pub fn seed_blocks(&self, dim: usize) -> &[XiBlock] {
-        &self.seed_blocks[dim]
-    }
-
-    /// Number of instance blocks ([`BLOCK_LANES`]-sized groups) per dimension.
-    pub fn instance_blocks(&self) -> usize {
-        self.instances().div_ceil(BLOCK_LANES)
-    }
-
-    /// Wide (256-lane) evaluation blocks of dimension `dim`; the [`WideLane`]
-    /// analogue of [`SketchSchema::seed_blocks`]. The first call packs the
-    /// wide planes from the instance seeds (thread-safe, once per schema).
+    /// Wide (256-lane) bit-sliced evaluation blocks of dimension `dim`:
+    /// block `b` packs the seeds of instances `[256·b, 256·(b+1))` (the last
+    /// block holds the remainder). The first call packs the planes from the
+    /// instance seeds (thread-safe, once per schema).
     pub fn seed_blocks_wide(&self, dim: usize) -> &[XiBlock<WideLane>] {
         &self
             .seed_blocks_wide
@@ -231,8 +212,8 @@ impl<const D: usize> SketchSchema<D> {
     }
 
     /// 512-lane evaluation blocks of dimension `dim`; the [`WideLane512`]
-    /// analogue of [`SketchSchema::seed_blocks`], packed lazily on first use
-    /// like the 256-lane planes.
+    /// analogue of [`SketchSchema::seed_blocks_wide`], packed lazily on
+    /// first use like the 256-lane planes.
     pub fn seed_blocks_wide512(&self, dim: usize) -> &[XiBlock<WideLane512>] {
         &self
             .seed_blocks_wide512
@@ -285,24 +266,14 @@ fn pack_seed_blocks<L: Lane, const D: usize>(
 
 /// Lane-width-generic access to a schema's packed seed planes: the bridge
 /// that lets one build/query kernel implementation serve every [`Lane`]
-/// width. Implemented for the three supported widths, `u64` (64 lanes),
-/// [`WideLane`] (256 lanes) and [`WideLane512`] (512 lanes).
+/// width. Implemented for the two supported widths, [`WideLane`] (256
+/// lanes) and [`WideLane512`] (512 lanes).
 pub trait SchemaLanes: Lane {
     /// The schema's packed seed blocks of dimension `dim` at this width.
     fn seed_blocks<const D: usize>(schema: &SketchSchema<D>, dim: usize) -> &[XiBlock<Self>];
 
     /// Number of instance blocks at this width.
     fn instance_blocks<const D: usize>(schema: &SketchSchema<D>) -> usize;
-}
-
-impl SchemaLanes for u64 {
-    fn seed_blocks<const D: usize>(schema: &SketchSchema<D>, dim: usize) -> &[XiBlock<Self>] {
-        schema.seed_blocks(dim)
-    }
-
-    fn instance_blocks<const D: usize>(schema: &SketchSchema<D>) -> usize {
-        schema.instance_blocks()
-    }
 }
 
 impl SchemaLanes for WideLane {
@@ -389,28 +360,26 @@ mod tests {
     #[test]
     fn seed_blocks_cover_all_instances() {
         let mut rng = StdRng::seed_from_u64(4);
-        // 65 instances: one full 64-lane block plus a 1-lane tail.
+        // 65 instances: one partial 256-lane block, two occupied words.
         let s = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
             BoostShape::new(13, 5),
             [DimSpec::dyadic(8); 2],
         );
-        assert_eq!(s.instance_blocks(), 2);
+        assert_eq!(s.instance_blocks_wide(), 1);
         for dim in 0..2 {
-            let blocks = s.seed_blocks(dim);
-            assert_eq!(blocks.len(), 2);
-            assert_eq!(blocks[0].lanes(), 64);
-            assert_eq!(blocks[1].lanes(), 1);
+            let blocks = s.seed_blocks_wide(dim);
+            assert_eq!(blocks.len(), 1);
+            assert_eq!(blocks[0].lanes(), 65);
+            assert_eq!(blocks[0].occupied_words(), 2);
         }
         // Block lanes evaluate exactly the per-instance families.
         let ctx = &s.xi_ctx()[1];
         let pre = ctx.precompute(37);
         for inst in [0usize, 63, 64] {
             let fam = ctx.family(s.instance_seeds(inst)[1]);
-            let block = &s.seed_blocks(1)[inst / 64];
-            let lane = inst % 64;
-            let got = 1 - 2 * ((block.eval_mask(pre) >> lane) & 1) as i64;
+            let got = 1 - 2 * s.seed_blocks_wide(1)[0].eval_mask(pre).bit(inst) as i64;
             assert_eq!(got, fam.xi_pre(pre), "instance {inst}");
         }
     }
@@ -418,15 +387,13 @@ mod tests {
     #[test]
     fn wide_seed_blocks_mirror_narrow_packing() {
         let mut rng = StdRng::seed_from_u64(5);
-        // 300 instances: one full 256-lane block plus a 44-lane tail
-        // (five 64-lane blocks minus the tail difference).
+        // 300 instances: one full 256-lane block plus a 44-lane tail.
         let s = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
             BoostShape::new(150, 2),
             [DimSpec::dyadic(8); 2],
         );
-        assert_eq!(s.instance_blocks(), 5);
         assert_eq!(s.instance_blocks_wide(), 2);
         for dim in 0..2 {
             let wide = s.seed_blocks_wide(dim);
@@ -455,7 +422,6 @@ mod tests {
             BoostShape::new(260, 2),
             [DimSpec::dyadic(8)],
         );
-        assert_eq!(s.instance_blocks(), 9);
         assert_eq!(s.instance_blocks_wide(), 3);
         assert_eq!(s.instance_blocks_wide512(), 2);
         let blocks = s.seed_blocks_wide512(0);

@@ -139,7 +139,7 @@ pub fn estimate_word_self_join<const D: usize>(sketch: &SketchSet<D>, word_idx: 
 }
 
 /// [`estimate_word_self_join`] with the caller's [`QueryContext`]: under the
-/// batched kernel the squared counters are extracted as whole per-lane
+/// blocked kernels the squared counters are extracted as whole per-lane
 /// estimate vectors per instance block and boosted straight from the
 /// context's grid, with no per-estimate allocation.
 pub fn estimate_word_self_join_with<const D: usize>(

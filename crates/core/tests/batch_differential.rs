@@ -200,7 +200,6 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
         let mixed_cold = live_uniques(&mixed, &mixed_want) as u64 - mixed_warm;
         for kernel in [
             QueryKernel::Scalar,
-            QueryKernel::Batched,
             QueryKernel::Wide,
             QueryKernel::Wide512,
             QueryKernel::Auto,
@@ -283,7 +282,8 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
 #[test]
 fn batch_kernels_agree_1d_2d() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        // 67 instances: one full 64-lane block plus a 3-lane tail.
+        // 67 instances: a partial block with one full backing word plus a
+        // 3-lane tail.
         batch_config::<1>(kind, 67, &[1, 7], 400 + i as u64);
         batch_config::<2>(kind, 13, &[1, 7], 410 + i as u64);
     }
@@ -302,7 +302,42 @@ fn batch_kernels_agree_batch64() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn batch_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        // 150 instances: two full blocks plus a 22-lane tail.
-        batch_config::<3>(kind, 150, &[1, 7, 64], 440 + i as u64);
+        // 300 instances: a full 256-lane block plus a 44-lane tail.
+        batch_config::<3>(kind, 300, &[1, 7, 64], 440 + i as u64);
+    }
+}
+
+#[test]
+fn batch_long_truncated_covers_match_oracle() {
+    // At maxLevel 4 on a 16-bit sketch domain (14 data bits, tripled) a
+    // full-domain rect covers thousands of level-4 cells per dimension, far
+    // more than one carry-save counter holds: the merged sweep must fold
+    // such a slot in chunks, exactly like the single-query path.
+    let mut rng = StdRng::seed_from_u64(450);
+    let config = SketchConfig {
+        kind: XiKind::Bch,
+        shape: sketch::BoostShape::new(67, 1),
+        max_level: Some(4),
+    };
+    let rq = RangeQuery::<2>::new(&mut rng, config, [14; 2], RangeStrategy::Transform);
+    let mut sk = rq.new_sketch();
+    sk.insert_slice(&rand_rects::<2>(&mut rng, 200, 16383))
+        .unwrap();
+    let rect = |lo: u64, hi: u64| HyperRect::new([Interval::new(lo, hi); 2]);
+    let batch = [
+        BatchQuery::Range(rect(0, 16383)),
+        BatchQuery::Range(rect(5, 900)),
+    ];
+    let mut octx = QueryContext::new().with_kernel(QueryKernel::Scalar);
+    let want: Vec<Result<Estimate>> = batch
+        .iter()
+        .map(|q| oracle(&rq, &mut octx, &sk, q))
+        .collect();
+    for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
+        let mut ctx = QueryContext::new().with_kernel(kernel);
+        for round in ["cold", "fill", "warm"] {
+            let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
+            check_batch(&got, &want, &format!("long-cover/{kernel:?}/{round}"));
+        }
     }
 }

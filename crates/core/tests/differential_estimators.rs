@@ -1,8 +1,8 @@
 //! Differential suite: the blocked query kernels against the scalar oracle.
 //!
-//! Every estimator under the kernel matrix (`QueryKernel::Batched` 64-lane,
-//! `QueryKernel::Wide` 256-lane and `QueryKernel::Wide512` 512-lane
-//! bit-sliced block evaluation, plus the default `Auto` resolution) must
+//! Every estimator under the kernel matrix (`QueryKernel::Wide` 256-lane and
+//! `QueryKernel::Wide512` 512-lane bit-sliced block evaluation, plus the
+//! default `Auto` resolution) must
 //! produce **bit-identical** `Estimate`s —
 //! boosted value *and* every row mean — to the scalar reference kernel
 //! across all five query classes (spatial join, overlap+, range/stab,
@@ -28,23 +28,23 @@ use sketch::{
 
 const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 
-fn assert_bit_identical(scalar: &Estimate, batched: &Estimate, label: &str) {
+fn assert_bit_identical(scalar: &Estimate, blocked: &Estimate, label: &str) {
     assert_eq!(
         scalar.value.to_bits(),
-        batched.value.to_bits(),
+        blocked.value.to_bits(),
         "{label}: boosted value diverged ({} vs {})",
         scalar.value,
-        batched.value
+        blocked.value
     );
     assert_eq!(
         scalar.row_means.len(),
-        batched.row_means.len(),
+        blocked.row_means.len(),
         "{label}: row count diverged"
     );
     for (i, (a, b)) in scalar
         .row_means
         .iter()
-        .zip(batched.row_means.iter())
+        .zip(blocked.row_means.iter())
         .enumerate()
     {
         assert_eq!(a.to_bits(), b.to_bits(), "{label}: row mean {i} diverged");
@@ -52,16 +52,12 @@ fn assert_bit_identical(scalar: &Estimate, batched: &Estimate, label: &str) {
 }
 
 /// Runs the same estimate under the full kernel matrix (scalar oracle vs
-/// batched vs wide vs wide512, plus the default `Auto` resolution) and
+/// wide vs wide512, plus the default `Auto` resolution) and
 /// demands bit-identical results.
 fn both(mut estimate: impl FnMut(&mut QueryContext) -> Estimate, label: &str) {
     let mut scalar_ctx = QueryContext::new().with_kernel(QueryKernel::Scalar);
     let scalar = estimate(&mut scalar_ctx);
-    for kernel in [
-        QueryKernel::Batched,
-        QueryKernel::Wide,
-        QueryKernel::Wide512,
-    ] {
+    for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
         let mut ctx = QueryContext::new().with_kernel(kernel);
         let got = estimate(&mut ctx);
         assert_bit_identical(&scalar, &got, &format!("{label}/{kernel:?}"));
@@ -131,7 +127,8 @@ fn spatial_join_kernels_agree_1d() {
         .into_iter()
         .enumerate()
         {
-            // 67 instances: one full 64-lane block plus a 3-lane tail.
+            // 67 instances: a partial block with one full backing word
+            // plus a 3-lane tail.
             join_config::<1>(kind, strategy, 67, 300 + i as u64);
         }
     }
@@ -148,9 +145,10 @@ fn spatial_join_kernels_agree_2d() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn spatial_join_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        // 150 instances: two full blocks plus a 22-lane tail.
-        join_config::<3>(kind, EndpointStrategy::Transform, 150, 320 + i as u64);
-        join_config::<3>(kind, EndpointStrategy::AssumeDistinct, 150, 325 + i as u64);
+        // 300 instances: a full 256-lane block plus a 44-lane tail, and a
+        // 512-lane block with 5 of 8 backing words occupied.
+        join_config::<3>(kind, EndpointStrategy::Transform, 300, 320 + i as u64);
+        join_config::<3>(kind, EndpointStrategy::AssumeDistinct, 300, 325 + i as u64);
     }
 }
 
@@ -216,7 +214,7 @@ fn range_kernels_agree_1d_2d() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn range_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<3>(kind, RangeStrategy::Transform, 150, 370 + i as u64);
+        range_config::<3>(kind, RangeStrategy::Transform, 300, 370 + i as u64);
     }
 }
 
@@ -306,7 +304,7 @@ fn eps_join_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
         let label = format!("eps/{kind:?}/3d");
         let mut rng = StdRng::seed_from_u64(420 + i as u64);
-        let est = EpsJoin::<3>::new(&mut rng, SketchConfig::new(150, 1).with_kind(kind), 7, 4);
+        let est = EpsJoin::<3>::new(&mut rng, SketchConfig::new(300, 1).with_kind(kind), 7, 4);
         let mut a = est.new_sketch_a();
         let mut b = est.new_sketch_b();
         for p in rand_points::<3>(&mut rng, 40, 127) {
@@ -343,7 +341,7 @@ fn self_join_estimates_agree() {
 
 #[test]
 fn boosting_grid_shapes_agree() {
-    // Shapes below, at, and straddling the 64-lane block width — plus one
+    // Shapes below, at, and straddling one 64-lane backing word — plus one
     // straddling the 256-lane wide width and one straddling the 512-lane
     // width; the row means feed the median, so every row must match
     // bitwise, not just the final value.

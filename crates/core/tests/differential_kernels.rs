@@ -1,13 +1,18 @@
 //! Differential suite: the blocked build kernels against the scalar oracle.
 //!
-//! The kernel matrix — `BuildKernel::Batched` (64-lane bit-sliced),
-//! `BuildKernel::Wide` (256-lane bit-sliced) and `BuildKernel::Wide512`
-//! (512-lane bit-sliced) — must produce **bit-identical** `SketchSet`
-//! counters to the scalar reference path for every construction, endpoint
-//! policy, dimensionality and insert/delete mix — sketches are exact
-//! integer linear summaries, so any divergence at all is a kernel bug. The
-//! oracle chain is Scalar → Batched → Wide → Wide512: the scalar path
-//! anchors all blocked widths at once.
+//! The kernel matrix — `BuildKernel::Wide` (256-lane bit-sliced) and
+//! `BuildKernel::Wide512` (512-lane bit-sliced) — must produce
+//! **bit-identical** `SketchSet` counters to the scalar reference path for
+//! every construction, endpoint policy, dimensionality, word set and
+//! insert/delete mix — sketches are exact integer linear summaries, so any
+//! divergence at all is a kernel bug. The scalar path anchors both blocked
+//! widths at once.
+//!
+//! The blocked kernels evaluate only the components a word set reads, so
+//! besides the every-component word list the suite runs the word sets that
+//! skip some: the range words `{I, U}^D` (no lower point cover, no
+//! leaves), the join words `{I, E}^D` (no leaves) and single-component
+//! sets.
 //!
 //! Seeded stand-ins for property tests: each configuration streams ≥200
 //! random objects (with interleaved deletions of earlier inserts) through
@@ -31,11 +36,7 @@ const POLICIES: [EndpointPolicy; 3] = [
 ];
 
 /// The blocked kernels checked against the scalar oracle.
-const MATRIX: [BuildKernel; 3] = [
-    BuildKernel::Batched,
-    BuildKernel::Wide,
-    BuildKernel::Wide512,
-];
+const MATRIX: [BuildKernel; 2] = [BuildKernel::Wide, BuildKernel::Wide512];
 
 /// Every component class in one word list: the `{I,E}^D` join words plus
 /// point- and leaf-reading words (range/containment/ε-join shapes).
@@ -51,6 +52,39 @@ fn all_comp_words<const D: usize>() -> Vec<Word<D>> {
     words
 }
 
+/// The range sketch's `{I, U}^D` words: `{I, E}^D` with every endpoint
+/// component narrowed to the upper point cover.
+fn range_words<const D: usize>() -> Vec<Word<D>> {
+    let upper = |c| {
+        if c == Comp::Endpoints {
+            Comp::UpperPoint
+        } else {
+            c
+        }
+    };
+    ie_words::<D>().into_iter().map(|w| w.map(upper)).collect()
+}
+
+/// Runs every word set whose words leave some components unread — the
+/// range and join words and single-component sets — under every policy.
+fn run_partial_word_sets<const D: usize>(kind: fourwise::XiKind, shape: BoostShape, seed: u64) {
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        for (j, (set, words)) in [
+            ("range {I,U}", range_words::<D>()),
+            ("join {I,E}", ie_words::<D>()),
+            ("LowerPoint only", vec![[Comp::LowerPoint; D]]),
+            ("UpperLeaf only", vec![[Comp::UpperLeaf; D]]),
+            ("Endpoints only", vec![[Comp::Endpoints; D]]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let seed = seed + 10 * i as u64 + j as u64;
+            run_words(kind, policy, shape, seed, words, set);
+        }
+    }
+}
+
 fn rand_rect<const D: usize>(rng: &mut StdRng, max: u64) -> HyperRect<D> {
     HyperRect::new(std::array::from_fn(|_| {
         let a = rng.gen_range(0..=max);
@@ -59,11 +93,14 @@ fn rand_rect<const D: usize>(rng: &mut StdRng, max: u64) -> HyperRect<D> {
     }))
 }
 
+/// Compares every counter of `blocked` with the same word's counter in
+/// `scalar`, whose words `blocked`'s must prefix.
 fn assert_identical<const D: usize>(scalar: &SketchSet<D>, blocked: &SketchSet<D>, label: &str) {
     assert_eq!(scalar.len(), blocked.len(), "{label}: net length diverged");
+    let w = blocked.words().len();
     for inst in 0..scalar.schema().instances() {
         assert_eq!(
-            scalar.instance_counters(inst),
+            &scalar.instance_counters(inst)[..w],
             blocked.instance_counters(inst),
             "{label}: instance {inst} diverged"
         );
@@ -78,11 +115,27 @@ fn run_config<const D: usize>(
     shape: BoostShape,
     seed: u64,
 ) {
+    run_words(kind, policy, shape, seed, all_comp_words::<D>(), "all");
+}
+
+/// [`run_config`] over an explicit word set.
+fn run_words<const D: usize>(
+    kind: fourwise::XiKind,
+    policy: EndpointPolicy,
+    shape: BoostShape,
+    seed: u64,
+    words: Vec<Word<D>>,
+    set: &str,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = SketchSchema::<D>::new(&mut rng, kind, shape, [DimSpec::dyadic(8); D]);
-    let words = Arc::new(all_comp_words::<D>());
+    // The oracle also maintains a word for every component, so its scratch
+    // compiles every cover list whatever `words` read: a word's counters
+    // must not depend on which other words its sketch maintains.
+    let oracle_words = Arc::new([words.clone(), all_comp_words::<D>()].concat());
+    let words = Arc::new(words);
     let mut scalar =
-        SketchSet::new(schema.clone(), words.clone(), policy).with_kernel(BuildKernel::Scalar);
+        SketchSet::new(schema.clone(), oracle_words, policy).with_kernel(BuildKernel::Scalar);
     let mut blocked: Vec<(BuildKernel, SketchSet<D>)> = MATRIX
         .into_iter()
         .map(|k| {
@@ -92,8 +145,7 @@ fn run_config<const D: usize>(
             )
         })
         .collect();
-    let label =
-        |k: BuildKernel| format!("{kind:?}/{policy:?}/{D}d/{}x{}/{k:?}", shape.k1, shape.k2);
+    let label = |k: BuildKernel| format!("{kind:?}/{policy:?}/{D}d/{shape:?}/{set}/{k:?}");
     let max = (1u64 << scalar.data_bits()[0]) - 1;
 
     let mut live: Vec<HyperRect<D>> = Vec::new();
@@ -137,18 +189,17 @@ fn run_config<const D: usize>(
     }
 }
 
-/// 67 instances: one full 64-lane block plus a 3-lane tail (and a partial
-/// wide block).
+/// 67 instances: one partial block whose second backing word holds 3 lanes
+/// (the occupancy-skip path at both widths).
 const BLOCK_SPANNING: BoostShape = BoostShape { k1: 67, k2: 1 };
 
-/// 300 instances: one full 256-lane wide block plus a 44-lane tail, five
-/// 64-lane blocks — and a partial 512-lane block with 5 of 8 backing words
-/// occupied (the occupancy-skip path).
+/// 300 instances: one full 256-lane wide block plus a 44-lane tail, and a
+/// partial 512-lane block with 5 of 8 backing words occupied.
 const WIDE_SPANNING: BoostShape = BoostShape { k1: 150, k2: 2 };
 
 /// 520 instances: one full 512-lane block plus an 8-lane tail (a single
 /// occupied backing word in the tail block), two 256-lane wide blocks plus
-/// a tail, nine 64-lane blocks.
+/// a tail.
 const WIDE512_SPANNING: BoostShape = BoostShape { k1: 260, k2: 2 };
 
 #[test]
@@ -227,9 +278,23 @@ fn differential_poly_all_policies_3d() {
 }
 
 #[test]
+fn differential_partial_word_sets_1d_2d() {
+    // TripledShrunk drops the geometry of degenerate ranges but keeps the
+    // leaves, so every policy runs; BLOCK_SPANNING covers both widths.
+    run_partial_word_sets::<1>(fourwise::XiKind::Bch, BLOCK_SPANNING, 1000);
+    run_partial_word_sets::<2>(fourwise::XiKind::Bch, BLOCK_SPANNING, 1100);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
+fn differential_partial_word_sets_3d_poly_multiblock() {
+    run_partial_word_sets::<3>(fourwise::XiKind::Poly, WIDE_SPANNING, 1200);
+}
+
+#[test]
 fn differential_instance_shapes() {
-    // Below, exactly at, and just above both lane widths, plus multi-block
-    // shapes — tail handling must stay identical everywhere.
+    // One-word, exactly-one-word, just-over-one-word and multi-word
+    // partial blocks — tail handling must stay identical everywhere.
     for (i, (k1, k2)) in [(5, 1), (64, 1), (13, 5), (64, 3)].into_iter().enumerate() {
         run_config::<2>(
             fourwise::XiKind::Bch,
@@ -289,22 +354,18 @@ fn default_kernel_follows_width_heuristic() {
     }
     let mut rng = StdRng::seed_from_u64(980);
     let words = Arc::new(ie_words::<1>());
-    let small = SketchSchema::<1>::new(
-        &mut rng,
-        fourwise::XiKind::Bch,
-        BoostShape::new(67, 1),
-        [DimSpec::dyadic(8)],
-    );
-    let sk = SketchSet::new(small, words.clone(), EndpointPolicy::Raw);
-    assert_eq!(sk.kernel(), BuildKernel::Batched);
-    let large = SketchSchema::<1>::new(
-        &mut rng,
-        fourwise::XiKind::Bch,
-        BoostShape::new(sketch::WIDE_MIN_INSTANCES, 1),
-        [DimSpec::dyadic(8)],
-    );
-    let sk = SketchSet::new(large, words.clone(), EndpointPolicy::Raw);
-    assert_eq!(sk.kernel(), BuildKernel::Wide);
+    // Every schema below the 512-lane threshold runs one 256-lane width,
+    // however few instances it has.
+    for k1 in [1, 67, 160, sketch::WIDE512_MIN_INSTANCES - 1] {
+        let schema = SketchSchema::<1>::new(
+            &mut rng,
+            fourwise::XiKind::Bch,
+            BoostShape::new(k1, 1),
+            [DimSpec::dyadic(8)],
+        );
+        let sk = SketchSet::new(schema, words.clone(), EndpointPolicy::Raw);
+        assert_eq!(sk.kernel(), BuildKernel::Wide, "{k1} instances");
+    }
     // Above the 512-lane threshold the dispatch is CPU-capped: Wide512 only
     // where runtime detection reports 512-bit vectors. The public resolved
     // view (`preferred_lane_width`) is the portable way to phrase it.
@@ -339,12 +400,7 @@ fn slice_ingestion_matches_streaming_inserts() {
     for r in &data {
         streamed.insert(r).unwrap();
     }
-    for kernel in [
-        BuildKernel::Scalar,
-        BuildKernel::Batched,
-        BuildKernel::Wide,
-        BuildKernel::Wide512,
-    ] {
+    for kernel in [BuildKernel::Scalar, BuildKernel::Wide, BuildKernel::Wide512] {
         let mut sliced =
             SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw).with_kernel(kernel);
         sliced.insert_slice(&data).unwrap();
@@ -399,13 +455,13 @@ fn kernels_are_switchable_mid_stream() {
     for (i, r) in data.iter().enumerate() {
         oracle.insert(r).unwrap();
         if i == 30 {
-            mixed.set_kernel(BuildKernel::Wide);
-        }
-        if i == 60 {
             mixed.set_kernel(BuildKernel::Wide512);
         }
-        if i == 90 {
+        if i == 60 {
             mixed.set_kernel(BuildKernel::Scalar);
+        }
+        if i == 90 {
+            mixed.set_kernel(BuildKernel::Wide);
         }
         mixed.insert(r).unwrap();
     }

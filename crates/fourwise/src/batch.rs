@@ -1,4 +1,4 @@
-//! Bit-sliced multi-instance ξ evaluation: the core of the batched build
+//! Bit-sliced multi-instance ξ evaluation: the core of the blocked build
 //! *and* query kernels.
 //!
 //! Sketch maintenance evaluates the *same* index against thousands of
@@ -10,13 +10,14 @@
 //! set bit of the index — `O(k)` word operations for a full block instead of
 //! `O(k)` per instance.
 //!
-//! Everything here is generic over the [`Lane`] word: the portable `u64`
-//! width (64 instances per block, [`BLOCK_LANES`]) is the default and the
-//! differential oracle; the [`WideLane`] (`[u64; 4]`, 256 instances) and
-//! [`WideLane512`] (`[u64; 8]`, 512 instances) widths run the identical
-//! algorithms with multi-word lane-wise operations that LLVM autovectorizes.
-//! All widths produce bit-identical per-lane sums — lane width only changes
-//! how many instances share one pass.
+//! Everything here is generic over the [`Lane`] word: the sketch kernels run
+//! the [`WideLane`] (`[u64; 4]`, 256 instances) and [`WideLane512`]
+//! (`[u64; 8]`, 512 instances) widths, multi-word lane-wise operations that
+//! LLVM autovectorizes; the one-word `u64` width (64 instances,
+//! [`BLOCK_LANES`]) is the type parameters' default and the building block
+//! these tests check the wider words against. All widths produce
+//! bit-identical per-lane sums — lane width only changes how many
+//! instances share one pass.
 //!
 //! Partial tail blocks (a schema whose instance count is not a multiple of
 //! the lane width) carry an *occupancy* word count: every backing word at or
@@ -33,7 +34,7 @@
 //! inner products simultaneously (the classic bit-slicing of GF(2) linear
 //! forms). The polynomial family is not linear over GF(2), so its block
 //! falls back to per-lane Horner evaluation behind the same interface — the
-//! batched kernel stays construction-agnostic and bit-identical either way.
+//! blocked kernel stays construction-agnostic and bit-identical either way.
 //!
 //! Component sums over dyadic covers use [`LaneCounter`], a carry-save adder
 //! network over sign masks: per cover node the block mask is folded into
@@ -49,7 +50,7 @@ use crate::poly::PolyFamily;
 #[cfg(doc)]
 use crate::family::XiFamily;
 
-/// Instances per block at the default (`u64`) lane width.
+/// Instances per block at the one-word (`u64`) lane width.
 pub const BLOCK_LANES: usize = 64;
 
 /// Instances per block at the wide ([`WideLane`]) width.
@@ -344,24 +345,37 @@ impl<L: Lane> BlockSums<L> {
     /// Panics if `slots` is empty or any slot was never evaluated.
     #[inline]
     pub fn slot_products(&mut self, slots: &[usize], lanes: usize) -> &[i64] {
-        debug_assert!(lanes <= L::LANES);
-        let (&first, rest) = slots
-            .split_first()
-            .expect("slot_products needs at least one slot");
-        if rest.is_empty() {
-            return &self.sums[first * L::LANES..first * L::LANES + lanes];
-        }
-        self.prod.resize(L::LANES, 0);
-        let prod = &mut self.prod[..lanes];
-        prod.copy_from_slice(&self.sums[first * L::LANES..first * L::LANES + lanes]);
-        for &s in rest {
-            let src = &self.sums[s * L::LANES..s * L::LANES + lanes];
-            for (p, v) in prod.iter_mut().zip(src) {
-                *p *= *v;
-            }
-        }
-        &self.prod[..lanes]
+        slot_products::<L>(&self.sums, &mut self.prod, slots, lanes)
     }
+}
+
+/// The shared body of [`BlockSums::slot_products`] and
+/// [`MultiBlockSums::slot_products`] over a slot bank `sums` (slot `s` at
+/// `sums[s*L::LANES..]`), with `prod` as the product scratch.
+#[inline]
+fn slot_products<'a, L: Lane>(
+    sums: &'a [i64],
+    prod: &'a mut Vec<i64>,
+    slots: &[usize],
+    lanes: usize,
+) -> &'a [i64] {
+    debug_assert!(lanes <= L::LANES);
+    let (&first, rest) = slots
+        .split_first()
+        .expect("slot_products needs at least one slot");
+    let slot = |s: usize| &sums[s * L::LANES..s * L::LANES + lanes];
+    if rest.is_empty() {
+        return slot(first);
+    }
+    prod.resize(L::LANES, 0);
+    let out = &mut prod[..lanes];
+    out.copy_from_slice(slot(first));
+    for &s in rest {
+        for (p, v) in out.iter_mut().zip(slot(s)) {
+            *p *= *v;
+        }
+    }
+    out
 }
 
 /// Multi-query accumulator bank: a [`LaneCounter`] *per slot*, fed by a
@@ -379,6 +393,9 @@ impl<L: Lane> BlockSums<L> {
 #[derive(Debug, Clone)]
 pub struct MultiBlockSums<L: Lane = u64> {
     counters: Vec<LaneCounter<L>>,
+    /// Per slot of the current worklist, whether its counter already
+    /// spilled a full [`LaneCounter::CAPACITY`] fold into `sums`.
+    spilled: Vec<bool>,
     /// Slot `s` occupies `sums[s*L::LANES..(s+1)*L::LANES]`.
     sums: Vec<i64>,
     /// Scratch for [`MultiBlockSums::slot_products`].
@@ -389,6 +406,7 @@ impl<L: Lane> Default for MultiBlockSums<L> {
     fn default() -> Self {
         Self {
             counters: Vec::new(),
+            spilled: Vec::new(),
             sums: Vec::new(),
             prod: Vec::new(),
         }
@@ -425,12 +443,15 @@ impl<L: Lane> MultiBlockSums<L> {
     /// if each slot's cell list had been evaluated with
     /// [`BlockSums::eval_into`]. Grows the bank as needed.
     ///
+    /// A slot may own any number of cells: like [`XiBlock::sum_pre_into`],
+    /// a slot whose counter reaches [`LaneCounter::CAPACITY`] folds it into
+    /// its sums and starts a fresh chunk (long truncated covers at a low
+    /// `maxLevel` have thousands of cells).
+    ///
     /// # Panics
     ///
     /// Panics if `owner_off` is not a well-formed CSR offset table for
-    /// `cells`/`owners`, if any owner index is `>= slots`, or if one slot
-    /// receives more than [`LaneCounter::CAPACITY`] cells (dyadic covers
-    /// stay far below it).
+    /// `cells`/`owners`, or if any owner index is `>= slots`.
     pub fn eval_worklist(
         &mut self,
         block: &XiBlock<L>,
@@ -446,19 +467,38 @@ impl<L: Lane> MultiBlockSums<L> {
         for c in bank.iter_mut() {
             c.clear();
         }
+        self.spilled.clear();
+        self.spilled.resize(slots, false);
+        let sums = &mut self.sums[base * L::LANES..(base + slots) * L::LANES];
+        let lanes = block.lanes();
+        // Writes slot `s`'s counter into its sums: the first fold writes,
+        // later ones (after a spill) accumulate.
+        let fold = |counter: &LaneCounter<L>, spilled: bool, s: usize, sums: &mut [i64]| {
+            let out = &mut sums[s * L::LANES..s * L::LANES + lanes];
+            if spilled {
+                counter.signed_sums_accum(out);
+            } else {
+                counter.signed_sums_into(out);
+            }
+        };
         let words = block.occupied_words();
         for (i, pre) in cells.iter().enumerate() {
             let mask = block.eval_mask(*pre);
             let lo = owner_off[i] as usize;
             let hi = owner_off[i + 1] as usize;
             for &owner in &owners[lo..hi] {
-                bank[owner as usize].add_mask_prefix(mask, words);
+                let s = owner as usize;
+                let counter = &mut bank[s];
+                if counter.len() == LaneCounter::<L>::CAPACITY {
+                    fold(counter, self.spilled[s], s, sums);
+                    self.spilled[s] = true;
+                    counter.clear();
+                }
+                counter.add_mask_prefix(mask, words);
             }
         }
-        let lanes = block.lanes();
         for (s, counter) in bank.iter().enumerate() {
-            let slot = base + s;
-            counter.signed_sums_into(&mut self.sums[slot * L::LANES..slot * L::LANES + lanes]);
+            fold(counter, self.spilled[s], s, sums);
         }
     }
 
@@ -481,23 +521,7 @@ impl<L: Lane> MultiBlockSums<L> {
     /// Panics if `slots` is empty or any slot was never evaluated.
     #[inline]
     pub fn slot_products(&mut self, slots: &[usize], lanes: usize) -> &[i64] {
-        debug_assert!(lanes <= L::LANES);
-        let (&first, rest) = slots
-            .split_first()
-            .expect("slot_products needs at least one slot");
-        if rest.is_empty() {
-            return &self.sums[first * L::LANES..first * L::LANES + lanes];
-        }
-        self.prod.resize(L::LANES, 0);
-        let prod = &mut self.prod[..lanes];
-        prod.copy_from_slice(&self.sums[first * L::LANES..first * L::LANES + lanes]);
-        for &s in rest {
-            let src = &self.sums[s * L::LANES..s * L::LANES + lanes];
-            for (p, v) in prod.iter_mut().zip(src) {
-                *p *= *v;
-            }
-        }
-        &self.prod[..lanes]
+        slot_products::<L>(&self.sums, &mut self.prod, slots, lanes)
     }
 }
 
@@ -720,8 +744,8 @@ mod tests {
 
     fn wide_and_narrow_blocks_agree_lane_for_lane_at<L: Lane>() {
         // The same L::LANES seeds packed as one wide block and L::WORDS
-        // narrow blocks must produce identical per-lane sums — the oracle
-        // chain the differential suites lean on.
+        // one-word blocks must produce identical per-lane sums: every
+        // backing word is a self-contained 64-lane block.
         let mut rng = StdRng::seed_from_u64(91);
         for kind in [XiKind::Bch, XiKind::Poly] {
             let (ctx, seeds) = random_block(kind, 11, L::LANES, 92);
@@ -925,7 +949,14 @@ mod tests {
             .collect();
         let dup = lists[2][0];
         lists[2].push(dup);
-        lists.push(Vec::new()); // a slot owning nothing stays all-zero
+        // A slot owning nothing stays all-zero; one owning more cells than
+        // a LaneCounter holds spills twice.
+        lists.push(Vec::new());
+        lists.push(
+            (0..600)
+                .map(|_| ctx.precompute(rng.gen_range(0..2048u64)))
+                .collect(),
+        );
 
         let mut oracle = BlockSums::<L>::new();
         for (slot, list) in lists.iter().enumerate() {

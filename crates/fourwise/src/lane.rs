@@ -5,9 +5,11 @@
 //! machine word. The [`Lane`] trait abstracts that word so the same kernels
 //! run at different widths:
 //!
-//! * [`u64`] — the portable baseline: 64 instances per block, one scalar
-//!   XOR/AND per plane operation. Kept bit-identical as the differential
-//!   oracle for wider lanes.
+//! * [`u64`] — one backing word: 64 instances per block, one scalar
+//!   XOR/AND per plane operation. The wider words are arrays of it, and the
+//!   `batch` tests check them lane for lane against it; the sketch kernels
+//!   themselves no longer run it (a partly filled 256-lane block folds
+//!   only its occupied words, so it costs what a 64-lane block does).
 //! * [`WideLane`] (`[u64; 4]`) — 256 instances per block. All lane-wise
 //!   operations are straight-line loops over four words, the shape LLVM
 //!   autovectorizes to SSE2/AVX2/NEON at `-O` without nightly `std::simd` or

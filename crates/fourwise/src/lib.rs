@@ -20,10 +20,10 @@
 //!
 //! [`family`] wraps both behind one interface shaped for the sketch hot loop
 //! (shared per-index precomputation across thousands of instances),
-//! [`lane`] defines the [`Lane`] machine-word abstraction (portable 64-lane
-//! `u64` and the autovectorizable 256-lane [`WideLane`] and 512-lane
+//! [`lane`] defines the [`Lane`] machine-word abstraction (the one-word
+//! 64-lane `u64` and the autovectorizable 256-lane [`WideLane`] and 512-lane
 //! [`WideLane512`]), [`batch`] builds the lane-width-generic bit-sliced
-//! evaluation blocks behind the batched build *and* query kernels (plus the
+//! evaluation blocks behind the blocked build *and* query kernels (plus the
 //! [`BlockSums`] scratch the query side evaluates whole covers into), and
 //! [`gf2`] supplies the carry-less GF(2^k) arithmetic the BCH family needs.
 

@@ -1,7 +1,7 @@
 //! Network-layer soak test: a real TCP server under concurrent ingest,
 //! batched queries, one injected handler panic and a deterministic
 //! overload phase — the binary the CI `serve-net` lane runs under each
-//! blocked kernel (`SKETCH_KERNEL=batched|wide|wide512`).
+//! blocked kernel (`SKETCH_KERNEL=wide|wide512`).
 //!
 //! Usage: cargo run --release -p spatial-serve --bin net_soak --
 //!          [--iters N] [--shards N] [--seed N] [--clients N] [--batch N]

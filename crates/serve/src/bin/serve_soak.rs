@@ -1,7 +1,7 @@
 //! Serving-layer soak test: bounded, deterministic mixed ingest + query
 //! rounds asserting that every router answer **bit-matches** an unsharded
 //! oracle — the binary the CI `serve-smoke` lane runs under each blocked
-//! kernel (`SKETCH_KERNEL=batched|wide|wide512`).
+//! kernel (`SKETCH_KERNEL=wide|wide512`).
 //!
 //! Usage: cargo run --release -p spatial-serve --bin serve_soak --
 //!          [--iters N] [--shards N] [--seed N] [--readers N] [--rebalance N]

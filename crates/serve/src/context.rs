@@ -433,7 +433,7 @@ mod tests {
         // Warm the slot's caches so the reset actually discards something,
         // and pin a non-default kernel so recovery must preserve it.
         pool.with(|ctx| {
-            ctx.query.set_kernel(QueryKernel::Batched);
+            ctx.query.set_kernel(QueryKernel::Wide512);
             router.estimate_range(&rq, &st, ctx, &q).unwrap();
         });
 
@@ -446,14 +446,14 @@ mod tests {
         // bit-match the unsharded oracle (the half-warm caches were reset,
         // not trusted). Before the fix this `with` panicked forever on
         // "pool lock poisoned".
-        let mut octx = QueryContext::new().with_kernel(QueryKernel::Batched);
+        let mut octx = QueryContext::new().with_kernel(QueryKernel::Wide512);
         let want = rq.estimate_with(&mut octx, &oracle, &q).unwrap();
         for round in 0..3 {
             let got = pool
                 .with(|ctx| {
                     assert_eq!(
                         ctx.query.kernel(),
-                        QueryKernel::Batched,
+                        QueryKernel::Wide512,
                         "kernel pin must survive recovery"
                     );
                     router.estimate_range(&rq, &st, ctx, &q)

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
-const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Batched, QueryKernel::Wide];
+const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512];
 
 fn assert_bit_identical(oracle: &Estimate, routed: &Estimate, label: &str) {
     assert_eq!(
@@ -156,8 +156,8 @@ fn topology_changes_preserve_answers_1d_2d() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn topology_changes_preserve_answers_multiblock() {
-    // 67 instances straddle the 64-lane block width; 150 in 3-d stresses
-    // the wide kernel's partial tail blocks through the rebuilt shards.
+    // 67 instances straddle one backing word of a block; 150 in 3-d
+    // stresses the wide kernels' partial tail blocks through the rebuilt shards.
     for (i, kind) in KINDS.into_iter().enumerate() {
         rebalance_config::<2>(kind, 67, 720 + i as u64);
         rebalance_config::<3>(kind, 150, 730 + i as u64);

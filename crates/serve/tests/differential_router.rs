@@ -25,7 +25,7 @@ use sketch::{Estimate, QueryContext, QueryKernel, RangeQuery, RangeStrategy, Ske
 
 const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
-const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Batched, QueryKernel::Wide];
+const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512];
 
 fn assert_bit_identical(oracle: &Estimate, routed: &Estimate, label: &str) {
     assert_eq!(
@@ -176,8 +176,8 @@ fn range_router_agrees_1d_2d() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn range_router_agrees_multiblock() {
-    // 67 instances straddle the 64-lane block width; 150 in 3-d stresses
-    // the wide kernel's partial tail blocks through the merged view.
+    // 67 instances straddle one backing word of a block; 150 in 3-d
+    // stresses the wide kernels' partial tail blocks through the merged view.
     for (i, kind) in KINDS.into_iter().enumerate() {
         range_config::<2>(kind, 67, 520 + i as u64);
         range_config::<3>(kind, 150, 530 + i as u64);

@@ -34,7 +34,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Batched, QueryKernel::Wide];
+const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512];
 const BATCH_SIZES: [usize; 3] = [1, 7, 64];
 
 /// A served fixture: range + join estimators over three sharded stores
@@ -177,7 +177,7 @@ fn kernel_batch_matrix(fx: &Fixture, kernels: &[QueryKernel], sizes: &[usize]) {
 #[test]
 fn networked_batches_bit_match_router_small() {
     let fx = fixture(901);
-    kernel_batch_matrix(&fx, &[QueryKernel::Batched], &[1, 7]);
+    kernel_batch_matrix(&fx, &[QueryKernel::Wide], &[1, 7]);
 }
 
 #[test]
@@ -595,7 +595,7 @@ fn coalescing_case(fx: &Fixture, kernel: QueryKernel, clients: usize, rounds: us
 #[test]
 fn cross_connection_coalescing_is_bit_identical_small() {
     let fx = fixture(911);
-    coalescing_case(&fx, QueryKernel::Batched, 4, 5);
+    coalescing_case(&fx, QueryKernel::Wide, 4, 5);
 }
 
 #[test]
