@@ -4,9 +4,8 @@
 //! for the spatial join (counter-product combine) and the range query
 //! (query-side ξ evaluation against maintained counters) across instance
 //! counts and the full kernel matrix: scalar oracle, 256-lane wide and
-//! 512-lane wide — plus the multi-query batch kernel
-//! (`estimate_batch_with`) at batch sizes 1/8/64 over a serving-shaped hot
-//! set. The build-side twin lives in `update_throughput`/`xi_throughput`.
+//! 512-lane wide — plus the batch entry point (`estimate_batch_with`) at
+//! batch sizes 1/8/64 over a serving-shaped hot set. The build-side twin lives in `update_throughput`/`xi_throughput`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use geometry::{HyperRect, Interval};
@@ -90,10 +89,9 @@ fn bench_estimators(c: &mut Criterion) {
     }
     group.finish();
 
-    // Multi-query batches over a recurring hot set: the first call merges
-    // the cold queries into one sweep, later calls read each plan's
-    // query-product memo (throughput counts queries, so ns/query
-    // amortization shows directly).
+    // Batches over a recurring hot set: the first call evaluates each cold
+    // query's covers, later calls read each plan's query-product memo
+    // (throughput counts queries, so ns/query amortization shows directly).
     let mut group = c.benchmark_group("estimate_range_batch_2d");
     let (k1, k2) = (203usize, 5usize);
     let mut rng = StdRng::seed_from_u64(13);

@@ -19,7 +19,7 @@
 //! latency (measured over anchor; per-frame overhead with nothing to
 //! amortize it) and 64-connection wire QPS with and without the
 //! coalescing window (anchor over measured, so a *drop* fails — the
-//! multiplexer's headline number). The multi-query batch kernel's
+//! multiplexer's headline number). The batch entry point's
 //! `batchq` record is guarded three times: amortized batch-64 ns/query
 //! against its anchor, and — machine-independently, tolerance 0 — two
 //! ratios measured within the run: the batch-64-over-batch-1 speedup
@@ -27,7 +27,7 @@
 //! stops paying at least 1.5x, the batch path or its dedup broke, whatever
 //! the runner), and the adaptive-`maxLevel` warm-over-cold ns/query ratio
 //! against a hard 5.1x floor (if a hot plan's query-product memo stops
-//! saving at least 5.1x over a cold compile-and-sweep, the memo path
+//! saving at least 5.1x over a cold compile-and-fill, the memo path
 //! regressed or stopped being used). The elastic-topology `rebalance`
 //! record is guarded three ways: split wall time and worst ingest cutover
 //! pause against their anchors (net-width tolerance — both are
@@ -73,7 +73,7 @@ const DEFAULT_TOLERANCE: f64 = 0.25;
 /// more across CI runners than the arithmetic kernels (see module docs).
 const NET_TOLERANCE: f64 = 1.0;
 
-/// Minimum batch-64-over-batch-1 speedup the multi-query kernel must keep
+/// Minimum batch-64-over-batch-1 speedup the batch entry point must keep
 /// paying. Machine-independent (both sides measured in the same run), so
 /// it is enforced with zero tolerance.
 const BATCH_SPEEDUP_FLOOR: f64 = 1.5;

@@ -19,11 +19,11 @@
 //! end-to-end — connection counts 1/8/64 at batch-of-1 frames × the
 //! cross-connection coalescing window off/on (200 µs), plus the legacy
 //! 2-client × batch-8 continuity point, recording p50/p99/p999 round-trip
-//! latency, wire QPS and realized sweeps per configuration, with epoch
+//! latency, wire QPS and realized worker passes per configuration, with epoch
 //! churn running throughout (server knobs come from the probe, not the
 //! `SKETCH_NET_REACTORS` / `SKETCH_NET_COALESCE_US` env vars, except the
 //! reactor count which honors the env default); `--probe batchq`
-//! measures the multi-query batch kernel — amortized ns/query of
+//! measures the batch entry point — amortized ns/query of
 //! `estimate_batch_with` at batch sizes 1/8/64 over a serving-shaped hot
 //! set, with the plan-cache hit/miss/eviction counters reported next to
 //! the dispatch decision; `--probe rebalance` measures the elastic

@@ -492,7 +492,7 @@ pub struct NetConfigPoint {
     pub served: u64,
     /// Queries shed at admission during the run.
     pub shed: u64,
-    /// Kernel sweeps the workers ran — `served / batches` is the realized
+    /// Worker passes the workers ran — `served / batches` is the realized
     /// coalescing factor (queries amortized per context pass).
     pub batches: u64,
 }
@@ -790,7 +790,7 @@ pub struct BatchPoint {
 /// The `--probe batchq` sweep's warm-vs-cold pair on an adaptive-`maxLevel`
 /// sketch, the configuration the serving benchmark uses: the same batch
 /// shape answered from query-product memos (a recurring hot set) and from
-/// never-repeating queries (every plan compiled and merged fresh).
+/// never-repeating queries (every plan compiled and its covers evaluated).
 #[derive(serde::Serialize)]
 pub struct AdaptiveBatchPoints {
     /// The §6.5 adaptive `maxLevel` the sketch was built with.
@@ -802,14 +802,14 @@ pub struct AdaptiveBatchPoints {
     /// product per instance.
     pub warm_ns_per_query: f64,
     /// Amortized latency per query when no query ever repeats: plan
-    /// compiles, one merged cover sweep per batch, LRU churn.
+    /// compiles, one per-plan cover fill per query, LRU churn.
     pub cold_ns_per_query: f64,
     /// `cold_ns_per_query / warm_ns_per_query`: how much a warm query
     /// saves over a cold one.
     pub speedup_warm_over_cold: f64,
 }
 
-/// The `--probe batchq` record: multi-query batch kernel throughput vs the
+/// The `--probe batchq` record: batch entry-point throughput vs the
 /// sequential single-query path, over a serving-shaped hot set.
 #[derive(serde::Serialize)]
 pub struct BatchProbeRecord {
@@ -834,7 +834,7 @@ pub struct BatchProbeRecord {
     pub speedup_b64_over_b1: f64,
     /// Plan-cache counters accumulated across the `points` sweep.
     pub plan_cache: PlanCacheMeta,
-    /// Warm (memo) vs cold (merged sweep) on an adaptive-`maxLevel` sketch.
+    /// Warm (memo) vs cold (per-plan fill) on an adaptive-`maxLevel` sketch.
     pub adaptive: AdaptiveBatchPoints,
 }
 
@@ -854,14 +854,14 @@ fn batchq_queries(rects: &[geometry::HyperRect<2>]) -> Vec<BatchQuery<2>> {
         .collect()
 }
 
-/// Multi-query batch throughput: amortized ns/query of
+/// Batch throughput: amortized ns/query of
 /// `estimate_batch_with` at batch sizes 1/8/64 over a 32-query hot set
 /// (the shape the TCP front-end's `max_batch` drain produces), on the same
 /// sketch configuration as the net probe so the records compose. Batch 1
 /// routes through the sequential single-query path, so
 /// `speedup_b64_over_b1` is exactly the batching win. A second,
 /// adaptive-`maxLevel` sketch times batch-8 calls warm (hot set, memos
-/// filled) and cold (never-repeating queries, merged sweep). Appends a
+/// filled) and cold (never-repeating queries, per-plan fills). Appends a
 /// record to `results/perf_probe.json`.
 pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
     let bits = 14u32;

@@ -24,8 +24,8 @@ use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
 use crate::estimators::SketchConfig;
 use crate::query::{
-    MultiQueryPlan, PartialEstimate, PlanKey, PlanRef, QueryContext, QueryKernel, XiQueryPlan,
-    XiWordTerm, PLAN_CLASS_OVERLAP, PLAN_CLASS_STAB,
+    PartialEstimate, PlanKey, PlanRef, QueryContext, XiQueryPlan, XiWordTerm, PLAN_CLASS_OVERLAP,
+    PLAN_CLASS_STAB,
 };
 use crate::schema::{DimSpec, SketchSchema};
 use dyadic::{interval_cover, point_cover};
@@ -46,11 +46,11 @@ pub enum RangeStrategy {
     Transform,
 }
 
-/// One query of a multi-query batch: either an overlap range query
+/// One query of a batch: either an overlap range query
 /// ([`RangeQuery::estimate_with`] semantics) or a stabbing count
 /// ([`RangeQuery::estimate_stab_with`] semantics). Both classes reduce to
-/// dyadic-cover sums over the same maintained sketch, so a mixed batch
-/// shares one kernel sweep.
+/// dyadic-cover sums over the same maintained sketch, so one
+/// [`RangeQuery::estimate_batch_with`] call answers a mixed batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchQuery<const D: usize> {
     /// Count objects whose intersection with the rect is full-dimensional.
@@ -345,21 +345,17 @@ impl<const D: usize> RangeQuery<D> {
         Ok(ctx.xi_partial(&plan, sketch))
     }
 
-    /// Answers a whole batch of range/stab queries, sharing work across it.
-    /// Warm queries (plan-cache hits) are answered from their plans'
-    /// query-product memos — one counter dot product each. Two or more cold
-    /// queries are merged fresh into a `MultiQueryPlan` whose per-dimension
-    /// worklists deduplicate shared cover cells, and answered in **one
-    /// kernel sweep**: each unique cell pays one ξ evaluation per instance
-    /// block and only a cheap carry-save fold per owning query. Every answer
-    /// is **bit-identical** to the corresponding single-query call
-    /// (`estimate_with` / `estimate_stab_with`) — exact `i64` lane sums
-    /// make sharing free, and per-query f64 term order is preserved.
+    /// Answers a whole batch of range/stab queries. The batch validates
+    /// every query, answers each distinct query once, and clones the answer
+    /// into its duplicates; each distinct query runs the same per-plan fill
+    /// as [`RangeQuery::estimate_with`] / [`RangeQuery::estimate_stab_with`]
+    /// — a warm plan answers from its query-product memo (one counter dot
+    /// product), a cold one evaluates its own dyadic covers. Every answer is
+    /// therefore **bit-identical** to the corresponding single-query call,
+    /// at every kernel.
     ///
     /// Per-query failures (domain overflow) fail only that slot; degenerate
-    /// rects yield zero estimates; duplicate queries are answered once and
-    /// cloned. Batches on the scalar kernel take the sequential per-query
-    /// path, which doubles as the differential oracle.
+    /// rects yield zero estimates.
     pub fn estimate_batch_with(
         &self,
         ctx: &mut QueryContext,
@@ -410,33 +406,15 @@ impl<const D: usize> RangeQuery<D> {
             });
             outcomes.push(Outcome::Unique(u));
         }
-        let plans: Vec<PlanRef<D>> = uniques
+        let estimates: Vec<Estimate> = uniques
             .into_iter()
-            .map(|(key, q)| match q {
-                BatchQuery::Range(rect) => ctx.plan_for(key, || self.overlap_plan(&rect)),
-                BatchQuery::Stab(p) => ctx.plan_for(key, || self.stab_plan(&p)),
+            .map(|(key, q)| {
+                let plan = match q {
+                    BatchQuery::Range(rect) => ctx.plan_for(key, || self.overlap_plan(&rect)),
+                    BatchQuery::Stab(p) => ctx.plan_for(key, || self.stab_plan(&p)),
+                };
+                ctx.xi_estimate(&plan, sketch)
             })
-            .collect();
-        let mut estimates: Vec<Option<Estimate>> = vec![None; plans.len()];
-        // Cold plans share one merged sweep; a lone cold plan, warm plans
-        // and the scalar oracle take the single-query fill.
-        let cold: Vec<usize> = (0..plans.len()).filter(|&u| !plans[u].hit).collect();
-        let kernel = ctx.kernel().resolve(self.schema.instances());
-        if kernel != QueryKernel::Scalar && cold.len() > 1 {
-            let merged = MultiQueryPlan::merge(
-                &cold
-                    .iter()
-                    .map(|&u| &*plans[u].plan)
-                    .collect::<Vec<&XiQueryPlan<D>>>(),
-            );
-            for (&u, est) in cold.iter().zip(ctx.multi_xi_estimate(&merged, sketch)) {
-                estimates[u] = Some(est);
-            }
-        }
-        let estimates: Vec<Estimate> = plans
-            .iter()
-            .zip(estimates)
-            .map(|(plan, est)| est.unwrap_or_else(|| ctx.xi_estimate(plan, sketch)))
             .collect();
         outcomes
             .into_iter()
@@ -605,13 +583,17 @@ mod tests {
         let cold_a = rq.estimate_with(&mut ctx, &sk, &q_a).unwrap();
         let cold_b = rq.estimate_with(&mut ctx, &sk, &q_b).unwrap();
         let cold_p = rq.estimate_stab_with(&mut ctx, &sk, &p).unwrap();
-        assert_eq!(ctx.plan_cache_stats(), (0, 3), "three distinct plans");
+        let counts = |ctx: &QueryContext| {
+            let single = ctx.plan_cache_report().single;
+            (single.hits, single.misses)
+        };
+        assert_eq!(counts(&ctx), (0, 3), "three distinct plans");
 
         // Repeats hit the cache and return bit-identical estimates.
         let warm_a = rq.estimate_with(&mut ctx, &sk, &q_a).unwrap();
         let warm_b = rq.estimate_with(&mut ctx, &sk, &q_b).unwrap();
         let warm_p = rq.estimate_stab_with(&mut ctx, &sk, &p).unwrap();
-        assert_eq!(ctx.plan_cache_stats(), (3, 3));
+        assert_eq!(counts(&ctx), (3, 3));
         assert_eq!(cold_a.value.to_bits(), warm_a.value.to_bits());
         assert_eq!(cold_a.row_means, warm_a.row_means);
         assert_eq!(cold_b.value.to_bits(), warm_b.value.to_bits());
@@ -624,7 +606,7 @@ mod tests {
         // plan class, never a false hit: q_a's plan stays untouched.
         let q_point_like = [q_a.range(0).lo(), q_a.range(1).lo()];
         let _ = rq.estimate_stab_with(&mut ctx, &sk, &q_point_like).unwrap();
-        assert_eq!(ctx.plan_cache_stats(), (3, 4));
+        assert_eq!(counts(&ctx), (3, 4));
     }
 
     #[test]

@@ -70,13 +70,23 @@
 //!   unchanged. [`QueryKernel::Scalar`] never reads a memo and stays the
 //!   oracle (`crates/core/tests/batch_differential.rs` checks cold, filling
 //!   and warm rounds against it).
+//!
+//! ## Batches
+//!
+//! A range/stab batch ([`crate::RangeQuery::estimate_batch_with`]) is only
+//! validation and exact-duplicate dedup in front of this module's one
+//! per-plan fill: each distinct query looks its plan up, then answers from
+//! the memo, fills it, or evaluates its own covers into scratch, exactly as
+//! a single query does. There is no cross-query kernel: real queries share
+//! too few cover cells for a merged sweep to pay for its per-batch merge
+//! and per-slot counters (DESIGN.md "Batch path" has the measurements).
 
 use crate::atomic::SketchSet;
 use crate::boost::{mean_median_with, Estimate};
 use crate::estimator::Term;
 use crate::kernel::{self, Width};
 use crate::schema::{BoostShape, SchemaLanes, SketchSchema};
-use fourwise::{BlockSums, IndexPre, MultiBlockSums, WideLane, WideLane512};
+use fourwise::{BlockSums, IndexPre, WideLane, WideLane512};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -186,9 +196,9 @@ pub struct PlanCacheReport {
     /// The single-query `XiQueryPlan` LRU.
     pub single: PlanCacheStats,
     /// Always zero. This reported a second LRU of merged batch plans, which
-    /// the memos made redundant: warm batch queries are answered from their
-    /// memos and cold ones are merged fresh per batch. The field stays so
-    /// existing readers of the report keep compiling.
+    /// the memos made redundant: batch queries look up and fill the same
+    /// single-query plans. The field stays so existing readers of the
+    /// report keep compiling.
     pub multi: PlanCacheStats,
     /// The cached plans' query-product memos.
     pub memo: PlanMemoStats,
@@ -318,7 +328,7 @@ thread_local! {
 /// the boosting buffers, and the compiled-plan cache. Construction-free to
 /// share across dimensionalities — one context can serve a 2-d join and a
 /// 4-d containment estimator back to back.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryContext {
     kernel: QueryKernel,
     /// Atomic estimates, instance-major (`atomic[row * k1 + col]`).
@@ -331,30 +341,8 @@ pub struct QueryContext {
     sums: SumBanks,
     /// A cold plan's query products (term-major), recomputed per call.
     qprod: Vec<i64>,
-    /// The multi-query kernel's slot banks, one per lane width.
-    msums_wide: MultiBlockSums<WideLane>,
-    msums_wide512: MultiBlockSums<WideLane512>,
-    /// Multi-query atomic grids, query-major (`atomic_multi[q * instances + i]`).
-    atomic_multi: Vec<f64>,
     /// Compiled query plans, memoized per (schema, query).
     plans: PlanCache,
-}
-
-impl Default for QueryContext {
-    fn default() -> Self {
-        Self {
-            kernel: QueryKernel::default(),
-            atomic: Vec::new(),
-            rows: Vec::new(),
-            med: Vec::new(),
-            sums: SumBanks::default(),
-            qprod: Vec::new(),
-            msums_wide: MultiBlockSums::new(),
-            msums_wide512: MultiBlockSums::new(),
-            atomic_multi: Vec::new(),
-            plans: PlanCache::default(),
-        }
-    }
 }
 
 impl QueryContext {
@@ -379,13 +367,6 @@ impl QueryContext {
     /// estimate from the sketch's schema).
     pub fn kernel(&self) -> QueryKernel {
         self.kernel
-    }
-
-    /// Compiled-plan cache statistics as `(hits, misses)` since the context
-    /// was created. A repeated query hitting the cache skips query-side
-    /// cover compilation entirely.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (self.plans.stats.hits, self.plans.stats.misses)
     }
 
     /// Hit/miss/eviction counters of the plan cache and the fill, reuse,
@@ -510,49 +491,6 @@ impl QueryContext {
     ) -> Estimate {
         self.xi_fill(plan, sketch);
         self.boost(sketch.schema().shape())
-    }
-
-    /// Multi-query combine: fills every merged query's atomic grid in one
-    /// blocked pass over the sketch and boosts each, in merge order. Only
-    /// the blocked kernels reach this — the batch entry points answer
-    /// [`QueryKernel::Scalar`] batches through the sequential per-query
-    /// oracle instead.
-    pub(crate) fn multi_xi_estimate<const D: usize>(
-        &mut self,
-        plan: &MultiQueryPlan<D>,
-        sketch: &SketchSet<D>,
-    ) -> Vec<Estimate> {
-        let shape = sketch.schema().shape();
-        let instances = shape.instances();
-        let nq = plan.queries.len();
-        self.atomic_multi.clear();
-        self.atomic_multi.resize(nq * instances, 0.0);
-        match self.kernel.resolve(instances) {
-            QueryKernel::Wide => multi_xi_fill_blocked::<WideLane, D>(
-                plan,
-                sketch,
-                &mut self.atomic_multi,
-                &mut self.msums_wide,
-            ),
-            QueryKernel::Wide512 => multi_xi_fill_blocked::<WideLane512, D>(
-                plan,
-                sketch,
-                &mut self.atomic_multi,
-                &mut self.msums_wide512,
-            ),
-            QueryKernel::Scalar => unreachable!("scalar batches take the sequential oracle path"),
-            QueryKernel::Auto => unreachable!("resolve() never returns Auto"),
-        }
-        let mut out = Vec::with_capacity(nq);
-        for q in 0..nq {
-            let grid = &self.atomic_multi[q * instances..(q + 1) * instances];
-            let value = mean_median_with(grid, shape.k1, shape.k2, &mut self.rows, &mut self.med);
-            out.push(Estimate {
-                value,
-                row_means: self.rows.clone(),
-            });
-        }
-        out
     }
 
     /// Query-side combine, returned unboosted as a shard-mergeable
@@ -698,96 +636,6 @@ impl<const D: usize> XiQueryPlan<D> {
     /// Largest per-dimension list count (the slot stride of the lane bank).
     fn max_slots(&self) -> usize {
         self.lists.iter().map(Vec::len).max().unwrap_or(0)
-    }
-}
-
-/// One dimension's merged cover worklist: every merged query's cover cells
-/// in that dimension, deduplicated and sorted by index, with a CSR
-/// ownership table fanning each cell back out to the dim-local slots whose
-/// lists contain it.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MultiDimList {
-    /// Unique cover cells, ascending by index.
-    pub cells: Vec<IndexPre>,
-    /// CSR offsets: cell `i` owns `owners[owner_off[i]..owner_off[i + 1]]`.
-    pub owner_off: Vec<u32>,
-    /// Dim-local slot ids, multiplicity-preserving (a cell listed twice in
-    /// one list appears twice).
-    pub owners: Vec<u32>,
-    /// Total dim-local slots (Σ over merged plans of their list counts).
-    pub slots: usize,
-}
-
-/// A batch of compiled single-query plans merged into one deduplicated,
-/// sorted worklist per dimension: shared cover cells across the batch are
-/// evaluated **once** per instance block by [`MultiBlockSums`], and each
-/// query's word terms index its own slots of the shared bank.
-#[derive(Debug, Clone)]
-pub(crate) struct MultiQueryPlan<const D: usize> {
-    /// Per-dimension merged worklists.
-    pub dims: [MultiDimList; D],
-    /// Per merged query (in merge order), its word terms with slot ids
-    /// rebased onto the dim-local slot space.
-    pub queries: Vec<Vec<XiWordTerm<D>>>,
-}
-
-impl<const D: usize> MultiQueryPlan<D> {
-    /// Merges single-query plans (all compiled against the same schema)
-    /// into one worklist. Slot assignment is sequential per (plan, list) in
-    /// plan order, so term evaluation order inside each query — and hence
-    /// its f64 rounding — is unchanged from the single-query path.
-    pub(crate) fn merge(plans: &[&XiQueryPlan<D>]) -> Self {
-        let mut dims: [MultiDimList; D] = std::array::from_fn(|_| MultiDimList::default());
-        let mut slot_base = vec![[0usize; D]; plans.len()];
-        for (p, plan) in plans.iter().enumerate() {
-            for (d, dim) in dims.iter_mut().enumerate() {
-                slot_base[p][d] = dim.slots;
-                dim.slots += plan.lists[d].len();
-            }
-        }
-        for (d, dim) in dims.iter_mut().enumerate() {
-            // (index, cube, slot) triples; cube is a pure function of index
-            // (per dimension), so sorting by the full triple groups equal
-            // cells into runs with identical cubes.
-            let mut pairs: Vec<(u64, u64, u32)> = Vec::new();
-            for (p, plan) in plans.iter().enumerate() {
-                for (l, list) in plan.lists[d].iter().enumerate() {
-                    let slot = (slot_base[p][d] + l) as u32;
-                    for pre in list {
-                        pairs.push((pre.index, pre.cube, slot));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            for (index, cube, slot) in pairs {
-                if dim.cells.last().map(|c| c.index) != Some(index) {
-                    dim.cells.push(IndexPre { index, cube });
-                    dim.owner_off.push(dim.owners.len() as u32);
-                }
-                dim.owners.push(slot);
-            }
-            dim.owner_off.push(dim.owners.len() as u32);
-        }
-        let queries = plans
-            .iter()
-            .enumerate()
-            .map(|(p, plan)| {
-                plan.terms
-                    .iter()
-                    .map(|t| XiWordTerm {
-                        word: t.word,
-                        slots: std::array::from_fn(|d| slot_base[p][d] + t.slots[d]),
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { dims, queries }
-    }
-
-    /// Unique cover cells across all dimensions (diagnostics / tests).
-    #[cfg(test)]
-    pub(crate) fn unique_cells(&self) -> usize {
-        self.dims.iter().map(|d| d.cells.len()).sum()
     }
 }
 
@@ -956,68 +804,6 @@ fn xi_combine<const D: usize>(
         for ((z, &q), row) in out.iter_mut().zip(q).zip(rows.clone()) {
             *z += prod_f64(q, row[term.word]);
         }
-    }
-}
-
-/// Fills every merged query's atomic grid in one blocked pass: per instance
-/// block, each dimension's merged worklist is evaluated once into the shared
-/// slot bank (one `eval_mask` per unique cell, carry-save fan-out per
-/// owner), then each query's word terms combine its slots' per-lane sums
-/// with the block's contiguous counter rows. `out` is query-major
-/// (`out[q * instances + inst]`).
-///
-/// Bit-identity: per-lane sums are exact `i64`s, so sharing cell
-/// evaluations cannot change them; per query, terms accumulate in plan
-/// order and slot products fold in dimension order — the same f64 operation
-/// sequence as [`xi_products`] + [`xi_combine`], hence as the scalar oracle.
-pub(crate) fn multi_xi_fill_blocked<L: SchemaLanes, const D: usize>(
-    plan: &MultiQueryPlan<D>,
-    sketch: &SketchSet<D>,
-    out: &mut [f64],
-    sums: &mut MultiBlockSums<L>,
-) {
-    let schema = sketch.schema();
-    let instances = schema.instances();
-    let w = sketch.words().len();
-    let counters = sketch.counters();
-    let mut base = [0usize; D];
-    let mut total = 0usize;
-    for (d, dim) in plan.dims.iter().enumerate() {
-        base[d] = total;
-        total += dim.slots;
-    }
-    sums.reserve_slots(total);
-    let mut filled = 0usize;
-    let mut b = 0usize;
-    while filled < instances {
-        let inst0 = b * L::LANES;
-        let lanes = L::seed_blocks(schema, 0)[b].lanes();
-        for (d, dim) in plan.dims.iter().enumerate() {
-            let xb = &L::seed_blocks(schema, d)[b];
-            sums.eval_worklist(
-                xb,
-                &dim.cells,
-                &dim.owner_off,
-                &dim.owners,
-                base[d],
-                dim.slots,
-            );
-        }
-        let cb = &counters[inst0 * w..(inst0 + lanes) * w];
-        for (q, terms) in plan.queries.iter().enumerate() {
-            let z = &mut out[q * instances + filled..q * instances + filled + lanes];
-            z.fill(0.0);
-            for t in terms {
-                let word = t.word;
-                let ids: [usize; D] = std::array::from_fn(|d| base[d] + t.slots[d]);
-                let qv = sums.slot_products(&ids, lanes);
-                for (lane, slot) in z.iter_mut().enumerate() {
-                    *slot += prod_f64(qv[lane], cb[lane * w + word]);
-                }
-            }
-        }
-        filled += lanes;
-        b += 1;
     }
 }
 
@@ -1295,45 +1081,25 @@ mod tests {
     }
 
     #[test]
-    fn multi_plan_merge_bit_matches_single_plans() {
+    fn blocked_products_bit_match_scalar_oracle() {
+        // Cover cells shared across plans and a duplicate inside one list:
+        // per-plan products, then the combine, reproduce the oracle's grid.
         let (sk, plans) = synthetic_plans(210, 3);
-        let merged = MultiQueryPlan::merge(&plans.iter().collect::<Vec<_>>());
-        assert_eq!(merged.queries.len(), 3);
-        // Dedup really happened: unique cells < total list entries.
-        let total: usize = plans
-            .iter()
-            .flat_map(|p| p.lists.iter().flatten())
-            .map(Vec::len)
-            .sum();
-        assert!(merged.unique_cells() < total, "{} cells", total);
+        check::<fourwise::WideLane>(&plans, &sk);
+        check::<fourwise::WideLane512>(&plans, &sk);
 
-        let instances = sk.schema().instances();
-        check::<fourwise::WideLane>(&plans, &merged, &sk, instances);
-        check::<fourwise::WideLane512>(&plans, &merged, &sk, instances);
-
-        fn check<L: SchemaLanes>(
-            plans: &[XiQueryPlan<2>],
-            merged: &MultiQueryPlan<2>,
-            sk: &SketchSet<2>,
-            instances: usize,
-        ) {
-            let mut multi_out = vec![0.0f64; plans.len() * instances];
-            let mut msums = MultiBlockSums::<L>::new();
-            multi_xi_fill_blocked::<L, 2>(merged, sk, &mut multi_out, &mut msums);
+        fn check<L: SchemaLanes>(plans: &[XiQueryPlan<2>], sk: &SketchSet<2>) {
+            let instances = sk.schema().instances();
             let mut sums = BlockSums::<L>::new();
             for (q, plan) in plans.iter().enumerate() {
-                // The single-plan blocked path (products, then combine) and
-                // the scalar oracle agree with the merged fill.
                 let mut products = vec![0i64; plan.terms.len() * instances];
                 xi_products::<L, 2>(plan, sk.schema(), &mut sums, &mut products);
-                let mut single = vec![0.0f64; instances];
-                xi_combine(&plan.terms, &products, sk, &mut single);
+                let mut blocked = vec![0.0f64; instances];
+                xi_combine(&plan.terms, &products, sk, &mut blocked);
                 let mut scalar = vec![0.0f64; instances];
                 xi_fill_scalar(plan, sk, 0, &mut scalar);
-                let multi = &multi_out[q * instances..(q + 1) * instances];
-                for (i, ((a, b), c)) in single.iter().zip(multi).zip(&scalar).enumerate() {
+                for (i, (a, b)) in blocked.iter().zip(&scalar).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "query {q} instance {i}");
-                    assert_eq!(c.to_bits(), b.to_bits(), "scalar query {q} instance {i}");
                 }
             }
         }
@@ -1351,22 +1117,25 @@ mod tests {
     fn plan_cache_hits_refresh_and_evict_lru() {
         let mut ctx = QueryContext::new();
         let key = |i: u64| PlanKey::new(i, PLAN_CLASS_OVERLAP, vec![i, i + 1]);
+        let counts = |ctx: &QueryContext| {
+            let single = ctx.plan_cache_report().single;
+            (single.hits, single.misses)
+        };
         // Fill past capacity; every insert is a miss.
         for i in 0..(PLAN_CACHE_CAPACITY as u64 + 4) {
             let _ = ctx.plan_for::<1>(key(i), XiQueryPlan::default);
         }
-        assert_eq!(ctx.plan_cache_stats(), (0, PLAN_CACHE_CAPACITY as u64 + 4));
+        assert_eq!(counts(&ctx), (0, PLAN_CACHE_CAPACITY as u64 + 4));
         // The oldest entries were evicted, the newest survive.
         let _ = ctx.plan_for::<1>(key(0), XiQueryPlan::default);
-        assert_eq!(ctx.plan_cache_stats().1, PLAN_CACHE_CAPACITY as u64 + 5);
+        assert_eq!(counts(&ctx).1, PLAN_CACHE_CAPACITY as u64 + 5);
         let _ = ctx.plan_for::<1>(key(PLAN_CACHE_CAPACITY as u64 + 3), XiQueryPlan::default);
-        assert_eq!(ctx.plan_cache_stats().0, 1);
+        assert_eq!(counts(&ctx).0, 1);
         // Same coords under a different class or schema are distinct plans.
         let _ = ctx.plan_for::<1>(
             PlanKey::new(7, PLAN_CLASS_STAB, vec![7, 8]),
             XiQueryPlan::default,
         );
-        let (hits, misses) = ctx.plan_cache_stats();
-        assert_eq!((hits, misses), (1, PLAN_CACHE_CAPACITY as u64 + 6));
+        assert_eq!(counts(&ctx), (1, PLAN_CACHE_CAPACITY as u64 + 6));
     }
 }

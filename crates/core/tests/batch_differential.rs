@@ -1,23 +1,23 @@
-//! Differential suite: the multi-query batch kernel against the sequential
+//! Differential suite: the batch entry point against the sequential
 //! single-query oracle.
 //!
-//! `RangeQuery::estimate_batch_with` merges a batch's unique queries into
-//! one deduplicated dyadic-cover worklist and answers them in a single
-//! sweep per instance block. Exact `i64` lane sums make the cell sharing
-//! free and per-query f64 term order is preserved, so every batched answer
-//! must be **bit-identical** — boosted value *and* every row mean — to the
-//! corresponding single-query call, across both ξ constructions, dims 1–3,
-//! batch sizes 1/7/64, every kernel width, and batches containing
-//! overlapping rects, exact duplicates, stabs at shared data corners,
-//! degenerate rects and out-of-domain failures.
+//! `RangeQuery::estimate_batch_with` validates a batch, answers each
+//! distinct query once through the same per-plan fill the single-query
+//! calls run, and clones the answer into its duplicates. Every batched
+//! answer must be **bit-identical** — boosted value *and* every row mean —
+//! to the corresponding single-query call, across both ξ constructions,
+//! dims 1–3, batch sizes 1/7/64 and one batch larger than the plan cache,
+//! every kernel width, and batches containing overlapping rects, exact
+//! duplicates, stabs at shared data corners, degenerate rects and
+//! out-of-domain failures.
 //!
 //! Each kernel answers every batch in three rounds — cold (plan-cache
-//! misses: the merged sweep), the first hit (which fills each plan's
-//! query-product memo) and warm (answered from the memos) — then a batch
-//! mixing warm and brand-new queries, and the shard-partial entry points
-//! after warm-up. Every round must match the scalar oracle bit for bit, and
-//! the memo counters must show exactly one fill per unique query, all of
-//! them in the first-hit round.
+//! misses: each plan's covers evaluated into scratch), the first hit (which
+//! fills each plan's query-product memo) and warm (answered from the memos)
+//! — then a batch mixing warm and brand-new queries, and the shard-partial
+//! entry points after warm-up. Every round must match the scalar oracle bit
+//! for bit, and the memo counters must show exactly one fill per unique
+//! query, all of them in the first-hit round.
 //!
 //! Heavyweight cases (batch 64, multi-block 3-d) are gated to the
 //! `tests-release` lane with `#[cfg_attr(debug_assertions, ignore)]`,
@@ -182,7 +182,7 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
         let uniques = live_uniques(&batch, &want) as u64;
         // Half of the mixed batch repeats the (by then warm) batch; the other
         // half is new: fresh rects plus a stab, so at least two cold queries
-        // take the merged sweep.
+        // sit beside the warm ones.
         let mut mixed: Vec<BatchQuery<D>> = batch[..n.div_ceil(2)].to_vec();
         mixed.extend(
             rand_rects::<D>(&mut rng, n.div_ceil(2).max(2) - 1, 255)
@@ -230,8 +230,8 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
             );
 
             // Warm and new queries in one batch: the warm half reads its
-            // memos, the new half is merged cold and fills nothing — until
-            // it repeats.
+            // memos, the new half is evaluated cold and fills nothing —
+            // until it repeats.
             for round in ["mixed", "mixed-again"] {
                 let got = rq.estimate_batch_with(&mut ctx, &sk, &mixed);
                 check_batch(&got, &mixed_want, &format!("{label}/{round}"));
@@ -311,8 +311,8 @@ fn batch_kernels_agree_3d_multiblock() {
 fn batch_long_truncated_covers_match_oracle() {
     // At maxLevel 4 on a 16-bit sketch domain (14 data bits, tripled) a
     // full-domain rect covers thousands of level-4 cells per dimension, far
-    // more than one carry-save counter holds: the merged sweep must fold
-    // such a slot in chunks, exactly like the single-query path.
+    // more than one carry-save counter holds: the blocked fill must fold
+    // such a list in chunks, exactly like the scalar oracle sums it.
     let mut rng = StdRng::seed_from_u64(450);
     let config = SketchConfig {
         kind: XiKind::Bch,
@@ -339,5 +339,84 @@ fn batch_long_truncated_covers_match_oracle() {
             let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
             check_batch(&got, &want, &format!("long-cover/{kernel:?}/{round}"));
         }
+    }
+}
+
+/// Most plans a `QueryContext` caches (its LRU capacity).
+const PLAN_CACHE_CAPACITY: u64 = 64;
+
+#[test]
+fn batch_larger_than_plan_cache_matches_oracle() {
+    // 80 distinct queries (60 rects, 20 stabs) plus duplicates in one batch:
+    // the batch's own lookups evict plans from the 64-entry LRU, including
+    // the memoized plans of a warmed-up prefix, and every answer must still
+    // bit-match the oracle with consistent cache and memo counters.
+    let mut rng = StdRng::seed_from_u64(460);
+    let rq = RangeQuery::<2>::new(
+        &mut rng,
+        SketchConfig::new(67, 1),
+        [8; 2],
+        RangeStrategy::Transform,
+    );
+    let mut sk = rq.new_sketch();
+    sk.insert_slice(&rand_rects::<2>(&mut rng, 60, 255))
+        .unwrap();
+    let mut uniques: Vec<BatchQuery<2>> = Vec::new();
+    let mut seen = HashSet::new();
+    while uniques.len() < 80 {
+        let q = if uniques.len() % 4 == 3 {
+            BatchQuery::Stab(std::array::from_fn(|_| rng.gen_range(0..256u64)))
+        } else {
+            BatchQuery::Range(rand_rects::<2>(&mut rng, 1, 255)[0])
+        };
+        if seen.insert(q) {
+            uniques.push(q);
+        }
+    }
+    let mut batch = uniques.clone();
+    batch.extend_from_slice(&uniques[..8]);
+    batch.extend_from_slice(&uniques[70..]);
+    let mut octx = QueryContext::new().with_kernel(QueryKernel::Scalar);
+    let want: Vec<Result<Estimate>> = batch
+        .iter()
+        .map(|q| oracle(&rq, &mut octx, &sk, q))
+        .collect();
+    assert!(want.iter().all(Result::is_ok));
+    // The largest memo is a rect plan's: 4 terms × 67 instances × 8 bytes.
+    let max_resident = PLAN_CACHE_CAPACITY * 4 * rq.schema().instances() as u64 * 8;
+    for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
+        let label = format!("over-capacity/{kernel:?}");
+        let mut ctx = QueryContext::new().with_kernel(kernel);
+        // Warm the first 8 queries so they carry memos into the batch.
+        for _ in 0..2 {
+            for q in &uniques[..8] {
+                oracle(&rq, &mut ctx, &sk, q).unwrap();
+            }
+        }
+        let mut lookups = 16u64;
+        for round in ["first", "second"] {
+            let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
+            check_batch(&got, &want, &format!("{label}/{round}"));
+            lookups += uniques.len() as u64;
+            let report = ctx.plan_cache_report();
+            assert_eq!(
+                report.single.hits + report.single.misses,
+                lookups,
+                "{label}/{round}: one lookup per unique query"
+            );
+            assert!(
+                report.single.evictions > 0,
+                "{label}/{round}: LRU overflowed"
+            );
+            assert!(
+                report.memo.resident_bytes <= max_resident,
+                "{label}/{round}: {} memo bytes resident",
+                report.memo.resident_bytes
+            );
+        }
+        let memo = ctx.plan_cache_report().memo;
+        assert_eq!(memo.fills, 8, "{label}: only the warmed-up plans filled");
+        assert_eq!(memo.dropped, 8, "{label}: their memos left with them");
+        assert_eq!(memo.resident_bytes, 0, "{label}: no memo outlives its plan");
     }
 }

@@ -345,183 +345,24 @@ impl<L: Lane> BlockSums<L> {
     /// Panics if `slots` is empty or any slot was never evaluated.
     #[inline]
     pub fn slot_products(&mut self, slots: &[usize], lanes: usize) -> &[i64] {
-        slot_products::<L>(&self.sums, &mut self.prod, slots, lanes)
-    }
-}
-
-/// The shared body of [`BlockSums::slot_products`] and
-/// [`MultiBlockSums::slot_products`] over a slot bank `sums` (slot `s` at
-/// `sums[s*L::LANES..]`), with `prod` as the product scratch.
-#[inline]
-fn slot_products<'a, L: Lane>(
-    sums: &'a [i64],
-    prod: &'a mut Vec<i64>,
-    slots: &[usize],
-    lanes: usize,
-) -> &'a [i64] {
-    debug_assert!(lanes <= L::LANES);
-    let (&first, rest) = slots
-        .split_first()
-        .expect("slot_products needs at least one slot");
-    let slot = |s: usize| &sums[s * L::LANES..s * L::LANES + lanes];
-    if rest.is_empty() {
-        return slot(first);
-    }
-    prod.resize(L::LANES, 0);
-    let out = &mut prod[..lanes];
-    out.copy_from_slice(slot(first));
-    for &s in rest {
-        for (p, v) in out.iter_mut().zip(slot(s)) {
-            *p *= *v;
+        debug_assert!(lanes <= L::LANES);
+        let (&first, rest) = slots
+            .split_first()
+            .expect("slot_products needs at least one slot");
+        let sums = &self.sums;
+        let slot = |s: usize| &sums[s * L::LANES..s * L::LANES + lanes];
+        if rest.is_empty() {
+            return slot(first);
         }
-    }
-    out
-}
-
-/// Multi-query accumulator bank: a [`LaneCounter`] *per slot*, fed by a
-/// deduplicated cell worklist, plus the per-lane sum bank the counters
-/// extract into.
-///
-/// The multi-query kernel's analogue of [`BlockSums`]: where `BlockSums`
-/// evaluates one query's cover lists slot by slot (one `eval_mask` per
-/// (cell, slot) pair), a `MultiBlockSums` walks a *merged* worklist of
-/// unique cells once — each cell's sign mask is computed a single time and
-/// folded into every owning slot's counter (ownership in CSR form). Shared
-/// cells across a batch of queries thus pay one ξ evaluation, the expensive
-/// part (`O(k)` lane-word XORs), and only the cheap carry-save fold
-/// (amortized ~2 lane-word ops) per additional owner.
-#[derive(Debug, Clone)]
-pub struct MultiBlockSums<L: Lane = u64> {
-    counters: Vec<LaneCounter<L>>,
-    /// Per slot of the current worklist, whether its counter already
-    /// spilled a full [`LaneCounter::CAPACITY`] fold into `sums`.
-    spilled: Vec<bool>,
-    /// Slot `s` occupies `sums[s*L::LANES..(s+1)*L::LANES]`.
-    sums: Vec<i64>,
-    /// Scratch for [`MultiBlockSums::slot_products`].
-    prod: Vec<i64>,
-}
-
-impl<L: Lane> Default for MultiBlockSums<L> {
-    fn default() -> Self {
-        Self {
-            counters: Vec::new(),
-            spilled: Vec::new(),
-            sums: Vec::new(),
-            prod: Vec::new(),
-        }
-    }
-}
-
-impl<L: Lane> MultiBlockSums<L> {
-    /// Fresh bank with no slots.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ensures at least `slots` counters and sum buffers exist (grow-only).
-    pub fn reserve_slots(&mut self, slots: usize) {
-        if self.counters.len() < slots {
-            self.counters.resize_with(slots, LaneCounter::new);
-        }
-        if self.sums.len() < slots * L::LANES {
-            self.sums.resize(slots * L::LANES, 0);
-        }
-    }
-
-    /// Number of available slots.
-    pub fn slots(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Evaluates a deduplicated worklist against `block`: cell `i`'s sign
-    /// mask is computed **once** and folded into every owner slot
-    /// `base + owners[j]` for `j` in `owner_off[i]..owner_off[i + 1]`
-    /// (owner multiplicity is honored — a cell listed twice for one slot is
-    /// folded twice, exactly like a duplicated list entry). Afterwards the
-    /// per-lane sums of slots `base..base + slots` are extracted, exactly as
-    /// if each slot's cell list had been evaluated with
-    /// [`BlockSums::eval_into`]. Grows the bank as needed.
-    ///
-    /// A slot may own any number of cells: like [`XiBlock::sum_pre_into`],
-    /// a slot whose counter reaches [`LaneCounter::CAPACITY`] folds it into
-    /// its sums and starts a fresh chunk (long truncated covers at a low
-    /// `maxLevel` have thousands of cells).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owner_off` is not a well-formed CSR offset table for
-    /// `cells`/`owners`, or if any owner index is `>= slots`.
-    pub fn eval_worklist(
-        &mut self,
-        block: &XiBlock<L>,
-        cells: &[IndexPre],
-        owner_off: &[u32],
-        owners: &[u32],
-        base: usize,
-        slots: usize,
-    ) {
-        assert_eq!(owner_off.len(), cells.len() + 1, "CSR offsets vs cells");
-        self.reserve_slots(base + slots);
-        let bank = &mut self.counters[base..base + slots];
-        for c in bank.iter_mut() {
-            c.clear();
-        }
-        self.spilled.clear();
-        self.spilled.resize(slots, false);
-        let sums = &mut self.sums[base * L::LANES..(base + slots) * L::LANES];
-        let lanes = block.lanes();
-        // Writes slot `s`'s counter into its sums: the first fold writes,
-        // later ones (after a spill) accumulate.
-        let fold = |counter: &LaneCounter<L>, spilled: bool, s: usize, sums: &mut [i64]| {
-            let out = &mut sums[s * L::LANES..s * L::LANES + lanes];
-            if spilled {
-                counter.signed_sums_accum(out);
-            } else {
-                counter.signed_sums_into(out);
-            }
-        };
-        let words = block.occupied_words();
-        for (i, pre) in cells.iter().enumerate() {
-            let mask = block.eval_mask(*pre);
-            let lo = owner_off[i] as usize;
-            let hi = owner_off[i + 1] as usize;
-            for &owner in &owners[lo..hi] {
-                let s = owner as usize;
-                let counter = &mut bank[s];
-                if counter.len() == LaneCounter::<L>::CAPACITY {
-                    fold(counter, self.spilled[s], s, sums);
-                    self.spilled[s] = true;
-                    counter.clear();
-                }
-                counter.add_mask_prefix(mask, words);
+        self.prod.resize(L::LANES, 0);
+        let out = &mut self.prod[..lanes];
+        out.copy_from_slice(slot(first));
+        for &s in rest {
+            for (p, v) in out.iter_mut().zip(slot(s)) {
+                *p *= *v;
             }
         }
-        for (s, counter) in bank.iter().enumerate() {
-            fold(counter, self.spilled[s], s, sums);
-        }
-    }
-
-    /// The per-lane sums of slot `slot`; entries at or above the evaluated
-    /// block's lane count are unspecified.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot was never evaluated or reserved.
-    #[inline]
-    pub fn lane_sums(&self, slot: usize) -> &[i64] {
-        &self.sums[slot * L::LANES..(slot + 1) * L::LANES]
-    }
-
-    /// Per-lane product across slots, multiplied in slot order — identical
-    /// contract to [`BlockSums::slot_products`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is empty or any slot was never evaluated.
-    #[inline]
-    pub fn slot_products(&mut self, slots: &[usize], lanes: usize) -> &[i64] {
-        slot_products::<L>(&self.sums, &mut self.prod, slots, lanes)
+        out
     }
 }
 
@@ -904,93 +745,6 @@ mod tests {
         slot_products_match_per_lane_fold_at::<u64>();
         slot_products_match_per_lane_fold_at::<WideLane>();
         slot_products_match_per_lane_fold_at::<WideLane512>();
-    }
-
-    /// Builds the CSR worklist of a set of per-slot lists: unique cells
-    /// sorted by id, each owning every (slot, occurrence) that listed it.
-    fn worklist_of(
-        ctx: &XiContext,
-        lists: &[Vec<IndexPre>],
-    ) -> (Vec<IndexPre>, Vec<u32>, Vec<u32>) {
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-        for (slot, list) in lists.iter().enumerate() {
-            for pre in list {
-                pairs.push((pre.index, slot as u32));
-            }
-        }
-        pairs.sort_unstable();
-        let mut cells = Vec::new();
-        let mut owner_off = vec![0u32];
-        let mut owners = Vec::new();
-        for (index, slot) in pairs {
-            if cells.last().map(|c: &IndexPre| c.index) != Some(index) {
-                cells.push(ctx.precompute(index));
-                owner_off.push(*owner_off.last().unwrap());
-            }
-            owners.push(slot);
-            *owner_off.last_mut().unwrap() += 1;
-        }
-        (cells, owner_off, owners)
-    }
-
-    fn eval_worklist_matches_eval_into_at<L: Lane>(kind: XiKind, lanes: usize) {
-        // Overlapping lists with duplicates (one cell twice in list 2): the
-        // dedup + ownership fan-out must reproduce BlockSums::eval_into
-        // slot for slot, including multiplicity.
-        let mut rng = StdRng::seed_from_u64(83 + lanes as u64);
-        let (ctx, seeds) = random_block(kind, 11, lanes, 84);
-        let block = XiBlock::<L>::pack(&ctx, &seeds);
-        let mut lists: Vec<Vec<IndexPre>> = (0..5)
-            .map(|n| {
-                (0..10 + 7 * n)
-                    .map(|_| ctx.precompute(rng.gen_range(0..64u64)))
-                    .collect()
-            })
-            .collect();
-        let dup = lists[2][0];
-        lists[2].push(dup);
-        // A slot owning nothing stays all-zero; one owning more cells than
-        // a LaneCounter holds spills twice.
-        lists.push(Vec::new());
-        lists.push(
-            (0..600)
-                .map(|_| ctx.precompute(rng.gen_range(0..2048u64)))
-                .collect(),
-        );
-
-        let mut oracle = BlockSums::<L>::new();
-        for (slot, list) in lists.iter().enumerate() {
-            oracle.eval_into(slot, &block, list);
-        }
-        let (cells, owner_off, owners) = worklist_of(&ctx, &lists);
-        assert!(cells.len() < lists.iter().map(Vec::len).sum::<usize>());
-        let mut multi = MultiBlockSums::<L>::new();
-        // A nonzero base exercises the offset arithmetic.
-        let base = 3;
-        multi.eval_worklist(&block, &cells, &owner_off, &owners, base, lists.len());
-        for slot in 0..lists.len() {
-            assert_eq!(
-                &multi.lane_sums(base + slot)[..lanes],
-                &oracle.lane_sums(slot)[..lanes],
-                "{kind:?} lanes={lanes} slot {slot}"
-            );
-        }
-        // slot_products agree with the oracle's too.
-        let ids_m = [base, base + 2];
-        let ids_o = [0usize, 2];
-        let want = oracle.slot_products(&ids_o, lanes).to_vec();
-        assert_eq!(multi.slot_products(&ids_m, lanes), &want[..]);
-    }
-
-    #[test]
-    fn eval_worklist_matches_eval_into() {
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            eval_worklist_matches_eval_into_at::<u64>(kind, BLOCK_LANES);
-            eval_worklist_matches_eval_into_at::<u64>(kind, 7);
-            eval_worklist_matches_eval_into_at::<WideLane>(kind, WIDE_LANES);
-            eval_worklist_matches_eval_into_at::<WideLane512>(kind, WIDE512_LANES);
-            eval_worklist_matches_eval_into_at::<WideLane512>(kind, 70);
-        }
     }
 
     #[test]

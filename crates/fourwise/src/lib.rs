@@ -24,7 +24,7 @@
 //! 64-lane `u64` and the autovectorizable 256-lane [`WideLane`] and 512-lane
 //! [`WideLane512`]), [`batch`] builds the lane-width-generic bit-sliced
 //! evaluation blocks behind the blocked build *and* query kernels (plus the
-//! [`BlockSums`] scratch the query side evaluates whole covers into), and
+//! [`BlockSums`] scratch each query's covers are evaluated into), and
 //! [`gf2`] supplies the carry-less GF(2^k) arithmetic the BCH family needs.
 
 #![forbid(unsafe_code)]
@@ -37,9 +37,7 @@ pub mod gf2;
 pub mod lane;
 pub mod poly;
 
-pub use batch::{
-    BlockSums, LaneCounter, MultiBlockSums, XiBlock, BLOCK_LANES, WIDE512_LANES, WIDE_LANES,
-};
+pub use batch::{BlockSums, LaneCounter, XiBlock, BLOCK_LANES, WIDE512_LANES, WIDE_LANES};
 pub use bch::{BchFamily, BchSeed};
 pub use family::{IndexPre, XiContext, XiFamily, XiKind, XiSeed, CUBE_TABLE_MAX_BITS};
 pub use gf2::GfContext;

@@ -236,8 +236,8 @@ impl SketchClient {
     /// abort) the whole request: every chunk is submitted before any reply
     /// is collected, so the chunks overlap on the server. Use the server's
     /// [`ServeConfig::max_batch`] as the chunk size so each frame fits one
-    /// worker pass — the shape the batched kernel answers in a single
-    /// sweep. Replies concatenate in request order, exactly one per query;
+    /// worker pass, which routes it once and answers each distinct query
+    /// once. Replies concatenate in request order, exactly one per query;
     /// an empty query list performs no round-trip at all.
     ///
     /// [`ServeConfig::max_batch`]: crate::net::ServeConfig::max_batch

@@ -14,7 +14,7 @@
 //! frames in flight on one connection, and the server answers each with a
 //! reply frame carrying the *same* id — possibly **out of request order**,
 //! because batches from different frames (and different connections)
-//! complete whenever their kernel sweep does. Ids are chosen by the
+//! complete whenever their worker pass does. Ids are chosen by the
 //! client; the only rule is that an id must not be reused while its reply
 //! is still outstanding. `Pong` echoes the `Ping`'s id.
 //!

@@ -43,12 +43,13 @@
 //! any mix of connections and frames. With a coalescing window
 //! ([`ServeConfig::coalesce_us`]) a worker that finds the queue non-empty
 //! but below `max_batch` waits up to the window for more arrivals before
-//! evaluating, so even a fleet of batch-of-1 clients feeds the batched
-//! kernel ([`SketchService::answer_batch`] →
-//! [`QueryRouter::estimate_batch`]) full sweeps. The window trades a
-//! bounded latency add at low load for per-query cost at high load;
-//! coalesced batches stay bit-identical to sequential evaluation because
-//! batching is the kernel's own contract.
+//! evaluating, so even a fleet of batch-of-1 clients fills whole worker
+//! passes ([`SketchService::answer_batch`] →
+//! [`QueryRouter::estimate_batch`]): one pool checkout, epoch check and
+//! view fold per pass, one answer per distinct query, duplicates cloned.
+//! The window trades a bounded latency add at low load for per-query cost
+//! at high load; coalesced batches stay bit-identical to sequential
+//! evaluation because every batched query runs the single-query fill.
 //!
 //! ## Backpressure
 //!
@@ -131,8 +132,8 @@ pub struct ServeConfig {
     pub fault_injection: bool,
     /// Reactor threads multiplexing the connections. Default: the
     /// `SKETCH_NET_REACTORS` env var, else `available_parallelism / 4`
-    /// clamped to `1..=4` — connection I/O is cheap relative to kernel
-    /// sweeps, so a few reactors serve many cores of workers.
+    /// clamped to `1..=4` — connection I/O is cheap relative to query
+    /// evaluation, so a few reactors serve many cores of workers.
     pub reactors: usize,
     /// Cross-connection coalescing window in microseconds: how long a
     /// worker that found the queue non-empty but below `max_batch` waits
@@ -308,9 +309,10 @@ impl<const D: usize> SketchService<D> {
     }
 
     /// Answers a whole batch of wire queries with `ctx`, grouping the valid
-    /// range/stab queries per store so each store's group rides **one**
-    /// batched kernel sweep ([`QueryRouter::estimate_batch`]) instead of a
-    /// per-query pass. Malformed queries answer [`WireErrorCode::BadRequest`]
+    /// range/stab queries per store so each store's group takes **one**
+    /// routed batch call ([`QueryRouter::estimate_batch`]: one route and
+    /// view fold, duplicates answered once) instead of a per-query pass.
+    /// Malformed queries answer [`WireErrorCode::BadRequest`]
     /// individually — a bad query never costs its batch-mates the fast
     /// path — and join/fault queries fall through to
     /// [`SketchService::answer`] unchanged. Every reply is bit-identical to
@@ -522,7 +524,7 @@ impl BatchQueue {
     /// Blocks for work and takes up to `max` jobs. A non-zero coalescing
     /// `window` makes a worker that found fewer than `max` jobs linger for
     /// late arrivals — from any connection — before evaluating, so
-    /// batch-of-1 clients still produce full kernel sweeps. An empty
+    /// batch-of-1 clients still produce full worker passes. An empty
     /// result means the queue is closed **and** fully drained: workers
     /// exit only after every admitted job has been taken.
     fn drain(&self, max: usize, window: Duration) -> Vec<Job> {
@@ -1168,9 +1170,9 @@ fn worker_loop<const D: usize>(
             return;
         }
         // One pool pass per batch: the first query pays epoch revalidation
-        // and any view re-fold, the rest ride the warm caches — and the
-        // batched answer path evaluates each store's queries in a single
-        // multi-query kernel sweep. A panic anywhere in the pass poisons
+        // and any view re-fold, the rest ride the warm caches, and each
+        // store's queries take one batched call that answers every distinct
+        // query once through its plan's fill. A panic anywhere in the pass poisons
         // the slot; `ContextPool::with` recovers it on the next checkout,
         // and this batch answers `Internal` rather than leaving its
         // connections waiting forever.

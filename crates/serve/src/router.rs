@@ -191,15 +191,15 @@ impl QueryRouter {
     }
 
     /// Routes a whole batch of range/stab estimates against one store,
-    /// answering it in as few kernel sweeps as the shard selections allow
-    /// (see [`RangeQuery::estimate_batch_with`] — answers are bit-identical
-    /// to the corresponding single-query routes).
+    /// paying each route and view fold once per shard selection instead of
+    /// once per query (see [`RangeQuery::estimate_batch_with`] — answers are
+    /// bit-identical to the corresponding single-query routes).
     ///
     /// With [`RouterMode::Exact`] the shard selection is
     /// footprint-independent, so the whole batch shares one merged view and
-    /// one multi-query sweep. With [`RouterMode::Pruned`] queries are
-    /// grouped by their shard selection; each group shares a view and a
-    /// sweep, preserving per-group pruning exactly.
+    /// one `estimate_batch_with` call. With [`RouterMode::Pruned`] queries
+    /// are grouped by their shard selection; each group shares a view and a
+    /// call, preserving per-group pruning exactly.
     pub fn estimate_batch<const D: usize>(
         &self,
         rq: &RangeQuery<D>,
