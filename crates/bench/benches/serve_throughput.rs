@@ -7,7 +7,7 @@
 //! regardless of shard count; the `post_swap` case re-merges on every
 //! iteration (worst case: an ingest between every query).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use datagen::SyntheticSpec;
 use geometry::HyperRect;
 use rand::SeedableRng;
@@ -69,22 +69,30 @@ fn bench_serve(c: &mut Criterion) {
         // Worst case: an epoch swap lands before every query, so the warm
         // worker's cached view re-merges each time (epoch-mismatch branch:
         // reset + re-fold into the already-allocated merge target — the
-        // path a serving worker actually takes after an ingest; an empty
-        // ingest batch publishes a content-identical new epoch).
+        // path a serving worker actually takes after an ingest). The swap
+        // is a one-object ingest, alternately inserted and deleted, run as
+        // untimed setup.
         let mut ctx = WorkerContext::new();
         router
             .estimate_range(&rq, &store, &mut ctx, &qs[0])
             .unwrap();
-        let mut qi = 0usize;
+        let (mut qi, mut delta) = (0usize, 1i64);
         group.bench_function(format!("router_{shards}shards_post_swap"), |b| {
-            b.iter(|| {
-                store.insert_slice(&[]).unwrap();
-                qi = (qi + 1) % qs.len();
-                router
-                    .estimate_range(&rq, &store, &mut ctx, black_box(&qs[qi]))
-                    .unwrap()
-                    .value
-            })
+            b.iter_batched(
+                || {
+                    store.update_slice(&data[..1], delta).unwrap();
+                    delta = -delta;
+                    qi = (qi + 1) % qs.len();
+                    &qs[qi]
+                },
+                |q| {
+                    router
+                        .estimate_range(&rq, &store, &mut ctx, black_box(q))
+                        .unwrap()
+                        .value
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     group.finish();

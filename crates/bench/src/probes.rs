@@ -71,6 +71,8 @@ pub struct DispatchMeta {
     pub env_override: Option<String>,
     /// Widest lane width the runtime dispatcher will auto-select here.
     pub max_lane_width: usize,
+    /// Workers a blocked slice ingest splits its instance blocks across.
+    pub ingest_threads: usize,
 }
 
 /// Snapshots [`sketch::dispatch_report`] into the serializable probe form.
@@ -80,6 +82,7 @@ pub fn dispatch_meta() -> DispatchMeta {
         cpu: report.cpu.name().into(),
         env_override: report.env_override.map(Into::into),
         max_lane_width: report.max_lane_width,
+        ingest_threads: report.ingest_threads,
     }
 }
 

@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// Objects per scratch chunk in [`SketchSet::update_slice`]: bounds scratch
 /// memory (a couple of KB per object) while letting one cover computation
 /// serve every instance block that streams over the chunk.
-pub(crate) const OBJ_CHUNK: usize = 128;
+const OBJ_CHUNK: usize = 128;
 
 /// Which implementation maintains the counters on insert/delete.
 ///
@@ -148,7 +148,7 @@ impl DimNeeds {
 
 /// Per-dimension precomputed node lists for one object.
 #[derive(Debug, Clone)]
-pub(crate) struct DimScratch {
+struct DimScratch {
     cover: Vec<IndexPre>,
     pcover_lo: Vec<IndexPre>,
     pcover_hi: Vec<IndexPre>,
@@ -164,12 +164,12 @@ pub(crate) struct DimScratch {
 /// Shared per-object precomputation: node ids and their GF cubes, one set
 /// per dimension, reused across all sketch instances.
 #[derive(Debug, Clone)]
-pub(crate) struct RectScratch<const D: usize> {
+struct RectScratch<const D: usize> {
     dims: [DimScratch; D],
 }
 
 impl<const D: usize> RectScratch<D> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             dims: std::array::from_fn(|_| DimScratch {
                 cover: Vec::new(),
@@ -265,10 +265,10 @@ fn mul_lanes(prod: &mut [i64], vals: &[i64]) {
 
 /// Reusable working memory of the blocked kernels: one carry-save counter
 /// plus per-dimension component lanes, at the kernel's lane width.
-/// Allocated lazily and kept across updates; workers in `par` hold one
-/// each.
+/// Allocated lazily and kept across updates; each scoped worker of a split
+/// ingest holds its own.
 #[derive(Debug, Clone)]
-pub(crate) struct LaneScratch<L: Lane, const D: usize> {
+struct LaneScratch<L: Lane, const D: usize> {
     counter: LaneCounter<L>,
     dims: [DimLanes; D],
     /// Per-lane running word product (see [`DimLanes::mul_into`]).
@@ -276,7 +276,7 @@ pub(crate) struct LaneScratch<L: Lane, const D: usize> {
 }
 
 impl<L: Lane, const D: usize> LaneScratch<L, D> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             counter: LaneCounter::new(),
             dims: std::array::from_fn(|_| DimLanes::new(L::LANES)),
@@ -299,7 +299,6 @@ pub struct SketchSet<const D: usize> {
     /// Net inserted object count (inserts minus deletes).
     len: i64,
     kernel: BuildKernel,
-    scratch: RectScratch<D>,
     /// Lazily allocated wide-kernel working memory (`None` until the first
     /// blocked update).
     lanes_wide: Option<LaneScratch<WideLane, D>>,
@@ -336,7 +335,6 @@ impl<const D: usize> SketchSet<D> {
             counters,
             len: 0,
             kernel,
-            scratch: RectScratch::new(),
             lanes_wide: None,
             lanes_wide512: None,
         }
@@ -418,16 +416,10 @@ impl<const D: usize> SketchSet<D> {
         self.update(rect, -1)
     }
 
-    /// Applies a signed update.
+    /// Applies a signed update: the slice walk over one object, which never
+    /// splits.
     pub fn update(&mut self, rect: &HyperRect<D>, delta: i64) -> Result<()> {
-        let mut scratch = std::mem::replace(&mut self.scratch, RectScratch::new());
-        let res = self.fill_scratch(rect, &mut scratch);
-        if res.is_ok() {
-            self.apply_scratch(&scratch, delta);
-            self.len += delta;
-        }
-        self.scratch = scratch;
-        res
+        self.update_slice_on(std::slice::from_ref(rect), delta, 1)
     }
 
     /// Inserts every rectangle of a slice; see [`SketchSet::update_slice`].
@@ -445,80 +437,110 @@ impl<const D: usize> SketchSet<D> {
     /// `OBJ_CHUNK` (128) scratches, and (under a blocked kernel) each instance
     /// block streams over a whole chunk before the walk moves to the next
     /// block, so a block's counters and packed seed planes stay cache-hot.
+    /// Instance blocks are independent, so a slice of at least
+    /// [`kernel::INGEST_SPLIT_FLOOR`] object·instances splits its blocks
+    /// across the machine's cores; the counters are the same in any split.
     ///
     /// All rectangles are validated up front — either the whole slice
     /// applies or the sketch is untouched.
     pub fn update_slice(&mut self, rects: &[HyperRect<D>], delta: i64) -> Result<()> {
+        self.update_slice_on(rects, delta, kernel::ingest_threads())
+    }
+
+    /// The one ingest walk: [`SketchSet::update_slice`] with at most
+    /// `threads` workers. A blocked kernel cuts its instance blocks into
+    /// `min(threads, blocks)` contiguous spans (one span, so no worker,
+    /// below [`kernel::INGEST_SPLIT_FLOOR`]) and opens one thread scope for
+    /// the whole slice: the calling thread walks the first span with the
+    /// sketch's lane scratch, scoped workers walk the others with their
+    /// own, and every span fills its own chunk scratches. The scalar oracle
+    /// never splits.
+    pub(crate) fn update_slice_on(
+        &mut self,
+        rects: &[HyperRect<D>],
+        delta: i64,
+        threads: usize,
+    ) -> Result<()> {
         for r in rects {
             self.validate_rect(r)?;
         }
-        let mut scratches: Vec<RectScratch<D>> = (0..OBJ_CHUNK.min(rects.len()))
-            .map(|_| RectScratch::new())
-            .collect();
-        for chunk in rects.chunks(OBJ_CHUNK) {
-            for (slot, rect) in scratches.iter_mut().zip(chunk.iter()) {
-                self.fill_scratch(rect, slot).expect("validated above");
+        let mut counters = std::mem::take(&mut self.counters);
+        match self.kernel {
+            BuildKernel::Wide => {
+                let mut lanes = self.lanes_wide.take().unwrap_or_else(LaneScratch::new);
+                self.walk_spans(rects, delta, threads, &mut lanes, &mut counters);
+                self.lanes_wide = Some(lanes);
             }
-            self.apply_chunk(&scratches[..chunk.len()], delta);
+            BuildKernel::Wide512 => {
+                let mut lanes = self.lanes_wide512.take().unwrap_or_else(LaneScratch::new);
+                self.walk_spans(rects, delta, threads, &mut lanes, &mut counters);
+                self.lanes_wide512 = Some(lanes);
+            }
+            BuildKernel::Scalar => {
+                let (schema, words) = (&*self.schema, &self.words[..]);
+                self.for_each_chunk(rects, |chunk| {
+                    for (instance, row) in counters.chunks_mut(words.len()).enumerate() {
+                        for scratch in chunk {
+                            apply_instance(schema, words, scratch, instance, row, delta);
+                        }
+                    }
+                });
+            }
         }
+        self.counters = counters;
         self.len += delta * rects.len() as i64;
         Ok(())
     }
 
-    /// Applies a chunk of filled scratches to every instance through the
-    /// active kernel (blocked kernels stream the whole chunk per block so
-    /// seed planes and counter rows stay cache-hot).
-    fn apply_chunk(&mut self, scratches: &[RectScratch<D>], delta: i64) {
-        match self.kernel {
-            BuildKernel::Wide => {
-                let lanes = self.lanes_wide.get_or_insert_with(LaneScratch::new);
-                apply_chunk_blocked(
-                    &self.schema,
-                    &self.words,
-                    scratches,
-                    lanes,
-                    &mut self.counters,
-                    delta,
-                );
+    /// Cuts the instance blocks at lane width `L` into `min(threads,
+    /// blocks)` contiguous spans and streams every chunk of `rects` over each
+    /// span (see [`SketchSet::update_slice_on`]). Spans hold whole blocks, so
+    /// lanes never straddle a worker boundary.
+    fn walk_spans<L: SchemaLanes>(
+        &self,
+        rects: &[HyperRect<D>],
+        delta: i64,
+        threads: usize,
+        lanes: &mut LaneScratch<L, D>,
+        counters: &mut [i64],
+    ) {
+        let blocks = L::instance_blocks(&self.schema);
+        let small = rects.len() * self.schema.instances() < kernel::INGEST_SPLIT_FLOOR;
+        let spans = if small { 1 } else { threads.clamp(1, blocks) };
+        let per_span = blocks.div_ceil(spans);
+        let span_len = per_span * L::LANES * self.words.len();
+        let walk = |first: usize, span: &mut [i64], lanes: &mut LaneScratch<L, D>| {
+            self.for_each_chunk(rects, |chunk| {
+                apply_chunk_blocked(&self.schema, &self.words, chunk, first, lanes, span, delta)
+            })
+        };
+        std::thread::scope(|scope| {
+            let (head, mut rest) = counters.split_at_mut(span_len.min(counters.len()));
+            for first in (per_span..blocks).step_by(per_span) {
+                let (span, tail) = rest.split_at_mut(span_len.min(rest.len()));
+                rest = tail;
+                scope.spawn(move || walk(first, span, &mut LaneScratch::new()));
             }
-            BuildKernel::Wide512 => {
-                let lanes = self.lanes_wide512.get_or_insert_with(LaneScratch::new);
-                apply_chunk_blocked(
-                    &self.schema,
-                    &self.words,
-                    scratches,
-                    lanes,
-                    &mut self.counters,
-                    delta,
-                );
+            walk(0, head, lanes);
+        });
+    }
+
+    /// Fills `rects` (validated) into chunks of up to `OBJ_CHUNK` object
+    /// scratches and hands each filled chunk to `apply`.
+    fn for_each_chunk(&self, rects: &[HyperRect<D>], mut apply: impl FnMut(&[RectScratch<D>])) {
+        let mut scratches: Vec<RectScratch<D>> = (0..OBJ_CHUNK.min(rects.len()))
+            .map(|_| RectScratch::new())
+            .collect();
+        for chunk in rects.chunks(OBJ_CHUNK) {
+            for (slot, rect) in scratches.iter_mut().zip(chunk) {
+                self.fill_scratch(rect, slot).expect("validated above");
             }
-            BuildKernel::Scalar => {
-                let w = self.words.len();
-                for instance in 0..self.schema.instances() {
-                    let row_start = instance * w;
-                    for scratch in scratches {
-                        apply_instance(
-                            &self.schema,
-                            &self.words,
-                            scratch,
-                            instance,
-                            &mut self.counters[row_start..row_start + w],
-                            delta,
-                        );
-                    }
-                }
-            }
+            apply(&scratches[..chunk.len()]);
         }
     }
 
-    /// Applies one filled scratch to every instance through the active
-    /// kernel.
-    fn apply_scratch(&mut self, scratch: &RectScratch<D>, delta: i64) {
-        self.apply_chunk(std::slice::from_ref(scratch), delta);
-    }
-
     /// Checks that an object fits the admissible data domain.
-    pub(crate) fn validate_rect(&self, rect: &HyperRect<D>) -> Result<()> {
+    fn validate_rect(&self, rect: &HyperRect<D>) -> Result<()> {
         for dim in 0..D {
             let iv = rect.range(dim);
             let max = (1u64 << self.data_bits[dim]) - 1;
@@ -534,11 +556,7 @@ impl<const D: usize> SketchSet<D> {
     }
 
     /// Validates an object and fills the shared per-object scratch.
-    pub(crate) fn fill_scratch(
-        &self,
-        rect: &HyperRect<D>,
-        scratch: &mut RectScratch<D>,
-    ) -> Result<()> {
+    fn fill_scratch(&self, rect: &HyperRect<D>, scratch: &mut RectScratch<D>) -> Result<()> {
         self.validate_rect(rect)?;
         for dim in 0..D {
             let iv = rect.range(dim);
@@ -644,7 +662,7 @@ impl<const D: usize> SketchSet<D> {
 }
 
 /// Applies one object's scratch to one instance's counter row.
-pub(crate) fn apply_instance<const D: usize>(
+fn apply_instance<const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
     scratch: &RectScratch<D>,
@@ -681,21 +699,19 @@ pub(crate) fn apply_instance<const D: usize>(
     }
 }
 
-/// Streams a chunk of object scratches over every instance block at lane
-/// width `L`: the cache-blocked outer walk shared by the blocked kernels
-/// ([`SketchSet::update_slice`] and the single-object path alike).
-pub(crate) fn apply_chunk_blocked<L: SchemaLanes, const D: usize>(
+/// Streams a chunk of object scratches over a span of whole instance
+/// blocks at lane width `L`, starting at block `first`: the cache-blocked
+/// walk every blocked ingest runs. `counters` holds exactly the span's rows.
+fn apply_chunk_blocked<L: SchemaLanes, const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
     scratches: &[RectScratch<D>],
+    first: usize,
     lanes: &mut LaneScratch<L, D>,
     counters: &mut [i64],
     delta: i64,
 ) {
-    let w = words.len();
-    for b in 0..L::instance_blocks(schema) {
-        let base = b * L::LANES;
-        let rows = L::seed_blocks(schema, 0)[b].lanes();
+    for (b, rows) in counters.chunks_mut(L::LANES * words.len()).enumerate() {
         for (i, scratch) in scratches.iter().enumerate() {
             // Software prefetch: touch the next scratch's streamed node
             // lists while this one is being applied, so its cache lines are
@@ -703,15 +719,7 @@ pub(crate) fn apply_chunk_blocked<L: SchemaLanes, const D: usize>(
             if let Some(next) = scratches.get(i + 1) {
                 prefetch_scratch(next);
             }
-            apply_block(
-                schema,
-                words,
-                scratch,
-                b,
-                lanes,
-                &mut counters[base * w..(base + rows) * w],
-                delta,
-            );
+            apply_block(schema, words, scratch, first + b, lanes, rows, delta);
         }
     }
 }
@@ -749,7 +757,7 @@ fn prefetch_scratch<const D: usize>(scratch: &RectScratch<D>) {
 /// [`DimLanes::mul_into`]) and scattered into the counter rows once.
 /// Generic over the [`Lane`] width — the 256- and 512-lane kernels are the
 /// instantiations.
-pub(crate) fn apply_block<L: SchemaLanes, const D: usize>(
+fn apply_block<L: SchemaLanes, const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
     scratch: &RectScratch<D>,

@@ -34,6 +34,18 @@ use std::sync::OnceLock;
 /// occupied.
 pub const WIDE512_MIN_INSTANCES: usize = 3 * fourwise::WIDE512_LANES / 4;
 
+/// Object·instance products below which a blocked slice ingest
+/// (`SketchSet::update_slice`) stays on the calling thread: below it a
+/// scoped worker's start, its duplicate cover fill and the wake of an idle
+/// core outweigh the half of the apply it takes over. Split-over-sequential
+/// wall time of one slice at 1015 instances (two 512-lane blocks; join /
+/// range words) on a 2-vCPU AVX-512 VM, worker on the second vCPU:
+/// 16K obj·inst 1.25 / 1.17, 32K 1.09 / 1.12, 65K 0.99 / 0.85, 97K
+/// 0.80 / 0.96, 130K 0.81 / 0.76, 260K 0.67 / 0.78, 520K 0.54 / 0.58. The
+/// split breaks even near 2^16; a two-object feed tick at 1015 instances
+/// sits 32× below it.
+pub const INGEST_SPLIT_FLOOR: usize = 1 << 16;
+
 /// A resolved kernel width (no `Auto`): what the dispatches branch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Width {
@@ -157,6 +169,13 @@ pub(crate) fn preferred(instances: usize) -> Width {
     }
 }
 
+/// Workers a blocked slice ingest may split its instance blocks across:
+/// the machine's available parallelism, resolved once per process.
+pub(crate) fn ingest_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The lane width (instances per block) the default dispatch picks for a
 /// schema with `instances` boosting instances — the public, resolved view
 /// of the dispatch chain for probes and dispatch-aware tests.
@@ -177,16 +196,19 @@ pub struct DispatchReport {
     pub max_lane_width: usize,
     /// Instance threshold for the 512-lane width (subject to the CPU cap).
     pub wide512_min_instances: usize,
+    /// Workers a blocked slice ingest splits its instance blocks across.
+    pub ingest_threads: usize,
 }
 
-/// The process-wide dispatch decision: env override → CPU capability →
-/// instance threshold. Stable for the life of the process.
+/// The process-wide dispatch decision (env override → CPU capability →
+/// instance threshold) and ingest worker cap, stable for the process.
 pub fn dispatch_report() -> DispatchReport {
     DispatchReport {
         env_override: env_override().map(Width::name),
         cpu: cpu_vector(),
         max_lane_width: cpu_vector().max_lane_width(),
         wide512_min_instances: WIDE512_MIN_INSTANCES,
+        ingest_threads: ingest_threads(),
     }
 }
 
@@ -239,6 +261,7 @@ mod tests {
         assert_eq!(report.max_lane_width, cpu_vector().max_lane_width());
         assert!(report.max_lane_width >= fourwise::WIDE_LANES);
         assert_eq!(report.wide512_min_instances, WIDE512_MIN_INSTANCES);
+        assert!(report.ingest_threads >= 1);
         match report.env_override {
             Some(name) => {
                 assert!(["scalar", "wide", "wide512"].contains(&name));

@@ -46,7 +46,8 @@
 //!   currency of every variance bound;
 //! * [`plan`] — Theorem-1/2/3 space planning and the paper's
 //!   words-of-memory accounting;
-//! * [`par`] — parallel bulk loading across the instance axis.
+//! * [`par`] — bulk loading with a caller-chosen worker count, parallel
+//!   estimation and merging across the instance axis.
 //!
 //! ## Quick start
 //!
@@ -103,7 +104,7 @@ pub use estimators::range::{BatchQuery, RangeQuery, RangeStrategy};
 pub use estimators::SketchConfig;
 pub use kernel::{
     cpu_vector, dispatch_report, preferred_lane_width, CpuVector, DispatchReport,
-    WIDE512_MIN_INSTANCES,
+    INGEST_SPLIT_FLOOR, WIDE512_MIN_INSTANCES,
 };
 pub use log::{LogEntry, LogRetention, UpdateLog};
 pub use par::{par_estimate, par_insert_batch, par_merge_batch, par_update_batch};

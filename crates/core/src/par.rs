@@ -1,16 +1,15 @@
-//! Parallel batch construction — and block-parallel estimation — of
-//! sketches.
+//! Bulk loading with an explicit worker count, and block-parallel
+//! estimation and merging of sketches.
 //!
-//! Sketch instances are mutually independent, so bulk-loading parallelizes
-//! perfectly across the instance axis: the per-object dyadic covers and
-//! GF(2^k) cubes are computed once (they are seed-independent), then worker
-//! threads apply them to disjoint slices of the counter array. Under the
-//! blocked kernels ([`BuildKernel::Wide`], [`BuildKernel::Wide512`]) the
-//! split is aligned to whole instance blocks *at the kernel's lane width*
-//! (256 or 512 instances) so each worker runs the bit-sliced kernel over
-//! its own contiguous counter range; the scalar kernel splits per instance
-//! as before. This is how the experiment
-//! harness affords the paper's thousands-of-instances configurations.
+//! Sketch instances are mutually independent, so work parallelizes across
+//! the instance axis. [`par_update_batch`] is [`SketchSet::update_slice`]
+//! with the caller's worker cap instead of the machine's: the same single
+//! walk, which computes each object's dyadic covers and GF(2^k) cubes once
+//! per span and splits whole instance blocks at the active kernel's width
+//! (256 or 512 instances) across scoped workers, so lanes never straddle a
+//! thread boundary. The scalar oracle never splits. This is how the
+//! experiment harness affords the paper's thousands-of-instances
+//! configurations.
 //!
 //! Estimation parallelizes the same way ([`par_estimate`]): the atomic
 //! estimate grid splits into whole instance blocks at the width the
@@ -19,118 +18,29 @@
 //! single-threaded mean-then-median boost runs at the end. The result is
 //! bit-identical to [`PairEstimator::estimate`].
 
-use crate::atomic::{
-    apply_block, apply_instance, BuildKernel, LaneScratch, RectScratch, SketchSet,
-};
+use crate::atomic::SketchSet;
 use crate::boost::Estimate;
 use crate::error::Result;
 use crate::estimator::PairEstimator;
 use crate::query::{pair_fill_blocked, QueryKernel};
-use crate::schema::{SchemaLanes, SketchSchema};
-use crate::Word;
+use crate::schema::SchemaLanes;
 use fourwise::{WideLane, WideLane512};
 use geometry::HyperRect;
 
-/// Objects per scratch block: bounds the scratch memory (a few KB per
-/// object) while amortizing thread spawn overhead.
-const BLOCK: usize = 512;
-
-/// Applies a signed bulk update using `threads` worker threads.
+/// Applies a signed bulk update with at most `threads` workers.
 ///
-/// Equivalent to calling [`SketchSet::update`] for every rectangle (all
-/// rectangles are validated up front, so either the whole batch applies or
-/// the sketch is untouched).
+/// Equivalent to [`SketchSet::update_slice`] — and to calling
+/// [`SketchSet::update`] for every rectangle — with the worker cap chosen by
+/// the caller (a slice below [`crate::INGEST_SPLIT_FLOOR`] object·instances
+/// still runs on the calling thread). All rectangles are validated up
+/// front, so either the whole batch applies or the sketch is untouched.
 pub fn par_update_batch<const D: usize>(
     sketch: &mut SketchSet<D>,
     rects: &[HyperRect<D>],
     delta: i64,
     threads: usize,
 ) -> Result<()> {
-    let threads = threads.max(1);
-    // Validate everything first so failures cannot leave partial state.
-    for r in rects {
-        sketch.validate_rect(r)?;
-    }
-
-    let schema = sketch.schema().clone();
-    let words = sketch.words().clone();
-    let instances = schema.instances();
-    let kernel = sketch.kernel();
-
-    let mut scratches: Vec<RectScratch<D>> = (0..BLOCK.min(rects.len().max(1)))
-        .map(|_| RectScratch::new())
-        .collect();
-
-    for block in rects.chunks(BLOCK) {
-        for (slot, rect) in scratches.iter_mut().zip(block.iter()) {
-            sketch.fill_scratch(rect, slot).expect("validated above");
-        }
-        let filled = &scratches[..block.len()];
-        let counters = sketch.counters_mut();
-        match kernel {
-            BuildKernel::Scalar => {
-                let w = words.len();
-                let per_thread = instances.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for (t, chunk) in counters.chunks_mut(per_thread * w).enumerate() {
-                        let schema = &schema;
-                        let words = &words;
-                        scope.spawn(move || {
-                            let base = t * per_thread;
-                            for (j, row) in chunk.chunks_mut(w).enumerate() {
-                                let inst = base + j;
-                                for scratch in filled {
-                                    apply_instance(schema, words, scratch, inst, row, delta);
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            BuildKernel::Wide => {
-                par_apply_blocked::<WideLane, D>(&schema, &words, filled, counters, threads, delta)
-            }
-            BuildKernel::Wide512 => par_apply_blocked::<WideLane512, D>(
-                &schema, &words, filled, counters, threads, delta,
-            ),
-        }
-    }
-    sketch.add_len(delta * rects.len() as i64);
-    Ok(())
-}
-
-/// Splits the counter array into whole `L::LANES`-instance blocks across
-/// workers and streams the filled scratches through the blocked kernel.
-/// Lanes never straddle a worker boundary, so each worker's counter chunk
-/// stays block-aligned.
-fn par_apply_blocked<L: SchemaLanes, const D: usize>(
-    schema: &SketchSchema<D>,
-    words: &[Word<D>],
-    filled: &[RectScratch<D>],
-    counters: &mut [i64],
-    threads: usize,
-    delta: i64,
-) {
-    let w = words.len();
-    let per_thread = L::instance_blocks(schema).div_ceil(threads) * L::LANES;
-    std::thread::scope(|scope| {
-        for (t, chunk) in counters.chunks_mut(per_thread * w).enumerate() {
-            scope.spawn(move || {
-                let mut lanes = LaneScratch::<L, D>::new();
-                let mut b = t * per_thread / L::LANES;
-                let mut rest = chunk;
-                while !rest.is_empty() {
-                    let rows = L::seed_blocks(schema, 0)[b].lanes();
-                    let (block_rows, tail) = rest.split_at_mut(rows * w);
-                    for scratch in filled {
-                        apply_block(schema, words, scratch, b, &mut lanes, block_rows, delta);
-                    }
-                    rest = tail;
-                    b += 1;
-                }
-            });
-        }
-    });
+    sketch.update_slice_on(rects, delta, threads)
 }
 
 /// Folds many sketch sets into `dst` with `threads` workers — the
@@ -244,6 +154,7 @@ pub fn par_estimate<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::BuildKernel;
     use crate::atomic::EndpointPolicy;
     use crate::comp::ie_words;
     use crate::schema::{BoostShape, DimSpec, SketchSchema};
@@ -304,7 +215,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_across_block_boundary() {
         // 300 instances: one full 256-lane wide block plus a 44-lane tail,
-        // split across workers that cannot divide the block count evenly.
+        // split across workers that cannot divide the block count evenly;
+        // 220 objects put the slice above the split floor.
         let mut rng = StdRng::seed_from_u64(104);
         let schema = SketchSchema::<2>::new(
             &mut rng,
@@ -313,7 +225,7 @@ mod tests {
             [DimSpec::dyadic(8); 2],
         );
         let words = Arc::new(ie_words::<2>());
-        let data = rects(80, 5);
+        let data = rects(220, 5);
         let mut seq = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw)
             .with_kernel(BuildKernel::Scalar);
         for r in &data {

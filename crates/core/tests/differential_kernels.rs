@@ -25,7 +25,8 @@ use geometry::{HyperRect, Interval};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sketch::{
-    ie_words, BoostShape, BuildKernel, Comp, DimSpec, EndpointPolicy, SketchSchema, SketchSet, Word,
+    ie_words, par_update_batch, BoostShape, BuildKernel, Comp, DimSpec, EndpointPolicy,
+    SketchSchema, SketchSet, Word,
 };
 use std::sync::Arc;
 
@@ -413,6 +414,59 @@ fn slice_ingestion_matches_streaming_inserts() {
         }
         assert_identical(&partial, &sliced, &format!("delete_slice/{kernel:?}"));
     }
+}
+
+/// Slices above and just below `INGEST_SPLIT_FLOOR`, through
+/// `update_slice` (the machine's worker cap) and `par_update_batch` at
+/// forced worker counts, so that a one-CPU runner still splits the
+/// instance blocks, must match the scalar streaming oracle bit for bit.
+fn run_split(shape: BoostShape, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kind = fourwise::XiKind::Bch;
+    let schema = SketchSchema::<2>::new(&mut rng, kind, shape, [DimSpec::dyadic(8); 2]);
+    let words = Arc::new(all_comp_words::<2>());
+    let new = |k| SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw).with_kernel(k);
+    let above = sketch::INGEST_SPLIT_FLOOR.div_ceil(schema.instances()) + 3;
+    let below = (sketch::INGEST_SPLIT_FLOOR - 1) / schema.instances();
+    let data: Vec<HyperRect<2>> = (0..2 * above).map(|_| rand_rect(&mut rng, 255)).collect();
+    let (gone_below, gone_above) = (&data[..below], &data[below..below + above]);
+    let mut oracle = new(BuildKernel::Scalar);
+    data.iter().for_each(|r| oracle.insert(r).unwrap());
+    let inserted = oracle.clone();
+    for r in gone_below.iter().chain(gone_above) {
+        oracle.delete(r).unwrap();
+    }
+    for kernel in MATRIX {
+        for threads in [None, Some(1), Some(2), Some(3), Some(8)] {
+            let label = format!("split/{shape:?}/{kernel:?}/threads {threads:?}");
+            let mut sk = new(kernel);
+            let mut apply = |rects: &[HyperRect<2>], delta| match threads {
+                None => sk.update_slice(rects, delta).unwrap(),
+                Some(t) => par_update_batch(&mut sk, rects, delta, t).unwrap(),
+            };
+            apply(&data, 1);
+            apply(gone_below, -1);
+            apply(gone_above, -1);
+            assert_identical(&oracle, &sk, &label);
+            sk.insert_slice(gone_above).unwrap();
+            sk.insert_slice(gone_below).unwrap();
+            assert_identical(&inserted, &sk, &format!("{label}/reinserted"));
+        }
+    }
+}
+
+#[test]
+fn split_slices_match_streaming_oracle_520() {
+    // One full 512-lane block plus an 8-lane tail (three 256-lane blocks).
+    run_split(WIDE512_SPANNING, 985);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
+fn split_slices_match_streaming_oracle_1015() {
+    // Two 512-lane blocks, four 256-lane blocks: every worker count from
+    // 1 to 8 cuts a different span layout.
+    run_split(BoostShape::new(203, 5), 986);
 }
 
 #[test]

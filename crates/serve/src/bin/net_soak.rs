@@ -128,10 +128,11 @@ fn main() {
     let args = parse_args();
     let report = sketch::dispatch_report();
     println!(
-        "net-soak dispatch: cpu={} max_lane_width={} override={}",
+        "net-soak dispatch: cpu={} max_lane_width={} override={} ingest_threads={}",
         report.cpu.name(),
         report.max_lane_width,
         report.env_override.unwrap_or("none"),
+        report.ingest_threads,
     );
     let mut rng = StdRng::seed_from_u64(args.seed);
 

@@ -107,10 +107,11 @@ fn main() {
     let args = parse_args();
     let report = sketch::dispatch_report();
     println!(
-        "serve-smoke dispatch: cpu={} max_lane_width={} override={}",
+        "serve-smoke dispatch: cpu={} max_lane_width={} override={} ingest_threads={}",
         report.cpu.name(),
         report.max_lane_width,
         report.env_override.unwrap_or("none"),
+        report.ingest_threads,
     );
     let mut rng = StdRng::seed_from_u64(args.seed);
 

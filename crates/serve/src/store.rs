@@ -273,10 +273,20 @@ impl<const D: usize> ShardedStore<D> {
     /// coverage locality for pruned-mode queries.
     ///
     /// All rectangles are validated up front: either the whole batch
-    /// becomes visible atomically or the store is untouched.
+    /// becomes visible atomically or the store is untouched. An empty batch
+    /// is a no-op: it publishes no epoch and journals nothing, so pooled
+    /// readers keep their merged views.
+    ///
+    /// The writer lock is held across each touched shard's apply, and
+    /// `SketchSet::update_slice` splits a large enough group's instance
+    /// blocks across cores inside it; a shard whose schema fits one
+    /// instance block never splits.
     pub fn update_slice(&self, rects: &[HyperRect<D>], delta: i64) -> Result<()> {
         for r in rects {
             self.validate(r)?;
+        }
+        if rects.is_empty() {
+            return Ok(());
         }
         let _writer = self.writer_lock();
         let cur = self.load();
@@ -553,6 +563,19 @@ mod tests {
         assert!(st.insert_slice(&data).is_err());
         assert_eq!(st.epoch_tag(), 1);
         assert!(st.load().shards().iter().all(|s| s.is_untouched()));
+    }
+
+    #[test]
+    fn empty_batch_publishes_nothing() {
+        let st = store(2, 17).with_log(LogRetention::Full);
+        st.insert_slice(&rects(20, 18)).unwrap();
+        let mut reader = crate::WorkerContext::<2>::new();
+        let (tag, cached) = (st.epoch_tag(), reader.epoch_for(&st));
+        st.insert_slice(&[]).unwrap();
+        st.delete_slice(&[]).unwrap();
+        assert_eq!(st.epoch_tag(), tag);
+        assert!(Arc::ptr_eq(&reader.epoch_for(&st), &cached));
+        assert_eq!(st.log().entries().count(), 1);
     }
 
     #[test]

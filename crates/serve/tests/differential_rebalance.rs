@@ -93,9 +93,10 @@ fn check_all_kernels<const D: usize>(
     }
 }
 
-/// The core scenario: ingest → split (unaligned) → ingest → move → merge →
-/// delete, with a full oracle comparison between every step.
-fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
+/// The core scenario over `n` objects: ingest → split (unaligned) → ingest
+/// → move → merge → delete, with a full oracle comparison between every
+/// step.
+fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let rq = RangeQuery::<D>::new(
         &mut rng,
@@ -103,8 +104,8 @@ fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
         [8; D],
         RangeStrategy::Transform,
     );
-    let data = rand_rects::<D>(&mut rng, 60, 255);
-    let (early, late) = data.split_at(40);
+    let data = rand_rects::<D>(&mut rng, n, 255);
+    let (early, late) = data.split_at(2 * n / 3);
 
     let mut oracle = rq.new_sketch();
     let store = ShardedStore::like(&oracle, 3).with_log(LogRetention::Full);
@@ -148,8 +149,8 @@ fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
 #[test]
 fn topology_changes_preserve_answers_1d_2d() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        rebalance_config::<1>(kind, 13, 700 + i as u64);
-        rebalance_config::<2>(kind, 13, 710 + i as u64);
+        rebalance_config::<1>(kind, 13, 60, 700 + i as u64);
+        rebalance_config::<2>(kind, 13, 60, 710 + i as u64);
     }
 }
 
@@ -157,10 +158,15 @@ fn topology_changes_preserve_answers_1d_2d() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn topology_changes_preserve_answers_multiblock() {
     // 67 instances straddle one backing word of a block; 150 in 3-d
-    // stresses the wide kernels' partial tail blocks through the rebuilt shards.
+    // stresses the wide kernels' partial tail blocks through the rebuilt
+    // shards. 520 instances span two 512-lane (three 256-lane) blocks, and
+    // 1500 objects over three shards give ingest groups and replayed entries
+    // above INGEST_SPLIT_FLOOR, so ingest and replay split the blocks
+    // across workers.
     for (i, kind) in KINDS.into_iter().enumerate() {
-        rebalance_config::<2>(kind, 67, 720 + i as u64);
-        rebalance_config::<3>(kind, 150, 730 + i as u64);
+        rebalance_config::<2>(kind, 67, 60, 720 + i as u64);
+        rebalance_config::<3>(kind, 150, 60, 730 + i as u64);
+        rebalance_config::<2>(kind, 520, 1500, 735 + i as u64);
     }
 }
 

@@ -80,8 +80,9 @@ fn feed_oracle<const D: usize>(oracle: &mut SketchSet<D>, data: &[HyperRect<D>])
     oracle.delete_slice(&data[..data.len() / 4]).unwrap();
 }
 
-/// One range/stab configuration across the shard-count × kernel matrix.
-fn range_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
+/// One range/stab configuration of `n` objects across the shard-count ×
+/// kernel matrix.
+fn range_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let rq = RangeQuery::<D>::new(
         &mut rng,
@@ -89,7 +90,7 @@ fn range_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
         [8; D],
         RangeStrategy::Transform,
     );
-    let data = rand_rects::<D>(&mut rng, 60, 255);
+    let data = rand_rects::<D>(&mut rng, n, 255);
     let mut oracle = rq.new_sketch();
     feed_oracle(&mut oracle, &data);
     let stores: Vec<ShardedStore<D>> = SHARD_COUNTS
@@ -168,8 +169,8 @@ fn join_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
 #[test]
 fn range_router_agrees_1d_2d() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<1>(kind, 13, 500 + i as u64);
-        range_config::<2>(kind, 13, 510 + i as u64);
+        range_config::<1>(kind, 13, 60, 500 + i as u64);
+        range_config::<2>(kind, 13, 60, 510 + i as u64);
     }
 }
 
@@ -178,9 +179,13 @@ fn range_router_agrees_1d_2d() {
 fn range_router_agrees_multiblock() {
     // 67 instances straddle one backing word of a block; 150 in 3-d
     // stresses the wide kernels' partial tail blocks through the merged view.
+    // 520 instances span two 512-lane (three 256-lane) blocks, and the
+    // one-shard store's ingest batches of 130 objects clear
+    // INGEST_SPLIT_FLOOR, so its ingest splits the blocks across workers.
     for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<2>(kind, 67, 520 + i as u64);
-        range_config::<3>(kind, 150, 530 + i as u64);
+        range_config::<2>(kind, 67, 60, 520 + i as u64);
+        range_config::<3>(kind, 150, 60, 530 + i as u64);
+        range_config::<2>(kind, 520, 390, 535 + i as u64);
     }
 }
 
