@@ -3,8 +3,8 @@
 //! Measures whole `estimate` calls — scratch-reusing [`QueryContext`] form —
 //! for the spatial join (counter-product combine) and the range query
 //! (query-side ξ evaluation against maintained counters) across instance
-//! counts and the full kernel matrix: scalar oracle, 256-lane wide and
-//! 512-lane wide — plus the batch entry point (`estimate_batch_with`) at
+//! counts and both kernels: scalar oracle and the 512-lane blocked kernel —
+//! plus the batch entry point (`estimate_batch_with`) at
 //! batch sizes 1/8/64 over a serving-shaped hot set. The build-side twin lives in `update_throughput`/`xi_throughput`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -15,7 +15,7 @@ use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
 use sketch::{BatchQuery, QueryContext, QueryKernel, RangeQuery, RangeStrategy};
 
-const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512];
+const KERNELS: [QueryKernel; 2] = [QueryKernel::Scalar, QueryKernel::Wide];
 
 fn rects(n: usize, seed: u64) -> Vec<HyperRect<2>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -117,17 +117,15 @@ fn bench_estimators(c: &mut Criterion) {
     for batch in [1usize, 8, 64] {
         let queries: Vec<BatchQuery<2>> = (0..batch).map(|j| hot[j % hot.len()]).collect();
         group.throughput(Throughput::Elements(batch as u64));
-        for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
-            group.bench_function(format!("{kernel:?}/batch{batch}"), |b| {
-                let mut ctx = QueryContext::new().with_kernel(kernel);
-                b.iter(|| {
-                    rq.estimate_batch_with(&mut ctx, black_box(&sk), black_box(&queries))
-                        .iter()
-                        .map(|r| r.as_ref().unwrap().value)
-                        .sum::<f64>()
-                })
-            });
-        }
+        group.bench_function(format!("Wide/batch{batch}"), |b| {
+            let mut ctx = QueryContext::new();
+            b.iter(|| {
+                rq.estimate_batch_with(&mut ctx, black_box(&sk), black_box(&queries))
+                    .iter()
+                    .map(|r| r.as_ref().unwrap().value)
+                    .sum::<f64>()
+            })
+        });
     }
     group.finish();
 }

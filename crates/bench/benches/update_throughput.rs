@@ -9,7 +9,7 @@ use histograms::{EulerHistogram, GeometricHistogram, GridSpec};
 use rand::SeedableRng;
 use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
-use sketch::{par_insert_batch, plan, BuildKernel};
+use sketch::{par_insert_batch, plan};
 
 const BITS: u32 = 14;
 
@@ -35,22 +35,20 @@ fn bench_updates(c: &mut Criterion) {
         let config = SketchConfig::new(instances / 5, 5).with_max_level(max_level);
         let join =
             SpatialJoin::<2>::new(&mut rng, config, [BITS, BITS], EndpointStrategy::Transform);
-        // Serial inserts per blocked kernel (the scalar oracle lives in
-        // perf_probe's sweep; here the bit-sliced block widths race).
-        for kernel in [BuildKernel::Wide, BuildKernel::Wide512] {
-            group.bench_function(format!("sketch_{instances}inst_serial_{kernel:?}"), |b| {
-                b.iter_batched(
-                    || join.new_sketch_r().with_kernel(kernel),
-                    |mut sk| {
-                        for r in &rects {
-                            sk.insert(black_box(r)).unwrap();
-                        }
-                        sk
-                    },
-                    BatchSize::LargeInput,
-                )
-            });
-        }
+        // Serial inserts under the blocked kernel (the scalar oracle lives
+        // in perf_probe's sweep).
+        group.bench_function(format!("sketch_{instances}inst_serial_Wide"), |b| {
+            b.iter_batched(
+                || join.new_sketch_r(),
+                |mut sk| {
+                    for r in &rects {
+                        sk.insert(black_box(r)).unwrap();
+                    }
+                    sk
+                },
+                BatchSize::LargeInput,
+            )
+        });
         group.bench_function(format!("sketch_{instances}inst_parallel8"), |b| {
             b.iter_batched(
                 || join.new_sketch_r(),

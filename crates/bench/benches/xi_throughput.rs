@@ -1,8 +1,8 @@
 //! Microbench: four-wise independent variable generation — the innermost
 //! operation of every sketch update. Compares the BCH construction (with
 //! and without shared cube precomputation) against the cubic-polynomial
-//! family, the bit-sliced block evaluation behind the wide (256-lane) and
-//! wide512 (512-lane) build kernels, plus the GF(2^k) cube itself.
+//! family, the bit-sliced block evaluation at the 256-lane width and the
+//! 512-lane width the blocked kernels run, plus the GF(2^k) cube itself.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fourwise::{

@@ -4,15 +4,14 @@
 //! Usage: cargo run --release -p spatial-bench --bin perf_check --
 //!          [--anchor BENCH_pr13.json] [--tolerance 0.25]
 //!
-//! Compares the blocked kernels' build ns/(obj·inst) and estimate
+//! Compares the blocked kernel's build ns/(obj·inst) and estimate
 //! ns/(est·inst) — join and cold range paths (the range queries never
 //! repeat, so each one runs the blocked ξ cover kernel) — at the 440-instance
 //! configuration against the matching records in the anchor file (a copy
 //! of `perf_probe` output; see EXPERIMENTS.md "Performance baseline").
-//! Anchor entries are matched by **lane width**, not kernel name: each
-//! bit-sliced width (256/512) carries its own anchor set, so adding a
-//! width means extending the anchor file rather than re-keying it (the
-//! anchors' 64-lane rows belong to a retired kernel and are not read). The
+//! Anchor entries are matched by **lane width**, not kernel name: the
+//! 512-lane `wide` kernel reads the anchors' 512-lane (`wide512`) rows, and
+//! the rows of the retired 64- and 256-lane kernels are not read. The
 //! network front-end's `net` sweep is guarded at the configurations that
 //! isolate each mechanism — anchor points are matched by
 //! `(clients, batch, coalesce_us)`: single-connection p50 round-trip
@@ -124,16 +123,11 @@ fn main() {
     let build = build_probe(
         threads,
         QUICK_SHAPES,
-        &[BuildKernel::Wide, BuildKernel::Wide512],
+        &[BuildKernel::Wide],
         "ci-build",
         false,
     );
-    let estimate = estimate_probe(
-        threads,
-        QUICK_SHAPES,
-        &[QueryKernel::Wide, QueryKernel::Wide512],
-        "ci-estimate",
-    );
+    let estimate = estimate_probe(threads, QUICK_SHAPES, &[QueryKernel::Wide], "ci-estimate");
     assert_eq!(build.instances, vec![ANCHOR_INSTANCES as usize]);
     assert_eq!(estimate.instances, vec![ANCHOR_INSTANCES as usize]);
 

@@ -1,19 +1,15 @@
 //! Build/estimate/serve throughput probe plus quick maxLevel sanity sweeps.
 //!
-//! The default probe times the sketch build under the whole maintenance
-//! kernel matrix (scalar oracle, 256-lane wide, 512-lane wide; see
+//! The default probe times the sketch build under both maintenance kernels
+//! (scalar oracle and the 512-lane blocked kernel; see
 //! `sketch::BuildKernel`) and appends one JSON record per run to
 //! `results/perf_probe.json` — the committed `BENCH_*.json` anchors are
 //! copies of such records. Every per-kernel record carries the kernel
 //! variant, its lane width and its instance-block size, and every record
-//! carries the runtime dispatch decision (detected CPU class, any
-//! `SKETCH_KERNEL` pin, the auto-selected width cap), so anchors stay
-//! self-describing. `--probe estimate` times the *estimation* path the same
-//! way under all query kernels (`sketch::QueryKernel`), join and range;
-//! `--probe wide` is the blocked-width head-to-head: both bit-sliced widths
-//! (256/512) at 64, 192, 440, 1015 and 4100 instances, build and estimate
-//! (`--quick` keeps only the 440-instance point); `--probe
-//! serve` times the serving layer — router QPS vs shard count (1/2/4)
+//! carries the runtime kernel constants (the ingest worker cap), so anchors
+//! stay self-describing. `--probe estimate` times the *estimation* path the
+//! same way under both query kernels (`sketch::QueryKernel`), join and
+//! range; `--probe serve` times the serving layer — router QPS vs shard count (1/2/4)
 //! through `spatial-serve`'s sharded store, against the direct
 //! single-sketch baseline; `--probe net` sweeps the TCP front-end
 //! end-to-end — connection counts 1/8/64 at batch-of-1 frames × the
@@ -37,7 +33,7 @@
 //! with the CI `perf_check` regression guard.
 //!
 //! Usage: cargo run --release -p spatial-bench --bin perf_probe
-//!        [-- --gis | --range | --quick | --probe <estimate|wide|serve|net|batchq|rebalance>]
+//!        [-- --gis | --range | --quick | --probe <estimate|serve|net|batchq|rebalance>]
 //!
 //! `--quick` probes only the smallest instance count (fast iteration while
 //! touching the hot path).
@@ -49,7 +45,7 @@ use sketch::{par_insert_batch, BoostShape, BuildKernel, QueryKernel};
 use spatial_bench::cli::Args;
 use spatial_bench::probes::{
     batchq_probe, build_probe, estimate_probe, net_probe, rebalance_probe, serve_probe,
-    BUILD_SHAPES, ESTIMATE_SHAPES, QUICK_SHAPES, WIDTH_SWEEP_SHAPES,
+    BUILD_SHAPES, ESTIMATE_SHAPES, QUICK_SHAPES,
 };
 use spatial_bench::report::rel_error;
 use spatial_bench::runner::{default_threads, shape_for_words};
@@ -73,25 +69,8 @@ fn main() {
             estimate_probe(
                 threads,
                 shapes(ESTIMATE_SHAPES),
-                &[QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512],
+                &[QueryKernel::Scalar, QueryKernel::Wide],
                 "estimate",
-            );
-            return;
-        }
-        Some("wide") => {
-            // Head-to-head of the two blocked widths, build + estimate.
-            build_probe(
-                threads,
-                shapes(WIDTH_SWEEP_SHAPES),
-                &[BuildKernel::Wide, BuildKernel::Wide512],
-                "wide-build",
-                false,
-            );
-            estimate_probe(
-                threads,
-                shapes(WIDTH_SWEEP_SHAPES),
-                &[QueryKernel::Wide, QueryKernel::Wide512],
-                "wide-estimate",
             );
             return;
         }
@@ -113,7 +92,7 @@ fn main() {
         }
         Some(other) => {
             eprintln!(
-                "unknown --probe `{other}` (supported: estimate, wide, serve, net, batchq, rebalance)"
+                "unknown --probe `{other}` (supported: estimate, serve, net, batchq, rebalance)"
             );
             std::process::exit(2);
         }
@@ -197,14 +176,14 @@ fn main() {
         return;
     }
 
-    // Default probe: build-throughput sweep across the whole kernel matrix
-    // plus one exact-join timing. Each run *appends* a record to
+    // Default probe: build-throughput sweep across both kernels plus one
+    // exact-join timing. Each run *appends* a record to
     // results/perf_probe.json (the committed BENCH_*.json anchors are
     // copies of such records), so successive runs stay diffable.
     build_probe(
         threads,
         shapes(BUILD_SHAPES),
-        &[BuildKernel::Scalar, BuildKernel::Wide, BuildKernel::Wide512],
+        &[BuildKernel::Scalar, BuildKernel::Wide],
         "build",
         true,
     );

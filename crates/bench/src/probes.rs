@@ -36,18 +36,12 @@ pub const BUILD_SHAPES: &[(usize, usize)] = &[(88, 5), (440, 5), (1200, 5)];
 /// Shapes of the full estimate sweep: 440, 1015 and 4100 instances.
 pub const ESTIMATE_SHAPES: &[(usize, usize)] = &[(88, 5), (203, 5), (820, 5)];
 
-/// Shapes of the blocked-width sweep (`perf_probe --probe wide`): 64, 192,
-/// 440, 1015 and 4100 instances — one occupied 64-lane word, a 256-lane
-/// block three quarters full, and the quick and full estimate points.
-pub const WIDTH_SWEEP_SHAPES: &[(usize, usize)] = &[(64, 1), (64, 3), (88, 5), (203, 5), (820, 5)];
-
 /// `(name, lane_width, block_size)` of a build kernel, recorded with every
 /// probe point.
 pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
     match kernel {
         BuildKernel::Scalar => ("scalar", 1, 1),
-        BuildKernel::Wide => ("wide", 256, 256),
-        BuildKernel::Wide512 => ("wide512", 512, 512),
+        BuildKernel::Wide => ("wide", 512, 512),
     }
 }
 
@@ -55,22 +49,14 @@ pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
 pub fn query_kernel_meta(kernel: QueryKernel) -> (&'static str, usize, usize) {
     match kernel {
         QueryKernel::Scalar => ("scalar", 1, 1),
-        QueryKernel::Wide => ("wide", 256, 256),
-        QueryKernel::Wide512 => ("wide512", 512, 512),
-        QueryKernel::Auto => ("auto", 0, 0),
+        QueryKernel::Wide => ("wide", 512, 512),
     }
 }
 
-/// The runtime kernel-dispatch decision recorded with every probe record,
-/// so an anchor file documents the machine class it was measured on.
+/// The runtime kernel constants recorded with every probe record, so an
+/// anchor file documents the machine it was measured on.
 #[derive(serde::Serialize)]
 pub struct DispatchMeta {
-    /// Detected CPU vector capability (`avx512` / `avx2` / `portable`).
-    pub cpu: String,
-    /// The `SKETCH_KERNEL` pin active during the probe, if any.
-    pub env_override: Option<String>,
-    /// Widest lane width the runtime dispatcher will auto-select here.
-    pub max_lane_width: usize,
     /// Workers a blocked slice ingest splits its instance blocks across.
     pub ingest_threads: usize,
 }
@@ -79,9 +65,6 @@ pub struct DispatchMeta {
 pub fn dispatch_meta() -> DispatchMeta {
     let report = sketch::dispatch_report();
     DispatchMeta {
-        cpu: report.cpu.name().into(),
-        env_override: report.env_override.map(Into::into),
-        max_lane_width: report.max_lane_width,
         ingest_threads: report.ingest_threads,
     }
 }
@@ -155,7 +138,7 @@ fn speedups_of(names: &[&'static str], ns_per_kernel: &[Vec<f64>]) -> Vec<Speedu
 /// One query kernel's estimate timings across the instance configurations.
 #[derive(serde::Serialize)]
 pub struct QueryKernelRecord {
-    /// Kernel name (`scalar` / `wide` / `wide512`).
+    /// Kernel name (`scalar` / `wide`).
     pub kernel: String,
     /// Instance lanes per kernel word.
     pub lane_width: usize,
@@ -170,7 +153,7 @@ pub struct QueryKernelRecord {
 /// The `--probe estimate` record: join and range estimation throughput.
 #[derive(serde::Serialize)]
 pub struct EstimateProbeRecord {
-    /// Probe tag (`estimate` / `wide-estimate`).
+    /// Probe tag (`estimate` / `ci-estimate`).
     pub probe: String,
     /// Objects summarized per sketch.
     pub objects: usize,
@@ -182,7 +165,7 @@ pub struct EstimateProbeRecord {
     pub dispatch: DispatchMeta,
     /// Join-path timings per kernel.
     pub join_kernels: Vec<QueryKernelRecord>,
-    /// Adjacent-kernel ratios (e.g. wide over scalar, wide512 over wide).
+    /// Adjacent-kernel ratios (wide over scalar).
     pub join_speedups: Vec<Speedup>,
     /// Cold range-path timings per kernel: no query repeats within the
     /// plan cache's reach, so every estimate compiles its plan and runs the
@@ -334,7 +317,7 @@ pub fn estimate_probe(
 /// One build kernel's timings across the instance configurations.
 #[derive(serde::Serialize)]
 pub struct KernelRecord {
-    /// Kernel name (`scalar` / `wide` / `wide512`).
+    /// Kernel name (`scalar` / `wide`).
     pub kernel: String,
     /// Instance lanes per kernel word.
     pub lane_width: usize,
@@ -349,7 +332,7 @@ pub struct KernelRecord {
 /// The default-probe record: build throughput per maintenance kernel.
 #[derive(serde::Serialize)]
 pub struct BuildProbeRecord {
-    /// Probe tag (`build` / `wide-build`).
+    /// Probe tag (`build` / `ci-build`).
     pub probe: String,
     /// Objects ingested per build.
     pub objects: usize,
@@ -363,7 +346,7 @@ pub struct BuildProbeRecord {
     pub dispatch: DispatchMeta,
     /// Per-kernel timings.
     pub kernels: Vec<KernelRecord>,
-    /// Adjacent-kernel ratios (e.g. wide over scalar, wide512 over wide).
+    /// Adjacent-kernel ratios (wide over scalar).
     pub speedups: Vec<Speedup>,
     /// `None` (serialized as null) when the probe skips the exact join.
     pub exact_join_pairs: Option<u64>,

@@ -9,12 +9,12 @@
 //!
 //! The hot loop is arranged so that per-object work shared by *all*
 //! instances (dyadic covers and the GF(2^k) index cubes) is computed once
-//! into a per-object scratch. Three kernels can then apply the scratch to
+//! into a per-object scratch. Two kernels can then apply the scratch to
 //! the counters (see [`BuildKernel`]): the scalar reference path walks
-//! instances one at a time, while the blocked paths evaluate ξ for a whole
-//! [`Lane`] word of 256 or 512 instances per operation (bit-sliced seed
-//! planes, `fourwise::batch`) and walk the counter array one contiguous
-//! instance-block at a time. All three produce bit-identical counters.
+//! instances one at a time, while the blocked path evaluates ξ for a whole
+//! [`Lane`] word of 512 instances per operation (bit-sliced seed planes,
+//! `fourwise::batch`) and walks the counter array one contiguous
+//! instance-block at a time. Both produce bit-identical counters.
 //!
 //! Both the scratch and the blocked kernels do only what the word set
 //! reads: each word multiplies one component per dimension, so a dimension
@@ -25,10 +25,10 @@
 
 use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
-use crate::kernel::{self, Width};
-use crate::schema::{SchemaLanes, SketchSchema};
+use crate::kernel::{self, BlockLane};
+use crate::schema::SketchSchema;
 use dyadic::{interval_cover_into, point_cover_into};
-use fourwise::{IndexPre, Lane, LaneCounter, WideLane, WideLane512};
+use fourwise::{IndexPre, Lane, LaneCounter};
 use geometry::transform::{shrink_interval, triple, triple_interval};
 use geometry::{HyperRect, Interval};
 use std::sync::Arc;
@@ -40,35 +40,19 @@ const OBJ_CHUNK: usize = 128;
 
 /// Which implementation maintains the counters on insert/delete.
 ///
-/// All kernels compute the exact same integer counter updates — the scalar
-/// path is retained as the differential-test oracle of both blocked widths.
-/// [`SketchSet::new`] picks the default per schema through the runtime
-/// dispatcher (`sketch::kernel`): the `SKETCH_KERNEL` env override if set,
-/// otherwise [`BuildKernel::Wide512`] from
-/// [`kernel::WIDE512_MIN_INSTANCES`] instances on `avx512f` machines and
-/// [`BuildKernel::Wide`] everywhere else.
+/// Both kernels compute the exact same integer counter updates — the
+/// scalar path is retained as the differential-test oracle of the blocked
+/// one. [`SketchSet::new`] picks [`BuildKernel::Wide`] for every schema
+/// (see `sketch::kernel`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BuildKernel {
     /// Per-instance scalar ξ evaluation (the original reference path).
     Scalar,
-    /// Bit-sliced evaluation of 256 instances per pass over
-    /// [`WideLane`]-packed seed planes with a cache-blocked counter walk —
-    /// the four-word lane width LLVM autovectorizes.
+    /// Bit-sliced evaluation of 512 instances per pass over
+    /// [`fourwise::WideLane512`]-packed seed planes with a cache-blocked
+    /// counter walk; a partly filled block folds only its occupied words.
     #[default]
     Wide,
-    /// Bit-sliced evaluation of 512 instances per pass over
-    /// [`WideLane512`]-packed seed planes (the AVX-512 register shape).
-    Wide512,
-}
-
-impl From<Width> for BuildKernel {
-    fn from(width: Width) -> Self {
-        match width {
-            Width::Scalar => BuildKernel::Scalar,
-            Width::Wide => BuildKernel::Wide,
-            Width::Wide512 => BuildKernel::Wide512,
-        }
-    }
 }
 
 /// How object geometry is mapped into the sketch coordinate space.
@@ -263,24 +247,23 @@ fn mul_lanes(prod: &mut [i64], vals: &[i64]) {
     }
 }
 
-/// Reusable working memory of the blocked kernels: one carry-save counter
-/// plus per-dimension component lanes, at the kernel's lane width.
-/// Allocated lazily and kept across updates; each scoped worker of a split
-/// ingest holds its own.
+/// Reusable working memory of the blocked kernel: one carry-save counter
+/// plus per-dimension component lanes. Allocated lazily and kept across
+/// updates; each scoped worker of a split ingest holds its own.
 #[derive(Debug, Clone)]
-struct LaneScratch<L: Lane, const D: usize> {
-    counter: LaneCounter<L>,
+struct LaneScratch<const D: usize> {
+    counter: LaneCounter<BlockLane>,
     dims: [DimLanes; D],
     /// Per-lane running word product (see [`DimLanes::mul_into`]).
     prod: Vec<i64>,
 }
 
-impl<L: Lane, const D: usize> LaneScratch<L, D> {
+impl<const D: usize> LaneScratch<D> {
     fn new() -> Self {
         Self {
             counter: LaneCounter::new(),
-            dims: std::array::from_fn(|_| DimLanes::new(L::LANES)),
-            prod: vec![0; L::LANES],
+            dims: std::array::from_fn(|_| DimLanes::new(BlockLane::LANES)),
+            prod: vec![0; BlockLane::LANES],
         }
     }
 }
@@ -299,11 +282,9 @@ pub struct SketchSet<const D: usize> {
     /// Net inserted object count (inserts minus deletes).
     len: i64,
     kernel: BuildKernel,
-    /// Lazily allocated wide-kernel working memory (`None` until the first
-    /// blocked update).
-    lanes_wide: Option<LaneScratch<WideLane, D>>,
-    /// 512-lane-kernel working memory, likewise lazy.
-    lanes_wide512: Option<LaneScratch<WideLane512, D>>,
+    /// Lazily allocated blocked-kernel working memory (`None` until the
+    /// first blocked update).
+    lanes: Option<LaneScratch<D>>,
 }
 
 impl<const D: usize> SketchSet<D> {
@@ -314,8 +295,8 @@ impl<const D: usize> SketchSet<D> {
     /// must be large enough for the policy (`data_bits = sketch_bits -
     /// policy.extra_bits()` is the admissible input range).
     ///
-    /// The maintenance kernel defaults to the schema's preferred width (see
-    /// [`BuildKernel`]); override with [`SketchSet::with_kernel`].
+    /// The maintenance kernel defaults to [`BuildKernel::Wide`]; override
+    /// with [`SketchSet::with_kernel`].
     pub fn new(
         schema: Arc<SketchSchema<D>>,
         words: Arc<Vec<Word<D>>>,
@@ -325,7 +306,6 @@ impl<const D: usize> SketchSet<D> {
         let needs = DimNeeds::of(&words);
         let data_bits = std::array::from_fn(|i| schema.dims()[i].sketch_bits - policy.extra_bits());
         let counters = vec![0i64; schema.instances() * words.len()];
-        let kernel = kernel::preferred(schema.instances()).into();
         Self {
             schema,
             words,
@@ -334,9 +314,8 @@ impl<const D: usize> SketchSet<D> {
             needs,
             counters,
             len: 0,
-            kernel,
-            lanes_wide: None,
-            lanes_wide512: None,
+            kernel: BuildKernel::default(),
+            lanes: None,
         }
     }
 
@@ -434,7 +413,7 @@ impl<const D: usize> SketchSet<D> {
 
     /// Applies one signed update per rectangle, amortizing the per-object
     /// cover computation across the slice: objects are ingested in chunks of
-    /// `OBJ_CHUNK` (128) scratches, and (under a blocked kernel) each instance
+    /// `OBJ_CHUNK` (128) scratches, and (under the blocked kernel) each instance
     /// block streams over a whole chunk before the walk moves to the next
     /// block, so a block's counters and packed seed planes stay cache-hot.
     /// Instance blocks are independent, so a slice of at least
@@ -448,7 +427,7 @@ impl<const D: usize> SketchSet<D> {
     }
 
     /// The one ingest walk: [`SketchSet::update_slice`] with at most
-    /// `threads` workers. A blocked kernel cuts its instance blocks into
+    /// `threads` workers. The blocked kernel cuts its instance blocks into
     /// `min(threads, blocks)` contiguous spans (one span, so no worker,
     /// below [`kernel::INGEST_SPLIT_FLOOR`]) and opens one thread scope for
     /// the whole slice: the calling thread walks the first span with the
@@ -467,14 +446,9 @@ impl<const D: usize> SketchSet<D> {
         let mut counters = std::mem::take(&mut self.counters);
         match self.kernel {
             BuildKernel::Wide => {
-                let mut lanes = self.lanes_wide.take().unwrap_or_else(LaneScratch::new);
+                let mut lanes = self.lanes.take().unwrap_or_else(LaneScratch::new);
                 self.walk_spans(rects, delta, threads, &mut lanes, &mut counters);
-                self.lanes_wide = Some(lanes);
-            }
-            BuildKernel::Wide512 => {
-                let mut lanes = self.lanes_wide512.take().unwrap_or_else(LaneScratch::new);
-                self.walk_spans(rects, delta, threads, &mut lanes, &mut counters);
-                self.lanes_wide512 = Some(lanes);
+                self.lanes = Some(lanes);
             }
             BuildKernel::Scalar => {
                 let (schema, words) = (&*self.schema, &self.words[..]);
@@ -492,24 +466,24 @@ impl<const D: usize> SketchSet<D> {
         Ok(())
     }
 
-    /// Cuts the instance blocks at lane width `L` into `min(threads,
-    /// blocks)` contiguous spans and streams every chunk of `rects` over each
-    /// span (see [`SketchSet::update_slice_on`]). Spans hold whole blocks, so
-    /// lanes never straddle a worker boundary.
-    fn walk_spans<L: SchemaLanes>(
+    /// Cuts the instance blocks into `min(threads, blocks)` contiguous
+    /// spans and streams every chunk of `rects` over each span (see
+    /// [`SketchSet::update_slice_on`]). Spans hold whole blocks, so lanes
+    /// never straddle a worker boundary.
+    fn walk_spans(
         &self,
         rects: &[HyperRect<D>],
         delta: i64,
         threads: usize,
-        lanes: &mut LaneScratch<L, D>,
+        lanes: &mut LaneScratch<D>,
         counters: &mut [i64],
     ) {
-        let blocks = L::instance_blocks(&self.schema);
+        let blocks = self.schema.instance_blocks();
         let small = rects.len() * self.schema.instances() < kernel::INGEST_SPLIT_FLOOR;
         let spans = if small { 1 } else { threads.clamp(1, blocks) };
         let per_span = blocks.div_ceil(spans);
-        let span_len = per_span * L::LANES * self.words.len();
-        let walk = |first: usize, span: &mut [i64], lanes: &mut LaneScratch<L, D>| {
+        let span_len = per_span * BlockLane::LANES * self.words.len();
+        let walk = |first: usize, span: &mut [i64], lanes: &mut LaneScratch<D>| {
             self.for_each_chunk(rects, |chunk| {
                 apply_chunk_blocked(&self.schema, &self.words, chunk, first, lanes, span, delta)
             })
@@ -700,18 +674,21 @@ fn apply_instance<const D: usize>(
 }
 
 /// Streams a chunk of object scratches over a span of whole instance
-/// blocks at lane width `L`, starting at block `first`: the cache-blocked
-/// walk every blocked ingest runs. `counters` holds exactly the span's rows.
-fn apply_chunk_blocked<L: SchemaLanes, const D: usize>(
+/// blocks, starting at block `first`: the cache-blocked walk every blocked
+/// ingest runs. `counters` holds exactly the span's rows.
+fn apply_chunk_blocked<const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
     scratches: &[RectScratch<D>],
     first: usize,
-    lanes: &mut LaneScratch<L, D>,
+    lanes: &mut LaneScratch<D>,
     counters: &mut [i64],
     delta: i64,
 ) {
-    for (b, rows) in counters.chunks_mut(L::LANES * words.len()).enumerate() {
+    for (b, rows) in counters
+        .chunks_mut(BlockLane::LANES * words.len())
+        .enumerate()
+    {
         for (i, scratch) in scratches.iter().enumerate() {
             // Software prefetch: touch the next scratch's streamed node
             // lists while this one is being applied, so its cache lines are
@@ -755,25 +732,23 @@ fn prefetch_scratch<const D: usize>(scratch: &RectScratch<D>) {
 /// per word, the per-lane product column is built up dimension by
 /// dimension with contiguous elementwise multiplies (see
 /// [`DimLanes::mul_into`]) and scattered into the counter rows once.
-/// Generic over the [`Lane`] width — the 256- and 512-lane kernels are the
-/// instantiations.
-fn apply_block<L: SchemaLanes, const D: usize>(
+fn apply_block<const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
     scratch: &RectScratch<D>,
     block: usize,
-    ls: &mut LaneScratch<L, D>,
+    ls: &mut LaneScratch<D>,
     counter_rows: &mut [i64],
     delta: i64,
 ) {
-    let lanes = L::seed_blocks(schema, 0)[block].lanes();
+    let lanes = schema.seed_blocks(0)[block].lanes();
     let LaneScratch {
         counter,
         dims,
         prod,
     } = ls;
     for (dim, dl) in dims.iter_mut().enumerate() {
-        let xb = &L::seed_blocks(schema, dim)[block];
+        let xb = &schema.seed_blocks(dim)[block];
         let ds = &scratch.dims[dim];
         let needs = ds.needs;
         for (need, list, out) in [

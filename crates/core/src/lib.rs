@@ -26,21 +26,20 @@
 //! * [`schema`] — the shared seeds and boosting-grid shape that make
 //!   sketches combinable;
 //! * [`atomic`] — the maintained counters ([`atomic::SketchSet`]) with
-//!   streaming insert/delete, linear merge, and three bit-identical
-//!   maintenance kernels ([`atomic::BuildKernel`]: scalar oracle, 256-lane
-//!   wide, 512-lane wide — the latter two instantiations of one
-//!   lane-width-generic kernel over [`fourwise::Lane`]);
+//!   streaming insert/delete, linear merge, and two bit-identical
+//!   maintenance kernels ([`atomic::BuildKernel`]: scalar oracle and the
+//!   512-lane blocked kernel over [`fourwise::Lane`] words);
 //! * [`estimator`] — generic term-expansion machinery turning per-dimension
 //!   counting identities into d-dimensional estimators;
 //! * [`estimators`] — ready-made estimators for every query class in the
 //!   paper;
 //! * [`query`] — the estimation-side evaluation kernels
-//!   ([`query::QueryKernel`]: scalar oracle, wide, wide512, auto-resolved
-//!   per schema) and the shared [`query::QueryContext`]
+//!   ([`query::QueryKernel`]: scalar oracle and the 512-lane blocked
+//!   kernel) and the shared [`query::QueryContext`]
 //!   scratch — including a compiled-plan cache for repeated queries — every
 //!   estimator evaluates through;
-//! * [`kernel`] — the shared kernel-width dispatch (`SKETCH_KERNEL` env
-//!   override → runtime CPU detection and instance-count threshold);
+//! * [`kernel`] — the one blocked lane width and the ingest split floor
+//!   both kernel families share;
 //! * [`boost`] — mean-then-median boosting (Figure 1);
 //! * [`selfjoin`] — exact and sketched self-join sizes (`SJ`), the accuracy
 //!   currency of every variance bound;
@@ -102,10 +101,7 @@ pub use estimators::eps::EpsJoin;
 pub use estimators::joins::{EndpointStrategy, OverlapPlusJoin, SpatialJoin};
 pub use estimators::range::{BatchQuery, RangeQuery, RangeStrategy};
 pub use estimators::SketchConfig;
-pub use kernel::{
-    cpu_vector, dispatch_report, preferred_lane_width, CpuVector, DispatchReport,
-    INGEST_SPLIT_FLOOR, WIDE512_MIN_INSTANCES,
-};
+pub use kernel::{dispatch_report, preferred_lane_width, DispatchReport, INGEST_SPLIT_FLOOR};
 pub use log::{LogEntry, LogRetention, UpdateLog};
 pub use par::{par_estimate, par_insert_batch, par_merge_batch, par_update_batch};
 pub use persist::{
@@ -116,4 +112,4 @@ pub use plan::Guarantee;
 pub use query::{
     PartialEstimate, PlanCacheReport, PlanCacheStats, PlanMemoStats, QueryContext, QueryKernel,
 };
-pub use schema::{BoostShape, DimSpec, SchemaLanes, SketchSchema};
+pub use schema::{BoostShape, DimSpec, SketchSchema};

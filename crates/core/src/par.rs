@@ -5,16 +5,14 @@
 //! the instance axis. [`par_update_batch`] is [`SketchSet::update_slice`]
 //! with the caller's worker cap instead of the machine's: the same single
 //! walk, which computes each object's dyadic covers and GF(2^k) cubes once
-//! per span and splits whole instance blocks at the active kernel's width
-//! (256 or 512 instances) across scoped workers, so lanes never straddle a
-//! thread boundary. The scalar oracle never splits. This is how the
+//! per span and splits whole 512-instance blocks across scoped workers, so
+//! lanes never straddle a thread boundary. The scalar oracle never splits. This is how the
 //! experiment harness affords the paper's thousands-of-instances
 //! configurations.
 //!
 //! Estimation parallelizes the same way ([`par_estimate`]): the atomic
-//! estimate grid splits into whole instance blocks at the width the
-//! schema's instance count prefers (see [`crate::query::QueryKernel`]),
-//! each worker fills its share with the blocked query kernel, and the
+//! estimate grid splits into whole instance blocks, each worker fills its
+//! share with the blocked query kernel, and the
 //! single-threaded mean-then-median boost runs at the end. The result is
 //! bit-identical to [`PairEstimator::estimate`].
 
@@ -22,9 +20,7 @@ use crate::atomic::SketchSet;
 use crate::boost::Estimate;
 use crate::error::Result;
 use crate::estimator::PairEstimator;
-use crate::query::{pair_fill_blocked, QueryKernel};
-use crate::schema::SchemaLanes;
-use fourwise::{WideLane, WideLane512};
+use crate::query::pair_fill_blocked;
 use geometry::HyperRect;
 
 /// Applies a signed bulk update with at most `threads` workers.
@@ -94,42 +90,12 @@ pub fn par_insert_batch<const D: usize>(
     par_update_batch(sketch, rects, 1, threads)
 }
 
-/// Fills the atomic grid block-parallel at lane width `L`.
-fn par_fill_pair<L: SchemaLanes, const D: usize>(
-    pair: &PairEstimator<D>,
-    r: &SketchSet<D>,
-    s: &SketchSet<D>,
-    threads: usize,
-    atomic: &mut [f64],
-) {
-    let schema = pair.schema();
-    let blocks = L::instance_blocks(schema);
-    let per_thread = blocks.div_ceil(threads);
-    let terms = pair.terms().terms();
-    std::thread::scope(|scope| {
-        let mut rest = atomic;
-        let mut block = 0usize;
-        while !rest.is_empty() {
-            let span_end = (block + per_thread).min(blocks);
-            let insts: usize = (block..span_end)
-                .map(|b| L::seed_blocks(schema, 0)[b].lanes())
-                .sum();
-            let (chunk, tail) = rest.split_at_mut(insts);
-            rest = tail;
-            let first = block;
-            block = span_end;
-            scope.spawn(move || pair_fill_blocked::<L, D>(terms, r, s, first, chunk));
-        }
-    });
-}
-
 /// Block-parallel pair estimation: splits the atomic estimate grid into
-/// whole instance blocks across `threads` workers — at the lane width the
-/// schema's instance count prefers (the `SKETCH_KERNEL` override pins it) —
-/// each running the blocked query kernel over its contiguous share, then
-/// boosts single-threaded. Bit-identical to [`PairEstimator::estimate`]
-/// under every kernel, worthwhile once `instances × terms` is large enough
-/// to amortize thread spawns.
+/// whole instance blocks across `threads` workers, each running the blocked
+/// query kernel over its contiguous share, then boosts single-threaded.
+/// Bit-identical to [`PairEstimator::estimate`] under every kernel,
+/// worthwhile once `instances × terms` is large enough to amortize thread
+/// spawns.
 pub fn par_estimate<const D: usize>(
     pair: &PairEstimator<D>,
     r: &SketchSet<D>,
@@ -141,13 +107,24 @@ pub fn par_estimate<const D: usize>(
     let schema = pair.schema();
     let shape = schema.shape();
     let mut atomic = vec![0.0f64; shape.instances()];
-    match QueryKernel::Auto.resolve(shape.instances()) {
-        QueryKernel::Wide => par_fill_pair::<WideLane, D>(pair, r, s, threads, &mut atomic),
-        QueryKernel::Wide512 => par_fill_pair::<WideLane512, D>(pair, r, s, threads, &mut atomic),
-        // The scalar oracle has no blocked form; its estimates are
-        // bit-identical to the wide fill, which parallelizes.
-        _ => par_fill_pair::<WideLane, D>(pair, r, s, threads, &mut atomic),
-    }
+    let blocks = schema.instance_blocks();
+    let per_thread = blocks.div_ceil(threads);
+    let terms = pair.terms().terms();
+    std::thread::scope(|scope| {
+        let mut rest = &mut atomic[..];
+        let mut block = 0usize;
+        while !rest.is_empty() {
+            let span_end = (block + per_thread).min(blocks);
+            let insts: usize = (block..span_end)
+                .map(|b| schema.seed_blocks(0)[b].lanes())
+                .sum();
+            let (chunk, tail) = rest.split_at_mut(insts);
+            rest = tail;
+            let first = block;
+            block = span_end;
+            scope.spawn(move || pair_fill_blocked(terms, r, s, first, chunk));
+        }
+    });
     Ok(Estimate::from_grid(&atomic, shape.k1, shape.k2))
 }
 
@@ -195,7 +172,7 @@ mod tests {
         for r in &data {
             seq.insert(r).unwrap();
         }
-        for kernel in [BuildKernel::Scalar, BuildKernel::Wide, BuildKernel::Wide512] {
+        for kernel in [BuildKernel::Scalar, BuildKernel::Wide] {
             for threads in [1usize, 2, 3, 8] {
                 let mut par = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw)
                     .with_kernel(kernel);
@@ -214,14 +191,14 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_across_block_boundary() {
-        // 300 instances: one full 256-lane wide block plus a 44-lane tail,
+        // 520 instances: one full 512-lane block plus an 8-lane tail,
         // split across workers that cannot divide the block count evenly;
         // 220 objects put the slice above the split floor.
         let mut rng = StdRng::seed_from_u64(104);
         let schema = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
-            BoostShape::new(150, 2),
+            BoostShape::new(260, 2),
             [DimSpec::dyadic(8); 2],
         );
         let words = Arc::new(ie_words::<2>());
@@ -231,18 +208,15 @@ mod tests {
         for r in &data {
             seq.insert(r).unwrap();
         }
-        for kernel in [BuildKernel::Wide, BuildKernel::Wide512] {
-            for threads in [1usize, 2, 5] {
-                let mut par = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw)
-                    .with_kernel(kernel);
-                par_insert_batch(&mut par, &data, threads).unwrap();
-                for inst in 0..schema.instances() {
-                    assert_eq!(
-                        par.instance_counters(inst),
-                        seq.instance_counters(inst),
-                        "kernel={kernel:?} threads={threads} inst={inst}"
-                    );
-                }
+        for threads in [1usize, 2, 5] {
+            let mut par = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw);
+            par_insert_batch(&mut par, &data, threads).unwrap();
+            for inst in 0..schema.instances() {
+                assert_eq!(
+                    par.instance_counters(inst),
+                    seq.instance_counters(inst),
+                    "threads={threads} inst={inst}"
+                );
             }
         }
     }
@@ -306,7 +280,7 @@ mod tests {
         par_insert_batch(&mut r, &rects(150, 6), 4).unwrap();
         par_insert_batch(&mut s, &rects(150, 7), 4).unwrap();
         let seq = join.estimate(&r, &s).unwrap();
-        for kernel in [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512] {
+        for kernel in [QueryKernel::Scalar, QueryKernel::Wide] {
             let mut ctx = QueryContext::new().with_kernel(kernel);
             let est = join.estimate_with(&mut ctx, &r, &s).unwrap();
             assert_eq!(seq.value.to_bits(), est.value.to_bits(), "{kernel:?}");

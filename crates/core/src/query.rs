@@ -8,7 +8,7 @@
 //! (§4.2). The build side bit-sliced this loop shape in PR 2
 //! ([`fourwise::batch`]); this module does the same for estimation.
 //!
-//! Three interchangeable kernels fill the atomic grid ([`QueryKernel`]); all
+//! Two interchangeable kernels fill the atomic grid ([`QueryKernel`]); both
 //! produce **bit-identical** [`Estimate`]s (enforced by
 //! `crates/core/tests/differential_estimators.rs`):
 //!
@@ -16,26 +16,17 @@
 //!   time, instantiate each instance's ξ families and evaluate covers
 //!   per-instance (the query path), or form counter products with plain
 //!   128-bit widening (the pair path). Kept as the differential oracle.
-//! * [`QueryKernel::Wide`] — walk whole 256-lane instance blocks:
-//!   query-side cover node ids and their GF(2^k) cubes are computed **once
-//!   per query**, evaluated for a block of instances per pass via the
-//!   schema's packed [`fourwise::WideLane`] seed planes (per-lane sums
-//!   through [`fourwise::BlockSums`]; four-word lane operations LLVM
-//!   autovectorizes, and partly filled blocks fold only their occupied
-//!   words), and combined with the block's contiguous counter rows
-//!   term-major — independent f64 accumulations across lanes instead of
-//!   one serial chain per instance, and counter products take a 64-bit
-//!   fast path instead of the 128-bit soft-float conversion.
-//! * [`QueryKernel::Wide512`] — the same blocked kernel at the 512-lane
-//!   [`fourwise::WideLane512`] width, half the per-block fixed costs;
-//!   preferred by the runtime dispatcher only for schemas of at least
-//!   [`crate::kernel::WIDE512_MIN_INSTANCES`] instances on CPUs reporting
-//!   512-bit vector registers.
-//!
-//! The default ([`QueryKernel::Auto`]) resolves per estimate from the
-//! sketch's schema through the shared dispatch chain ([`crate::kernel`]):
-//! the `SKETCH_KERNEL` env override if set, otherwise the 256-lane kernel,
-//! or the 512-lane one where the schema and the CPU both allow it.
+//! * [`QueryKernel::Wide`] (the default) — walk whole 512-lane instance
+//!   blocks: query-side cover node ids and their GF(2^k) cubes are
+//!   computed **once per query**, evaluated for a block of instances per
+//!   pass via the schema's packed [`fourwise::WideLane512`] seed planes
+//!   (per-lane sums through [`fourwise::BlockSums`]; eight-word lane
+//!   operations LLVM unrolls and autovectorizes, and partly filled blocks
+//!   fold only their occupied words), and combined with the block's
+//!   contiguous counter rows term-major — independent f64 accumulations
+//!   across lanes instead of one serial chain per instance, and counter
+//!   products take a 64-bit fast path instead of the 128-bit soft-float
+//!   conversion.
 //!
 //! A [`QueryContext`] owns all the kernel scratch (atomic grid, lane sums,
 //! boosting buffers) **plus a compiled-plan cache**: query-side
@@ -84,49 +75,26 @@
 use crate::atomic::SketchSet;
 use crate::boost::{mean_median_with, Estimate};
 use crate::estimator::Term;
-use crate::kernel::{self, Width};
-use crate::schema::{BoostShape, SchemaLanes, SketchSchema};
-use fourwise::{BlockSums, IndexPre, WideLane, WideLane512};
+use crate::kernel::BlockLane;
+use crate::schema::{BoostShape, SketchSchema};
+use fourwise::{BlockSums, IndexPre, Lane};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
 /// Which implementation evaluates estimates over the instance grid.
 ///
-/// All kernels compute bit-identical estimates — the scalar path is
-/// retained as the differential-test oracle of both blocked widths,
-/// mirroring [`crate::atomic::BuildKernel`] on the build side.
+/// Both kernels compute bit-identical estimates — the scalar path is
+/// retained as the differential-test oracle of the blocked one, mirroring
+/// [`crate::atomic::BuildKernel`] on the build side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryKernel {
-    /// Resolve per estimate from the sketch's schema: the `SKETCH_KERNEL`
-    /// env override if set, otherwise the 256-lane kernel, or the 512-lane
-    /// one from [`crate::kernel::WIDE512_MIN_INSTANCES`] instances on CPUs
-    /// with 512-bit vectors.
-    #[default]
-    Auto,
     /// Per-instance evaluation (the original reference path).
     Scalar,
-    /// Bit-sliced evaluation of 256 instances per pass over the schema's
-    /// [`fourwise::WideLane`]-packed seed planes, with block-contiguous
-    /// counter walks.
-    Wide,
     /// Bit-sliced evaluation of 512 instances per pass over the schema's
-    /// [`fourwise::WideLane512`]-packed seed planes.
-    Wide512,
-}
-
-impl QueryKernel {
-    /// Resolves `Auto` against a schema's instance count; explicit kernels
-    /// pass through unchanged. Never returns [`QueryKernel::Auto`].
-    pub(crate) fn resolve(self, instances: usize) -> QueryKernel {
-        match self {
-            QueryKernel::Auto => match kernel::preferred(instances) {
-                Width::Scalar => QueryKernel::Scalar,
-                Width::Wide => QueryKernel::Wide,
-                Width::Wide512 => QueryKernel::Wide512,
-            },
-            k => k,
-        }
-    }
+    /// [`fourwise::WideLane512`]-packed seed planes, with block-contiguous
+    /// counter walks.
+    #[default]
+    Wide,
 }
 
 /// Most compiled plans one [`QueryContext`] retains (least recently used
@@ -290,32 +258,6 @@ pub(crate) struct PlanRef<const D: usize> {
     pub hit: bool,
 }
 
-/// One query-side sum bank per blocked lane width.
-#[derive(Debug, Clone, Default)]
-struct SumBanks {
-    wide: BlockSums<WideLane>,
-    wide512: BlockSums<WideLane512>,
-}
-
-impl SumBanks {
-    /// Fills `out` with the plan's query products (see [`xi_products`]) at
-    /// the lane width of the (resolved, blocked) `kernel`.
-    fn products<const D: usize>(
-        &mut self,
-        kernel: QueryKernel,
-        plan: &XiQueryPlan<D>,
-        schema: &SketchSchema<D>,
-        out: &mut [i64],
-    ) {
-        match kernel {
-            QueryKernel::Wide => xi_products(plan, schema, &mut self.wide, out),
-            QueryKernel::Wide512 => xi_products(plan, schema, &mut self.wide512, out),
-            QueryKernel::Scalar => unreachable!("the scalar oracle evaluates per instance"),
-            QueryKernel::Auto => unreachable!("resolve() never returns Auto"),
-        }
-    }
-}
-
 #[cfg(test)]
 thread_local! {
     /// Test hook: makes the next memo fill on this thread panic after its
@@ -324,8 +266,8 @@ thread_local! {
 }
 
 /// Reusable estimation scratch shared by every estimator: the atomic
-/// estimate grid, the query-side per-lane sum banks (one per lane width),
-/// the boosting buffers, and the compiled-plan cache. Construction-free to
+/// estimate grid, the query-side per-lane sum bank, the boosting buffers,
+/// and the compiled-plan cache. Construction-free to
 /// share across dimensionalities — one context can serve a 2-d join and a
 /// 4-d containment estimator back to back.
 #[derive(Debug, Clone, Default)]
@@ -338,7 +280,7 @@ pub struct QueryContext {
     /// Sort scratch for the median step.
     med: Vec<f64>,
     /// Query-side per-lane cover sums, one slot per (dimension, list) pair.
-    sums: SumBanks,
+    sums: BlockSums<BlockLane>,
     /// A cold plan's query products (term-major), recomputed per call.
     qprod: Vec<i64>,
     /// Compiled query plans, memoized per (schema, query).
@@ -346,7 +288,7 @@ pub struct QueryContext {
 }
 
 impl QueryContext {
-    /// Fresh context with the default ([`QueryKernel::Auto`]) kernel.
+    /// Fresh context with the default ([`QueryKernel::Wide`]) kernel.
     pub fn new() -> Self {
         Self::default()
     }
@@ -363,8 +305,7 @@ impl QueryContext {
         self.kernel = kernel;
     }
 
-    /// The configured evaluation kernel ([`QueryKernel::Auto`] resolves per
-    /// estimate from the sketch's schema).
+    /// The configured evaluation kernel.
     pub fn kernel(&self) -> QueryKernel {
         self.kernel
     }
@@ -426,13 +367,9 @@ impl QueryContext {
     ) -> Estimate {
         let shape = r.schema().shape();
         self.atomic.resize(shape.instances(), 0.0);
-        match self.kernel.resolve(shape.instances()) {
+        match self.kernel {
             QueryKernel::Scalar => pair_fill_scalar(terms, r, s, 0, &mut self.atomic),
-            QueryKernel::Wide => pair_fill_blocked::<WideLane, D>(terms, r, s, 0, &mut self.atomic),
-            QueryKernel::Wide512 => {
-                pair_fill_blocked::<WideLane512, D>(terms, r, s, 0, &mut self.atomic)
-            }
-            QueryKernel::Auto => unreachable!("resolve() never returns Auto"),
+            QueryKernel::Wide => pair_fill_blocked(terms, r, s, 0, &mut self.atomic),
         }
         self.boost(shape)
     }
@@ -440,7 +377,7 @@ impl QueryContext {
     /// Query-side fill: leaves the atomic grid of `Z_i = Σ_t X_i[word_t] ·
     /// Π_dim ξ̄-sum of the term's chosen cover list` in `self.atomic`.
     ///
-    /// The blocked kernels take the query products from the plan's memo
+    /// The blocked kernel takes the query products from the plan's memo
     /// when it is filled, fill it when this lookup was a cache hit, and
     /// otherwise compute them into context scratch; the scalar oracle
     /// ignores the memo entirely.
@@ -449,8 +386,7 @@ impl QueryContext {
         let schema = sketch.schema();
         let instances = schema.instances();
         self.atomic.resize(instances, 0.0);
-        let kernel = self.kernel.resolve(instances);
-        if kernel == QueryKernel::Scalar {
+        if self.kernel == QueryKernel::Scalar {
             return xi_fill_scalar(plan, sketch, 0, &mut self.atomic);
         }
         let products: &[i64] = if let Some(memo) = plan.memo.get() {
@@ -460,7 +396,7 @@ impl QueryContext {
             let mut filled = false;
             let memo = plan.memo.get_or_init(|| {
                 let mut memo = vec![0; plan.terms.len() * instances];
-                self.sums.products(kernel, plan, schema, &mut memo);
+                xi_products(plan, schema, &mut self.sums, &mut memo);
                 #[cfg(test)]
                 if PANIC_IN_NEXT_MEMO_FILL.with(|p| p.replace(false)) {
                     panic!("injected memo-fill panic");
@@ -477,7 +413,7 @@ impl QueryContext {
             memo
         } else {
             self.qprod.resize(plan.terms.len() * instances, 0);
-            self.sums.products(kernel, plan, schema, &mut self.qprod);
+            xi_products(plan, schema, &mut self.sums, &mut self.qprod);
             &self.qprod
         };
         xi_combine(&plan.terms, products, sketch, &mut self.atomic);
@@ -677,12 +613,11 @@ pub(crate) fn pair_fill_scalar<const D: usize>(
 }
 
 /// Fills the pair atomic estimates of whole instance blocks starting at
-/// `first_block` (blocks of `L::LANES` lanes); `out` must cover exactly a
-/// whole number of blocks' lanes. Terms walk in the outer loop so the f64
-/// accumulations of different lanes stay independent (per-lane term order —
-/// and thus rounding — matches the scalar path exactly, at every lane
-/// width).
-pub(crate) fn pair_fill_blocked<L: SchemaLanes, const D: usize>(
+/// `first_block`; `out` must cover exactly a whole number of blocks' lanes.
+/// Terms walk in the outer loop so the f64 accumulations of different
+/// lanes stay independent (per-lane term order — and thus rounding —
+/// matches the scalar path exactly).
+pub(crate) fn pair_fill_blocked<const D: usize>(
     terms: &[Term],
     r: &SketchSet<D>,
     s: &SketchSet<D>,
@@ -697,8 +632,8 @@ pub(crate) fn pair_fill_blocked<L: SchemaLanes, const D: usize>(
     let mut filled = 0usize;
     let mut b = first_block;
     while filled < out.len() {
-        let base = b * L::LANES;
-        let lanes = L::seed_blocks(schema, 0)[b].lanes();
+        let base = b * BlockLane::LANES;
+        let lanes = schema.seed_blocks(0)[b].lanes();
         let rb = &rc[base * rw..(base + lanes) * rw];
         let sb = &sc[base * sw..(base + lanes) * sw];
         let z = &mut out[filled..filled + lanes];
@@ -756,21 +691,21 @@ pub(crate) fn xi_fill_scalar<const D: usize>(
 /// scalar path's order, so the `i64` products are bit-identical to it.
 /// Depends on the query and the schema only, never on counters: this is
 /// what a hot plan memoizes.
-pub(crate) fn xi_products<L: SchemaLanes, const D: usize>(
+pub(crate) fn xi_products<const D: usize>(
     plan: &XiQueryPlan<D>,
     schema: &SketchSchema<D>,
-    sums: &mut BlockSums<L>,
+    sums: &mut BlockSums<BlockLane>,
     out: &mut [i64],
 ) {
     let instances = schema.instances();
     debug_assert_eq!(out.len(), plan.terms.len() * instances);
     let stride = plan.max_slots();
     sums.reserve_slots(D * stride);
-    for (b, block) in L::seed_blocks(schema, 0).iter().enumerate() {
-        let base = b * L::LANES;
+    for (b, block) in schema.seed_blocks(0).iter().enumerate() {
+        let base = b * BlockLane::LANES;
         let lanes = block.lanes();
         for (dim, lists) in plan.lists.iter().enumerate() {
-            let xb = &L::seed_blocks(schema, dim)[b];
+            let xb = &schema.seed_blocks(dim)[b];
             for (slot, list) in lists.iter().enumerate() {
                 sums.eval_into(dim * stride + slot, xb, list);
             }
@@ -839,28 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_by_width_and_explicit_kernels_pass_through() {
-        use crate::kernel::{cpu_vector, CpuVector, WIDE512_MIN_INSTANCES};
-        if crate::kernel::env_override().is_none() {
-            assert_eq!(QueryKernel::Auto.resolve(1), QueryKernel::Wide);
-            assert_eq!(
-                QueryKernel::Auto.resolve(WIDE512_MIN_INSTANCES - 1),
-                QueryKernel::Wide
-            );
-            let top = if cpu_vector() == CpuVector::Avx512 {
-                QueryKernel::Wide512
-            } else {
-                QueryKernel::Wide
-            };
-            assert_eq!(QueryKernel::Auto.resolve(WIDE512_MIN_INSTANCES), top);
-        }
-        for k in [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512] {
-            assert_eq!(k.resolve(1), k);
-            assert_eq!(k.resolve(10_000), k);
-        }
-    }
-
-    #[test]
     fn pair_kernels_agree_on_built_sketches() {
         let mut rng = StdRng::seed_from_u64(200);
         // 70 instances: one partial block with two occupied words.
@@ -898,27 +811,20 @@ mod tests {
         ];
         let mut scalar_out = vec![0.0; schema.instances()];
         let mut wide_out = vec![0.0; schema.instances()];
-        let mut wide512_out = vec![0.0; schema.instances()];
         pair_fill_scalar(&terms, &r, &s, 0, &mut scalar_out);
-        pair_fill_blocked::<fourwise::WideLane, 2>(&terms, &r, &s, 0, &mut wide_out);
-        pair_fill_blocked::<fourwise::WideLane512, 2>(&terms, &r, &s, 0, &mut wide512_out);
+        pair_fill_blocked(&terms, &r, &s, 0, &mut wide_out);
         for (i, (a, b)) in scalar_out.iter().zip(wide_out.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "wide instance {i}");
-        }
-        for (i, (a, b)) in scalar_out.iter().zip(wide512_out.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "wide512 instance {i}");
         }
         // Context dispatch returns the boosted estimate of the same grid,
         // whichever kernel is selected.
         let mut ctx = QueryContext::new().with_kernel(QueryKernel::Scalar);
         let es = ctx.pair_estimate(&terms, &r, &s);
         assert_eq!(es.row_means.len(), 2);
-        for kernel in [QueryKernel::Wide, QueryKernel::Wide512, QueryKernel::Auto] {
-            ctx.set_kernel(kernel);
-            let eb = ctx.pair_estimate(&terms, &r, &s);
-            assert_eq!(es.value.to_bits(), eb.value.to_bits(), "{kernel:?}");
-            assert_eq!(es.row_means, eb.row_means, "{kernel:?}");
-        }
+        ctx.set_kernel(QueryKernel::Wide);
+        let eb = ctx.pair_estimate(&terms, &r, &s);
+        assert_eq!(es.value.to_bits(), eb.value.to_bits());
+        assert_eq!(es.row_means, eb.row_means);
     }
 
     /// A 2-d sketch at 70 instances (one partial block) over random rects, and `n` synthetic plans with overlapping
@@ -1037,7 +943,7 @@ mod tests {
     #[test]
     fn scalar_context_ignores_memos_of_hot_plans() {
         let (sk, plans) = synthetic_plans(222, 3);
-        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide512);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
         for _ in 0..2 {
             for (i, plan) in plans.iter().enumerate() {
                 let r = ctx.plan_for(plan_key(i as u64), || plan.clone());
@@ -1063,7 +969,7 @@ mod tests {
     fn panicking_memo_fill_leaves_the_plan_usable() {
         let (sk, plans) = synthetic_plans(223, 1);
         let want = oracle(&plans[0], &sk);
-        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide512);
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
         let _ = ctx.plan_for(plan_key(0), || plans[0].clone());
         let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
         PANIC_IN_NEXT_MEMO_FILL.with(|p| p.set(true));
@@ -1085,22 +991,17 @@ mod tests {
         // Cover cells shared across plans and a duplicate inside one list:
         // per-plan products, then the combine, reproduce the oracle's grid.
         let (sk, plans) = synthetic_plans(210, 3);
-        check::<fourwise::WideLane>(&plans, &sk);
-        check::<fourwise::WideLane512>(&plans, &sk);
-
-        fn check<L: SchemaLanes>(plans: &[XiQueryPlan<2>], sk: &SketchSet<2>) {
-            let instances = sk.schema().instances();
-            let mut sums = BlockSums::<L>::new();
-            for (q, plan) in plans.iter().enumerate() {
-                let mut products = vec![0i64; plan.terms.len() * instances];
-                xi_products::<L, 2>(plan, sk.schema(), &mut sums, &mut products);
-                let mut blocked = vec![0.0f64; instances];
-                xi_combine(&plan.terms, &products, sk, &mut blocked);
-                let mut scalar = vec![0.0f64; instances];
-                xi_fill_scalar(plan, sk, 0, &mut scalar);
-                for (i, (a, b)) in blocked.iter().zip(&scalar).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "query {q} instance {i}");
-                }
+        let instances = sk.schema().instances();
+        let mut sums = BlockSums::new();
+        for (q, plan) in plans.iter().enumerate() {
+            let mut products = vec![0i64; plan.terms.len() * instances];
+            xi_products(plan, sk.schema(), &mut sums, &mut products);
+            let mut blocked = vec![0.0f64; instances];
+            xi_combine(&plan.terms, &products, &sk, &mut blocked);
+            let mut scalar = vec![0.0f64; instances];
+            xi_fill_scalar(plan, &sk, 0, &mut scalar);
+            for (i, (a, b)) in blocked.iter().zip(&scalar).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "query {q} instance {i}");
             }
         }
     }

@@ -9,8 +9,9 @@
 //! verifies schema identity.
 
 use crate::error::{Result, SketchError};
+use crate::kernel::BlockLane;
 use dyadic::DyadicDomain;
-use fourwise::{Lane, WideLane, WideLane512, XiBlock, XiContext, XiKind, XiSeed};
+use fourwise::{Lane, XiBlock, XiContext, XiKind, XiSeed};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -83,15 +84,11 @@ pub struct SketchSchema<const D: usize> {
     /// One seed per (instance, dimension); instance `i = row * k1 + col`.
     seeds: Vec<[XiSeed; D]>,
     /// Per dimension, the instance seeds re-packed into bit-sliced
-    /// evaluation blocks of 256 consecutive instances ([`WideLane`]; the
-    /// last block may be partial) — the blocked kernels' working set.
-    /// Packed lazily on first blocked-kernel use, so a schema that only
-    /// ever runs the 512-lane width (or the scalar oracle) never packs it.
-    seed_blocks_wide: OnceLock<[Vec<XiBlock<WideLane>>; D]>,
-    /// And at the 512-lane [`WideLane512`] width, equally lazily — only
-    /// schemas the runtime dispatcher (or an explicit kernel choice) sends
-    /// down the 512-lane path ever pack these planes.
-    seed_blocks_wide512: OnceLock<[Vec<XiBlock<WideLane512>>; D]>,
+    /// evaluation blocks of 512 consecutive instances (the last block may
+    /// be partial) — the blocked kernels' working set. Packed lazily on
+    /// first blocked-kernel use, so a schema that only ever runs the scalar
+    /// oracle never packs it.
+    seed_blocks: OnceLock<[Vec<XiBlock<BlockLane>>; D]>,
 }
 
 impl<const D: usize> SketchSchema<D> {
@@ -124,8 +121,7 @@ impl<const D: usize> SketchSchema<D> {
             dyadic,
             xi_ctx,
             seeds,
-            seed_blocks_wide: OnceLock::new(),
-            seed_blocks_wide512: OnceLock::new(),
+            seed_blocks: OnceLock::new(),
         })
     }
 
@@ -151,8 +147,7 @@ impl<const D: usize> SketchSchema<D> {
             dyadic,
             xi_ctx,
             seeds,
-            seed_blocks_wide: OnceLock::new(),
-            seed_blocks_wide512: OnceLock::new(),
+            seed_blocks: OnceLock::new(),
         })
     }
 
@@ -196,33 +191,27 @@ impl<const D: usize> SketchSchema<D> {
         &self.seeds[instance]
     }
 
-    /// Wide (256-lane) bit-sliced evaluation blocks of dimension `dim`:
-    /// block `b` packs the seeds of instances `[256·b, 256·(b+1))` (the last
-    /// block holds the remainder). The first call packs the planes from the
-    /// instance seeds (thread-safe, once per schema).
-    pub fn seed_blocks_wide(&self, dim: usize) -> &[XiBlock<WideLane>] {
-        &self
-            .seed_blocks_wide
-            .get_or_init(|| pack_seed_blocks(&self.xi_ctx, &self.seeds))[dim]
+    /// Bit-sliced evaluation blocks of dimension `dim`: block `b` packs the
+    /// seeds of instances `[512·b, 512·(b+1))` (the last block holds the
+    /// remainder). The first call packs the planes from the instance seeds
+    /// (thread-safe, once per schema).
+    pub fn seed_blocks(&self, dim: usize) -> &[XiBlock<fourwise::WideLane512>] {
+        &self.seed_blocks.get_or_init(|| {
+            std::array::from_fn(|dim| {
+                self.seeds
+                    .chunks(BlockLane::LANES)
+                    .map(|chunk| {
+                        let col: Vec<XiSeed> = chunk.iter().map(|row| row[dim]).collect();
+                        XiBlock::pack(&self.xi_ctx[dim], &col)
+                    })
+                    .collect()
+            })
+        })[dim]
     }
 
-    /// Number of wide instance blocks per dimension.
-    pub fn instance_blocks_wide(&self) -> usize {
-        self.instances().div_ceil(WideLane::LANES)
-    }
-
-    /// 512-lane evaluation blocks of dimension `dim`; the [`WideLane512`]
-    /// analogue of [`SketchSchema::seed_blocks_wide`], packed lazily on
-    /// first use like the 256-lane planes.
-    pub fn seed_blocks_wide512(&self, dim: usize) -> &[XiBlock<WideLane512>] {
-        &self
-            .seed_blocks_wide512
-            .get_or_init(|| pack_seed_blocks(&self.xi_ctx, &self.seeds))[dim]
-    }
-
-    /// Number of 512-lane instance blocks per dimension.
-    pub fn instance_blocks_wide512(&self) -> usize {
-        self.instances().div_ceil(WideLane512::LANES)
+    /// Number of instance blocks per dimension.
+    pub fn instance_blocks(&self) -> usize {
+        self.instances().div_ceil(BlockLane::LANES)
     }
 
     /// Validates that a sketch coordinate fits dimension `dim`.
@@ -244,55 +233,6 @@ impl<const D: usize> SketchSchema<D> {
             .map(|d| 2 * (d.sketch_bits as u64 + 1) + 1)
             .sum();
         self.instances() as u64 * per_dim
-    }
-}
-
-/// Transposes per-instance seed rows into per-dimension block columns of
-/// `L::LANES` instances each.
-fn pack_seed_blocks<L: Lane, const D: usize>(
-    xi_ctx: &[XiContext; D],
-    seeds: &[[XiSeed; D]],
-) -> [Vec<XiBlock<L>>; D] {
-    std::array::from_fn(|dim| {
-        seeds
-            .chunks(L::LANES)
-            .map(|chunk| {
-                let col: Vec<XiSeed> = chunk.iter().map(|row| row[dim]).collect();
-                XiBlock::<L>::pack(&xi_ctx[dim], &col)
-            })
-            .collect()
-    })
-}
-
-/// Lane-width-generic access to a schema's packed seed planes: the bridge
-/// that lets one build/query kernel implementation serve every [`Lane`]
-/// width. Implemented for the two supported widths, [`WideLane`] (256
-/// lanes) and [`WideLane512`] (512 lanes).
-pub trait SchemaLanes: Lane {
-    /// The schema's packed seed blocks of dimension `dim` at this width.
-    fn seed_blocks<const D: usize>(schema: &SketchSchema<D>, dim: usize) -> &[XiBlock<Self>];
-
-    /// Number of instance blocks at this width.
-    fn instance_blocks<const D: usize>(schema: &SketchSchema<D>) -> usize;
-}
-
-impl SchemaLanes for WideLane {
-    fn seed_blocks<const D: usize>(schema: &SketchSchema<D>, dim: usize) -> &[XiBlock<Self>] {
-        schema.seed_blocks_wide(dim)
-    }
-
-    fn instance_blocks<const D: usize>(schema: &SketchSchema<D>) -> usize {
-        schema.instance_blocks_wide()
-    }
-}
-
-impl SchemaLanes for WideLane512 {
-    fn seed_blocks<const D: usize>(schema: &SketchSchema<D>, dim: usize) -> &[XiBlock<Self>] {
-        schema.seed_blocks_wide512(dim)
-    }
-
-    fn instance_blocks<const D: usize>(schema: &SketchSchema<D>) -> usize {
-        schema.instance_blocks_wide512()
     }
 }
 
@@ -360,16 +300,16 @@ mod tests {
     #[test]
     fn seed_blocks_cover_all_instances() {
         let mut rng = StdRng::seed_from_u64(4);
-        // 65 instances: one partial 256-lane block, two occupied words.
+        // 65 instances: one partial block, two occupied words.
         let s = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
             BoostShape::new(13, 5),
             [DimSpec::dyadic(8); 2],
         );
-        assert_eq!(s.instance_blocks_wide(), 1);
+        assert_eq!(s.instance_blocks(), 1);
         for dim in 0..2 {
-            let blocks = s.seed_blocks_wide(dim);
+            let blocks = s.seed_blocks(dim);
             assert_eq!(blocks.len(), 1);
             assert_eq!(blocks[0].lanes(), 65);
             assert_eq!(blocks[0].occupied_words(), 2);
@@ -379,7 +319,20 @@ mod tests {
         let pre = ctx.precompute(37);
         for inst in [0usize, 63, 64] {
             let fam = ctx.family(s.instance_seeds(inst)[1]);
-            let got = 1 - 2 * s.seed_blocks_wide(1)[0].eval_mask(pre).bit(inst) as i64;
+            let got = 1 - 2 * s.seed_blocks(1)[0].eval_mask(pre).bit(inst) as i64;
+            assert_eq!(got, fam.xi_pre(pre), "instance {inst}");
+        }
+    }
+
+    /// Every lane of the packed blocks evaluates exactly its instance's
+    /// family, in dimension 0.
+    fn assert_blocks_mirror_seeds(s: &SketchSchema<2>, instances: &[usize]) {
+        let ctx = &s.xi_ctx()[0];
+        let pre = ctx.precompute(99);
+        for &inst in instances {
+            let fam = ctx.family(s.instance_seeds(inst)[0]);
+            let block = &s.seed_blocks(0)[inst / 512];
+            let got = 1 - 2 * block.eval_mask(pre).bit(inst % 512) as i64;
             assert_eq!(got, fam.xi_pre(pre), "instance {inst}");
         }
     }
@@ -387,57 +340,40 @@ mod tests {
     #[test]
     fn wide_seed_blocks_mirror_narrow_packing() {
         let mut rng = StdRng::seed_from_u64(5);
-        // 300 instances: one full 256-lane block plus a 44-lane tail.
+        // 300 instances: one partial block with 5 of 8 words occupied.
         let s = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
             BoostShape::new(150, 2),
             [DimSpec::dyadic(8); 2],
         );
-        assert_eq!(s.instance_blocks_wide(), 2);
+        assert_eq!(s.instance_blocks(), 1);
         for dim in 0..2 {
-            let wide = s.seed_blocks_wide(dim);
-            assert_eq!(wide.len(), 2);
-            assert_eq!(wide[0].lanes(), 256);
-            assert_eq!(wide[1].lanes(), 44);
+            let blocks = s.seed_blocks(dim);
+            assert_eq!(blocks.len(), 1);
+            assert_eq!(blocks[0].lanes(), 300);
+            assert_eq!(blocks[0].occupied_words(), 5);
         }
-        // Every wide lane evaluates exactly its instance's family.
-        let ctx = &s.xi_ctx()[0];
-        let pre = ctx.precompute(99);
-        for inst in [0usize, 63, 64, 255, 256, 299] {
-            let fam = ctx.family(s.instance_seeds(inst)[0]);
-            let block = &s.seed_blocks_wide(0)[inst / 256];
-            let got = 1 - 2 * block.eval_mask(pre).bit(inst % 256) as i64;
-            assert_eq!(got, fam.xi_pre(pre), "instance {inst}");
-        }
+        assert_blocks_mirror_seeds(&s, &[0, 63, 64, 255, 256, 299]);
     }
 
     #[test]
     fn wide512_seed_blocks_mirror_narrow_packing() {
         let mut rng = StdRng::seed_from_u64(6);
         // 520 instances: one full 512-lane block plus an 8-lane tail.
-        let s = SketchSchema::<1>::new(
+        let s = SketchSchema::<2>::new(
             &mut rng,
             XiKind::Bch,
             BoostShape::new(260, 2),
-            [DimSpec::dyadic(8)],
+            [DimSpec::dyadic(8); 2],
         );
-        assert_eq!(s.instance_blocks_wide(), 3);
-        assert_eq!(s.instance_blocks_wide512(), 2);
-        let blocks = s.seed_blocks_wide512(0);
+        assert_eq!(s.instance_blocks(), 2);
+        let blocks = s.seed_blocks(0);
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].lanes(), 512);
         assert_eq!(blocks[1].lanes(), 8);
         assert_eq!(blocks[1].occupied_words(), 1);
-        // Every 512-lane evaluates exactly its instance's family.
-        let ctx = &s.xi_ctx()[0];
-        let pre = ctx.precompute(99);
-        for inst in [0usize, 63, 64, 255, 256, 511, 512, 519] {
-            let fam = ctx.family(s.instance_seeds(inst)[0]);
-            let block = &s.seed_blocks_wide512(0)[inst / 512];
-            let got = 1 - 2 * block.eval_mask(pre).bit(inst % 512) as i64;
-            assert_eq!(got, fam.xi_pre(pre), "instance {inst}");
-        }
+        assert_blocks_mirror_seeds(&s, &[0, 63, 64, 255, 256, 511, 512, 519]);
     }
 
     #[test]

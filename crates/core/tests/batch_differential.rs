@@ -7,9 +7,9 @@
 //! answer must be **bit-identical** — boosted value *and* every row mean —
 //! to the corresponding single-query call, across both ξ constructions,
 //! dims 1–3, batch sizes 1/7/64 and one batch larger than the plan cache,
-//! every kernel width, and batches containing overlapping rects, exact
-//! duplicates, stabs at shared data corners, degenerate rects and
-//! out-of-domain failures.
+//! both kernels, a partly filled block on every prefix-fold branch, and
+//! batches containing overlapping rects, exact duplicates, stabs at shared
+//! data corners, degenerate rects and out-of-domain failures.
 //!
 //! Each kernel answers every batch in three rounds — cold (plan-cache
 //! misses: each plan's covers evaluated into scratch), the first hit (which
@@ -27,10 +27,11 @@ use fourwise::XiKind;
 use geometry::{HyperRect, Interval};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
 use sketch::{
-    preferred_lane_width, BatchQuery, Estimate, PlanMemoStats, QueryContext, QueryKernel,
-    RangeQuery, RangeStrategy, Result, SketchSet,
+    BatchQuery, Estimate, PlanMemoStats, QueryContext, QueryKernel, RangeQuery, RangeStrategy,
+    Result, SketchSet,
 };
 use std::collections::HashSet;
 
@@ -140,23 +141,13 @@ fn live_uniques<const D: usize>(batch: &[BatchQuery<D>], want: &[Result<Estimate
         .len()
 }
 
-/// Whether `kernel` reads and fills query-product memos on this schema:
-/// every blocked kernel does, the scalar oracle never.
-fn memoizes(kernel: QueryKernel, instances: usize) -> bool {
-    match kernel {
-        QueryKernel::Scalar => false,
-        QueryKernel::Auto => preferred_lane_width(instances) > 1,
-        _ => true,
-    }
-}
-
 /// Memo counter growth between two reports.
 fn memo_delta(before: PlanMemoStats, after: PlanMemoStats) -> (u64, u64) {
     (after.fills - before.fills, after.reuses - before.reuses)
 }
 
 /// One configuration: a sketch over random data, batches of every requested
-/// size through the full kernel matrix, each slot compared bit-for-bit
+/// size through both kernels, each slot compared bit-for-bit
 /// against the sequential scalar oracle over three rounds (cold, memo fill,
 /// warm), a half-warm half-new batch, and the partial entry points.
 fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: u64) {
@@ -171,7 +162,6 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
     let mut sk = rq.new_sketch();
     let data = rand_rects::<D>(&mut rng, 60, 255);
     sk.insert_slice(&data).unwrap();
-    let instances = rq.schema().instances();
     let mut octx = QueryContext::new().with_kernel(QueryKernel::Scalar);
     for &n in sizes {
         let batch = batch_of(&data, n, 255);
@@ -198,14 +188,11 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
             .collect();
         let mixed_warm = live_uniques(&mixed[..n.div_ceil(2)], &mixed_want) as u64;
         let mixed_cold = live_uniques(&mixed, &mixed_want) as u64 - mixed_warm;
-        for kernel in [
-            QueryKernel::Scalar,
-            QueryKernel::Wide,
-            QueryKernel::Wide512,
-            QueryKernel::Auto,
-        ] {
+        for kernel in [QueryKernel::Scalar, QueryKernel::Wide] {
             let label = format!("{label}/{kernel:?}/n{n}");
-            let memo = memoizes(kernel, instances);
+            // The blocked kernel reads and fills query-product memos; the
+            // scalar oracle never does.
+            let memo = kernel == QueryKernel::Wide;
             let per_memo = |count: u64| if memo { count } else { 0 };
             let mut ctx = QueryContext::new().with_kernel(kernel);
             let mut before = ctx.plan_cache_report().memo;
@@ -289,6 +276,36 @@ fn batch_kernels_agree_1d_2d() {
     }
 }
 
+/// Instance counts occupying 1, 2, 3 and 4 of a block's 8 backing words:
+/// the 1-, 2- and 4-word prefix folds (3 occupied words fold 4) and the
+/// first count at the majority cutover, which folds all 8.
+const FOLD_WIDTHS: [usize; 4] = [40, 100, 160, 250];
+
+#[test]
+fn fold_widths_match_oracle() {
+    for (i, k1) in FOLD_WIDTHS.into_iter().enumerate() {
+        let seed = 470 + 10 * i as u64;
+        // Range and stab batches, cold, memo-filling and warm.
+        batch_config::<2>(XiKind::Bch, k1, &[7], seed);
+        // Joins: the blocked pair fill over the same partly filled block.
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        let join = SpatialJoin::<2>::new(
+            &mut rng,
+            SketchConfig::new(k1, 1).with_kind(XiKind::Poly),
+            [8; 2],
+            EndpointStrategy::Transform,
+        );
+        let mut r = join.new_sketch_r();
+        let mut s = join.new_sketch_s();
+        r.insert_slice(&rand_rects::<2>(&mut rng, 60, 255)).unwrap();
+        s.insert_slice(&rand_rects::<2>(&mut rng, 60, 255)).unwrap();
+        let mut octx = QueryContext::new().with_kernel(QueryKernel::Scalar);
+        let want = join.estimate_with(&mut octx, &r, &s).unwrap();
+        let got = join.estimate(&r, &s).unwrap();
+        assert_bit_identical(&want, &got, &format!("join/{k1}x1"));
+    }
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn batch_kernels_agree_batch64() {
@@ -302,8 +319,8 @@ fn batch_kernels_agree_batch64() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn batch_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        // 300 instances: a full 256-lane block plus a 44-lane tail.
-        batch_config::<3>(kind, 300, &[1, 7, 64], 440 + i as u64);
+        // 520 instances: a full 512-lane block plus an 8-lane tail.
+        batch_config::<3>(kind, 520, &[1, 7, 64], 440 + i as u64);
     }
 }
 
@@ -333,12 +350,10 @@ fn batch_long_truncated_covers_match_oracle() {
         .iter()
         .map(|q| oracle(&rq, &mut octx, &sk, q))
         .collect();
-    for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
-        let mut ctx = QueryContext::new().with_kernel(kernel);
-        for round in ["cold", "fill", "warm"] {
-            let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
-            check_batch(&got, &want, &format!("long-cover/{kernel:?}/{round}"));
-        }
+    let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
+    for round in ["cold", "fill", "warm"] {
+        let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
+        check_batch(&got, &want, &format!("long-cover/{round}"));
     }
 }
 
@@ -384,39 +399,37 @@ fn batch_larger_than_plan_cache_matches_oracle() {
     assert!(want.iter().all(Result::is_ok));
     // The largest memo is a rect plan's: 4 terms × 67 instances × 8 bytes.
     let max_resident = PLAN_CACHE_CAPACITY * 4 * rq.schema().instances() as u64 * 8;
-    for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
-        let label = format!("over-capacity/{kernel:?}");
-        let mut ctx = QueryContext::new().with_kernel(kernel);
-        // Warm the first 8 queries so they carry memos into the batch.
-        for _ in 0..2 {
-            for q in &uniques[..8] {
-                oracle(&rq, &mut ctx, &sk, q).unwrap();
-            }
+    let label = "over-capacity";
+    let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
+    // Warm the first 8 queries so they carry memos into the batch.
+    for _ in 0..2 {
+        for q in &uniques[..8] {
+            oracle(&rq, &mut ctx, &sk, q).unwrap();
         }
-        let mut lookups = 16u64;
-        for round in ["first", "second"] {
-            let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
-            check_batch(&got, &want, &format!("{label}/{round}"));
-            lookups += uniques.len() as u64;
-            let report = ctx.plan_cache_report();
-            assert_eq!(
-                report.single.hits + report.single.misses,
-                lookups,
-                "{label}/{round}: one lookup per unique query"
-            );
-            assert!(
-                report.single.evictions > 0,
-                "{label}/{round}: LRU overflowed"
-            );
-            assert!(
-                report.memo.resident_bytes <= max_resident,
-                "{label}/{round}: {} memo bytes resident",
-                report.memo.resident_bytes
-            );
-        }
-        let memo = ctx.plan_cache_report().memo;
-        assert_eq!(memo.fills, 8, "{label}: only the warmed-up plans filled");
-        assert_eq!(memo.dropped, 8, "{label}: their memos left with them");
-        assert_eq!(memo.resident_bytes, 0, "{label}: no memo outlives its plan");
     }
+    let mut lookups = 16u64;
+    for round in ["first", "second"] {
+        let got = rq.estimate_batch_with(&mut ctx, &sk, &batch);
+        check_batch(&got, &want, &format!("{label}/{round}"));
+        lookups += uniques.len() as u64;
+        let report = ctx.plan_cache_report();
+        assert_eq!(
+            report.single.hits + report.single.misses,
+            lookups,
+            "{label}/{round}: one lookup per unique query"
+        );
+        assert!(
+            report.single.evictions > 0,
+            "{label}/{round}: LRU overflowed"
+        );
+        assert!(
+            report.memo.resident_bytes <= max_resident,
+            "{label}/{round}: {} memo bytes resident",
+            report.memo.resident_bytes
+        );
+    }
+    let memo = ctx.plan_cache_report().memo;
+    assert_eq!(memo.fills, 8, "{label}: only the warmed-up plans filled");
+    assert_eq!(memo.dropped, 8, "{label}: their memos left with them");
+    assert_eq!(memo.resident_bytes, 0, "{label}: no memo outlives its plan");
 }

@@ -1,8 +1,7 @@
 //! Differential suite: the blocked query kernels against the scalar oracle.
 //!
-//! Every estimator under the kernel matrix (`QueryKernel::Wide` 256-lane and
-//! `QueryKernel::Wide512` 512-lane bit-sliced block evaluation, plus the
-//! default `Auto` resolution) must
+//! Every estimator under the blocked kernel (`QueryKernel::Wide`, 512-lane
+//! bit-sliced block evaluation, which is also the default) must
 //! produce **bit-identical** `Estimate`s —
 //! boosted value *and* every row mean — to the scalar reference kernel
 //! across all five query classes (spatial join, overlap+, range/stab,
@@ -51,27 +50,19 @@ fn assert_bit_identical(scalar: &Estimate, blocked: &Estimate, label: &str) {
     }
 }
 
-/// Runs the same estimate under the full kernel matrix (scalar oracle vs
-/// wide vs wide512, plus the default `Auto` resolution) and
-/// demands bit-identical results.
+/// Runs the same estimate under the scalar oracle and the blocked kernel
+/// (a default context) and demands bit-identical results.
 fn both(mut estimate: impl FnMut(&mut QueryContext) -> Estimate, label: &str) {
     let mut scalar_ctx = QueryContext::new().with_kernel(QueryKernel::Scalar);
     let scalar = estimate(&mut scalar_ctx);
-    for kernel in [QueryKernel::Wide, QueryKernel::Wide512] {
-        let mut ctx = QueryContext::new().with_kernel(kernel);
-        let got = estimate(&mut ctx);
-        assert_bit_identical(&scalar, &got, &format!("{label}/{kernel:?}"));
-        // Contexts are reusable: a second pass through warm scratch (and a
-        // warm plan cache) agrees too.
-        let again = estimate(&mut ctx);
-        assert_bit_identical(&scalar, &again, &format!("{label}/{kernel:?}/warm-context"));
-    }
-    // The default context resolves per schema (or per SKETCH_KERNEL pin) to
-    // one of the matrix kernels; whichever it picks must agree as well.
-    let mut auto_ctx = QueryContext::new();
-    assert_eq!(auto_ctx.kernel(), QueryKernel::Auto, "auto default");
-    let auto = estimate(&mut auto_ctx);
-    assert_bit_identical(&scalar, &auto, &format!("{label}/auto"));
+    let mut ctx = QueryContext::new();
+    assert_eq!(ctx.kernel(), QueryKernel::Wide, "blocked default");
+    let got = estimate(&mut ctx);
+    assert_bit_identical(&scalar, &got, &format!("{label}/wide"));
+    // Contexts are reusable: a second pass through warm scratch (and a
+    // warm plan cache) agrees too.
+    let again = estimate(&mut ctx);
+    assert_bit_identical(&scalar, &again, &format!("{label}/wide/warm-context"));
 }
 
 fn rand_rects<const D: usize>(rng: &mut StdRng, n: usize, max: u64) -> Vec<HyperRect<D>> {
@@ -145,10 +136,9 @@ fn spatial_join_kernels_agree_2d() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn spatial_join_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        // 300 instances: a full 256-lane block plus a 44-lane tail, and a
-        // 512-lane block with 5 of 8 backing words occupied.
-        join_config::<3>(kind, EndpointStrategy::Transform, 300, 320 + i as u64);
-        join_config::<3>(kind, EndpointStrategy::AssumeDistinct, 300, 325 + i as u64);
+        // 520 instances: a full 512-lane block plus an 8-lane tail.
+        join_config::<3>(kind, EndpointStrategy::Transform, 520, 320 + i as u64);
+        join_config::<3>(kind, EndpointStrategy::AssumeDistinct, 520, 325 + i as u64);
     }
 }
 
@@ -214,7 +204,7 @@ fn range_kernels_agree_1d_2d() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn range_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<3>(kind, RangeStrategy::Transform, 300, 370 + i as u64);
+        range_config::<3>(kind, RangeStrategy::Transform, 520, 370 + i as u64);
     }
 }
 
@@ -304,7 +294,7 @@ fn eps_join_kernels_agree_3d_multiblock() {
     for (i, kind) in KINDS.into_iter().enumerate() {
         let label = format!("eps/{kind:?}/3d");
         let mut rng = StdRng::seed_from_u64(420 + i as u64);
-        let est = EpsJoin::<3>::new(&mut rng, SketchConfig::new(300, 1).with_kind(kind), 7, 4);
+        let est = EpsJoin::<3>::new(&mut rng, SketchConfig::new(520, 1).with_kind(kind), 7, 4);
         let mut a = est.new_sketch_a();
         let mut b = est.new_sketch_b();
         for p in rand_points::<3>(&mut rng, 40, 127) {
@@ -341,9 +331,9 @@ fn self_join_estimates_agree() {
 
 #[test]
 fn boosting_grid_shapes_agree() {
-    // Shapes below, at, and straddling one 64-lane backing word — plus one
-    // straddling the 256-lane wide width and one straddling the 512-lane
-    // width; the row means feed the median, so every row must match
+    // Shapes below, at, and straddling one 64-lane backing word — plus
+    // blocks with 5 and 9 occupied words (the full fold, and one full block
+    // plus a tail); the row means feed the median, so every row must match
     // bitwise, not just the final value.
     for (i, (k1, k2)) in [
         (5usize, 3usize),

@@ -1,12 +1,12 @@
-//! Differential suite: the blocked build kernels against the scalar oracle.
+//! Differential suite: the blocked build kernel against the scalar oracle.
 //!
-//! The kernel matrix — `BuildKernel::Wide` (256-lane bit-sliced) and
-//! `BuildKernel::Wide512` (512-lane bit-sliced) — must produce
+//! `BuildKernel::Wide` (512-lane bit-sliced blocks) must produce
 //! **bit-identical** `SketchSet` counters to the scalar reference path for
-//! every construction, endpoint policy, dimensionality, word set and
-//! insert/delete mix — sketches are exact integer linear summaries, so any
-//! divergence at all is a kernel bug. The scalar path anchors both blocked
-//! widths at once.
+//! every construction, endpoint policy, dimensionality, word set,
+//! insert/delete mix and block occupancy — sketches are exact integer
+//! linear summaries, so any divergence at all is a kernel bug. Partly
+//! filled blocks fold 1, 2, 4 or all 8 backing words depending on how many
+//! are occupied, so the suite runs a schema on each fold branch.
 //!
 //! The blocked kernels evaluate only the components a word set reads, so
 //! besides the every-component word list the suite runs the word sets that
@@ -35,9 +35,6 @@ const POLICIES: [EndpointPolicy; 3] = [
     EndpointPolicy::Tripled,
     EndpointPolicy::TripledShrunk,
 ];
-
-/// The blocked kernels checked against the scalar oracle.
-const MATRIX: [BuildKernel; 2] = [BuildKernel::Wide, BuildKernel::Wide512];
 
 /// Every component class in one word list: the `{I,E}^D` join words plus
 /// point- and leaf-reading words (range/containment/ε-join shapes).
@@ -108,8 +105,9 @@ fn assert_identical<const D: usize>(scalar: &SketchSet<D>, blocked: &SketchSet<D
     }
 }
 
-/// Streams a seeded insert/delete mix through the whole kernel matrix and
-/// demands bit-identical counters after every phase of the stream.
+/// Streams a seeded insert/delete mix through the scalar oracle and the
+/// blocked kernel and demands bit-identical counters after every phase of
+/// the stream.
 fn run_config<const D: usize>(
     kind: fourwise::XiKind,
     policy: EndpointPolicy,
@@ -137,16 +135,8 @@ fn run_words<const D: usize>(
     let words = Arc::new(words);
     let mut scalar =
         SketchSet::new(schema.clone(), oracle_words, policy).with_kernel(BuildKernel::Scalar);
-    let mut blocked: Vec<(BuildKernel, SketchSet<D>)> = MATRIX
-        .into_iter()
-        .map(|k| {
-            (
-                k,
-                SketchSet::new(schema.clone(), words.clone(), policy).with_kernel(k),
-            )
-        })
-        .collect();
-    let label = |k: BuildKernel| format!("{kind:?}/{policy:?}/{D}d/{shape:?}/{set}/{k:?}");
+    let mut blocked = SketchSet::new(schema.clone(), words, policy).with_kernel(BuildKernel::Wide);
+    let label = format!("{kind:?}/{policy:?}/{D}d/{shape:?}/{set}");
     let max = (1u64 << scalar.data_bits()[0]) - 1;
 
     let mut live: Vec<HyperRect<D>> = Vec::new();
@@ -157,51 +147,45 @@ fn run_words<const D: usize>(
         if !live.is_empty() && rng.gen_range(0..10u32) < 3 {
             let r = live.swap_remove(rng.gen_range(0..live.len()));
             scalar.delete(&r).unwrap();
-            for (_, sk) in blocked.iter_mut() {
-                sk.delete(&r).unwrap();
-            }
+            blocked.delete(&r).unwrap();
         } else {
             let r = rand_rect::<D>(&mut rng, max);
             scalar.insert(&r).unwrap();
-            for (_, sk) in blocked.iter_mut() {
-                sk.insert(&r).unwrap();
-            }
+            blocked.insert(&r).unwrap();
             live.push(r);
             inserted += 1;
         }
         step += 1;
         if step % 75 == 74 {
-            for (k, sk) in blocked.iter() {
-                assert_identical(&scalar, sk, &label(*k));
-            }
+            assert_identical(&scalar, &blocked, &label);
         }
     }
 
-    // Drain: linearity means every kernel returns to exactly zero together.
+    // Drain: linearity means both kernels return to exactly zero together.
     for r in live.drain(..) {
         scalar.delete(&r).unwrap();
-        for (_, sk) in blocked.iter_mut() {
-            sk.delete(&r).unwrap();
-        }
+        blocked.delete(&r).unwrap();
     }
-    for (k, sk) in blocked.iter() {
-        assert_identical(&scalar, sk, &label(*k));
-        assert!(sk.instance_counters(0).iter().all(|&c| c == 0));
-    }
+    assert_identical(&scalar, &blocked, &label);
+    assert!(blocked.instance_counters(0).iter().all(|&c| c == 0));
 }
 
 /// 67 instances: one partial block whose second backing word holds 3 lanes
-/// (the occupancy-skip path at both widths).
+/// (the 2-word prefix fold).
 const BLOCK_SPANNING: BoostShape = BoostShape { k1: 67, k2: 1 };
 
-/// 300 instances: one full 256-lane wide block plus a 44-lane tail, and a
-/// partial 512-lane block with 5 of 8 backing words occupied.
+/// 300 instances: one partial block with 5 of 8 backing words occupied
+/// (above the majority cutover: the full fold).
 const WIDE_SPANNING: BoostShape = BoostShape { k1: 150, k2: 2 };
 
 /// 520 instances: one full 512-lane block plus an 8-lane tail (a single
-/// occupied backing word in the tail block), two 256-lane wide blocks plus
-/// a tail.
+/// occupied backing word in the tail block).
 const WIDE512_SPANNING: BoostShape = BoostShape { k1: 260, k2: 2 };
+
+/// Instance counts occupying 1, 2, 3 and 4 of a block's 8 backing words:
+/// the 1-, 2- and 4-word prefix folds (3 occupied words fold 4) and the
+/// first count at the majority cutover, which folds all 8.
+const FOLD_WIDTHS: [usize; 4] = [40, 100, 160, 250];
 
 #[test]
 fn differential_bch_all_policies_1d() {
@@ -281,7 +265,7 @@ fn differential_poly_all_policies_3d() {
 #[test]
 fn differential_partial_word_sets_1d_2d() {
     // TripledShrunk drops the geometry of degenerate ranges but keeps the
-    // leaves, so every policy runs; BLOCK_SPANNING covers both widths.
+    // leaves, so every policy runs on the 2-word prefix fold.
     run_partial_word_sets::<1>(fourwise::XiKind::Bch, BLOCK_SPANNING, 1000);
     run_partial_word_sets::<2>(fourwise::XiKind::Bch, BLOCK_SPANNING, 1100);
 }
@@ -307,9 +291,29 @@ fn differential_instance_shapes() {
 }
 
 #[test]
+fn differential_fold_widths_match_oracle() {
+    // One partly filled block per prefix-fold branch, every component
+    // word and the range/join word sets.
+    for (i, k1) in FOLD_WIDTHS.into_iter().enumerate() {
+        let shape = BoostShape::new(k1, 1);
+        let seed = 990 + 10 * i as u64;
+        run_config::<2>(fourwise::XiKind::Bch, EndpointPolicy::Tripled, shape, seed);
+        run_words(
+            fourwise::XiKind::Poly,
+            EndpointPolicy::Raw,
+            shape,
+            seed + 1,
+            range_words::<2>(),
+            "range {I,U}",
+        );
+    }
+}
+
+#[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn differential_wide_spanning_shapes() {
-    // Shapes straddling the 256-lane wide block width.
+    // Partly filled blocks at and just above the majority cutover: 300
+    // lanes (5 of 8 words) and 256 lanes (4 of 8).
     run_config::<2>(
         fourwise::XiKind::Bch,
         EndpointPolicy::Tripled,
@@ -344,20 +348,12 @@ fn differential_wide512_spanning_shapes() {
 }
 
 #[test]
-fn default_kernel_follows_width_heuristic() {
-    // Only meaningful when no SKETCH_KERNEL override pins the default (the
-    // tests-release CI lane sets one to run this suite per kernel).
-    let pinned = std::env::var("SKETCH_KERNEL")
-        .map(|v| !v.trim().is_empty())
-        .unwrap_or(false);
-    if pinned {
-        return;
-    }
+fn default_kernel_is_blocked_at_every_size() {
+    // One blocked width serves every schema, however few or many instances
+    // it has.
     let mut rng = StdRng::seed_from_u64(980);
     let words = Arc::new(ie_words::<1>());
-    // Every schema below the 512-lane threshold runs one 256-lane width,
-    // however few instances it has.
-    for k1 in [1, 67, 160, sketch::WIDE512_MIN_INSTANCES - 1] {
+    for k1 in [1, 67, 160, 383, 384, 1015] {
         let schema = SketchSchema::<1>::new(
             &mut rng,
             fourwise::XiKind::Bch,
@@ -366,22 +362,8 @@ fn default_kernel_follows_width_heuristic() {
         );
         let sk = SketchSet::new(schema, words.clone(), EndpointPolicy::Raw);
         assert_eq!(sk.kernel(), BuildKernel::Wide, "{k1} instances");
+        assert_eq!(sketch::preferred_lane_width(k1), 512, "{k1} instances");
     }
-    // Above the 512-lane threshold the dispatch is CPU-capped: Wide512 only
-    // where runtime detection reports 512-bit vectors. The public resolved
-    // view (`preferred_lane_width`) is the portable way to phrase it.
-    let huge = SketchSchema::<1>::new(
-        &mut rng,
-        fourwise::XiKind::Bch,
-        BoostShape::new(sketch::WIDE512_MIN_INSTANCES, 1),
-        [DimSpec::dyadic(8)],
-    );
-    let expected = match sketch::preferred_lane_width(sketch::WIDE512_MIN_INSTANCES) {
-        512 => BuildKernel::Wide512,
-        _ => BuildKernel::Wide,
-    };
-    let sk = SketchSet::new(huge, words, EndpointPolicy::Raw);
-    assert_eq!(sk.kernel(), expected);
 }
 
 #[test]
@@ -401,7 +383,7 @@ fn slice_ingestion_matches_streaming_inserts() {
     for r in &data {
         streamed.insert(r).unwrap();
     }
-    for kernel in [BuildKernel::Scalar, BuildKernel::Wide, BuildKernel::Wide512] {
+    for kernel in [BuildKernel::Scalar, BuildKernel::Wide] {
         let mut sliced =
             SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw).with_kernel(kernel);
         sliced.insert_slice(&data).unwrap();
@@ -436,36 +418,33 @@ fn run_split(shape: BoostShape, seed: u64) {
     for r in gone_below.iter().chain(gone_above) {
         oracle.delete(r).unwrap();
     }
-    for kernel in MATRIX {
-        for threads in [None, Some(1), Some(2), Some(3), Some(8)] {
-            let label = format!("split/{shape:?}/{kernel:?}/threads {threads:?}");
-            let mut sk = new(kernel);
-            let mut apply = |rects: &[HyperRect<2>], delta| match threads {
-                None => sk.update_slice(rects, delta).unwrap(),
-                Some(t) => par_update_batch(&mut sk, rects, delta, t).unwrap(),
-            };
-            apply(&data, 1);
-            apply(gone_below, -1);
-            apply(gone_above, -1);
-            assert_identical(&oracle, &sk, &label);
-            sk.insert_slice(gone_above).unwrap();
-            sk.insert_slice(gone_below).unwrap();
-            assert_identical(&inserted, &sk, &format!("{label}/reinserted"));
-        }
+    for threads in [None, Some(1), Some(2), Some(3), Some(8)] {
+        let label = format!("split/{shape:?}/threads {threads:?}");
+        let mut sk = new(BuildKernel::Wide);
+        let mut apply = |rects: &[HyperRect<2>], delta| match threads {
+            None => sk.update_slice(rects, delta).unwrap(),
+            Some(t) => par_update_batch(&mut sk, rects, delta, t).unwrap(),
+        };
+        apply(&data, 1);
+        apply(gone_below, -1);
+        apply(gone_above, -1);
+        assert_identical(&oracle, &sk, &label);
+        sk.insert_slice(gone_above).unwrap();
+        sk.insert_slice(gone_below).unwrap();
+        assert_identical(&inserted, &sk, &format!("{label}/reinserted"));
     }
 }
 
 #[test]
 fn split_slices_match_streaming_oracle_520() {
-    // One full 512-lane block plus an 8-lane tail (three 256-lane blocks).
+    // One full 512-lane block plus an 8-lane tail.
     run_split(WIDE512_SPANNING, 985);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn split_slices_match_streaming_oracle_1015() {
-    // Two 512-lane blocks, four 256-lane blocks: every worker count from
-    // 1 to 8 cuts a different span layout.
+    // Two 512-lane blocks, the second 503 lanes full.
     run_split(BoostShape::new(203, 5), 986);
 }
 
@@ -509,13 +488,13 @@ fn kernels_are_switchable_mid_stream() {
     for (i, r) in data.iter().enumerate() {
         oracle.insert(r).unwrap();
         if i == 30 {
-            mixed.set_kernel(BuildKernel::Wide512);
-        }
-        if i == 60 {
             mixed.set_kernel(BuildKernel::Scalar);
         }
-        if i == 90 {
+        if i == 60 {
             mixed.set_kernel(BuildKernel::Wide);
+        }
+        if i == 90 {
+            mixed.set_kernel(BuildKernel::Scalar);
         }
         mixed.insert(r).unwrap();
     }

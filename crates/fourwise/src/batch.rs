@@ -11,22 +11,24 @@
 //! `O(k)` per instance.
 //!
 //! Everything here is generic over the [`Lane`] word: the sketch kernels run
-//! the [`WideLane`] (`[u64; 4]`, 256 instances) and [`WideLane512`]
-//! (`[u64; 8]`, 512 instances) widths, multi-word lane-wise operations that
-//! LLVM autovectorizes; the one-word `u64` width (64 instances,
-//! [`BLOCK_LANES`]) is the type parameters' default and the building block
-//! these tests check the wider words against. All widths produce
-//! bit-identical per-lane sums — lane width only changes how many
-//! instances share one pass.
+//! the [`WideLane512`] (`[u64; 8]`, 512 instances) width, multi-word
+//! lane-wise operations that LLVM unrolls and autovectorizes; the one-word
+//! `u64` width (64 instances, [`BLOCK_LANES`]) is the type parameters'
+//! default and the building block these tests check the wider words
+//! against, and [`WideLane`] (`[u64; 4]`, 256 instances) is a second
+//! multi-word instantiation they check. All widths produce bit-identical
+//! per-lane sums — lane width only changes how many instances share one
+//! pass.
 //!
-//! Partial tail blocks (a schema whose instance count is not a multiple of
-//! the lane width) carry an *occupancy* word count: every backing word at or
-//! above `lanes.div_ceil(64)` is all-zero in the seed planes, every sign
+//! Partly filled blocks (a schema smaller than the lane width, or the tail
+//! of a larger one) carry an *occupancy* word count: every backing word at
+//! or above `lanes.div_ceil(64)` is all-zero in the seed planes, every sign
 //! mask, and every counter plane, so the fold loops run prefix-limited
 //! ([`Lane::xor_assign_prefix`] and friends) and skip the dead words — a
-//! 128-lane tail in a 512-lane block pays for 2 words, not 8. (Majority-
-//! occupied tails stay on the full fixed-width vector code: folding the
-//! provably-zero dead words is free and keeps the loops unrolled.)
+//! 128-lane block of 512 lanes pays for 2 words, not 8. Each prefix fold
+//! runs a fixed trip count of 1, 2 or 4 words, so it unrolls like the full
+//! fold. (Majority-occupied blocks stay on the full fixed-width code:
+//! folding the provably-zero dead words is free.)
 //!
 //! For the BCH family the sign of lane `j` is
 //! `b0_j ⊕ <s1_j, i> ⊕ <s3_j, i³>`; XOR-ing the `s1` plane of every set bit
@@ -53,10 +55,11 @@ use crate::family::XiFamily;
 /// Instances per block at the one-word (`u64`) lane width.
 pub const BLOCK_LANES: usize = 64;
 
-/// Instances per block at the wide ([`WideLane`]) width.
+/// Instances per block at the 256-lane ([`WideLane`]) width.
 pub const WIDE_LANES: usize = WideLane::LANES;
 
-/// Instances per block at the 512-lane ([`WideLane512`]) width.
+/// Instances per block at the 512-lane ([`WideLane512`]) width: the
+/// sketch kernels' block size.
 pub const WIDE512_LANES: usize = WideLane512::LANES;
 
 /// Upper bound on the number of masks a [`LaneCounter`] can absorb
@@ -243,7 +246,7 @@ impl<L: Lane> XiBlock<L> {
     #[inline]
     pub fn sum_pre_into(&self, pres: &[IndexPre], counter: &mut LaneCounter<L>, out: &mut [i64]) {
         let out = &mut out[..self.lanes()];
-        // Partial tail blocks only occupy a prefix of the backing words:
+        // Partly filled blocks only occupy a prefix of the backing words:
         // every mask (and therefore every counter plane) is zero above it,
         // so the carry-save folds run prefix-limited.
         let words = self.occupied_words();
@@ -646,11 +649,14 @@ mod tests {
 
     #[test]
     fn tail_blocks_skip_dead_words_and_match_scalar() {
-        // 70 lanes → 2 of 4 / 2 of 8 occupied words; 300 → 5 of 8; 511/513
-        // straddle the word boundary on the widest block.
+        // 70 lanes → 2 of 4 / 2 of 8 occupied words; on the 512-lane block
+        // 40, 70 and 160 lanes take the 1-, 2- and 4-word prefix folds, 300
+        // and 449 the full one.
         tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane>(70);
         tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane>(129);
+        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(40);
         tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(70);
+        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(160);
         tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(300);
         tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(449);
     }

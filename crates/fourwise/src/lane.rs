@@ -7,30 +7,27 @@
 //!
 //! * [`u64`] — one backing word: 64 instances per block, one scalar
 //!   XOR/AND per plane operation. The wider words are arrays of it, and the
-//!   `batch` tests check them lane for lane against it; the sketch kernels
-//!   themselves no longer run it (a partly filled 256-lane block folds
-//!   only its occupied words, so it costs what a 64-lane block does).
-//! * [`WideLane`] (`[u64; 4]`) — 256 instances per block. All lane-wise
-//!   operations are straight-line loops over four words, the shape LLVM
-//!   autovectorizes to SSE2/AVX2/NEON at `-O` without nightly `std::simd` or
-//!   `target_feature` gating; even without vector units it quarters the
-//!   per-block fixed costs (loop control, counter extraction setup, scratch
-//!   walks).
-//! * [`WideLane512`] (`[u64; 8]`) — 512 instances per block, the AVX-512
-//!   register shape. Same autovectorizable loops, one more halving of the
-//!   per-block fixed costs; the runtime dispatcher in `sketch::kernel` only
-//!   prefers it where the CPU reports 512-bit vectors and the schema is wide
-//!   enough to fill the lanes.
+//!   `batch` tests check them lane for lane against it.
+//! * [`WideLane512`] (`[u64; 8]`) — 512 instances per block: the width the
+//!   sketch kernels run. All lane-wise operations are straight-line loops
+//!   over eight words, the shape LLVM unrolls and autovectorizes at `-O`
+//!   without nightly `std::simd` or `target_feature` gating. The workspace
+//!   builds for baseline x86-64, so that means SSE2 (`xmm`) code; what the
+//!   wide word buys is not register width but fewer per-block fixed costs
+//!   (loop control, counter extraction setup, scratch walks).
+//! * [`WideLane`] (`[u64; 4]`) — 256 instances per block: a second
+//!   instantiation of the same `[u64; N]` implementation, which the tests
+//!   and the `xi_throughput` bench check against the other widths.
 //!
 //! The trait surface is exactly what the kernels need: splat/set/test of
 //! per-lane bits, lane-wise XOR/AND (the GF(2) plane fold and the carry-save
 //! adder step), a zero test (early carry exit), and per-lane popcount — plus
 //! *prefix* variants of the fold operations that touch only the first `words`
 //! backing words, which the batch kernels use to skip the all-zero upper
-//! words of partial tail blocks (a 300-lane tail in a 512-lane block only
-//! occupies 5 of 8 words). Everything heavier — packing seeds into planes,
-//! evaluating ξ masks, carry-save accumulation — is built on top in
-//! [`crate::batch`] and stays width-generic.
+//! words of partial tail blocks (a 160-lane block only occupies 3 of 8
+//! words). Everything heavier — packing seeds into planes, evaluating ξ
+//! masks, carry-save accumulation — is built on top in [`crate::batch`] and
+//! stays width-generic.
 
 use std::fmt::Debug;
 
@@ -162,21 +159,45 @@ impl Lane for u64 {
 /// The 256-lane wide word: four `u64`s evaluated lane-wise in lockstep.
 pub type WideLane = [u64; 4];
 
-/// The 512-lane wide word: eight `u64`s — one AVX-512 register — evaluated
-/// lane-wise in lockstep.
+/// The 512-lane wide word: eight `u64`s evaluated lane-wise in lockstep —
+/// the lane word of the sketch kernels' blocks.
 pub type WideLane512 = [u64; 8];
+
+/// Calls `op` on the backing word indices a prefix fold over `words`
+/// occupied words of a `[u64; N]` touches. Every branch has a constant
+/// trip count, so each unrolls into straight-line (vectorizable) code:
+///
+/// * from the majority cutover (`2 * words >= N`) on, or past 4 words, all
+///   `N` words — a mostly full block (say 440 of 512 lanes) runs exactly
+///   the full-block code;
+/// * below it, the first 1, 2 or 4 words: the smallest of those that
+///   covers `words`.
+///
+/// A branch may touch more words than are occupied (3 occupied words fold
+/// 4). Under the occupancy contract those dead words are zero in both
+/// operands, so every branch computes the same result as the full fold. A
+/// loop whose trip count is `words` itself does not unroll: with it, a
+/// 160-lane block built and estimated 34–52% slower than a full 256-lane
+/// block; with these branches, 3–9% (EXPERIMENTS.md "One blocked lane
+/// width").
+#[inline(always)]
+fn for_prefix<const N: usize>(words: usize, mut op: impl FnMut(usize)) {
+    if 2 * words >= N || words > 4 {
+        (0..N).for_each(op);
+    } else if words <= 1 {
+        op(0);
+    } else if words <= 2 {
+        (0..2.min(N)).for_each(op);
+    } else {
+        (0..4.min(N)).for_each(op);
+    }
+}
 
 /// One width-generic implementation covers [`WideLane`] and [`WideLane512`]
 /// (and any future `[u64; N]` width): all operations are fixed-trip-count
 /// loops over the backing words, the shape LLVM unrolls and autovectorizes.
-/// The prefix variants take a variable trip count instead, trading vector
-/// width for skipping words that are provably zero in partial tail blocks.
-/// They cut over to the full fixed-width code as soon as the occupied
-/// prefix is the majority of the word (`2 * words >= N`): under the
-/// occupancy contract the dead words are zero, so full-width folds compute
-/// the identical result, and one unrolled vector pass beats a short
-/// variable-trip scalar loop — a mostly-full tail block (say 440 of 512
-/// lanes) then runs exactly the full-block code.
+/// The prefix variants skip words that are provably zero in partial tail
+/// blocks, in fixed-trip branches (see `for_prefix`).
 impl<const N: usize> Lane for [u64; N]
 where
     [u64; N]: Default,
@@ -237,36 +258,21 @@ where
 
     #[inline(always)]
     fn xor_assign_prefix(&mut self, rhs: &Self, words: usize) {
-        if 2 * words >= N {
-            self.xor_assign(rhs);
-        } else {
-            for (a, b) in self[..words].iter_mut().zip(rhs[..words].iter()) {
-                *a ^= *b;
-            }
-        }
+        for_prefix::<N>(words, |i| self[i] ^= rhs[i]);
     }
 
     #[inline(always)]
     fn and_prefix(&self, rhs: &Self, words: usize) -> Self {
-        if 2 * words >= N {
-            return self.and(rhs);
-        }
         let mut out = [0u64; N];
-        for (o, (a, b)) in out[..words]
-            .iter_mut()
-            .zip(self[..words].iter().zip(rhs[..words].iter()))
-        {
-            *o = a & b;
-        }
+        for_prefix::<N>(words, |i| out[i] = self[i] & rhs[i]);
         out
     }
 
     #[inline(always)]
     fn is_zero_prefix(&self, words: usize) -> bool {
-        if 2 * words >= N {
-            return self.is_zero();
-        }
-        self[..words].iter().fold(0u64, |acc, &w| acc | w) == 0
+        let mut acc = 0u64;
+        for_prefix::<N>(words, |i| acc |= self[i]);
+        acc == 0
     }
 }
 
@@ -311,30 +317,38 @@ mod tests {
 
     /// Prefix ops agree with the full-width ops whenever both operands are
     /// zero in the skipped words (the occupancy-skip contract), at every
-    /// prefix length.
+    /// prefix length — from no occupied word (a one-word lane has no
+    /// partial prefix, so it starts at 1) to all of them, which walks every
+    /// fold branch. Each occupied word is also populated alone, so a branch
+    /// that folds too few words fails on that word.
     fn exercise_prefix<L: Lane>() {
-        for words in 1..=L::WORDS {
+        let first = if L::WORDS == 1 { 1 } else { 0 };
+        for words in first..=L::WORDS {
             let lanes = words * 64;
-            let mut a = L::zero();
-            let mut b = L::zero();
-            // Populate only the first `words` backing words.
-            for lane in [0, lanes / 2, lanes - 1] {
-                a.set_bit(lane);
+            // A dense pattern over the occupied words, then each occupied
+            // word's top lane on its own.
+            let mut dense = (L::zero(), L::zero());
+            for lane in (0..lanes).step_by(7) {
+                dense.0.set_bit(lane);
             }
-            for lane in [0, lanes - 1] {
-                b.set_bit(lane);
+            for lane in (0..lanes).step_by(5) {
+                dense.1.set_bit(lane);
             }
-            let mut full = a;
-            full.xor_assign(&b);
-            let mut prefix = a;
-            prefix.xor_assign_prefix(&b, words);
-            assert_eq!(prefix, full, "xor prefix {words}/{}", L::WORDS);
-            assert_eq!(a.and_prefix(&b, words), a.and(&b), "and prefix {words}");
-            assert_eq!(
-                a.is_zero_prefix(words),
-                a.is_zero(),
-                "is_zero prefix {words}"
-            );
+            let singles = (0..words).map(|w| {
+                let mut x = L::zero();
+                x.set_bit(64 * w + 63);
+                (x, x)
+            });
+            for (case, (a, b)) in std::iter::once(dense).chain(singles).enumerate() {
+                let label = format!("prefix {words}/{} case {case}", L::WORDS);
+                let mut full = a;
+                full.xor_assign(&b);
+                let mut prefix = a;
+                prefix.xor_assign_prefix(&b, words);
+                assert_eq!(prefix, full, "xor {label}");
+                assert_eq!(a.and_prefix(&b, words), a.and(&b), "and {label}");
+                assert_eq!(a.is_zero_prefix(words), a.is_zero(), "is_zero {label}");
+            }
             assert!(L::zero().is_zero_prefix(words));
         }
     }
@@ -359,9 +373,9 @@ mod tests {
 
     #[test]
     fn minority_prefix_ops_ignore_suffix_words() {
-        // Below the majority cutover (`2 * words < N`) the prefix ops take
-        // the short variable-trip path: with garbage in the words past the
-        // prefix they must not read them (is_zero) nor let them affect the
+        // Below the majority cutover (`2 * words < N`) the prefix ops fold
+        // only the first 1, 2 or 4 words: with garbage in the words past
+        // that they must not read them (is_zero) nor let them affect the
         // folded prefix words. (At or above the cutover the ops run the
         // full fixed-width code, which is only equivalent under the
         // occupancy contract — suffix words all-zero.)

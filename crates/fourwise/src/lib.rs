@@ -21,8 +21,8 @@
 //! [`family`] wraps both behind one interface shaped for the sketch hot loop
 //! (shared per-index precomputation across thousands of instances),
 //! [`lane`] defines the [`Lane`] machine-word abstraction (the one-word
-//! 64-lane `u64` and the autovectorizable 256-lane [`WideLane`] and 512-lane
-//! [`WideLane512`]), [`batch`] builds the lane-width-generic bit-sliced
+//! 64-lane `u64`, the 512-lane [`WideLane512`] the sketch kernels run and a
+//! 256-lane [`WideLane`]), [`batch`] builds the lane-width-generic bit-sliced
 //! evaluation blocks behind the blocked build *and* query kernels (plus the
 //! [`BlockSums`] scratch each query's covers are evaluated into), and
 //! [`gf2`] supplies the carry-less GF(2^k) arithmetic the BCH family needs.

@@ -1,7 +1,7 @@
 //! Network-layer soak test: a real TCP server under concurrent ingest,
 //! batched queries, one injected handler panic and a deterministic
-//! overload phase — the binary the CI `serve-net` lane runs under each
-//! blocked kernel (`SKETCH_KERNEL=wide|wide512`).
+//! overload phase — the binary the CI `serve-net` lane runs under both
+//! coalescing settings (`SKETCH_NET_COALESCE_US=0|200`).
 //!
 //! Usage: cargo run --release -p spatial-serve --bin net_soak --
 //!          [--iters N] [--shards N] [--seed N] [--clients N] [--batch N]
@@ -128,10 +128,7 @@ fn main() {
     let args = parse_args();
     let report = sketch::dispatch_report();
     println!(
-        "net-soak dispatch: cpu={} max_lane_width={} override={} ingest_threads={}",
-        report.cpu.name(),
-        report.max_lane_width,
-        report.env_override.unwrap_or("none"),
+        "net-soak dispatch: ingest_threads={}",
         report.ingest_threads,
     );
     let mut rng = StdRng::seed_from_u64(args.seed);

@@ -1,7 +1,6 @@
 //! Serving-layer soak test: bounded, deterministic mixed ingest + query
 //! rounds asserting that every router answer **bit-matches** an unsharded
-//! oracle — the binary the CI `serve-smoke` lane runs under each blocked
-//! kernel (`SKETCH_KERNEL=wide|wide512`).
+//! oracle — the binary the CI `serve-smoke` lane runs.
 //!
 //! Usage: cargo run --release -p spatial-serve --bin serve_soak --
 //!          [--iters N] [--shards N] [--seed N] [--readers N] [--rebalance N]
@@ -107,10 +106,7 @@ fn main() {
     let args = parse_args();
     let report = sketch::dispatch_report();
     println!(
-        "serve-smoke dispatch: cpu={} max_lane_width={} override={} ingest_threads={}",
-        report.cpu.name(),
-        report.max_lane_width,
-        report.env_override.unwrap_or("none"),
+        "serve-smoke dispatch: ingest_threads={}",
         report.ingest_threads,
     );
     let mut rng = StdRng::seed_from_u64(args.seed);

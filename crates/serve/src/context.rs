@@ -433,7 +433,7 @@ mod tests {
         // Warm the slot's caches so the reset actually discards something,
         // and pin a non-default kernel so recovery must preserve it.
         pool.with(|ctx| {
-            ctx.query.set_kernel(QueryKernel::Wide512);
+            ctx.query.set_kernel(QueryKernel::Scalar);
             router.estimate_range(&rq, &st, ctx, &q).unwrap();
         });
 
@@ -446,14 +446,14 @@ mod tests {
         // bit-match the unsharded oracle (the half-warm caches were reset,
         // not trusted). Before the fix this `with` panicked forever on
         // "pool lock poisoned".
-        let mut octx = QueryContext::new().with_kernel(QueryKernel::Wide512);
+        let mut octx = QueryContext::new();
         let want = rq.estimate_with(&mut octx, &oracle, &q).unwrap();
         for round in 0..3 {
             let got = pool
                 .with(|ctx| {
                     assert_eq!(
                         ctx.query.kernel(),
-                        QueryKernel::Wide512,
+                        QueryKernel::Scalar,
                         "kernel pin must survive recovery"
                     );
                     router.estimate_range(&rq, &st, ctx, &q)

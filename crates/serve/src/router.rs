@@ -23,11 +23,15 @@
 //! query is compiled once and fanned out from there.
 //!
 //! [`RouterMode::Pruned`] additionally restricts a range/stab query to the
-//! shards whose coverage boxes overlap it — the distance-bounded deployment
-//! mode: objects far from the query contribute only sketch noise, so
-//! pruning them cuts merge cost *and* variance. Its answers are
-//! bit-identical to an unsharded sketch of the selected shards' objects,
-//! not of the full store.
+//! shards whose coverage boxes overlap it — the accuracy mode: objects far
+//! from the query contribute only sketch noise (the variance bounds of the
+//! paper's Theorems 1–3 grow with the self-join size of the sketched set),
+//! so pruning them cuts variance. On each benchmark workload's fixed
+//! 1024-query sample it lowered the selectivity error's p50 by 20–28% and
+//! its p90 by 15–34% against Exact (EXPERIMENTS.md "Shard pruning";
+//! `differential_router.rs` pins the p90 gain on a seeded 4-shard store).
+//! Its answers are bit-identical to an unsharded sketch of the selected
+//! shards' objects, not of the full store.
 //!
 //! [`QueryContext`]: sketch::QueryContext
 
@@ -48,7 +52,8 @@ pub enum RouterMode {
     /// Merge only the touched shards whose coverage boxes overlap the
     /// query (closed semantics; sound because coverage is a monotone
     /// over-approximation of every object a shard's counters reference).
-    /// Lower-variance (far objects contribute only sketch noise), and
+    /// The accuracy mode: lower-variance (far objects contribute only
+    /// sketch noise; see the module docs for measured errors), and
     /// cheaper *when the query footprint is stable*: the worker caches one
     /// merged view per store, so a stream alternating between different
     /// shard selections re-folds the view on every switch — workloads with

@@ -12,7 +12,7 @@
 //! ping liveness.
 //!
 //! Heavyweight cases (the full kernel × batch-size sweep, the coalescing
-//! kernel matrix) are gated to the `tests-release` lane with
+//! cases under both kernels) are gated to the `tests-release` lane with
 //! `#[cfg_attr(debug_assertions, ignore)]`, following the ROADMAP
 //! convention.
 
@@ -34,7 +34,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-const KERNELS: [QueryKernel; 3] = [QueryKernel::Scalar, QueryKernel::Wide, QueryKernel::Wide512];
+const KERNELS: [QueryKernel; 2] = [QueryKernel::Scalar, QueryKernel::Wide];
 const BATCH_SIZES: [usize; 3] = [1, 7, 64];
 
 /// A served fixture: range + join estimators over three sharded stores
