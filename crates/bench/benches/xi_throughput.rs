@@ -3,11 +3,15 @@
 //! and without shared cube precomputation) against the cubic-polynomial
 //! family, the bit-sliced block evaluation at the 256-lane width and the
 //! 512-lane width the blocked kernels run, plus the GF(2^k) cube itself.
+//! The `cover_sum` groups time one bit-sliced cover sum on the cover shapes
+//! the kernels see, at a full and a partly filled 512-lane block.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use dyadic::{interval_cover, point_cover, DyadicDomain};
 use fourwise::{
     Lane, LaneCounter, WideLane, WideLane512, XiBlock, XiContext, XiFamily, XiKind, XiSeed,
 };
+use geometry::Interval;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,6 +86,40 @@ fn bench_xi(c: &mut Criterion) {
     }
     bench_blocks::<WideLane>(c, &mut rng, bits, &indices);
     bench_blocks::<WideLane512>(c, &mut rng, bits, &indices);
+
+    // Cover sums on the shapes the kernels fold, over a 2^16 domain: a cold
+    // range query's interval cover under an adaptive maxLevel of 6 (a long
+    // run of top-level nodes plus the edges; 69 nodes), a 9-node point
+    // cover, and a 70-node run of level-8 ids. 69 and 70 nodes take the
+    // eight-mask fold plus a remainder, 9 nodes one octet plus one mask.
+    let domain = DyadicDomain::new(bits - 1);
+    let shapes: [(&str, Vec<u64>); 3] = [
+        (
+            "cold_query",
+            interval_cover(&domain, &Interval::new(1001, 5095), 6),
+        ),
+        ("point_cover", point_cover(&domain, 12_345, 8)),
+        ("level8_run", (256 + 40..256 + 110).collect()),
+    ];
+    let ctx = XiContext::new(XiKind::Bch, bits);
+    for lanes in [WideLane512::LANES, 160] {
+        let mut group = c.benchmark_group(format!("cover_sum_{lanes}lanes"));
+        let seeds: Vec<XiSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
+        let block = XiBlock::<WideLane512>::pack(&ctx, &seeds);
+        for (name, ids) in &shapes {
+            let pres: Vec<_> = ids.iter().map(|&i| ctx.precompute(i)).collect();
+            group.throughput(Throughput::Elements(pres.len() as u64));
+            group.bench_function(format!("{name}/{}nodes", pres.len()), |b| {
+                let mut counter = LaneCounter::<WideLane512>::new();
+                let mut sums = vec![0i64; lanes];
+                b.iter(|| {
+                    block.sum_pre_into(black_box(&pres), &mut counter, &mut sums);
+                    sums[0]
+                })
+            });
+        }
+        group.finish();
+    }
 
     // The shared per-index precomputation itself (table-hit path).
     let ctx = XiContext::new(XiKind::Bch, bits);

@@ -12,7 +12,7 @@
 //! into a per-object scratch. Two kernels can then apply the scratch to
 //! the counters (see [`BuildKernel`]): the scalar reference path walks
 //! instances one at a time, while the blocked path evaluates ξ for a whole
-//! [`Lane`] word of 512 instances per operation (bit-sliced seed planes,
+//! [`Lane`] word of 512 instances per operation (bit-sliced seed tables,
 //! `fourwise::batch`) and walks the counter array one contiguous
 //! instance-block at a time. Both produce bit-identical counters.
 //!
@@ -49,7 +49,7 @@ pub enum BuildKernel {
     /// Per-instance scalar ξ evaluation (the original reference path).
     Scalar,
     /// Bit-sliced evaluation of 512 instances per pass over
-    /// [`fourwise::WideLane512`]-packed seed planes with a cache-blocked
+    /// [`fourwise::WideLane512`]-packed seed tables with a cache-blocked
     /// counter walk; a partly filled block folds only its occupied words.
     #[default]
     Wide,
@@ -415,7 +415,7 @@ impl<const D: usize> SketchSet<D> {
     /// cover computation across the slice: objects are ingested in chunks of
     /// `OBJ_CHUNK` (128) scratches, and (under the blocked kernel) each instance
     /// block streams over a whole chunk before the walk moves to the next
-    /// block, so a block's counters and packed seed planes stay cache-hot.
+    /// block, so a block's counters and packed seed tables stay cache-hot.
     /// Instance blocks are independent, so a slice of at least
     /// [`kernel::INGEST_SPLIT_FLOOR`] object·instances splits its blocks
     /// across the machine's cores; the counters are the same in any split.

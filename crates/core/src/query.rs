@@ -19,7 +19,7 @@
 //! * [`QueryKernel::Wide`] (the default) — walk whole 512-lane instance
 //!   blocks: query-side cover node ids and their GF(2^k) cubes are
 //!   computed **once per query**, evaluated for a block of instances per
-//!   pass via the schema's packed [`fourwise::WideLane512`] seed planes
+//!   pass via the schema's packed [`fourwise::WideLane512`] seed tables
 //!   (per-lane sums through [`fourwise::BlockSums`]; eight-word lane
 //!   operations LLVM unrolls and autovectorizes, and partly filled blocks
 //!   fold only their occupied words), and combined with the block's
@@ -91,7 +91,7 @@ pub enum QueryKernel {
     /// Per-instance evaluation (the original reference path).
     Scalar,
     /// Bit-sliced evaluation of 512 instances per pass over the schema's
-    /// [`fourwise::WideLane512`]-packed seed planes, with block-contiguous
+    /// [`fourwise::WideLane512`]-packed seed tables, with block-contiguous
     /// counter walks.
     #[default]
     Wide,
@@ -686,7 +686,7 @@ pub(crate) fn xi_fill_scalar<const D: usize>(
 /// Fills `out` (term-major: `out[t * instances + i]`) with every instance's
 /// exact query product of each word term, `Π_dim ξ̄-sum(list chosen by the
 /// term)`: every cover list is evaluated for all lanes of an instance block
-/// in one bit-sliced pass over the schema's packed seed planes, then each
+/// in one bit-sliced pass over the schema's packed seed tables, then each
 /// term's product is folded across the lanes in dimension order — the
 /// scalar path's order, so the `i64` products are bit-identical to it.
 /// Depends on the query and the schema only, never on counters: this is

@@ -6,9 +6,9 @@
 //! dispatches per instance and pays a popcount each time. This module
 //! transposes the problem: the seeds of up to `L::LANES` instances are
 //! packed into *bit planes* (`plane[b]` holds bit `b` of every lane's seed),
-//! so one index is evaluated for the whole block with one lane-wise XOR per
-//! set bit of the index — `O(k)` word operations for a full block instead of
-//! `O(k)` per instance.
+//! and the planes into per-nibble XOR tables, so one index is evaluated for
+//! the whole block with two lane-wise XORs per nibble of the domain —
+//! `O(k)` word operations for a full block instead of `O(k)` per instance.
 //!
 //! Everything here is generic over the [`Lane`] word: the sketch kernels run
 //! the [`WideLane512`] (`[u64; 8]`, 512 instances) width, multi-word
@@ -22,7 +22,7 @@
 //!
 //! Partly filled blocks (a schema smaller than the lane width, or the tail
 //! of a larger one) carry an *occupancy* word count: every backing word at
-//! or above `lanes.div_ceil(64)` is all-zero in the seed planes, every sign
+//! or above `lanes.div_ceil(64)` is all-zero in the seed tables, every sign
 //! mask, and every counter plane, so the fold loops run prefix-limited
 //! ([`Lane::xor_assign_prefix`] and friends) and skip the dead words — a
 //! 128-lane block of 512 lanes pays for 2 words, not 8. Each prefix fold
@@ -34,16 +34,31 @@
 //! `b0_j ⊕ <s1_j, i> ⊕ <s3_j, i³>`; XOR-ing the `s1` plane of every set bit
 //! of `i` and the `s3` plane of every set bit of `i³` computes all lanes'
 //! inner products simultaneously (the classic bit-slicing of GF(2) linear
-//! forms). The polynomial family is not linear over GF(2), so its block
-//! falls back to per-lane Horner evaluation behind the same interface — the
-//! blocked kernel stays construction-agnostic and bit-identical either way.
+//! forms). The inner product is linear in `i`, so it splits by nibble:
+//! `pack` tabulates, per nibble `q` of the domain and per value `v < 16`,
+//! the XOR of the planes `4q..4q+3` that `v` selects, and a mask costs
+//! `b0` XOR one `s1` entry per nibble of `i` XOR one `s3` entry per nibble
+//! of `i³` — `2·⌈k/4⌉` loads with a fixed trip count (10 at the 17-bit node
+//! space of a 2^16 domain), where the set-bit walk took one data-dependent
+//! XOR per set bit and mispredicted its exit. The tables take
+//! `2·⌈k/4⌉·16` lane words per block — 10 KiB at 512 lanes and `k = 17`,
+//! against 2.2 KiB for the planes they replace. The polynomial family is
+//! not linear over GF(2), so its block falls back to per-lane Horner
+//! evaluation behind the same interface — the blocked kernel stays
+//! construction-agnostic and bit-identical either way.
 //!
 //! Component sums over dyadic covers use [`LaneCounter`], a carry-save adder
-//! network over sign masks: per cover node the block mask is folded into
-//! vertical counter planes (two lane-wise ops per occupied plane), and
-//! per-lane sums are extracted once at the end. Summing a ±1 mask `m` over
-//! `n` nodes is `n - 2·ones(lane)`, exactly the integer sum the scalar
-//! oracle computes.
+//! network over sign masks: the block masks of a cover's nodes are folded
+//! into vertical counter planes, and per-lane sums are extracted once at the
+//! end. Masks fold eight at a time through a tree of seven full adders
+//! (`sum = a ⊕ b ⊕ c`, `carry = (a ∧ b) ⊕ ((a ⊕ b) ∧ c)`) into planes 0–2,
+//! whose one weight-8 carry then ripples from plane 3 up; a remainder of
+//! fewer than eight masks ripples in one at a time. A count has one binary
+//! representation, so both routes leave the same planes. The extraction
+//! transposes only the planes the count can reach (4 below 16 masks, the
+//! short point-cover and edge lists) into one count byte per lane. Summing
+//! a ±1 mask `m` over `n` nodes is `n - 2·ones(lane)`, exactly the integer
+//! sum the scalar oracle computes.
 
 use crate::family::{IndexPre, XiContext, XiKind, XiSeed};
 use crate::lane::{Lane, WideLane, WideLane512};
@@ -68,26 +83,37 @@ pub const WIDE512_LANES: usize = WideLane512::LANES;
 const PLANES: usize = 8;
 
 /// Packed seeds of up to `L::LANES` BCH family instances over one domain,
-/// stored as bit planes for one-pass block evaluation.
+/// stored as per-nibble XOR tables for one-pass block evaluation.
 #[derive(Debug, Clone)]
 pub struct BchBlock<L: Lane = u64> {
     lanes: u32,
-    /// Occupied backing words, `lanes.div_ceil(64)`: every seed plane is
+    /// Occupied backing words, `lanes.div_ceil(64)`: every table entry is
     /// all-zero at and above this word, so the fold loops skip them.
     words: u32,
     /// Lane `j` holds seed `j`'s sign-flip bit.
     b0: L,
-    /// `s1[b]` lane `j` = bit `b` of seed `j`'s first-order mask.
-    s1: Box<[L]>,
-    /// `s3[b]` lane `j` = bit `b` of seed `j`'s third-order mask.
-    s3: Box<[L]>,
+    /// One pair of tables per nibble of the `k`-bit domain, low nibble
+    /// first (`k.div_ceil(4)` entries).
+    nibbles: Box<[NibbleTables<L>]>,
+}
+
+/// The lane-wise inner products of every seed with the 16 values of one
+/// nibble `q` of an index and of its cube: `s1[v]` lane `j` =
+/// `<s1_j, v << 4q>` and `s3[v]` lane `j` = `<s3_j, v << 4q>`. Entry `v` is
+/// the XOR of the seed bit planes `4q..4q+3` that `v` selects.
+#[derive(Debug, Clone)]
+struct NibbleTables<L: Lane> {
+    s1: [L; 16],
+    s3: [L; 16],
 }
 
 impl<L: Lane> BchBlock<L> {
     fn pack(seeds: impl Iterator<Item = crate::bch::BchSeed>, k: u32) -> Self {
+        // Bit planes first: `s1[b]` lane `j` = bit `b` of seed `j`'s
+        // first-order mask, `s3[b]` the same for the third-order mask.
         let mut b0 = L::zero();
-        let mut s1 = vec![L::zero(); k as usize].into_boxed_slice();
-        let mut s3 = vec![L::zero(); k as usize].into_boxed_slice();
+        let mut s1 = vec![L::zero(); k as usize];
+        let mut s3 = vec![L::zero(); k as usize];
         let mut lanes = 0u32;
         for (j, seed) in seeds.enumerate() {
             assert!(j < L::LANES, "xi block holds at most {} seeds", L::LANES);
@@ -106,32 +132,60 @@ impl<L: Lane> BchBlock<L> {
             }
             lanes += 1;
         }
+        // Then the nibble tables: entry `v` is entry `v & (v - 1)` (`v`
+        // without its lowest set bit) XOR the plane of that bit. Planes at
+        // or above `k` (a partial top nibble) read as zero; the entries
+        // that would fold them are never indexed, since indices and cubes
+        // stay below 2^k.
+        let table = |planes: &[L], q: usize| {
+            let mut t = [L::zero(); 16];
+            for v in 1..16 {
+                t[v] = t[v & (v - 1)];
+                if let Some(plane) = planes.get(4 * q + v.trailing_zeros() as usize) {
+                    t[v].xor_assign(plane);
+                }
+            }
+            t
+        };
+        let nibbles = (0..(k as usize).div_ceil(4))
+            .map(|q| NibbleTables {
+                s1: table(&s1, q),
+                s3: table(&s3, q),
+            })
+            .collect();
         let words = (lanes as usize).div_ceil(64) as u32;
         Self {
             lanes,
             words,
             b0,
-            s1,
-            s3,
+            nibbles,
         }
     }
 
     /// Sign mask of the block at one index: lane `j`'s bit set ⇔ lane `j`'s
     /// `xi = -1`. Bits at or above the block's lane count are zero (partial
     /// tail blocks fold only their occupied backing words).
+    ///
+    /// One `s1` and one `s3` table lookup per nibble of the domain: a fixed
+    /// trip count, whatever bits the index and its cube have set.
     #[inline]
     pub fn eval_mask(&self, pre: IndexPre) -> L {
+        debug_assert!(
+            pre.index
+                .checked_shr(4 * self.nibbles.len() as u32)
+                .unwrap_or(0)
+                == 0,
+            "index {} outside the block's domain",
+            pre.index
+        );
         let words = self.words as usize;
         let mut acc = self.b0;
-        let mut i = pre.index;
-        while i != 0 {
-            acc.xor_assign_prefix(&self.s1[i.trailing_zeros() as usize], words);
-            i &= i - 1;
-        }
-        let mut c = pre.cube;
-        while c != 0 {
-            acc.xor_assign_prefix(&self.s3[c.trailing_zeros() as usize], words);
-            c &= c - 1;
+        let (mut i, mut c) = (pre.index, pre.cube);
+        for nib in self.nibbles.iter() {
+            acc.xor_assign_prefix(&nib.s1[(i & 15) as usize], words);
+            acc.xor_assign_prefix(&nib.s3[(c & 15) as usize], words);
+            i >>= 4;
+            c >>= 4;
         }
         acc
     }
@@ -253,18 +307,27 @@ impl<L: Lane> XiBlock<L> {
         let mut chunks = pres.chunks(LaneCounter::<L>::CAPACITY as usize);
         // First chunk writes, later chunks accumulate; covers are far below
         // capacity, so the hot path is exactly one write pass.
-        let first = chunks.next().unwrap_or(&[]);
-        counter.clear();
-        for p in first {
-            counter.add_mask_prefix(self.eval_mask(*p), words);
-        }
+        self.count_chunk(chunks.next().unwrap_or(&[]), counter, words);
         counter.signed_sums_into(out);
         for chunk in chunks {
-            counter.clear();
-            for p in chunk {
-                counter.add_mask_prefix(self.eval_mask(*p), words);
-            }
+            self.count_chunk(chunk, counter, words);
             counter.signed_sums_accum(out);
+        }
+    }
+
+    /// Clears `counter` and folds the masks of `chunk` (at most
+    /// [`LaneCounter::CAPACITY`] indices) into it: eight at a time through
+    /// the adder tree, the remainder one at a time.
+    #[inline]
+    fn count_chunk(&self, chunk: &[IndexPre], counter: &mut LaneCounter<L>, words: usize) {
+        counter.clear();
+        let mut octets = chunk.chunks_exact(8);
+        for octet in &mut octets {
+            let masks = std::array::from_fn(|m| self.eval_mask(octet[m]));
+            counter.add_octet_prefix(&masks, words);
+        }
+        for p in octets.remainder() {
+            counter.add_mask_prefix(self.eval_mask(*p), words);
         }
     }
 }
@@ -414,7 +477,8 @@ impl<L: Lane> LaneCounter<L> {
     }
 
     /// Folds one sign mask into the per-lane counts (ripple-carry over the
-    /// occupied planes; amortized ~2 lane-wise ops per mask).
+    /// occupied planes; amortized ~2 lane-wise ops per mask). Long mask runs
+    /// fold cheaper eight at a time ([`LaneCounter::add_octet_prefix`]).
     ///
     /// # Panics
     ///
@@ -433,13 +497,58 @@ impl<L: Lane> LaneCounter<L> {
     /// prefix-limited carry-save step is bit-identical to the full one.
     #[inline]
     pub fn add_mask_prefix(&mut self, mask: L, words: usize) {
+        self.admit(1);
+        self.ripple(0, mask, words);
+    }
+
+    /// Folds eight sign masks at once, under the same occupancy contract as
+    /// [`LaneCounter::add_mask_prefix`]: seven full adders reduce the masks
+    /// and planes 0–2 to new planes 0–2 plus one weight-8 carry, which then
+    /// ripples from plane 3 up. A per-lane count has exactly one binary
+    /// representation, so the planes end exactly as after eight
+    /// [`LaneCounter::add_mask_prefix`] calls — with no data-dependent
+    /// branch until that last carry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the eight masks would take the counter past
+    /// [`LaneCounter::CAPACITY`].
+    #[inline]
+    pub fn add_octet_prefix(&mut self, masks: &[L; 8], words: usize) {
+        self.admit(8);
+        let fa = |a: L, b: L, c: L| full_add(a, b, c, words);
+        let [m0, m1, m2, m3, m4, m5, m6, m7] = *masks;
+        let [p0, p1, p2, ..] = self.planes;
+        // Weight 1: nine inputs → plane 0 and four weight-2 carries.
+        let (s0, c0) = fa(m0, m1, m2);
+        let (s1, c1) = fa(m3, m4, m5);
+        let (s2, c2) = fa(m6, m7, p0);
+        let (p0, c3) = fa(s0, s1, s2);
+        // Weight 2: five inputs → plane 1 and two weight-4 carries.
+        let (s3, d0) = fa(p1, c0, c1);
+        let (p1, d1) = fa(s3, c2, c3);
+        // Weight 4: three inputs → plane 2 and one weight-8 carry.
+        let (p2, e) = fa(p2, d0, d1);
+        self.planes[..3].copy_from_slice(&[p0, p1, p2]);
+        self.ripple(3, e, words);
+    }
+
+    /// Counts `n` more masks, checking that they fit.
+    #[inline]
+    fn admit(&mut self, n: u32) {
         assert!(
-            self.added < Self::CAPACITY,
+            self.added + n <= Self::CAPACITY,
             "LaneCounter overflow: more than {} masks",
             Self::CAPACITY
         );
-        let mut carry = mask;
-        for plane in &mut self.planes {
+        self.added += n;
+    }
+
+    /// Adds `carry` at weight `2^from` (ripple-carry over the occupied
+    /// planes, stopping at the first all-zero carry).
+    #[inline]
+    fn ripple(&mut self, from: usize, mut carry: L, words: usize) {
+        for plane in &mut self.planes[from..] {
             if carry.is_zero_prefix(words) {
                 break;
             }
@@ -447,7 +556,6 @@ impl<L: Lane> LaneCounter<L> {
             plane.xor_assign_prefix(&carry, words);
             carry = t;
         }
-        self.added += 1;
     }
 
     /// Count of set mask bits seen by one lane.
@@ -476,30 +584,59 @@ impl<L: Lane> LaneCounter<L> {
 
     #[inline]
     fn signed_sums(&self, out: &mut [i64], accumulate: bool) {
+        // A count below 16 leaves planes 4.. zero: gather only the planes
+        // the count can reach (point covers and edge lists stay below 16).
+        if self.added < 16 {
+            self.signed_sums_reach::<4>(out, accumulate)
+        } else {
+            self.signed_sums_reach::<PLANES>(out, accumulate)
+        }
+    }
+
+    /// [`LaneCounter::signed_sums`] reading only planes `0..R`, which must
+    /// hold every set count bit.
+    #[inline]
+    fn signed_sums_reach<const R: usize>(&self, out: &mut [i64], accumulate: bool) {
         debug_assert!(out.len() <= L::LANES);
         let n = self.added as i64;
         // Walk backing words in the outer loop so the inner extraction runs
         // on plain u64 shifts regardless of the lane width. Within a word,
-        // the 8 vertical counter planes transpose to one count *byte* per
+        // the vertical counter planes transpose to one count *byte* per
         // lane (8×8 bit-matrix transpose, 8 lanes at a time) — a handful of
         // word ops per 8 lanes instead of one plane walk per lane. Counts
-        // fit a byte exactly because CAPACITY = 2^PLANES - 1 = 255.
+        // fit a byte exactly because CAPACITY = 2^PLANES - 1 = 255. The
+        // bytes land in a buffer first, so the widening to signed sums is
+        // one plain loop over it.
         for (w, word_out) in out.chunks_mut(64).enumerate() {
-            let planes: [u64; PLANES] = std::array::from_fn(|p| self.planes[p].word(w));
-            for (g, group) in word_out.chunks_mut(8).enumerate() {
+            let planes: [u64; R] = std::array::from_fn(|p| self.planes[p].word(w));
+            let mut counts = [0u8; 64];
+            let groups = word_out.len().div_ceil(8);
+            for (g, group) in counts.chunks_exact_mut(8).take(groups).enumerate() {
                 let mut x = 0u64;
                 for (p, plane) in planes.iter().enumerate() {
                     x |= ((plane >> (8 * g)) & 0xFF) << (8 * p);
                 }
-                let t = transpose8(x);
-                for (i, slot) in group.iter_mut().enumerate() {
-                    let c = (t >> (8 * i)) & 0xFF;
-                    let sum = n - 2 * c as i64;
-                    *slot = if accumulate { *slot + sum } else { sum };
-                }
+                group.copy_from_slice(&transpose8(x).to_le_bytes());
+            }
+            for (slot, &c) in word_out.iter_mut().zip(&counts) {
+                let sum = n - 2 * i64::from(c);
+                *slot = if accumulate { *slot + sum } else { sum };
             }
         }
     }
+}
+
+/// One full adder on lane words, prefix-limited: returns `(sum, carry)`
+/// with `sum = a ⊕ b ⊕ c` and `carry = (a ∧ b) ⊕ ((a ⊕ b) ∧ c)` — the two
+/// carry terms are never both set, so XOR is their OR.
+#[inline(always)]
+fn full_add<L: Lane>(a: L, b: L, c: L, words: usize) -> (L, L) {
+    let mut ab = a;
+    ab.xor_assign_prefix(&b, words);
+    let mut carry = a.and_prefix(&b, words);
+    carry.xor_assign_prefix(&ab.and_prefix(&c, words), words);
+    ab.xor_assign_prefix(&c, words);
+    (ab, carry)
 }
 
 /// Transposes an 8×8 bit matrix held row-major in a `u64` (byte `r` = row
@@ -814,6 +951,147 @@ mod tests {
         let mut sums = [0i64; 1];
         c.signed_sums_into(&mut sums);
         assert_eq!(sums[0], -200);
+    }
+
+    /// Folds `masks` eight at a time through the adder tree (the remainder
+    /// one at a time, as [`XiBlock::sum_pre_into`] does) and one at a time,
+    /// and checks that both counters agree plane for plane.
+    fn assert_octet_fold_matches_single_adds(masks: &[WideLane512], words: usize, label: &str) {
+        let mut octet = LaneCounter::<WideLane512>::new();
+        let mut chunks = masks.chunks_exact(8);
+        for chunk in &mut chunks {
+            octet.add_octet_prefix(chunk.try_into().unwrap(), words);
+        }
+        for &m in chunks.remainder() {
+            octet.add_mask_prefix(m, words);
+        }
+        let mut single = LaneCounter::<WideLane512>::new();
+        for &m in masks {
+            single.add_mask_prefix(m, words);
+        }
+        assert_eq!(octet.planes, single.planes, "planes {label}");
+        assert_eq!(octet.len(), single.len(), "len {label}");
+        for lane in 0..words * 64 {
+            assert_eq!(octet.count(lane), single.count(lane), "{label} lane {lane}");
+        }
+        let mut want = vec![0i64; words * 64];
+        let mut got = vec![0i64; words * 64];
+        single.signed_sums_into(&mut want);
+        octet.signed_sums_into(&mut got);
+        assert_eq!(got, want, "sums {label}");
+        // The transposed extraction against the plane-by-plane count, on
+        // every lane of a ragged output (a partial last group of 8) and
+        // accumulated onto it.
+        let n = masks.len() as i64;
+        for (lane, &sum) in want.iter().enumerate() {
+            assert_eq!(
+                sum,
+                n - 2 * single.count(lane) as i64,
+                "{label} lane {lane}"
+            );
+        }
+        let ragged = &mut got[..words * 64 - 13];
+        octet.signed_sums_accum(ragged);
+        for (lane, &sum) in ragged.iter().enumerate() {
+            assert_eq!(sum, 2 * want[lane], "{label} accumulated lane {lane}");
+        }
+    }
+
+    #[test]
+    fn octet_folds_match_single_adds() {
+        // Every mask count a counter takes (0..=255: whole octets plus every
+        // remainder), at each occupied width a prefix fold branches on. A
+        // quarter of the masks are all-ones over the occupied words, so the
+        // weight-8 carry ripples to the top plane.
+        let mut rng = StdRng::seed_from_u64(29);
+        for words in [1usize, 2, 3, 4, 8] {
+            for n in 0..=LaneCounter::<WideLane512>::CAPACITY as usize {
+                let masks: Vec<WideLane512> = (0..n)
+                    .map(|_| {
+                        let dense = rng.gen_range(0..4) == 0;
+                        std::array::from_fn(|w| match (w < words, dense) {
+                            (false, _) => 0,
+                            (true, true) => u64::MAX,
+                            (true, false) => rng.gen::<u64>(),
+                        })
+                    })
+                    .collect();
+                assert_octet_fold_matches_single_adds(&masks, words, &format!("{words}w n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "LaneCounter overflow")]
+    fn lane_counter_takes_255_masks_and_rejects_a_256th() {
+        // 31 all-ones octets and 7 single masks fill every plane.
+        let mut c = LaneCounter::<WideLane512>::new();
+        for _ in 0..31 {
+            c.add_octet_prefix(&[WideLane512::splat(true); 8], 8);
+        }
+        for _ in 0..7 {
+            c.add_mask(WideLane512::splat(true));
+        }
+        assert_eq!((c.len(), c.count(0), c.count(511)), (255, 255, 255));
+        let mut sums = [0i64; 2];
+        c.signed_sums_into(&mut sums);
+        assert_eq!(sums, [-255, -255]);
+        c.add_mask(WideLane512::zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "LaneCounter overflow")]
+    fn lane_counter_rejects_an_octet_past_capacity() {
+        // 248 masks fit; an octet would make 256.
+        let mut c = LaneCounter::<WideLane512>::new();
+        for _ in 0..31 {
+            c.add_octet_prefix(&[WideLane512::zero(); 8], 8);
+        }
+        c.add_octet_prefix(&[WideLane512::zero(); 8], 8);
+    }
+
+    #[test]
+    fn nibble_table_masks_match_scalar_families() {
+        // Domains of one partial nibble (1), one whole nibble (4), a whole
+        // nibble plus one bit (5), two nibbles (8), the benchmark's 17-bit
+        // node space, the last cube-tabulated domain (21) and an on-the-fly
+        // cube domain (41); every index where the domain is small. Bits at
+        // and above the block's lanes must stay zero (the occupancy
+        // contract).
+        let mut rng = StdRng::seed_from_u64(37);
+        for k in [1u32, 4, 5, 8, 17, 21, 41] {
+            let top = (1u64 << k) - 1;
+            let indices: Vec<u64> = if k <= 8 {
+                (0..=top).collect()
+            } else {
+                [0, 1, top]
+                    .into_iter()
+                    .chain((0..300).map(|_| rng.gen_range(0..=top)))
+                    .collect()
+            };
+            for lanes in [1usize, 40, 160, 512] {
+                let (ctx, seeds) = random_block(XiKind::Bch, k, lanes, 41 + k as u64);
+                let block = XiBlock::<WideLane512>::pack(&ctx, &seeds);
+                let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
+                for &i in &indices {
+                    let pre = ctx.precompute(i);
+                    let mask = block.eval_mask(pre);
+                    for (j, fam) in fams.iter().enumerate() {
+                        let got = 1 - 2 * mask.bit(j) as i64;
+                        assert_eq!(
+                            got,
+                            fam.xi_pre(pre),
+                            "k={k} lanes={lanes} lane {j} index {i}"
+                        );
+                    }
+                    assert_eq!(
+                        mask.count_ones(),
+                        (0..lanes).map(|j| mask.bit(j) as u32).sum(),
+                        "k={k} lanes={lanes} index {i}: bits above the lanes"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

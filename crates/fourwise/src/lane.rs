@@ -1,6 +1,6 @@
 //! Lane words: the machine-word abstraction under the bit-sliced kernels.
 //!
-//! Every bit-sliced structure in [`crate::batch`] — seed planes, sign masks,
+//! Every bit-sliced structure in [`crate::batch`] — seed tables, sign masks,
 //! carry-save counter planes — is "one bit per family instance" packed into a
 //! machine word. The [`Lane`] trait abstracts that word so the same kernels
 //! run at different widths:
@@ -25,7 +25,7 @@
 //! *prefix* variants of the fold operations that touch only the first `words`
 //! backing words, which the batch kernels use to skip the all-zero upper
 //! words of partial tail blocks (a 160-lane block only occupies 3 of 8
-//! words). Everything heavier — packing seeds into planes, evaluating ξ
+//! words). Everything heavier — packing seeds into nibble tables, evaluating ξ
 //! masks, carry-save accumulation — is built on top in [`crate::batch`] and
 //! stays width-generic.
 

@@ -100,7 +100,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -508,10 +508,19 @@ impl BatchQueue {
         }
     }
 
+    /// Locks the queue state. A thread that panicked while holding the
+    /// lock cannot have left it half-updated — every critical section is
+    /// one deque push or drain or one flag store — so a poisoned lock is
+    /// taken over as it stands rather than wedging every reactor and
+    /// worker behind it.
+    fn state(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Admits `job`, or gives it back when the queue is full or closed —
     /// the caller sheds it. Never blocks.
     fn push(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.state();
         if state.closed || state.jobs.len() >= self.capacity {
             return Err(job);
         }
@@ -528,13 +537,16 @@ impl BatchQueue {
     /// result means the queue is closed **and** fully drained: workers
     /// exit only after every admitted job has been taken.
     fn drain(&self, max: usize, window: Duration) -> Vec<Job> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.state();
         loop {
             if state.jobs.is_empty() {
                 if state.closed {
                     return Vec::new();
                 }
-                state = self.ready.wait(state).expect("queue lock");
+                state = self
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             if !state.closed && state.jobs.len() < max && !window.is_zero() {
@@ -551,7 +563,7 @@ impl BatchQueue {
                     let (s, wait) = self
                         .ready
                         .wait_timeout(state, deadline - now)
-                        .expect("queue lock");
+                        .unwrap_or_else(PoisonError::into_inner);
                     state = s;
                     if wait.timed_out() {
                         break;
@@ -568,7 +580,7 @@ impl BatchQueue {
     }
 
     fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        self.state().closed = true;
         self.ready.notify_all();
     }
 }
@@ -613,22 +625,25 @@ struct Inbox {
 }
 
 impl ReactorShared {
+    /// Locks the inbox, taking a poisoned lock over as it stands: its data
+    /// is plain vectors and a flag, each updated in one step (see
+    /// [`BatchQueue::state`]).
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn adopt(&self, stream: TcpStream) {
-        self.inbox.lock().expect("reactor inbox").conns.push(stream);
+        self.inbox().conns.push(stream);
         self.wake.notify_one();
     }
 
     fn deliver(&self, completions: Vec<Completion>) {
-        self.inbox
-            .lock()
-            .expect("reactor inbox")
-            .completions
-            .extend(completions);
+        self.inbox().completions.extend(completions);
         self.wake.notify_one();
     }
 
     fn stop(&self) {
-        self.inbox.lock().expect("reactor inbox").stopping = true;
+        self.inbox().stopping = true;
         self.wake.notify_one();
     }
 }
@@ -919,7 +934,7 @@ fn reactor_loop(env: &ReactorEnv) {
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
         let (adopted, completions, stopping) = {
-            let mut inbox = env.shared.inbox.lock().expect("reactor inbox");
+            let mut inbox = env.shared.inbox();
             (
                 std::mem::take(&mut inbox.conns),
                 std::mem::take(&mut inbox.completions),
@@ -969,13 +984,13 @@ fn reactor_loop(env: &ReactorEnv) {
         } else {
             PARK_ACTIVE
         };
-        let inbox = env.shared.inbox.lock().expect("reactor inbox");
+        let inbox = env.shared.inbox();
         if inbox.conns.is_empty() && inbox.completions.is_empty() && !inbox.stopping {
             let _ = env
                 .shared
                 .wake
                 .wait_timeout(inbox, park)
-                .expect("reactor inbox");
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -1229,5 +1244,110 @@ fn route_completions(batch: Vec<Job>, replies: Vec<WireReply>) {
     }
     for (reactor, dones) in groups {
         reactor.deliver(dones);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Poisons `lock` by panicking on another thread while holding it.
+    fn poison<T: Send + Sync + 'static, U: 'static>(owner: Arc<T>, lock: fn(&T) -> &Mutex<U>) {
+        let held = Arc::clone(&owner);
+        let result = std::thread::spawn(move || {
+            let _guard = lock(&held).lock();
+            panic!("injected panic while holding the lock");
+        })
+        .join();
+        assert!(result.is_err());
+        assert!(lock(&owner).is_poisoned());
+    }
+
+    fn job(slot: u32) -> Job {
+        Job {
+            query: WireQuery::Stab {
+                store: 0,
+                point: vec![1, 2],
+            },
+            origin: Origin {
+                reactor: Arc::new(ReactorShared::default()),
+                conn: 1,
+                frame: 0,
+                slot,
+            },
+        }
+    }
+
+    #[test]
+    fn poisoned_queue_still_pushes_drains_and_closes() {
+        let queue = Arc::new(BatchQueue::new(2));
+        poison(Arc::clone(&queue), |q| &q.state);
+        assert!(queue.push(job(0)).is_ok());
+        assert!(queue.push(job(1)).is_ok());
+        assert!(queue.push(job(2)).is_err(), "capacity still sheds");
+        // The coalescing wait (`wait_timeout`) on a poisoned lock.
+        let taken = queue.drain(4, Duration::from_millis(1));
+        assert_eq!(
+            taken.iter().map(|j| j.origin.slot).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        // The blocking wait on a poisoned lock: a worker parks on the empty
+        // queue until a push wakes it.
+        let worker = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || queue.drain(4, Duration::ZERO).len())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(queue.push(job(3)).is_ok());
+        assert_eq!(worker.join().unwrap(), 1);
+        queue.close();
+        assert!(queue.push(job(4)).is_err(), "a closed queue sheds");
+        assert!(
+            queue.drain(4, Duration::ZERO).is_empty(),
+            "closed and drained"
+        );
+    }
+
+    #[test]
+    fn poisoned_inbox_still_adopts_delivers_and_stops() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let shared = Arc::new(ReactorShared::default());
+        poison(Arc::clone(&shared), |s| &s.inbox);
+        shared.adopt(accepted);
+        shared.deliver(vec![Completion {
+            conn: 1,
+            frame: 0,
+            slot: 0,
+            reply: overloaded(),
+        }]);
+        {
+            let inbox = shared.inbox();
+            assert_eq!(inbox.conns.len(), 1);
+            assert_eq!(inbox.completions.len(), 1);
+            assert!(!inbox.stopping);
+        }
+        // A reactor on the poisoned inbox takes the adopted connection,
+        // parks (the timed wait) while nothing moves, and exits on stop.
+        let env = ReactorEnv {
+            shared: Arc::clone(&shared),
+            queue: Arc::new(BatchQueue::new(1)),
+            counters: Arc::new(ServeCounters::default()),
+            limits: ConnLimits {
+                write_buf_cap: 1 << 16,
+                max_pipeline: 4,
+            },
+        };
+        let reactor = std::thread::spawn(move || reactor_loop(&env));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !shared.inbox().conns.is_empty() {
+            assert!(Instant::now() < deadline, "the reactor never adopted it");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        shared.stop();
+        reactor.join().unwrap();
+        assert!(shared.inbox().stopping);
+        drop(client);
     }
 }
