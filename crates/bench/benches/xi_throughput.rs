@@ -1,16 +1,14 @@
 //! Microbench: four-wise independent variable generation — the innermost
 //! operation of every sketch update. Compares the BCH construction (with
 //! and without shared cube precomputation) against the cubic-polynomial
-//! family, the bit-sliced block evaluation at the 256-lane width and the
-//! 512-lane width the blocked kernels run, plus the GF(2^k) cube itself.
+//! family, the bit-sliced evaluation of a full 512-lane block (the width
+//! the blocked kernels run), plus the GF(2^k) cube itself.
 //! The `cover_sum` groups time one bit-sliced cover sum on the cover shapes
 //! the kernels see, at a full and a partly filled 512-lane block.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dyadic::{interval_cover, point_cover, DyadicDomain};
-use fourwise::{
-    Lane, LaneCounter, WideLane, WideLane512, XiBlock, XiContext, XiFamily, XiKind, XiSeed,
-};
+use fourwise::{LaneCounter, LaneWord, XiBlock, XiContext, XiFamily, XiKind, XiSeed};
 use geometry::Interval;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,39 +51,39 @@ fn bench_xi(c: &mut Criterion) {
 
     // Block evaluation: a whole lane word of instances per pass (the
     // blocked build kernels' inner operation) against the equivalent scalar
-    // evaluations, at every lane width.
-    fn bench_blocks<L: Lane>(c: &mut Criterion, rng: &mut StdRng, bits: u32, indices: &[u64]) {
-        let mut group = c.benchmark_group(format!("xi_block_{}lanes", L::LANES));
-        group.throughput(Throughput::Elements(indices.len() as u64 * L::LANES as u64));
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            let ctx = XiContext::new(kind, bits);
-            let seeds: Vec<XiSeed> = (0..L::LANES).map(|_| ctx.random_seed(rng)).collect();
-            let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
-            let block = XiBlock::<L>::pack(&ctx, &seeds);
-            let pres: Vec<_> = indices.iter().map(|&i| ctx.precompute(i)).collect();
+    // evaluations.
+    let mut group = c.benchmark_group(format!("xi_block_{}lanes", LaneWord::LANES));
+    group.throughput(Throughput::Elements(
+        indices.len() as u64 * LaneWord::LANES as u64,
+    ));
+    for kind in [XiKind::Bch, XiKind::Poly] {
+        let ctx = XiContext::new(kind, bits);
+        let seeds: Vec<XiSeed> = (0..LaneWord::LANES)
+            .map(|_| ctx.random_seed(&mut rng))
+            .collect();
+        let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
+        let block = XiBlock::pack(&ctx, &seeds);
+        let pres: Vec<_> = indices.iter().map(|&i| ctx.precompute(i)).collect();
 
-            group.bench_function(format!("{kind:?}/bitsliced"), |b| {
-                let mut counter = LaneCounter::<L>::new();
-                let mut sums = vec![0i64; L::LANES];
-                b.iter(|| {
-                    block.sum_pre_into(black_box(&pres), &mut counter, &mut sums);
-                    sums[0]
-                })
-            });
-            group.bench_function(format!("{kind:?}/scalar_lanes"), |b| {
-                b.iter(|| {
-                    let mut acc = 0i64;
-                    for fam in &fams {
-                        acc += fam.sum_pre(black_box(&pres));
-                    }
-                    acc
-                })
-            });
-        }
-        group.finish();
+        group.bench_function(format!("{kind:?}/bitsliced"), |b| {
+            let mut counter = LaneCounter::new();
+            let mut sums = vec![0i64; LaneWord::LANES];
+            b.iter(|| {
+                block.sum_pre_into(black_box(&pres), &mut counter, &mut sums);
+                sums[0]
+            })
+        });
+        group.bench_function(format!("{kind:?}/scalar_lanes"), |b| {
+            b.iter(|| {
+                let mut acc = 0i64;
+                for fam in &fams {
+                    acc += fam.sum_pre(black_box(&pres));
+                }
+                acc
+            })
+        });
     }
-    bench_blocks::<WideLane>(c, &mut rng, bits, &indices);
-    bench_blocks::<WideLane512>(c, &mut rng, bits, &indices);
+    group.finish();
 
     // Cover sums on the shapes the kernels fold, over a 2^16 domain: a cold
     // range query's interval cover under an adaptive maxLevel of 6 (a long
@@ -102,15 +100,15 @@ fn bench_xi(c: &mut Criterion) {
         ("level8_run", (256 + 40..256 + 110).collect()),
     ];
     let ctx = XiContext::new(XiKind::Bch, bits);
-    for lanes in [WideLane512::LANES, 160] {
+    for lanes in [LaneWord::LANES, 160] {
         let mut group = c.benchmark_group(format!("cover_sum_{lanes}lanes"));
         let seeds: Vec<XiSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
-        let block = XiBlock::<WideLane512>::pack(&ctx, &seeds);
+        let block = XiBlock::pack(&ctx, &seeds);
         for (name, ids) in &shapes {
             let pres: Vec<_> = ids.iter().map(|&i| ctx.precompute(i)).collect();
             group.throughput(Throughput::Elements(pres.len() as u64));
             group.bench_function(format!("{name}/{}nodes", pres.len()), |b| {
-                let mut counter = LaneCounter::<WideLane512>::new();
+                let mut counter = LaneCounter::new();
                 let mut sums = vec![0i64; lanes];
                 b.iter(|| {
                     block.sum_pre_into(black_box(&pres), &mut counter, &mut sums);

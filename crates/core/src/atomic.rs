@@ -12,7 +12,7 @@
 //! into a per-object scratch. Two kernels can then apply the scratch to
 //! the counters (see [`BuildKernel`]): the scalar reference path walks
 //! instances one at a time, while the blocked path evaluates ξ for a whole
-//! [`Lane`] word of 512 instances per operation (bit-sliced seed tables,
+//! [`LaneWord`] of 512 instances per operation (bit-sliced seed tables,
 //! `fourwise::batch`) and walks the counter array one contiguous
 //! instance-block at a time. Both produce bit-identical counters.
 //!
@@ -25,10 +25,10 @@
 
 use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
-use crate::kernel::{self, BlockLane};
+use crate::kernel;
 use crate::schema::SketchSchema;
 use dyadic::{interval_cover_into, point_cover_into};
-use fourwise::{IndexPre, Lane, LaneCounter};
+use fourwise::{IndexPre, LaneCounter, LaneWord};
 use geometry::transform::{shrink_interval, triple, triple_interval};
 use geometry::{HyperRect, Interval};
 use std::sync::Arc;
@@ -49,7 +49,7 @@ pub enum BuildKernel {
     /// Per-instance scalar ξ evaluation (the original reference path).
     Scalar,
     /// Bit-sliced evaluation of 512 instances per pass over
-    /// [`fourwise::WideLane512`]-packed seed tables with a cache-blocked
+    /// [`LaneWord`]-packed seed tables with a cache-blocked
     /// counter walk; a partly filled block folds only its occupied words.
     #[default]
     Wide,
@@ -194,8 +194,8 @@ impl DimVals {
 }
 
 /// One dimension's component values for a whole instance block, one lane per
-/// instance (the block analogue of `DimVals`). Sized for the owning
-/// scratch's lane width.
+/// instance (the block analogue of `DimVals`), one [`LaneWord`] block
+/// long.
 #[derive(Debug, Clone)]
 struct DimLanes {
     interval: Vec<i64>,
@@ -218,10 +218,9 @@ impl DimLanes {
 
     /// Multiplies one word component's column into the per-lane product
     /// buffer: `prod[j] *= component(word[dim], lane j)`. Every arm is a
-    /// contiguous elementwise `i64` loop the compiler autovectorizes at any
-    /// lane width — the per-lane multiply order (dimension by dimension)
-    /// matches the scalar kernel exactly, keeping the counters
-    /// bit-identical.
+    /// contiguous elementwise `i64` loop the compiler autovectorizes — the
+    /// per-lane multiply order (dimension by dimension) matches the scalar
+    /// kernel exactly, keeping the counters bit-identical.
     #[inline]
     fn mul_into(&self, comp: Comp, prod: &mut [i64]) {
         match comp {
@@ -252,7 +251,7 @@ fn mul_lanes(prod: &mut [i64], vals: &[i64]) {
 /// updates; each scoped worker of a split ingest holds its own.
 #[derive(Debug, Clone)]
 struct LaneScratch<const D: usize> {
-    counter: LaneCounter<BlockLane>,
+    counter: LaneCounter,
     dims: [DimLanes; D],
     /// Per-lane running word product (see [`DimLanes::mul_into`]).
     prod: Vec<i64>,
@@ -262,8 +261,8 @@ impl<const D: usize> LaneScratch<D> {
     fn new() -> Self {
         Self {
             counter: LaneCounter::new(),
-            dims: std::array::from_fn(|_| DimLanes::new(BlockLane::LANES)),
-            prod: vec![0; BlockLane::LANES],
+            dims: std::array::from_fn(|_| DimLanes::new(LaneWord::LANES)),
+            prod: vec![0; LaneWord::LANES],
         }
     }
 }
@@ -482,7 +481,7 @@ impl<const D: usize> SketchSet<D> {
         let small = rects.len() * self.schema.instances() < kernel::INGEST_SPLIT_FLOOR;
         let spans = if small { 1 } else { threads.clamp(1, blocks) };
         let per_span = blocks.div_ceil(spans);
-        let span_len = per_span * BlockLane::LANES * self.words.len();
+        let span_len = per_span * LaneWord::LANES * self.words.len();
         let walk = |first: usize, span: &mut [i64], lanes: &mut LaneScratch<D>| {
             self.for_each_chunk(rects, |chunk| {
                 apply_chunk_blocked(&self.schema, &self.words, chunk, first, lanes, span, delta)
@@ -686,7 +685,7 @@ fn apply_chunk_blocked<const D: usize>(
     delta: i64,
 ) {
     for (b, rows) in counters
-        .chunks_mut(BlockLane::LANES * words.len())
+        .chunks_mut(LaneWord::LANES * words.len())
         .enumerate()
     {
         for (i, scratch) in scratches.iter().enumerate() {

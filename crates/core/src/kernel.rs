@@ -4,8 +4,8 @@
 //! Both kernel enums ([`crate::atomic::BuildKernel`],
 //! [`crate::query::QueryKernel`]) offer the same two implementations: the
 //! scalar oracle and one blocked kernel, `Wide`, which evaluates the
-//! instances of a 512-lane block (`BlockLane`) per bit-sliced pass. The
-//! blocked kernel is every schema's default; an explicit
+//! instances of a 512-lane block ([`fourwise::LaneWord`]) per bit-sliced
+//! pass. The blocked kernel is every schema's default; an explicit
 //! `with_kernel`/`set_kernel` picks the oracle. All kernels are
 //! bit-identical, so the choice is purely about speed.
 //!
@@ -20,12 +20,8 @@
 //! [`dispatch_report`] exposes the resolved constants for probes and
 //! tests.
 
-use fourwise::Lane;
+use fourwise::LaneWord;
 use std::sync::OnceLock;
-
-/// The lane word of the blocked kernels' instance blocks: 512 instances
-/// per bit-sliced pass.
-pub(crate) type BlockLane = fourwise::WideLane512;
 
 /// Object·instance products below which a blocked slice ingest
 /// (`SketchSet::update_slice`) stays on the calling thread: below it a
@@ -50,7 +46,7 @@ pub(crate) fn ingest_threads() -> usize {
 /// schema with `instances` boosting instances: 512 at every size.
 pub fn preferred_lane_width(instances: usize) -> usize {
     let _ = instances;
-    BlockLane::LANES
+    LaneWord::LANES
 }
 
 /// The kernel constants resolved at runtime: what probes record next to

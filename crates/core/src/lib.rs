@@ -28,7 +28,7 @@
 //! * [`atomic`] — the maintained counters ([`atomic::SketchSet`]) with
 //!   streaming insert/delete, linear merge, and two bit-identical
 //!   maintenance kernels ([`atomic::BuildKernel`]: scalar oracle and the
-//!   512-lane blocked kernel over [`fourwise::Lane`] words);
+//!   512-lane blocked kernel over [`fourwise::LaneWord`] blocks);
 //! * [`estimator`] — generic term-expansion machinery turning per-dimension
 //!   counting identities into d-dimensional estimators;
 //! * [`estimators`] — ready-made estimators for every query class in the
@@ -103,7 +103,7 @@ pub use estimators::range::{BatchQuery, RangeQuery, RangeStrategy};
 pub use estimators::SketchConfig;
 pub use kernel::{dispatch_report, preferred_lane_width, DispatchReport, INGEST_SPLIT_FLOOR};
 pub use log::{LogEntry, LogRetention, UpdateLog};
-pub use par::{par_estimate, par_insert_batch, par_merge_batch, par_update_batch};
+pub use par::{par_insert_batch, par_merge_batch, par_update_batch};
 pub use persist::{
     restore_pair, restore_schema, restore_sketch, restore_sketch_with_schema, snapshot_pair,
     snapshot_schema, snapshot_sketch, SchemaSnapshot, SketchPairSnapshot, SketchSnapshot,

@@ -1,5 +1,5 @@
-//! Bulk loading with an explicit worker count, and block-parallel
-//! estimation and merging of sketches.
+//! Bulk loading with an explicit worker count, and parallel merging of
+//! sketches.
 //!
 //! Sketch instances are mutually independent, so work parallelizes across
 //! the instance axis. [`par_update_batch`] is [`SketchSet::update_slice`]
@@ -9,18 +9,9 @@
 //! lanes never straddle a thread boundary. The scalar oracle never splits. This is how the
 //! experiment harness affords the paper's thousands-of-instances
 //! configurations.
-//!
-//! Estimation parallelizes the same way ([`par_estimate`]): the atomic
-//! estimate grid splits into whole instance blocks, each worker fills its
-//! share with the blocked query kernel, and the
-//! single-threaded mean-then-median boost runs at the end. The result is
-//! bit-identical to [`PairEstimator::estimate`].
 
 use crate::atomic::SketchSet;
-use crate::boost::Estimate;
 use crate::error::Result;
-use crate::estimator::PairEstimator;
-use crate::query::pair_fill_blocked;
 use geometry::HyperRect;
 
 /// Applies a signed bulk update with at most `threads` workers.
@@ -88,44 +79,6 @@ pub fn par_insert_batch<const D: usize>(
     threads: usize,
 ) -> Result<()> {
     par_update_batch(sketch, rects, 1, threads)
-}
-
-/// Block-parallel pair estimation: splits the atomic estimate grid into
-/// whole instance blocks across `threads` workers, each running the blocked
-/// query kernel over its contiguous share, then boosts single-threaded.
-/// Bit-identical to [`PairEstimator::estimate`] under every kernel,
-/// worthwhile once `instances × terms` is large enough to amortize thread
-/// spawns.
-pub fn par_estimate<const D: usize>(
-    pair: &PairEstimator<D>,
-    r: &SketchSet<D>,
-    s: &SketchSet<D>,
-    threads: usize,
-) -> Result<Estimate> {
-    pair.check_sketches(r, s)?;
-    let threads = threads.max(1);
-    let schema = pair.schema();
-    let shape = schema.shape();
-    let mut atomic = vec![0.0f64; shape.instances()];
-    let blocks = schema.instance_blocks();
-    let per_thread = blocks.div_ceil(threads);
-    let terms = pair.terms().terms();
-    std::thread::scope(|scope| {
-        let mut rest = &mut atomic[..];
-        let mut block = 0usize;
-        while !rest.is_empty() {
-            let span_end = (block + per_thread).min(blocks);
-            let insts: usize = (block..span_end)
-                .map(|b| schema.seed_blocks(0)[b].lanes())
-                .sum();
-            let (chunk, tail) = rest.split_at_mut(insts);
-            rest = tail;
-            let first = block;
-            block = span_end;
-            scope.spawn(move || pair_fill_blocked(terms, r, s, first, chunk));
-        }
-    });
-    Ok(Estimate::from_grid(&atomic, shape.k1, shape.k2))
 }
 
 #[cfg(test)]
@@ -259,49 +212,6 @@ mod tests {
         assert!(
             (0..sk.schema().instances()).all(|i| sk.instance_counters(i).iter().all(|&c| c == 0))
         );
-    }
-
-    #[test]
-    fn par_estimate_matches_sequential_bitwise() {
-        use crate::estimators::joins::{EndpointStrategy, SpatialJoin};
-        use crate::estimators::SketchConfig;
-        use crate::query::{QueryContext, QueryKernel};
-
-        let mut rng = StdRng::seed_from_u64(105);
-        // 67 instances: one partial block with two occupied words.
-        let join = SpatialJoin::<2>::new(
-            &mut rng,
-            SketchConfig::new(67, 1),
-            [8, 8],
-            EndpointStrategy::Transform,
-        );
-        let mut r = join.new_sketch_r();
-        let mut s = join.new_sketch_s();
-        par_insert_batch(&mut r, &rects(150, 6), 4).unwrap();
-        par_insert_batch(&mut s, &rects(150, 7), 4).unwrap();
-        let seq = join.estimate(&r, &s).unwrap();
-        for kernel in [QueryKernel::Scalar, QueryKernel::Wide] {
-            let mut ctx = QueryContext::new().with_kernel(kernel);
-            let est = join.estimate_with(&mut ctx, &r, &s).unwrap();
-            assert_eq!(seq.value.to_bits(), est.value.to_bits(), "{kernel:?}");
-        }
-        for threads in [1usize, 2, 3, 8] {
-            let par = par_estimate(join.inner(), &r, &s, threads).unwrap();
-            assert_eq!(
-                par.value.to_bits(),
-                seq.value.to_bits(),
-                "threads {threads}"
-            );
-            assert_eq!(par.row_means, seq.row_means, "threads {threads}");
-        }
-        // Foreign sketches are rejected up front.
-        let other = SpatialJoin::<2>::new(
-            &mut rng,
-            SketchConfig::new(4, 1),
-            [8, 8],
-            EndpointStrategy::Transform,
-        );
-        assert!(par_estimate(other.inner(), &r, &s, 2).is_err());
     }
 
     #[test]

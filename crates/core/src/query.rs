@@ -19,7 +19,7 @@
 //! * [`QueryKernel::Wide`] (the default) — walk whole 512-lane instance
 //!   blocks: query-side cover node ids and their GF(2^k) cubes are
 //!   computed **once per query**, evaluated for a block of instances per
-//!   pass via the schema's packed [`fourwise::WideLane512`] seed tables
+//!   pass via the schema's packed [`fourwise::LaneWord`] seed tables
 //!   (per-lane sums through [`fourwise::BlockSums`]; eight-word lane
 //!   operations LLVM unrolls and autovectorizes, and partly filled blocks
 //!   fold only their occupied words), and combined with the block's
@@ -75,9 +75,8 @@
 use crate::atomic::SketchSet;
 use crate::boost::{mean_median_with, Estimate};
 use crate::estimator::Term;
-use crate::kernel::BlockLane;
 use crate::schema::{BoostShape, SketchSchema};
-use fourwise::{BlockSums, IndexPre, Lane};
+use fourwise::{BlockSums, IndexPre, LaneWord};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -91,7 +90,7 @@ pub enum QueryKernel {
     /// Per-instance evaluation (the original reference path).
     Scalar,
     /// Bit-sliced evaluation of 512 instances per pass over the schema's
-    /// [`fourwise::WideLane512`]-packed seed tables, with block-contiguous
+    /// [`fourwise::LaneWord`]-packed seed tables, with block-contiguous
     /// counter walks.
     #[default]
     Wide,
@@ -280,7 +279,7 @@ pub struct QueryContext {
     /// Sort scratch for the median step.
     med: Vec<f64>,
     /// Query-side per-lane cover sums, one slot per (dimension, list) pair.
-    sums: BlockSums<BlockLane>,
+    sums: BlockSums,
     /// A cold plan's query products (term-major), recomputed per call.
     qprod: Vec<i64>,
     /// Compiled query plans, memoized per (schema, query).
@@ -368,8 +367,8 @@ impl QueryContext {
         let shape = r.schema().shape();
         self.atomic.resize(shape.instances(), 0.0);
         match self.kernel {
-            QueryKernel::Scalar => pair_fill_scalar(terms, r, s, 0, &mut self.atomic),
-            QueryKernel::Wide => pair_fill_blocked(terms, r, s, 0, &mut self.atomic),
+            QueryKernel::Scalar => pair_fill_scalar(terms, r, s, &mut self.atomic),
+            QueryKernel::Wide => pair_fill_blocked(terms, r, s, &mut self.atomic),
         }
         self.boost(shape)
     }
@@ -387,7 +386,7 @@ impl QueryContext {
         let instances = schema.instances();
         self.atomic.resize(instances, 0.0);
         if self.kernel == QueryKernel::Scalar {
-            return xi_fill_scalar(plan, sketch, 0, &mut self.atomic);
+            return xi_fill_scalar(plan, sketch, &mut self.atomic);
         }
         let products: &[i64] = if let Some(memo) = plan.memo.get() {
             self.plans.memo.reuses += 1;
@@ -588,18 +587,16 @@ fn prod_f64(a: i64, b: i64) -> f64 {
     }
 }
 
-/// Fills `out[i]` with the pair atomic estimate of instance
-/// `first_instance + i`, per-instance (the scalar reference path — kept
-/// verbatim from the pre-kernel estimator).
-pub(crate) fn pair_fill_scalar<const D: usize>(
+/// Fills `out[i]` with the pair atomic estimate of instance `i`,
+/// per-instance (the scalar reference path — kept verbatim from the
+/// pre-kernel estimator).
+fn pair_fill_scalar<const D: usize>(
     terms: &[Term],
     r: &SketchSet<D>,
     s: &SketchSet<D>,
-    first_instance: usize,
     out: &mut [f64],
 ) {
-    for (i, z_out) in out.iter_mut().enumerate() {
-        let inst = first_instance + i;
+    for (inst, z_out) in out.iter_mut().enumerate() {
         let rc = r.instance_counters(inst);
         let sc = s.instance_counters(inst);
         let mut z = 0.0f64;
@@ -612,31 +609,25 @@ pub(crate) fn pair_fill_scalar<const D: usize>(
     }
 }
 
-/// Fills the pair atomic estimates of whole instance blocks starting at
-/// `first_block`; `out` must cover exactly a whole number of blocks' lanes.
-/// Terms walk in the outer loop so the f64 accumulations of different
-/// lanes stay independent (per-lane term order — and thus rounding —
-/// matches the scalar path exactly).
-pub(crate) fn pair_fill_blocked<const D: usize>(
+/// Fills the pair atomic estimates of every instance block; `out` holds
+/// one entry per instance. Terms walk in the outer loop so the f64
+/// accumulations of different lanes stay independent (per-lane term order
+/// — and thus rounding — matches the scalar path exactly).
+fn pair_fill_blocked<const D: usize>(
     terms: &[Term],
     r: &SketchSet<D>,
     s: &SketchSet<D>,
-    first_block: usize,
     out: &mut [f64],
 ) {
-    let schema = r.schema();
     let rw = r.words().len();
     let sw = s.words().len();
     let rc = r.counters();
     let sc = s.counters();
-    let mut filled = 0usize;
-    let mut b = first_block;
-    while filled < out.len() {
-        let base = b * BlockLane::LANES;
-        let lanes = schema.seed_blocks(0)[b].lanes();
+    for (b, z) in out.chunks_mut(LaneWord::LANES).enumerate() {
+        let base = b * LaneWord::LANES;
+        let lanes = z.len();
         let rb = &rc[base * rw..(base + lanes) * rw];
         let sb = &sc[base * sw..(base + lanes) * sw];
-        let z = &mut out[filled..filled + lanes];
         z.fill(0.0);
         for t in terms {
             let (rword, sword, coeff) = (t.r_word, t.s_word, t.coeff);
@@ -644,25 +635,17 @@ pub(crate) fn pair_fill_blocked<const D: usize>(
                 *slot += coeff * prod_f64(rb[lane * rw + rword], sb[lane * sw + sword]);
             }
         }
-        filled += lanes;
-        b += 1;
     }
 }
 
-/// Fills `out[i]` with the query-side atomic estimate of instance
-/// `first_instance + i`, instantiating each instance's ξ families and
-/// summing every cover list per instance (the scalar reference path).
-pub(crate) fn xi_fill_scalar<const D: usize>(
-    plan: &XiQueryPlan<D>,
-    sketch: &SketchSet<D>,
-    first_instance: usize,
-    out: &mut [f64],
-) {
+/// Fills `out[i]` with the query-side atomic estimate of instance `i`,
+/// instantiating each instance's ξ families and summing every cover list
+/// per instance (the scalar reference path).
+fn xi_fill_scalar<const D: usize>(plan: &XiQueryPlan<D>, sketch: &SketchSet<D>, out: &mut [f64]) {
     let schema = sketch.schema();
     let stride = plan.max_slots();
     let mut sums = vec![0i64; D * stride];
-    for (i, z_out) in out.iter_mut().enumerate() {
-        let inst = first_instance + i;
+    for (inst, z_out) in out.iter_mut().enumerate() {
         let seeds = schema.instance_seeds(inst);
         for (dim, lists) in plan.lists.iter().enumerate() {
             let fam = schema.xi_ctx()[dim].family(seeds[dim]);
@@ -694,7 +677,7 @@ pub(crate) fn xi_fill_scalar<const D: usize>(
 pub(crate) fn xi_products<const D: usize>(
     plan: &XiQueryPlan<D>,
     schema: &SketchSchema<D>,
-    sums: &mut BlockSums<BlockLane>,
+    sums: &mut BlockSums,
     out: &mut [i64],
 ) {
     let instances = schema.instances();
@@ -702,7 +685,7 @@ pub(crate) fn xi_products<const D: usize>(
     let stride = plan.max_slots();
     sums.reserve_slots(D * stride);
     for (b, block) in schema.seed_blocks(0).iter().enumerate() {
-        let base = b * BlockLane::LANES;
+        let base = b * LaneWord::LANES;
         let lanes = block.lanes();
         for (dim, lists) in plan.lists.iter().enumerate() {
             let xb = &schema.seed_blocks(dim)[b];
@@ -811,8 +794,8 @@ mod tests {
         ];
         let mut scalar_out = vec![0.0; schema.instances()];
         let mut wide_out = vec![0.0; schema.instances()];
-        pair_fill_scalar(&terms, &r, &s, 0, &mut scalar_out);
-        pair_fill_blocked(&terms, &r, &s, 0, &mut wide_out);
+        pair_fill_scalar(&terms, &r, &s, &mut scalar_out);
+        pair_fill_blocked(&terms, &r, &s, &mut wide_out);
         for (i, (a, b)) in scalar_out.iter().zip(wide_out.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "wide instance {i}");
         }
@@ -999,7 +982,7 @@ mod tests {
             let mut blocked = vec![0.0f64; instances];
             xi_combine(&plan.terms, &products, &sk, &mut blocked);
             let mut scalar = vec![0.0f64; instances];
-            xi_fill_scalar(plan, &sk, 0, &mut scalar);
+            xi_fill_scalar(plan, &sk, &mut scalar);
             for (i, (a, b)) in blocked.iter().zip(&scalar).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "query {q} instance {i}");
             }

@@ -9,9 +9,8 @@
 //! verifies schema identity.
 
 use crate::error::{Result, SketchError};
-use crate::kernel::BlockLane;
 use dyadic::DyadicDomain;
-use fourwise::{Lane, XiBlock, XiContext, XiKind, XiSeed};
+use fourwise::{LaneWord, XiBlock, XiContext, XiKind, XiSeed};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -88,7 +87,7 @@ pub struct SketchSchema<const D: usize> {
     /// be partial) — the blocked kernels' working set. Packed lazily on
     /// first blocked-kernel use, so a schema that only ever runs the scalar
     /// oracle never packs it.
-    seed_blocks: OnceLock<[Vec<XiBlock<BlockLane>>; D]>,
+    seed_blocks: OnceLock<[Vec<XiBlock>; D]>,
 }
 
 impl<const D: usize> SketchSchema<D> {
@@ -195,11 +194,11 @@ impl<const D: usize> SketchSchema<D> {
     /// seeds of instances `[512·b, 512·(b+1))` (the last block holds the
     /// remainder). The first call packs the planes from the instance seeds
     /// (thread-safe, once per schema).
-    pub fn seed_blocks(&self, dim: usize) -> &[XiBlock<fourwise::WideLane512>] {
+    pub fn seed_blocks(&self, dim: usize) -> &[XiBlock] {
         &self.seed_blocks.get_or_init(|| {
             std::array::from_fn(|dim| {
                 self.seeds
-                    .chunks(BlockLane::LANES)
+                    .chunks(LaneWord::LANES)
                     .map(|chunk| {
                         let col: Vec<XiSeed> = chunk.iter().map(|row| row[dim]).collect();
                         XiBlock::pack(&self.xi_ctx[dim], &col)
@@ -211,7 +210,7 @@ impl<const D: usize> SketchSchema<D> {
 
     /// Number of instance blocks per dimension.
     pub fn instance_blocks(&self) -> usize {
-        self.instances().div_ceil(BlockLane::LANES)
+        self.instances().div_ceil(LaneWord::LANES)
     }
 
     /// Validates that a sketch coordinate fits dimension `dim`.

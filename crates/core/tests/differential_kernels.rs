@@ -12,7 +12,8 @@
 //! besides the every-component word list the suite runs the word sets that
 //! skip some: the range words `{I, U}^D` (no lower point cover, no
 //! leaves), the join words `{I, E}^D` (no leaves) and single-component
-//! sets.
+//! sets. An adaptive-`maxLevel` shape folds cover lists of 24–31 nodes,
+//! whose per-lane counts reach the counter's upper planes.
 //!
 //! Seeded stand-ins for property tests: each configuration streams ≥200
 //! random objects (with interleaved deletions of earlier inserts) through
@@ -345,6 +346,71 @@ fn differential_wide512_spanning_shapes() {
         BoostShape::new(512, 1),
         976,
     );
+}
+
+/// A rect whose interval cover, in every dimension of `domain` truncated
+/// at `max_level`, holds 24–31 nodes: a list whose per-lane counts reach
+/// 16, so the counter extraction must read planes 4 and up.
+fn long_cover_rect<const D: usize>(
+    rng: &mut StdRng,
+    domain: &dyadic::DyadicDomain,
+    max_level: u32,
+) -> HyperRect<D> {
+    let top = (1u64 << domain.bits()) - 1;
+    HyperRect::new(std::array::from_fn(|_| loop {
+        let iv = Interval::new(rng.gen_range(0..top / 6), rng.gen_range(top * 4 / 5..=top));
+        if (24..=31).contains(&dyadic::interval_cover(domain, &iv, max_level).len()) {
+            return iv;
+        }
+    }))
+}
+
+#[test]
+fn differential_long_cover_lists_match_oracle() {
+    // An adaptive maxLevel (§6.5): a 2^8 domain truncated at level 3 turns
+    // a wide rect's interval cover into a run of 24–31 level-3 and edge
+    // nodes. Streamed and sliced, inserted and deleted, on a 1-word and a
+    // 4-word partial block, every counter must match the scalar oracle.
+    const MAX_LEVEL: u32 = 3;
+    for (i, (kind, k1)) in [(fourwise::XiKind::Bch, 160), (fourwise::XiKind::Poly, 40)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(1100 + i as u64);
+        let schema = SketchSchema::<2>::new(
+            &mut rng,
+            kind,
+            BoostShape::new(k1, 1),
+            [DimSpec::with_max_level(8, MAX_LEVEL); 2],
+        );
+        let words = Arc::new(all_comp_words::<2>());
+        let new =
+            |k| SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw).with_kernel(k);
+        let domain = &schema.dyadic()[0];
+        let data: Vec<HyperRect<2>> = (0..90)
+            .map(|_| long_cover_rect(&mut rng, domain, MAX_LEVEL))
+            .collect();
+        let label = format!("long covers/{kind:?}/{k1} instances");
+        let (mut scalar, mut streamed, mut sliced) = (
+            new(BuildKernel::Scalar),
+            new(BuildKernel::Wide),
+            new(BuildKernel::Wide),
+        );
+        for r in &data {
+            scalar.insert(r).unwrap();
+            streamed.insert(r).unwrap();
+        }
+        sliced.insert_slice(&data).unwrap();
+        assert_identical(&scalar, &streamed, &label);
+        assert_identical(&scalar, &sliced, &format!("{label}/slice"));
+        for r in &data[..30] {
+            scalar.delete(r).unwrap();
+            streamed.delete(r).unwrap();
+        }
+        sliced.delete_slice(&data[..30]).unwrap();
+        assert_identical(&scalar, &streamed, &format!("{label}/deleted"));
+        assert_identical(&scalar, &sliced, &format!("{label}/slice deleted"));
+    }
 }
 
 #[test]

@@ -4,31 +4,24 @@
 //! Sketch maintenance evaluates the *same* index against thousands of
 //! independent family instances. The scalar path ([`XiFamily::xi_pre`])
 //! dispatches per instance and pays a popcount each time. This module
-//! transposes the problem: the seeds of up to `L::LANES` instances are
-//! packed into *bit planes* (`plane[b]` holds bit `b` of every lane's seed),
-//! and the planes into per-nibble XOR tables, so one index is evaluated for
-//! the whole block with two lane-wise XORs per nibble of the domain —
-//! `O(k)` word operations for a full block instead of `O(k)` per instance.
-//!
-//! Everything here is generic over the [`Lane`] word: the sketch kernels run
-//! the [`WideLane512`] (`[u64; 8]`, 512 instances) width, multi-word
-//! lane-wise operations that LLVM unrolls and autovectorizes; the one-word
-//! `u64` width (64 instances, [`BLOCK_LANES`]) is the type parameters'
-//! default and the building block these tests check the wider words
-//! against, and [`WideLane`] (`[u64; 4]`, 256 instances) is a second
-//! multi-word instantiation they check. All widths produce bit-identical
-//! per-lane sums — lane width only changes how many instances share one
-//! pass.
+//! transposes the problem: the seeds of up to [`LaneWord::LANES`] (512)
+//! instances are packed into *bit planes* (`plane[b]` holds bit `b` of every
+//! lane's seed), and the planes into per-nibble XOR tables, so one index is
+//! evaluated for the whole block with two lane-wise XORs per nibble of the
+//! domain — `O(k)` word operations for a full block instead of `O(k)` per
+//! instance. Every block, mask and counter plane is one [`LaneWord`]; the
+//! per-lane sums are bit-identical to the scalar families'
+//! ([`XiFamily::sum_pre`]), which the tests check lane for lane.
 //!
 //! Partly filled blocks (a schema smaller than the lane width, or the tail
 //! of a larger one) carry an *occupancy* word count: every backing word at
 //! or above `lanes.div_ceil(64)` is all-zero in the seed tables, every sign
 //! mask, and every counter plane, so the fold loops run prefix-limited
-//! ([`Lane::xor_assign_prefix`] and friends) and skip the dead words — a
-//! 128-lane block of 512 lanes pays for 2 words, not 8. Each prefix fold
-//! runs a fixed trip count of 1, 2 or 4 words, so it unrolls like the full
-//! fold. (Majority-occupied blocks stay on the full fixed-width code:
-//! folding the provably-zero dead words is free.)
+//! ([`LaneWord::xor_assign_prefix`] and friends) and skip the dead words — a
+//! 128-lane block pays for 2 words, not 8. Each prefix fold runs a fixed
+//! trip count of 1, 2 or 4 words, so it unrolls like the full fold.
+//! (Majority-occupied blocks stay on the full fixed-width code: folding the
+//! provably-zero dead words is free.)
 //!
 //! For the BCH family the sign of lane `j` is
 //! `b0_j ⊕ <s1_j, i> ⊕ <s3_j, i³>`; XOR-ing the `s1` plane of every set bit
@@ -61,40 +54,30 @@
 //! sum the scalar oracle computes.
 
 use crate::family::{IndexPre, XiContext, XiKind, XiSeed};
-use crate::lane::{Lane, WideLane, WideLane512};
+use crate::lane::LaneWord;
 use crate::poly::PolyFamily;
 
 #[cfg(doc)]
 use crate::family::XiFamily;
-
-/// Instances per block at the one-word (`u64`) lane width.
-pub const BLOCK_LANES: usize = 64;
-
-/// Instances per block at the 256-lane ([`WideLane`]) width.
-pub const WIDE_LANES: usize = WideLane::LANES;
-
-/// Instances per block at the 512-lane ([`WideLane512`]) width: the
-/// sketch kernels' block size.
-pub const WIDE512_LANES: usize = WideLane512::LANES;
 
 /// Upper bound on the number of masks a [`LaneCounter`] can absorb
 /// (`2^PLANES - 1`). Dyadic covers have at most `2·bits ≤ 126` nodes, within
 /// bounds for every supported domain.
 const PLANES: usize = 8;
 
-/// Packed seeds of up to `L::LANES` BCH family instances over one domain,
+/// Packed seeds of up to [`LaneWord::LANES`] BCH family instances over one domain,
 /// stored as per-nibble XOR tables for one-pass block evaluation.
 #[derive(Debug, Clone)]
-pub struct BchBlock<L: Lane = u64> {
+pub struct BchBlock {
     lanes: u32,
     /// Occupied backing words, `lanes.div_ceil(64)`: every table entry is
     /// all-zero at and above this word, so the fold loops skip them.
     words: u32,
     /// Lane `j` holds seed `j`'s sign-flip bit.
-    b0: L,
+    b0: LaneWord,
     /// One pair of tables per nibble of the `k`-bit domain, low nibble
     /// first (`k.div_ceil(4)` entries).
-    nibbles: Box<[NibbleTables<L>]>,
+    nibbles: Box<[NibbleTables]>,
 }
 
 /// The lane-wise inner products of every seed with the 16 values of one
@@ -102,21 +85,25 @@ pub struct BchBlock<L: Lane = u64> {
 /// `<s1_j, v << 4q>` and `s3[v]` lane `j` = `<s3_j, v << 4q>`. Entry `v` is
 /// the XOR of the seed bit planes `4q..4q+3` that `v` selects.
 #[derive(Debug, Clone)]
-struct NibbleTables<L: Lane> {
-    s1: [L; 16],
-    s3: [L; 16],
+struct NibbleTables {
+    s1: [LaneWord; 16],
+    s3: [LaneWord; 16],
 }
 
-impl<L: Lane> BchBlock<L> {
+impl BchBlock {
     fn pack(seeds: impl Iterator<Item = crate::bch::BchSeed>, k: u32) -> Self {
         // Bit planes first: `s1[b]` lane `j` = bit `b` of seed `j`'s
         // first-order mask, `s3[b]` the same for the third-order mask.
-        let mut b0 = L::zero();
-        let mut s1 = vec![L::zero(); k as usize];
-        let mut s3 = vec![L::zero(); k as usize];
+        let mut b0 = LaneWord::zero();
+        let mut s1 = vec![LaneWord::zero(); k as usize];
+        let mut s3 = vec![LaneWord::zero(); k as usize];
         let mut lanes = 0u32;
         for (j, seed) in seeds.enumerate() {
-            assert!(j < L::LANES, "xi block holds at most {} seeds", L::LANES);
+            assert!(
+                j < LaneWord::LANES,
+                "xi block holds at most {} seeds",
+                LaneWord::LANES
+            );
             if seed.b0 {
                 b0.set_bit(j);
             }
@@ -137,8 +124,8 @@ impl<L: Lane> BchBlock<L> {
         // or above `k` (a partial top nibble) read as zero; the entries
         // that would fold them are never indexed, since indices and cubes
         // stay below 2^k.
-        let table = |planes: &[L], q: usize| {
-            let mut t = [L::zero(); 16];
+        let table = |planes: &[LaneWord], q: usize| {
+            let mut t = [LaneWord::zero(); 16];
             for v in 1..16 {
                 t[v] = t[v & (v - 1)];
                 if let Some(plane) = planes.get(4 * q + v.trailing_zeros() as usize) {
@@ -169,7 +156,7 @@ impl<L: Lane> BchBlock<L> {
     /// One `s1` and one `s3` table lookup per nibble of the domain: a fixed
     /// trip count, whatever bits the index and its cube have set.
     #[inline]
-    pub fn eval_mask(&self, pre: IndexPre) -> L {
+    pub fn eval_mask(&self, pre: IndexPre) -> LaneWord {
         debug_assert!(
             pre.index
                 .checked_shr(4 * self.nibbles.len() as u32)
@@ -205,8 +192,8 @@ pub struct PolyBlock {
 impl PolyBlock {
     /// Sign mask at one index (see [`BchBlock::eval_mask`]).
     #[inline]
-    pub fn eval_mask<L: Lane>(&self, pre: IndexPre) -> L {
-        let mut mask = L::zero();
+    pub fn eval_mask(&self, pre: IndexPre) -> LaneWord {
+        let mut mask = LaneWord::zero();
         for (j, fam) in self.fams.iter().enumerate() {
             if fam.xi(pre.index) < 0 {
                 mask.set_bit(j);
@@ -216,31 +203,30 @@ impl PolyBlock {
     }
 }
 
-/// Packed evaluation block for up to `L::LANES` family instances.
+/// Packed evaluation block for up to [`LaneWord::LANES`] family instances.
 ///
 /// The block analogue of [`XiFamily`]: built once per (schema, dimension,
-/// instance block) and reused for every update. Generic over the [`Lane`]
-/// width; `XiBlock` without parameters is the portable 64-lane block.
+/// instance block) and reused for every update.
 #[derive(Debug, Clone)]
-pub enum XiBlock<L: Lane = u64> {
+pub enum XiBlock {
     /// Bit-sliced BCH block.
-    Bch(BchBlock<L>),
+    Bch(BchBlock),
     /// Per-lane polynomial block.
     Poly(PolyBlock),
 }
 
-impl<L: Lane> XiBlock<L> {
+impl XiBlock {
     /// Packs a block from per-instance seeds drawn for `ctx`.
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` is empty, holds more than `L::LANES` entries, or
+    /// Panics if `seeds` is empty, holds more than [`LaneWord::LANES`] entries, or
     /// any seed kind does not match the context kind.
     pub fn pack(ctx: &XiContext, seeds: &[XiSeed]) -> Self {
         assert!(
-            !seeds.is_empty() && seeds.len() <= L::LANES,
+            !seeds.is_empty() && seeds.len() <= LaneWord::LANES,
             "xi blocks hold 1..={} seeds, got {}",
-            L::LANES,
+            LaneWord::LANES,
             seeds.len()
         );
         match ctx.kind() {
@@ -285,7 +271,7 @@ impl<L: Lane> XiBlock<L> {
     /// `j`'s `xi_i = -1`. Bits at or above [`XiBlock::lanes`] are
     /// unspecified.
     #[inline]
-    pub fn eval_mask(&self, pre: IndexPre) -> L {
+    pub fn eval_mask(&self, pre: IndexPre) -> LaneWord {
         match self {
             XiBlock::Bch(b) => b.eval_mask(pre),
             XiBlock::Poly(p) => p.eval_mask(pre),
@@ -298,13 +284,13 @@ impl<L: Lane> XiBlock<L> {
     /// cleared and reused as carry-save scratch. Lists longer than
     /// [`LaneCounter::CAPACITY`] are folded in chunks.
     #[inline]
-    pub fn sum_pre_into(&self, pres: &[IndexPre], counter: &mut LaneCounter<L>, out: &mut [i64]) {
+    pub fn sum_pre_into(&self, pres: &[IndexPre], counter: &mut LaneCounter, out: &mut [i64]) {
         let out = &mut out[..self.lanes()];
         // Partly filled blocks only occupy a prefix of the backing words:
         // every mask (and therefore every counter plane) is zero above it,
         // so the carry-save folds run prefix-limited.
         let words = self.occupied_words();
-        let mut chunks = pres.chunks(LaneCounter::<L>::CAPACITY as usize);
+        let mut chunks = pres.chunks(LaneCounter::CAPACITY as usize);
         // First chunk writes, later chunks accumulate; covers are far below
         // capacity, so the hot path is exactly one write pass.
         self.count_chunk(chunks.next().unwrap_or(&[]), counter, words);
@@ -319,7 +305,7 @@ impl<L: Lane> XiBlock<L> {
     /// [`LaneCounter::CAPACITY`] indices) into it: eight at a time through
     /// the adder tree, the remainder one at a time.
     #[inline]
-    fn count_chunk(&self, chunk: &[IndexPre], counter: &mut LaneCounter<L>, words: usize) {
+    fn count_chunk(&self, chunk: &[IndexPre], counter: &mut LaneCounter, words: usize) {
         counter.clear();
         let mut octets = chunk.chunks_exact(8);
         for octet in &mut octets {
@@ -340,26 +326,16 @@ impl<L: Lane> XiBlock<L> {
 /// the per-lane sums alive at once to form word products. A `BlockSums`
 /// holds them side by side so the whole query side of a block is evaluated
 /// with zero allocation after the first use.
-#[derive(Debug, Clone)]
-pub struct BlockSums<L: Lane = u64> {
-    counter: LaneCounter<L>,
-    /// Slot `s` occupies `sums[s*L::LANES..(s+1)*L::LANES]`.
+#[derive(Debug, Clone, Default)]
+pub struct BlockSums {
+    counter: LaneCounter,
+    /// Slot `s` occupies `sums[s*LANES..(s+1)*LANES]`.
     sums: Vec<i64>,
     /// Scratch for [`BlockSums::slot_products`] (one lane word's worth).
     prod: Vec<i64>,
 }
 
-impl<L: Lane> Default for BlockSums<L> {
-    fn default() -> Self {
-        Self {
-            counter: LaneCounter::new(),
-            sums: Vec::new(),
-            prod: Vec::new(),
-        }
-    }
-}
-
-impl<L: Lane> BlockSums<L> {
+impl BlockSums {
     /// Fresh scratch with no slots; call [`BlockSums::reserve_slots`] or let
     /// [`BlockSums::eval_into`] grow it on demand.
     pub fn new() -> Self {
@@ -368,23 +344,23 @@ impl<L: Lane> BlockSums<L> {
 
     /// Ensures at least `slots` per-lane buffers exist (grow-only).
     pub fn reserve_slots(&mut self, slots: usize) {
-        if self.sums.len() < slots * L::LANES {
-            self.sums.resize(slots * L::LANES, 0);
+        if self.sums.len() < slots * LaneWord::LANES {
+            self.sums.resize(slots * LaneWord::LANES, 0);
         }
     }
 
     /// Number of available slots.
     pub fn slots(&self) -> usize {
-        self.sums.len() / L::LANES
+        self.sums.len() / LaneWord::LANES
     }
 
     /// Evaluates per-lane `Σ xi` of `block` over `pres` into slot `slot`
     /// (the block analogue of [`XiFamily::sum_pre`], see
     /// [`XiBlock::sum_pre_into`]). Grows the slot bank as needed.
     #[inline]
-    pub fn eval_into(&mut self, slot: usize, block: &XiBlock<L>, pres: &[IndexPre]) {
+    pub fn eval_into(&mut self, slot: usize, block: &XiBlock, pres: &[IndexPre]) {
         self.reserve_slots(slot + 1);
-        let buf = &mut self.sums[slot * L::LANES..(slot + 1) * L::LANES];
+        let buf = &mut self.sums[slot * LaneWord::LANES..(slot + 1) * LaneWord::LANES];
         block.sum_pre_into(pres, &mut self.counter, buf);
     }
 
@@ -396,31 +372,31 @@ impl<L: Lane> BlockSums<L> {
     /// Panics if the slot was never evaluated or reserved.
     #[inline]
     pub fn lane_sums(&self, slot: usize) -> &[i64] {
-        &self.sums[slot * L::LANES..(slot + 1) * L::LANES]
+        &self.sums[slot * LaneWord::LANES..(slot + 1) * LaneWord::LANES]
     }
 
     /// Per-lane product across slots: entry `j` of the result is
     /// `Π_s lane_sums(slots[s])[j]` over the first `lanes` lanes, multiplied
     /// in slot order — bit-identical to the per-lane scalar fold the query
     /// kernels used to run, but restructured as plain elementwise `i64`
-    /// loops over contiguous buffers so the inner loop autovectorizes at
-    /// every lane width. Single-slot calls borrow the sums directly.
+    /// loops over contiguous buffers so the inner loop autovectorizes.
+    /// Single-slot calls borrow the sums directly.
     ///
     /// # Panics
     ///
     /// Panics if `slots` is empty or any slot was never evaluated.
     #[inline]
     pub fn slot_products(&mut self, slots: &[usize], lanes: usize) -> &[i64] {
-        debug_assert!(lanes <= L::LANES);
+        debug_assert!(lanes <= LaneWord::LANES);
         let (&first, rest) = slots
             .split_first()
             .expect("slot_products needs at least one slot");
         let sums = &self.sums;
-        let slot = |s: usize| &sums[s * L::LANES..s * L::LANES + lanes];
+        let slot = |s: usize| &sums[s * LaneWord::LANES..s * LaneWord::LANES + lanes];
         if rest.is_empty() {
             return slot(first);
         }
-        self.prod.resize(L::LANES, 0);
+        self.prod.resize(LaneWord::LANES, 0);
         let out = &mut self.prod[..lanes];
         out.copy_from_slice(slot(first));
         for &s in rest {
@@ -434,23 +410,14 @@ impl<L: Lane> BlockSums<L> {
 
 /// Vertical (bit-sliced) per-lane counter: accumulates sign masks with a
 /// carry-save adder network and extracts per-lane ±1 sums at the end.
-#[derive(Debug, Clone)]
-pub struct LaneCounter<L: Lane = u64> {
+#[derive(Debug, Clone, Default)]
+pub struct LaneCounter {
     /// `planes[p]` lane `j` = bit `p` of lane `j`'s count of set masks.
-    planes: [L; PLANES],
+    planes: [LaneWord; PLANES],
     added: u32,
 }
 
-impl<L: Lane> Default for LaneCounter<L> {
-    fn default() -> Self {
-        Self {
-            planes: [L::zero(); PLANES],
-            added: 0,
-        }
-    }
-}
-
-impl<L: Lane> LaneCounter<L> {
+impl LaneCounter {
     /// Most masks one counter can absorb between clears.
     pub const CAPACITY: u32 = (1 << PLANES) - 1;
 
@@ -462,7 +429,7 @@ impl<L: Lane> LaneCounter<L> {
     /// Resets to the all-zero state.
     #[inline]
     pub fn clear(&mut self) {
-        self.planes = [L::zero(); PLANES];
+        self.planes = [LaneWord::zero(); PLANES];
         self.added = 0;
     }
 
@@ -486,8 +453,8 @@ impl<L: Lane> LaneCounter<L> {
     /// corrupt every lane's count, so the limit is enforced in release
     /// builds too (the predictable branch costs ~1 cycle per mask).
     #[inline]
-    pub fn add_mask(&mut self, mask: L) {
-        self.add_mask_prefix(mask, L::WORDS)
+    pub fn add_mask(&mut self, mask: LaneWord) {
+        self.add_mask_prefix(mask, LaneWord::WORDS)
     }
 
     /// [`LaneCounter::add_mask`] restricted to the first `words` backing
@@ -496,7 +463,7 @@ impl<L: Lane> LaneCounter<L> {
     /// word `words`: the counter planes then stay zero there too, and the
     /// prefix-limited carry-save step is bit-identical to the full one.
     #[inline]
-    pub fn add_mask_prefix(&mut self, mask: L, words: usize) {
+    pub fn add_mask_prefix(&mut self, mask: LaneWord, words: usize) {
         self.admit(1);
         self.ripple(0, mask, words);
     }
@@ -514,9 +481,9 @@ impl<L: Lane> LaneCounter<L> {
     /// Panics if the eight masks would take the counter past
     /// [`LaneCounter::CAPACITY`].
     #[inline]
-    pub fn add_octet_prefix(&mut self, masks: &[L; 8], words: usize) {
+    pub fn add_octet_prefix(&mut self, masks: &[LaneWord; 8], words: usize) {
         self.admit(8);
-        let fa = |a: L, b: L, c: L| full_add(a, b, c, words);
+        let fa = |a, b, c| full_add(a, b, c, words);
         let [m0, m1, m2, m3, m4, m5, m6, m7] = *masks;
         let [p0, p1, p2, ..] = self.planes;
         // Weight 1: nine inputs → plane 0 and four weight-2 carries.
@@ -547,7 +514,7 @@ impl<L: Lane> LaneCounter<L> {
     /// Adds `carry` at weight `2^from` (ripple-carry over the occupied
     /// planes, stopping at the first all-zero carry).
     #[inline]
-    fn ripple(&mut self, from: usize, mut carry: L, words: usize) {
+    fn ripple(&mut self, from: usize, mut carry: LaneWord, words: usize) {
         for plane in &mut self.planes[from..] {
             if carry.is_zero_prefix(words) {
                 break;
@@ -597,10 +564,10 @@ impl<L: Lane> LaneCounter<L> {
     /// hold every set count bit.
     #[inline]
     fn signed_sums_reach<const R: usize>(&self, out: &mut [i64], accumulate: bool) {
-        debug_assert!(out.len() <= L::LANES);
+        debug_assert!(out.len() <= LaneWord::LANES);
         let n = self.added as i64;
         // Walk backing words in the outer loop so the inner extraction runs
-        // on plain u64 shifts regardless of the lane width. Within a word,
+        // on plain u64 shifts. Within a word,
         // the vertical counter planes transpose to one count *byte* per
         // lane (8×8 bit-matrix transpose, 8 lanes at a time) — a handful of
         // word ops per 8 lanes instead of one plane walk per lane. Counts
@@ -630,7 +597,7 @@ impl<L: Lane> LaneCounter<L> {
 /// with `sum = a ⊕ b ⊕ c` and `carry = (a ∧ b) ⊕ ((a ⊕ b) ∧ c)` — the two
 /// carry terms are never both set, so XOR is their OR.
 #[inline(always)]
-fn full_add<L: Lane>(a: L, b: L, c: L, words: usize) -> (L, L) {
+fn full_add(a: LaneWord, b: LaneWord, c: LaneWord, words: usize) -> (LaneWord, LaneWord) {
     let mut ab = a;
     ab.xor_assign_prefix(&b, words);
     let mut carry = a.and_prefix(&b, words);
@@ -667,11 +634,14 @@ mod tests {
         (ctx, seeds)
     }
 
-    fn eval_mask_matches_scalar_families_at<L: Lane>() {
+    #[test]
+    fn eval_mask_matches_scalar_families() {
+        // One lane, a partial first word, one and four whole words (a
+        // 1- and a 4-word prefix fold) and the full block.
         for kind in [XiKind::Bch, XiKind::Poly] {
-            for lanes in [1usize, 7, L::LANES] {
+            for lanes in [1usize, 7, 64, 256, LaneWord::LANES] {
                 let (ctx, seeds) = random_block(kind, 12, lanes, 31 + lanes as u64);
-                let block = XiBlock::<L>::pack(&ctx, &seeds);
+                let block = XiBlock::pack(&ctx, &seeds);
                 assert_eq!(block.lanes(), lanes);
                 let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
                 for i in [0u64, 1, 2, 77, 4095] {
@@ -688,25 +658,19 @@ mod tests {
     }
 
     #[test]
-    fn eval_mask_matches_scalar_families() {
-        eval_mask_matches_scalar_families_at::<u64>();
-        eval_mask_matches_scalar_families_at::<WideLane>();
-        eval_mask_matches_scalar_families_at::<WideLane512>();
-    }
-
-    fn sum_pre_into_matches_scalar_sum_at<L: Lane>() {
+    fn sum_pre_into_matches_scalar_sum() {
         let mut rng = StdRng::seed_from_u64(5);
         for kind in [XiKind::Bch, XiKind::Poly] {
             // 100 stays within one LaneCounter chunk; 1000 forces the
             // multi-chunk accumulation path.
             for n in [100usize, 1000] {
-                let (ctx, seeds) = random_block(kind, 10, L::LANES, 77);
-                let block = XiBlock::<L>::pack(&ctx, &seeds);
+                let (ctx, seeds) = random_block(kind, 10, LaneWord::LANES, 77);
+                let block = XiBlock::pack(&ctx, &seeds);
                 let pres: Vec<IndexPre> = (0..n)
                     .map(|_| ctx.precompute(rng.gen_range(0..1024u64)))
                     .collect();
-                let mut counter = LaneCounter::<L>::new();
-                let mut sums = vec![0i64; L::LANES];
+                let mut counter = LaneCounter::new();
+                let mut sums = vec![0i64; LaneWord::LANES];
                 block.sum_pre_into(&pres, &mut counter, &mut sums);
                 for (j, &seed) in seeds.iter().enumerate() {
                     let fam = ctx.family(seed);
@@ -717,68 +681,26 @@ mod tests {
     }
 
     #[test]
-    fn sum_pre_into_matches_scalar_sum() {
-        sum_pre_into_matches_scalar_sum_at::<u64>();
-        sum_pre_into_matches_scalar_sum_at::<WideLane>();
-        sum_pre_into_matches_scalar_sum_at::<WideLane512>();
-    }
-
-    fn wide_and_narrow_blocks_agree_lane_for_lane_at<L: Lane>() {
-        // The same L::LANES seeds packed as one wide block and L::WORDS
-        // one-word blocks must produce identical per-lane sums: every
-        // backing word is a self-contained 64-lane block.
+    fn full_blocks_agree_lane_for_lane_with_scalar() {
+        // A full block's per-lane sums over a 120-node list equal the
+        // scalar family sums in every lane of every backing word.
         let mut rng = StdRng::seed_from_u64(91);
         for kind in [XiKind::Bch, XiKind::Poly] {
-            let (ctx, seeds) = random_block(kind, 11, L::LANES, 92);
-            let wide = XiBlock::<L>::pack(&ctx, &seeds);
+            let (ctx, seeds) = random_block(kind, 11, LaneWord::LANES, 92);
+            let block = XiBlock::pack(&ctx, &seeds);
             let pres: Vec<IndexPre> = (0..120)
                 .map(|_| ctx.precompute(rng.gen_range(0..2048u64)))
                 .collect();
-            let mut wide_counter = LaneCounter::<L>::new();
-            let mut wide_sums = vec![0i64; L::LANES];
-            wide.sum_pre_into(&pres, &mut wide_counter, &mut wide_sums);
-            let mut counter = LaneCounter::<u64>::new();
-            let mut sums = [0i64; BLOCK_LANES];
-            for (b, chunk) in seeds.chunks(BLOCK_LANES).enumerate() {
-                let narrow = XiBlock::<u64>::pack(&ctx, chunk);
-                narrow.sum_pre_into(&pres, &mut counter, &mut sums);
-                assert_eq!(
-                    &wide_sums[b * BLOCK_LANES..(b + 1) * BLOCK_LANES],
-                    &sums[..],
-                    "{kind:?} block {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wide_and_narrow_blocks_agree_lane_for_lane() {
-        wide_and_narrow_blocks_agree_lane_for_lane_at::<WideLane>();
-        wide_and_narrow_blocks_agree_lane_for_lane_at::<WideLane512>();
-    }
-
-    fn tail_blocks_skip_dead_words_and_match_scalar_at<L: Lane>(lanes: usize) {
-        // A partial tail block occupies lanes.div_ceil(64) backing words;
-        // the prefix-limited folds must still match the scalar families
-        // exactly (and the occupancy count must match the geometry).
-        let mut rng = StdRng::seed_from_u64(4096 + lanes as u64);
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            let (ctx, seeds) = random_block(kind, 12, lanes, 55 + lanes as u64);
-            let block = XiBlock::<L>::pack(&ctx, &seeds);
-            assert_eq!(block.lanes(), lanes);
-            assert_eq!(block.occupied_words(), lanes.div_ceil(64));
-            let pres: Vec<IndexPre> = (0..90)
-                .map(|_| ctx.precompute(rng.gen_range(0..4096u64)))
-                .collect();
-            let mut counter = LaneCounter::<L>::new();
-            let mut sums = vec![0i64; lanes];
+            let mut counter = LaneCounter::new();
+            let mut sums = vec![0i64; LaneWord::LANES];
             block.sum_pre_into(&pres, &mut counter, &mut sums);
             for (j, &seed) in seeds.iter().enumerate() {
                 let fam = ctx.family(seed);
                 assert_eq!(
                     sums[j],
                     fam.sum_pre(&pres),
-                    "{kind:?} lanes={lanes} lane {j}"
+                    "{kind:?} word {} lane {j}",
+                    j / 64
                 );
             }
         }
@@ -786,39 +708,58 @@ mod tests {
 
     #[test]
     fn tail_blocks_skip_dead_words_and_match_scalar() {
-        // 70 lanes → 2 of 4 / 2 of 8 occupied words; on the 512-lane block
-        // 40, 70 and 160 lanes take the 1-, 2- and 4-word prefix folds, 300
+        // A partial tail block occupies lanes.div_ceil(64) backing words;
+        // the prefix-limited folds must still match the scalar families
+        // exactly (and the occupancy count must match the geometry). 40,
+        // 70 and 129/160 lanes take the 1-, 2- and 4-word prefix folds, 300
         // and 449 the full one.
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane>(70);
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane>(129);
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(40);
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(70);
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(160);
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(300);
-        tail_blocks_skip_dead_words_and_match_scalar_at::<WideLane512>(449);
+        for lanes in [40usize, 70, 129, 160, 300, 449] {
+            let mut rng = StdRng::seed_from_u64(4096 + lanes as u64);
+            for kind in [XiKind::Bch, XiKind::Poly] {
+                let (ctx, seeds) = random_block(kind, 12, lanes, 55 + lanes as u64);
+                let block = XiBlock::pack(&ctx, &seeds);
+                assert_eq!(block.lanes(), lanes);
+                assert_eq!(block.occupied_words(), lanes.div_ceil(64));
+                let pres: Vec<IndexPre> = (0..90)
+                    .map(|_| ctx.precompute(rng.gen_range(0..4096u64)))
+                    .collect();
+                let mut counter = LaneCounter::new();
+                let mut sums = vec![0i64; lanes];
+                block.sum_pre_into(&pres, &mut counter, &mut sums);
+                for (j, &seed) in seeds.iter().enumerate() {
+                    let fam = ctx.family(seed);
+                    assert_eq!(
+                        sums[j],
+                        fam.sum_pre(&pres),
+                        "{kind:?} lanes={lanes} lane {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn sum_pre_into_empty_list_is_zero() {
         let (ctx, seeds) = random_block(XiKind::Bch, 8, 3, 11);
-        let block = XiBlock::<u64>::pack(&ctx, &seeds);
+        let block = XiBlock::pack(&ctx, &seeds);
         let mut counter = LaneCounter::new();
-        let mut sums = [7i64; BLOCK_LANES];
+        let mut sums = [7i64; LaneWord::LANES];
         block.sum_pre_into(&[], &mut counter, &mut sums);
         assert_eq!(&sums[..3], &[0, 0, 0]);
     }
 
-    fn block_sums_holds_independent_slots_at<L: Lane>() {
+    #[test]
+    fn block_sums_holds_independent_slots() {
         let mut rng = StdRng::seed_from_u64(6);
-        let (ctx, seeds) = random_block(XiKind::Bch, 10, L::LANES, 78);
-        let block = XiBlock::<L>::pack(&ctx, &seeds);
+        let (ctx, seeds) = random_block(XiKind::Bch, 10, LaneWord::LANES, 78);
+        let block = XiBlock::pack(&ctx, &seeds);
         let list_a: Vec<IndexPre> = (0..40u64)
             .map(|_| ctx.precompute(rng.gen_range(0..1024u64)))
             .collect();
         let list_b: Vec<IndexPre> = (0..7u64)
             .map(|_| ctx.precompute(rng.gen_range(0..1024u64)))
             .collect();
-        let mut sums = BlockSums::<L>::new();
+        let mut sums = BlockSums::new();
         assert_eq!(sums.slots(), 0);
         sums.eval_into(0, &block, &list_a);
         sums.eval_into(1, &block, &list_b);
@@ -847,16 +788,10 @@ mod tests {
     }
 
     #[test]
-    fn block_sums_holds_independent_slots() {
-        block_sums_holds_independent_slots_at::<u64>();
-        block_sums_holds_independent_slots_at::<WideLane>();
-        block_sums_holds_independent_slots_at::<WideLane512>();
-    }
-
-    fn slot_products_match_per_lane_fold_at<L: Lane>() {
+    fn slot_products_match_per_lane_fold() {
         let mut rng = StdRng::seed_from_u64(17);
-        let (ctx, seeds) = random_block(XiKind::Bch, 10, L::LANES, 79);
-        let block = XiBlock::<L>::pack(&ctx, &seeds);
+        let (ctx, seeds) = random_block(XiKind::Bch, 10, LaneWord::LANES, 79);
+        let block = XiBlock::pack(&ctx, &seeds);
         let lists: Vec<Vec<IndexPre>> = (0..3)
             .map(|n| {
                 (0..20 + 9 * n)
@@ -864,12 +799,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut sums = BlockSums::<L>::new();
+        let mut sums = BlockSums::new();
         for (slot, list) in lists.iter().enumerate() {
             sums.eval_into(slot, &block, list);
         }
         for slots in [&[1usize][..], &[0, 2], &[2, 0, 1]] {
-            let lanes = L::LANES - 3;
+            let lanes = LaneWord::LANES - 3;
             let expect: Vec<i64> = (0..lanes)
                 .map(|j| {
                     let mut p = 1i64;
@@ -883,20 +818,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slot_products_match_per_lane_fold() {
-        slot_products_match_per_lane_fold_at::<u64>();
-        slot_products_match_per_lane_fold_at::<WideLane>();
-        slot_products_match_per_lane_fold_at::<WideLane512>();
+    /// A lane word with the given lanes set.
+    fn lanes_set(lanes: &[usize]) -> LaneWord {
+        let mut m = LaneWord::zero();
+        for &lane in lanes {
+            m.set_bit(lane);
+        }
+        m
     }
 
     #[test]
     fn lane_counter_counts_and_sums() {
-        let mut c = LaneCounter::<u64>::new();
+        let mut c = LaneCounter::new();
         // Lane 0 sees 5 set bits, lane 1 sees 2, lane 63 sees 0, of 5 masks.
-        let masks = [0b01u64, 0b11, 0b01, 0b11, 0b01];
+        let masks = [&[0][..], &[0, 1], &[0], &[0, 1], &[0]];
         for m in masks {
-            c.add_mask(m);
+            c.add_mask(lanes_set(m));
         }
         assert_eq!(c.len(), 5);
         assert_eq!(c.count(0), 5);
@@ -914,23 +851,18 @@ mod tests {
 
     #[test]
     fn wide_lane_counter_counts_across_words() {
-        let mut c = LaneCounter::<WideLane>::new();
+        let mut c = LaneCounter::new();
         // Lanes 0, 70 and 255 live in different backing words.
-        let mut m = WideLane::zero();
-        m.set_bit(0);
-        m.set_bit(70);
-        m.set_bit(255);
+        let m = lanes_set(&[0, 70, 255]);
         for _ in 0..3 {
             c.add_mask(m);
         }
-        let mut single = WideLane::zero();
-        single.set_bit(70);
-        c.add_mask(single);
+        c.add_mask(lanes_set(&[70]));
         assert_eq!(c.count(0), 3);
         assert_eq!(c.count(70), 4);
         assert_eq!(c.count(255), 3);
         assert_eq!(c.count(128), 0);
-        let mut sums = vec![0i64; WIDE_LANES];
+        let mut sums = vec![0i64; LaneWord::LANES];
         c.signed_sums_into(&mut sums);
         assert_eq!(sums[0], 4 - 2 * 3);
         assert_eq!(sums[70], 4 - 2 * 4);
@@ -941,9 +873,9 @@ mod tests {
     #[test]
     fn lane_counter_near_capacity() {
         // Covers can reach ~126 nodes; exercise counts well past 64.
-        let mut c = LaneCounter::<u64>::new();
+        let mut c = LaneCounter::new();
         for _ in 0..200 {
-            c.add_mask(u64::MAX);
+            c.add_mask(LaneWord::splat(true));
         }
         for lane in [0usize, 31, 63] {
             assert_eq!(c.count(lane), 200);
@@ -956,8 +888,8 @@ mod tests {
     /// Folds `masks` eight at a time through the adder tree (the remainder
     /// one at a time, as [`XiBlock::sum_pre_into`] does) and one at a time,
     /// and checks that both counters agree plane for plane.
-    fn assert_octet_fold_matches_single_adds(masks: &[WideLane512], words: usize, label: &str) {
-        let mut octet = LaneCounter::<WideLane512>::new();
+    fn assert_octet_fold_matches_single_adds(masks: &[LaneWord], words: usize, label: &str) {
+        let mut octet = LaneCounter::new();
         let mut chunks = masks.chunks_exact(8);
         for chunk in &mut chunks {
             octet.add_octet_prefix(chunk.try_into().unwrap(), words);
@@ -965,7 +897,7 @@ mod tests {
         for &m in chunks.remainder() {
             octet.add_mask_prefix(m, words);
         }
-        let mut single = LaneCounter::<WideLane512>::new();
+        let mut single = LaneCounter::new();
         for &m in masks {
             single.add_mask_prefix(m, words);
         }
@@ -1005,15 +937,15 @@ mod tests {
         // weight-8 carry ripples to the top plane.
         let mut rng = StdRng::seed_from_u64(29);
         for words in [1usize, 2, 3, 4, 8] {
-            for n in 0..=LaneCounter::<WideLane512>::CAPACITY as usize {
-                let masks: Vec<WideLane512> = (0..n)
+            for n in 0..=LaneCounter::CAPACITY as usize {
+                let masks: Vec<LaneWord> = (0..n)
                     .map(|_| {
                         let dense = rng.gen_range(0..4) == 0;
-                        std::array::from_fn(|w| match (w < words, dense) {
+                        LaneWord(std::array::from_fn(|w| match (w < words, dense) {
                             (false, _) => 0,
                             (true, true) => u64::MAX,
                             (true, false) => rng.gen::<u64>(),
-                        })
+                        }))
                     })
                     .collect();
                 assert_octet_fold_matches_single_adds(&masks, words, &format!("{words}w n={n}"));
@@ -1025,29 +957,29 @@ mod tests {
     #[should_panic(expected = "LaneCounter overflow")]
     fn lane_counter_takes_255_masks_and_rejects_a_256th() {
         // 31 all-ones octets and 7 single masks fill every plane.
-        let mut c = LaneCounter::<WideLane512>::new();
+        let mut c = LaneCounter::new();
         for _ in 0..31 {
-            c.add_octet_prefix(&[WideLane512::splat(true); 8], 8);
+            c.add_octet_prefix(&[LaneWord::splat(true); 8], 8);
         }
         for _ in 0..7 {
-            c.add_mask(WideLane512::splat(true));
+            c.add_mask(LaneWord::splat(true));
         }
         assert_eq!((c.len(), c.count(0), c.count(511)), (255, 255, 255));
         let mut sums = [0i64; 2];
         c.signed_sums_into(&mut sums);
         assert_eq!(sums, [-255, -255]);
-        c.add_mask(WideLane512::zero());
+        c.add_mask(LaneWord::zero());
     }
 
     #[test]
     #[should_panic(expected = "LaneCounter overflow")]
     fn lane_counter_rejects_an_octet_past_capacity() {
         // 248 masks fit; an octet would make 256.
-        let mut c = LaneCounter::<WideLane512>::new();
+        let mut c = LaneCounter::new();
         for _ in 0..31 {
-            c.add_octet_prefix(&[WideLane512::zero(); 8], 8);
+            c.add_octet_prefix(&[LaneWord::zero(); 8], 8);
         }
-        c.add_octet_prefix(&[WideLane512::zero(); 8], 8);
+        c.add_octet_prefix(&[LaneWord::zero(); 8], 8);
     }
 
     #[test]
@@ -1071,7 +1003,7 @@ mod tests {
             };
             for lanes in [1usize, 40, 160, 512] {
                 let (ctx, seeds) = random_block(XiKind::Bch, k, lanes, 41 + k as u64);
-                let block = XiBlock::<WideLane512>::pack(&ctx, &seeds);
+                let block = XiBlock::pack(&ctx, &seeds);
                 let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
                 for &i in &indices {
                     let pre = ctx.precompute(i);
@@ -1101,34 +1033,16 @@ mod tests {
         let poly_ctx = XiContext::new(XiKind::Poly, 8);
         let seed = poly_ctx.random_seed(&mut rng);
         let bch_ctx = XiContext::new(XiKind::Bch, 8);
-        let _ = XiBlock::<u64>::pack(&bch_ctx, &[seed]);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64 seeds")]
-    fn pack_rejects_oversized_block() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let ctx = XiContext::new(XiKind::Bch, 8);
-        let seeds: Vec<XiSeed> = (0..65).map(|_| ctx.random_seed(&mut rng)).collect();
-        let _ = XiBlock::<u64>::pack(&ctx, &seeds);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=256 seeds")]
-    fn pack_rejects_oversized_wide_block() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let ctx = XiContext::new(XiKind::Bch, 8);
-        let seeds: Vec<XiSeed> = (0..257).map(|_| ctx.random_seed(&mut rng)).collect();
-        let _ = XiBlock::<WideLane>::pack(&ctx, &seeds);
+        let _ = XiBlock::pack(&bch_ctx, &[seed]);
     }
 
     #[test]
     #[should_panic(expected = "1..=512 seeds")]
-    fn pack_rejects_oversized_wide512_block() {
+    fn pack_rejects_oversized_block() {
         let mut rng = StdRng::seed_from_u64(10);
         let ctx = XiContext::new(XiKind::Bch, 8);
         let seeds: Vec<XiSeed> = (0..513).map(|_| ctx.random_seed(&mut rng)).collect();
-        let _ = XiBlock::<WideLane512>::pack(&ctx, &seeds);
+        let _ = XiBlock::pack(&ctx, &seeds);
     }
 
     #[test]
@@ -1138,10 +1052,10 @@ mod tests {
         // identical planes, counts and sums.
         let mut rng = StdRng::seed_from_u64(23);
         let words = 3usize; // 192 occupied lanes of 512
-        let mut full = LaneCounter::<WideLane512>::new();
-        let mut prefix = LaneCounter::<WideLane512>::new();
+        let mut full = LaneCounter::new();
+        let mut prefix = LaneCounter::new();
         for _ in 0..200 {
-            let mut m = WideLane512::zero();
+            let mut m = LaneWord::zero();
             for _ in 0..rng.gen_range(0..40) {
                 m.set_bit(rng.gen_range(0..words * 64));
             }

@@ -20,11 +20,10 @@
 //!
 //! [`family`] wraps both behind one interface shaped for the sketch hot loop
 //! (shared per-index precomputation across thousands of instances),
-//! [`lane`] defines the [`Lane`] machine-word abstraction (the one-word
-//! 64-lane `u64`, the 512-lane [`WideLane512`] the sketch kernels run and a
-//! 256-lane [`WideLane`]), [`batch`] builds the lane-width-generic bit-sliced
-//! evaluation blocks behind the blocked build *and* query kernels (plus the
-//! [`BlockSums`] scratch each query's covers are evaluated into), and
+//! [`lane`] defines the 512-lane [`LaneWord`] every bit-sliced structure is
+//! packed into, [`batch`] builds the bit-sliced evaluation blocks behind the
+//! blocked build *and* query kernels (plus the [`BlockSums`] scratch each
+//! query's covers are evaluated into), and
 //! [`gf2`] supplies the carry-less GF(2^k) arithmetic the BCH family needs.
 
 #![forbid(unsafe_code)]
@@ -37,9 +36,9 @@ pub mod gf2;
 pub mod lane;
 pub mod poly;
 
-pub use batch::{BlockSums, LaneCounter, XiBlock, BLOCK_LANES, WIDE512_LANES, WIDE_LANES};
+pub use batch::{BlockSums, LaneCounter, XiBlock};
 pub use bch::{BchFamily, BchSeed};
 pub use family::{IndexPre, XiContext, XiFamily, XiKind, XiSeed, CUBE_TABLE_MAX_BITS};
 pub use gf2::GfContext;
-pub use lane::{Lane, WideLane, WideLane512};
+pub use lane::LaneWord;
 pub use poly::{PolyFamily, PolySeed};

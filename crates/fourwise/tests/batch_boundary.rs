@@ -1,18 +1,15 @@
-//! Property tests for `fourwise::batch` across the cube-table boundary,
-//! at every lane width.
+//! Property tests for `fourwise::batch` across the cube-table boundary.
 //!
 //! `XiContext` eagerly tabulates GF(2^k) cubes for `k <=`
 //! [`CUBE_TABLE_MAX_BITS`] and computes them on the fly above it; the block
 //! evaluation path consumes `IndexPre` either way and must agree with the
-//! scalar `XiFamily` evaluation bit for bit on both sides of the boundary —
-//! for the portable 64-lane `u64` blocks, the 256-lane [`WideLane`] blocks
-//! and the 512-lane [`WideLane512`] blocks alike.
+//! scalar `XiFamily` evaluation bit for bit on both sides of the boundary,
+//! in full and partly filled 512-lane blocks alike.
 //!
 //! Seeded stand-ins for property tests (deterministic randomized loops).
 
 use fourwise::{
-    IndexPre, Lane, LaneCounter, WideLane, WideLane512, XiBlock, XiContext, XiKind, XiSeed,
-    BLOCK_LANES, CUBE_TABLE_MAX_BITS,
+    IndexPre, LaneCounter, LaneWord, XiBlock, XiContext, XiKind, XiSeed, CUBE_TABLE_MAX_BITS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,14 +29,15 @@ fn boundary_constants_still_straddle() {
     assert_eq!(BOUNDARY_KS, [20, 21, 22]);
 }
 
-fn size_one_blocks_equal_family_evaluation_at<L: Lane>() {
+#[test]
+fn size_one_blocks_equal_family_evaluation() {
     for k in BOUNDARY_KS {
         for kind in [XiKind::Bch, XiKind::Poly] {
             let ctx = XiContext::new(kind, k);
             let mut rng = StdRng::seed_from_u64(1000 + k as u64);
             for trial in 0..8 {
                 let seed = ctx.random_seed(&mut rng);
-                let block = XiBlock::<L>::pack(&ctx, &[seed]);
+                let block = XiBlock::pack(&ctx, &[seed]);
                 assert_eq!(block.lanes(), 1);
                 let fam = ctx.family(seed);
                 let top = (1u64 << k) - 1;
@@ -67,25 +65,21 @@ fn size_one_blocks_equal_family_evaluation_at<L: Lane>() {
 }
 
 #[test]
-fn size_one_blocks_equal_family_evaluation() {
-    size_one_blocks_equal_family_evaluation_at::<u64>();
-    size_one_blocks_equal_family_evaluation_at::<WideLane>();
-    size_one_blocks_equal_family_evaluation_at::<WideLane512>();
-}
-
-fn full_blocks_equal_family_sums_at<L: Lane>() {
+fn full_blocks_equal_family_sums_at_boundary() {
     for k in BOUNDARY_KS {
         for kind in [XiKind::Bch, XiKind::Poly] {
             let ctx = XiContext::new(kind, k);
             let mut rng = StdRng::seed_from_u64(2000 + k as u64);
-            let seeds: Vec<XiSeed> = (0..L::LANES).map(|_| ctx.random_seed(&mut rng)).collect();
-            let block = XiBlock::<L>::pack(&ctx, &seeds);
+            let seeds: Vec<XiSeed> = (0..LaneWord::LANES)
+                .map(|_| ctx.random_seed(&mut rng))
+                .collect();
+            let block = XiBlock::pack(&ctx, &seeds);
             let top = (1u64 << k) - 1;
             let pres: Vec<IndexPre> = (0..40)
                 .map(|_| ctx.precompute(rng.gen_range(0..=top)))
                 .collect();
-            let mut counter = LaneCounter::<L>::new();
-            let mut sums = vec![0i64; L::LANES];
+            let mut counter = LaneCounter::new();
+            let mut sums = vec![0i64; LaneWord::LANES];
             block.sum_pre_into(&pres, &mut counter, &mut sums);
             for (lane, &seed) in seeds.iter().enumerate() {
                 let fam = ctx.family(seed);
@@ -95,52 +89,33 @@ fn full_blocks_equal_family_sums_at<L: Lane>() {
     }
 }
 
-#[test]
-fn full_blocks_equal_family_sums_at_boundary() {
-    full_blocks_equal_family_sums_at::<u64>();
-    full_blocks_equal_family_sums_at::<WideLane>();
-    full_blocks_equal_family_sums_at::<WideLane512>();
-}
-
-/// A `lanes`-lane partial tail block at width `L` against the equivalent
-/// narrow split, above the cube-table cutoff — exercising the occupancy
-/// skip (only `lanes.div_ceil(64)` of `L::WORDS` backing words are live).
-fn tail_blocks_match_narrow_blocks_at<L: Lane>(lanes: usize, seed: u64) {
+/// A `lanes`-lane partial tail block against the scalar families lane by
+/// lane, above the cube-table cutoff — exercising the occupancy skip (only
+/// `lanes.div_ceil(64)` of the 8 backing words are live).
+fn tail_blocks_match_scalar_at(lanes: usize, seed: u64) {
     let k = CUBE_TABLE_MAX_BITS + 1;
     let ctx = XiContext::new(XiKind::Bch, k);
     let mut rng = StdRng::seed_from_u64(seed);
     let seeds: Vec<XiSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
-    let wide = XiBlock::<L>::pack(&ctx, &seeds);
-    assert_eq!(wide.lanes(), lanes);
-    assert_eq!(wide.occupied_words(), lanes.div_ceil(64));
+    let block = XiBlock::pack(&ctx, &seeds);
+    assert_eq!(block.lanes(), lanes);
+    assert_eq!(block.occupied_words(), lanes.div_ceil(64));
     let pres: Vec<IndexPre> = (0..60)
         .map(|_| ctx.precompute(rng.gen_range(0..1u64 << k)))
         .collect();
-    let mut wide_counter = LaneCounter::<L>::new();
-    let mut wide_sums = vec![0i64; lanes];
-    wide.sum_pre_into(&pres, &mut wide_counter, &mut wide_sums);
-    let mut counter = LaneCounter::<u64>::new();
-    let mut narrow_sums = vec![0i64; lanes];
-    for (b, chunk) in seeds.chunks(BLOCK_LANES).enumerate() {
-        let narrow = XiBlock::<u64>::pack(&ctx, chunk);
-        narrow.sum_pre_into(
-            &pres,
-            &mut counter,
-            &mut narrow_sums[b * BLOCK_LANES..b * BLOCK_LANES + chunk.len()],
-        );
+    let mut counter = LaneCounter::new();
+    let mut sums = vec![0i64; lanes];
+    block.sum_pre_into(&pres, &mut counter, &mut sums);
+    for (lane, &seed) in seeds.iter().enumerate() {
+        let fam = ctx.family(seed);
+        assert_eq!(sums[lane], fam.sum_pre(&pres), "lanes={lanes} lane={lane}");
     }
-    assert_eq!(wide_sums, narrow_sums);
 }
 
 #[test]
-fn wide_tail_blocks_match_narrow_blocks_at_boundary() {
-    // 100 lanes: 2 of 4 occupied words in a 256-lane block.
-    tail_blocks_match_narrow_blocks_at::<WideLane>(100, 3000);
-}
-
-#[test]
-fn wide512_tail_blocks_match_narrow_blocks_at_boundary() {
-    // 100 and 300 lanes: 2 and 5 of 8 occupied words in a 512-lane block.
-    tail_blocks_match_narrow_blocks_at::<WideLane512>(100, 3000);
-    tail_blocks_match_narrow_blocks_at::<WideLane512>(300, 3001);
+fn tail_blocks_match_scalar_at_boundary() {
+    // 100 and 300 lanes: 2 and 5 of 8 occupied words (a 2-word prefix fold
+    // and the full fold).
+    tail_blocks_match_scalar_at(100, 3000);
+    tail_blocks_match_scalar_at(300, 3001);
 }

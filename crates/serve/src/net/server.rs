@@ -94,7 +94,7 @@ use crate::router::QueryRouter;
 use crate::store::ShardedStore;
 use geometry::{HyperRect, Interval};
 use sketch::estimators::joins::SpatialJoin;
-use sketch::RangeQuery;
+use sketch::{BatchQuery, RangeQuery};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -240,72 +240,90 @@ impl<const D: usize> SketchService<D> {
         query: &WireQuery,
         fault_injection: bool,
     ) -> WireReply {
-        match query {
-            WireQuery::Range { store, ranges } => {
-                let store = match self.store(*store) {
-                    Ok(s) => s,
-                    Err(reply) => return reply,
-                };
-                let Some(rect) = rect_of::<D>(ranges) else {
-                    return bad_request(format!(
-                        "range query needs {D} non-inverted (lo, hi) pairs"
-                    ));
-                };
-                estimate_reply(self.router.estimate_range(&self.range, store, ctx, &rect))
+        match self.parse(query) {
+            Some(Ok(parsed)) => self.answer_parsed(ctx, parsed),
+            Some(Err(reply)) => reply,
+            None => self.answer_join_or_fault(ctx, query, fault_injection),
+        }
+    }
+
+    /// Answers a validated range or stab query, full or partial.
+    fn answer_parsed(&self, ctx: &mut WorkerContext<D>, parsed: Parsed<'_, D>) -> WireReply {
+        let (range, store) = (&self.range, parsed.store);
+        match (parsed.query, parsed.partial) {
+            (BatchQuery::Range(rect), false) => {
+                estimate_reply(self.router.estimate_range(range, store, ctx, &rect))
             }
-            WireQuery::Stab { store, point } => {
-                let store = match self.store(*store) {
-                    Ok(s) => s,
-                    Err(reply) => return reply,
-                };
-                let Ok(p) = <[u64; D]>::try_from(point.as_slice()) else {
-                    return bad_request(format!("stab query needs {D} coordinates"));
-                };
-                estimate_reply(self.router.estimate_stab(&self.range, store, ctx, &p))
+            (BatchQuery::Stab(p), false) => {
+                estimate_reply(self.router.estimate_stab(range, store, ctx, &p))
             }
-            WireQuery::Join { r_store, s_store } => {
-                let Some(join) = &self.join else {
-                    return bad_request("this service has no join estimator".into());
-                };
-                let r = match self.store(*r_store) {
-                    Ok(s) => Arc::clone(s),
-                    Err(reply) => return reply,
-                };
-                let s = match self.store(*s_store) {
-                    Ok(s) => Arc::clone(s),
-                    Err(reply) => return reply,
-                };
-                estimate_reply(self.router.estimate_join(join, &r, &s, ctx))
+            (BatchQuery::Range(rect), true) => {
+                partial_reply(self.router.partial_range(range, store, ctx, &rect))
             }
-            WireQuery::FaultPanic => {
-                if fault_injection {
-                    panic!("injected fault: wire-requested handler panic");
-                }
-                bad_request("fault injection is disabled on this server".into())
-            }
-            WireQuery::RangePartial { store, ranges } => {
-                let store = match self.store(*store) {
-                    Ok(s) => s,
-                    Err(reply) => return reply,
-                };
-                let Some(rect) = rect_of::<D>(ranges) else {
-                    return bad_request(format!(
-                        "range query needs {D} non-inverted (lo, hi) pairs"
-                    ));
-                };
-                partial_reply(self.router.partial_range(&self.range, store, ctx, &rect))
-            }
-            WireQuery::StabPartial { store, point } => {
-                let store = match self.store(*store) {
-                    Ok(s) => s,
-                    Err(reply) => return reply,
-                };
-                let Ok(p) = <[u64; D]>::try_from(point.as_slice()) else {
-                    return bad_request(format!("stab query needs {D} coordinates"));
-                };
-                partial_reply(self.router.partial_stab(&self.range, store, ctx, &p))
+            (BatchQuery::Stab(p), true) => {
+                partial_reply(self.router.partial_stab(range, store, ctx, &p))
             }
         }
+    }
+
+    /// The queries that carry no store-and-shape of their own: joins and
+    /// fault injection (see [`SketchService::answer`]).
+    fn answer_join_or_fault(
+        &self,
+        ctx: &mut WorkerContext<D>,
+        query: &WireQuery,
+        fault_injection: bool,
+    ) -> WireReply {
+        if let WireQuery::Join { r_store, s_store } = query {
+            let Some(join) = &self.join else {
+                return bad_request("this service has no join estimator".into());
+            };
+            let r = match self.store(*r_store) {
+                Ok(s) => Arc::clone(s),
+                Err(reply) => return reply,
+            };
+            let s = match self.store(*s_store) {
+                Ok(s) => Arc::clone(s),
+                Err(reply) => return reply,
+            };
+            return estimate_reply(self.router.estimate_join(join, &r, &s, ctx));
+        }
+        if fault_injection {
+            panic!("injected fault: wire-requested handler panic");
+        }
+        bad_request("fault injection is disabled on this server".into())
+    }
+
+    /// The one validation step of range and stab queries, full or partial,
+    /// that both answer paths run: the store index first, then `D`
+    /// non-inverted `(lo, hi)` pairs or `D` coordinates. `None` for joins
+    /// and fault injection, which carry neither.
+    fn parse(&self, query: &WireQuery) -> Option<Result<Parsed<'_, D>, WireReply>> {
+        let range = |ranges: &[(u64, u64)]| {
+            rect_of::<D>(ranges).map(BatchQuery::Range).ok_or_else(|| {
+                bad_request(format!("range query needs {D} non-inverted (lo, hi) pairs"))
+            })
+        };
+        let stab = |point: &[u64]| {
+            <[u64; D]>::try_from(point)
+                .map(BatchQuery::Stab)
+                .map_err(|_| bad_request(format!("stab query needs {D} coordinates")))
+        };
+        let (index, shape, partial) = match query {
+            WireQuery::Range { store, ranges } => (*store, range(ranges), false),
+            WireQuery::Stab { store, point } => (*store, stab(point), false),
+            WireQuery::RangePartial { store, ranges } => (*store, range(ranges), true),
+            WireQuery::StabPartial { store, point } => (*store, stab(point), true),
+            WireQuery::Join { .. } | WireQuery::FaultPanic => return None,
+        };
+        Some(self.store(index).and_then(|store| {
+            Ok(Parsed {
+                index,
+                store,
+                query: shape?,
+                partial,
+            })
+        }))
     }
 
     /// Answers a whole batch of wire queries with `ctx`, grouping the valid
@@ -314,9 +332,10 @@ impl<const D: usize> SketchService<D> {
     /// view fold, duplicates answered once) instead of a per-query pass.
     /// Malformed queries answer [`WireErrorCode::BadRequest`]
     /// individually — a bad query never costs its batch-mates the fast
-    /// path — and join/fault queries fall through to
-    /// [`SketchService::answer`] unchanged. Every reply is bit-identical to
-    /// the per-query path's.
+    /// path — and partial, join and fault queries take the per-query path
+    /// of [`SketchService::answer`]. Both paths validate through one
+    /// parse step, and every reply is bit-identical to the per-query
+    /// path's.
     ///
     /// # Panics
     ///
@@ -334,8 +353,8 @@ impl<const D: usize> SketchService<D> {
         // over the handful of distinct stores are fine.
         let mut group_store: Vec<u32> = Vec::new();
         let mut group_slots: Vec<Vec<usize>> = Vec::new();
-        let mut group_queries: Vec<Vec<sketch::BatchQuery<D>>> = Vec::new();
-        let mut push = |store: u32, slot: usize, q: sketch::BatchQuery<D>| match group_store
+        let mut group_queries: Vec<Vec<BatchQuery<D>>> = Vec::new();
+        let mut push = |store: u32, slot: usize, q: BatchQuery<D>| match group_store
             .iter()
             .position(|&s| s == store)
         {
@@ -350,35 +369,15 @@ impl<const D: usize> SketchService<D> {
             }
         };
         for (slot, query) in queries.iter().enumerate() {
-            match query {
-                WireQuery::Range { store, ranges } => {
-                    if let Err(reply) = self.store(*store) {
-                        replies[slot] = Some(reply);
-                        continue;
-                    }
-                    let Some(rect) = rect_of::<D>(ranges) else {
-                        replies[slot] = Some(bad_request(format!(
-                            "range query needs {D} non-inverted (lo, hi) pairs"
-                        )));
-                        continue;
-                    };
-                    push(*store, slot, sketch::BatchQuery::Range(rect));
-                }
-                WireQuery::Stab { store, point } => {
-                    if let Err(reply) = self.store(*store) {
-                        replies[slot] = Some(reply);
-                        continue;
-                    }
-                    let Ok(p) = <[u64; D]>::try_from(point.as_slice()) else {
-                        replies[slot] =
-                            Some(bad_request(format!("stab query needs {D} coordinates")));
-                        continue;
-                    };
-                    push(*store, slot, sketch::BatchQuery::Stab(p));
-                }
-                // Joins, partial-estimate queries and fault injection keep
+            match self.parse(query) {
+                Some(Ok(p)) if !p.partial => push(p.index, slot, p.query),
+                // Partial-estimate queries, joins and fault injection keep
                 // their per-query path.
-                _ => replies[slot] = Some(self.answer(ctx, query, fault_injection)),
+                Some(Ok(p)) => replies[slot] = Some(self.answer_parsed(ctx, p)),
+                Some(Err(reply)) => replies[slot] = Some(reply),
+                None => {
+                    replies[slot] = Some(self.answer_join_or_fault(ctx, query, fault_injection))
+                }
             }
         }
         for (g, store) in group_store.iter().enumerate() {
@@ -395,6 +394,16 @@ impl<const D: usize> SketchService<D> {
             .map(|r| r.expect("every query classified"))
             .collect()
     }
+}
+
+/// A range or stab wire query that passed [`SketchService::parse`].
+struct Parsed<'s, const D: usize> {
+    /// The store's table index: `answer_batch` groups queries by it.
+    index: u32,
+    store: &'s Arc<ShardedStore<D>>,
+    query: BatchQuery<D>,
+    /// Whether the query asks for the unboosted partial grid.
+    partial: bool,
 }
 
 /// Builds a `HyperRect` from wire `(lo, hi)` pairs; `None` on arity or
