@@ -905,9 +905,53 @@ mod tests {
     #[test]
     fn merge_rejects_different_schema() {
         let words = Arc::new(ie_words::<2>());
-        let mut a = SketchSet::new(schema2(1, 2, 2), words.clone(), EndpointPolicy::Raw);
-        let b = SketchSet::new(schema2(2, 2, 2), words, EndpointPolicy::Raw);
+        let schema = schema2(1, 2, 2);
+        let mut a = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw);
+        a.insert(&rect2(3, 40, 5, 9)).unwrap();
+        let before = a.counters.clone();
+        let b = SketchSet::new(schema2(2, 2, 2), words.clone(), EndpointPolicy::Raw);
         assert_eq!(a.merge_from(&b).unwrap_err(), SketchError::SchemaMismatch);
+        // Foreign words or a foreign policy are rejected too, and a rejected
+        // merge leaves the target untouched.
+        let c = SketchSet::new(schema.clone(), words, EndpointPolicy::Tripled);
+        assert_eq!(a.merge_from(&c).unwrap_err(), SketchError::WordMismatch);
+        let d = SketchSet::new(
+            schema,
+            Arc::new(vec![[Comp::Interval; 2]]),
+            EndpointPolicy::Raw,
+        );
+        assert_eq!(a.merge_from(&d).unwrap_err(), SketchError::WordMismatch);
+        assert_eq!(a.counters, before);
+        assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn reset_returns_a_merge_target_to_fresh() {
+        // The serving layer folds shard counters into one reused view:
+        // after a reset the view is indistinguishable from a fresh sketch
+        // and refolds to the same counters.
+        let schema = schema2(5, 67, 3); // straddles a lane-word boundary
+        let words = Arc::new(ie_words::<2>());
+        let mk = || SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw);
+        let mut parts = [mk(), mk()];
+        for (i, x) in (0..40u64).enumerate() {
+            parts[i % 2]
+                .insert(&rect2(x, x + 30, 2 * x, 2 * x + 7))
+                .unwrap();
+        }
+        let mut view = mk();
+        for p in &parts {
+            view.merge_from(p).unwrap();
+        }
+        let folded = view.counters.clone();
+        view.reset();
+        assert!(view.is_empty());
+        assert_eq!(view.counters, mk().counters);
+        for p in &parts {
+            view.merge_from(p).unwrap();
+        }
+        assert_eq!(view.counters, folded);
+        assert_eq!(view.len(), 40);
     }
 
     #[test]

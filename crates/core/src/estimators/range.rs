@@ -24,10 +24,10 @@ use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
 use crate::estimators::SketchConfig;
 use crate::query::{
-    PartialEstimate, PlanKey, PlanRef, QueryContext, XiQueryPlan, XiWordTerm, PLAN_CLASS_OVERLAP,
+    PartialEstimate, PlanKey, QueryContext, XiQueryPlan, XiWordTerm, PLAN_CLASS_OVERLAP,
     PLAN_CLASS_STAB,
 };
-use crate::schema::{DimSpec, SketchSchema};
+use crate::schema::{BoostShape, DimSpec, SketchSchema};
 use dyadic::{interval_cover, point_cover};
 use geometry::transform::{shrink_interval, triple};
 use geometry::{HyperRect, Interval, Point};
@@ -201,6 +201,96 @@ impl<const D: usize> RangeQuery<D> {
         plan
     }
 
+    /// Compiles the query side of `q`: an overlap or a stabbing plan.
+    fn compile(&self, q: &BatchQuery<D>) -> XiQueryPlan<D> {
+        match q {
+            BatchQuery::Range(rect) => self.overlap_plan(rect),
+            BatchQuery::Stab(p) => self.stab_plan(p),
+        }
+    }
+
+    /// Validates `q` against the sketch's domain and returns its plan-cache
+    /// key; `Ok(None)` means a degenerate rect, which selects nothing under
+    /// Definition 3. Plans depend only on (schema, query): repeated queries
+    /// through the same context skip cover compilation via its plan cache.
+    fn key_of(&self, sketch: &SketchSet<D>, q: &BatchQuery<D>) -> Result<Option<PlanKey>> {
+        for dim in 0..D {
+            let max = (1u64 << sketch.data_bits()[dim]) - 1;
+            let coord = match q {
+                BatchQuery::Range(rect) => rect.range(dim).hi(),
+                BatchQuery::Stab(p) => p[dim],
+            };
+            if coord > max {
+                return Err(SketchError::DomainOverflow { coord, max, dim });
+            }
+        }
+        let (class, coords) = match q {
+            BatchQuery::Range(rect) if rect.is_degenerate() => return Ok(None),
+            BatchQuery::Range(rect) => (
+                PLAN_CLASS_OVERLAP,
+                (0..D)
+                    .flat_map(|dim| [rect.range(dim).lo(), rect.range(dim).hi()])
+                    .collect(),
+            ),
+            BatchQuery::Stab(p) => (PLAN_CLASS_STAB, p.to_vec()),
+        };
+        Ok(Some(PlanKey::new(self.schema.id(), class, coords)))
+    }
+
+    /// The one range/stab path every public entry wraps. Validates the
+    /// sketch and then each query, answers each distinct query once —
+    /// compile or recall its plan, fill the grid, `finish` it — and clones
+    /// that answer into the query's duplicates. Finishing boosts
+    /// ([`QueryContext::boost`]) or copies the grid out unboosted
+    /// ([`QueryContext::partial`]); a degenerate rect fills zeros and takes
+    /// the same finish. A failing query (domain overflow) fails its slot
+    /// alone.
+    fn answer<T: Clone>(
+        &self,
+        ctx: &mut QueryContext,
+        sketch: &SketchSet<D>,
+        queries: &[BatchQuery<D>],
+        finish: fn(&mut QueryContext, BoostShape) -> T,
+    ) -> Vec<Result<T>> {
+        if let Err(e) = self.check_sketch(sketch) {
+            return queries.iter().map(|_| Err(e.clone())).collect();
+        }
+        // Identical queries share their first slot's answer (a stab at a
+        // rect corner's coordinates is a distinct plan class, never a
+        // duplicate); degenerate rects all share the `None` key.
+        let shape = self.schema.shape();
+        let mut firsts: HashMap<Option<PlanKey>, usize> = HashMap::new();
+        let mut out: Vec<Result<T>> = Vec::with_capacity(queries.len());
+        for (slot, q) in queries.iter().enumerate() {
+            let answer = match self.key_of(sketch, q) {
+                Err(e) => Err(e),
+                Ok(key) => match firsts.get(&key) {
+                    Some(&first) => out[first].clone(),
+                    None => {
+                        firsts.insert(key.clone(), slot);
+                        let plan = key.map(|key| ctx.plan_for(key, || self.compile(q)));
+                        ctx.xi_fill(plan.as_ref(), sketch);
+                        Ok(finish(ctx, shape))
+                    }
+                },
+            };
+            out.push(answer);
+        }
+        out
+    }
+
+    /// [`RangeQuery::answer`] for one query.
+    fn answer_one<T: Clone>(
+        &self,
+        ctx: &mut QueryContext,
+        sketch: &SketchSet<D>,
+        q: BatchQuery<D>,
+        finish: fn(&mut QueryContext, BoostShape) -> T,
+    ) -> Result<T> {
+        let mut answers = self.answer(ctx, sketch, &[q], finish);
+        answers.pop().expect("one answer per query")
+    }
+
     /// Estimates `|Q(q, R)|`: the number of summarized objects whose
     /// intersection with `q` is full-dimensional.
     ///
@@ -214,52 +304,6 @@ impl<const D: usize> RangeQuery<D> {
         self.estimate_with(&mut QueryContext::new(), sketch, q)
     }
 
-    /// Validates an overlap query against the sketch's domain and returns
-    /// its cache key; `Ok(None)` means the query is degenerate and selects
-    /// nothing under Definition 3.
-    fn overlap_key(&self, sketch: &SketchSet<D>, q: &HyperRect<D>) -> Result<Option<PlanKey>> {
-        for dim in 0..D {
-            let max = (1u64 << sketch.data_bits()[dim]) - 1;
-            if q.range(dim).hi() > max {
-                return Err(SketchError::DomainOverflow {
-                    coord: q.range(dim).hi(),
-                    max,
-                    dim,
-                });
-            }
-        }
-        if q.is_degenerate() {
-            return Ok(None);
-        }
-        // Plans depend only on (schema, query): repeated queries through the
-        // same context skip cover compilation via the context's plan cache.
-        let mut coords = Vec::with_capacity(2 * D);
-        for dim in 0..D {
-            coords.push(q.range(dim).lo());
-            coords.push(q.range(dim).hi());
-        }
-        Ok(Some(PlanKey::new(
-            self.schema.id(),
-            PLAN_CLASS_OVERLAP,
-            coords,
-        )))
-    }
-
-    /// Validates an overlap query and compiles (or recalls) its plan;
-    /// `None` means the query is degenerate and selects nothing.
-    fn overlap_plan_for(
-        &self,
-        ctx: &mut QueryContext,
-        sketch: &SketchSet<D>,
-        q: &HyperRect<D>,
-    ) -> Result<Option<PlanRef<D>>> {
-        self.check_sketch(sketch)?;
-        match self.overlap_key(sketch, q)? {
-            None => Ok(None),
-            Some(key) => Ok(Some(ctx.plan_for(key, || self.overlap_plan(q)))),
-        }
-    }
-
     /// Estimates `|Q(q, R)|` using the caller's [`QueryContext`] (kernel
     /// choice + reused scratch).
     pub fn estimate_with(
@@ -268,10 +312,7 @@ impl<const D: usize> RangeQuery<D> {
         sketch: &SketchSet<D>,
         q: &HyperRect<D>,
     ) -> Result<Estimate> {
-        match self.overlap_plan_for(ctx, sketch, q)? {
-            None => Ok(ctx.zero_estimate(self.schema.shape())),
-            Some(plan) => Ok(ctx.xi_estimate(&plan, sketch)),
-        }
+        self.answer_one(ctx, sketch, BatchQuery::Range(*q), QueryContext::boost)
     }
 
     /// Like [`RangeQuery::estimate_with`] but returns the **unboosted**
@@ -284,10 +325,7 @@ impl<const D: usize> RangeQuery<D> {
         sketch: &SketchSet<D>,
         q: &HyperRect<D>,
     ) -> Result<PartialEstimate> {
-        match self.overlap_plan_for(ctx, sketch, q)? {
-            None => Ok(ctx.zero_partial(self.schema.shape())),
-            Some(plan) => Ok(ctx.xi_partial(&plan, sketch)),
-        }
+        self.answer_one(ctx, sketch, BatchQuery::Range(*q), QueryContext::partial)
     }
 
     /// Estimates the stabbing count `#{r ∈ R : p ∈ r}` (closed containment;
@@ -298,30 +336,6 @@ impl<const D: usize> RangeQuery<D> {
         self.estimate_stab_with(&mut QueryContext::new(), sketch, p)
     }
 
-    /// Validates a stab query against the sketch's domain and returns its
-    /// cache key.
-    fn stab_key(&self, sketch: &SketchSet<D>, p: &Point<D>) -> Result<PlanKey> {
-        for (dim, &coord) in p.iter().enumerate() {
-            let max = (1u64 << sketch.data_bits()[dim]) - 1;
-            if coord > max {
-                return Err(SketchError::DomainOverflow { coord, max, dim });
-            }
-        }
-        Ok(PlanKey::new(self.schema.id(), PLAN_CLASS_STAB, p.to_vec()))
-    }
-
-    /// Validates a stab query and compiles (or recalls) its plan.
-    fn stab_plan_for(
-        &self,
-        ctx: &mut QueryContext,
-        sketch: &SketchSet<D>,
-        p: &Point<D>,
-    ) -> Result<PlanRef<D>> {
-        self.check_sketch(sketch)?;
-        let key = self.stab_key(sketch, p)?;
-        Ok(ctx.plan_for(key, || self.stab_plan(p)))
-    }
-
     /// Estimates the stabbing count using the caller's [`QueryContext`].
     pub fn estimate_stab_with(
         &self,
@@ -329,8 +343,7 @@ impl<const D: usize> RangeQuery<D> {
         sketch: &SketchSet<D>,
         p: &Point<D>,
     ) -> Result<Estimate> {
-        let plan = self.stab_plan_for(ctx, sketch, p)?;
-        Ok(ctx.xi_estimate(&plan, sketch))
+        self.answer_one(ctx, sketch, BatchQuery::Stab(*p), QueryContext::boost)
     }
 
     /// Like [`RangeQuery::estimate_stab_with`] but returns the unboosted
@@ -341,8 +354,7 @@ impl<const D: usize> RangeQuery<D> {
         sketch: &SketchSet<D>,
         p: &Point<D>,
     ) -> Result<PartialEstimate> {
-        let plan = self.stab_plan_for(ctx, sketch, p)?;
-        Ok(ctx.xi_partial(&plan, sketch))
+        self.answer_one(ctx, sketch, BatchQuery::Stab(*p), QueryContext::partial)
     }
 
     /// Answers a whole batch of range/stab queries. The batch validates
@@ -362,68 +374,20 @@ impl<const D: usize> RangeQuery<D> {
         sketch: &SketchSet<D>,
         queries: &[BatchQuery<D>],
     ) -> Vec<Result<Estimate>> {
-        enum Outcome {
-            Fail(SketchError),
-            Zero,
-            Unique(usize),
-        }
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        if let Err(e) = self.check_sketch(sketch) {
-            return queries.iter().map(|_| Err(e.clone())).collect();
-        }
-        // Validate and deduplicate: identical queries (and a stab at the
-        // same coordinates as a rect corner — distinct plan class) map to
-        // one unique slot each.
-        let mut outcomes: Vec<Outcome> = Vec::with_capacity(queries.len());
-        let mut uniques: Vec<(PlanKey, BatchQuery<D>)> = Vec::new();
-        let mut index: HashMap<PlanKey, usize> = HashMap::new();
-        for q in queries {
-            let key = match q {
-                BatchQuery::Range(rect) => match self.overlap_key(sketch, rect) {
-                    Err(e) => {
-                        outcomes.push(Outcome::Fail(e));
-                        continue;
-                    }
-                    Ok(None) => {
-                        outcomes.push(Outcome::Zero);
-                        continue;
-                    }
-                    Ok(Some(key)) => key,
-                },
-                BatchQuery::Stab(p) => match self.stab_key(sketch, p) {
-                    Err(e) => {
-                        outcomes.push(Outcome::Fail(e));
-                        continue;
-                    }
-                    Ok(key) => key,
-                },
-            };
-            let u = *index.entry(key.clone()).or_insert_with(|| {
-                uniques.push((key, *q));
-                uniques.len() - 1
-            });
-            outcomes.push(Outcome::Unique(u));
-        }
-        let estimates: Vec<Estimate> = uniques
-            .into_iter()
-            .map(|(key, q)| {
-                let plan = match q {
-                    BatchQuery::Range(rect) => ctx.plan_for(key, || self.overlap_plan(&rect)),
-                    BatchQuery::Stab(p) => ctx.plan_for(key, || self.stab_plan(&p)),
-                };
-                ctx.xi_estimate(&plan, sketch)
-            })
-            .collect();
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                Outcome::Fail(e) => Err(e),
-                Outcome::Zero => Ok(ctx.zero_estimate(self.schema.shape())),
-                Outcome::Unique(u) => Ok(estimates[u].clone()),
-            })
-            .collect()
+        self.answer(ctx, sketch, queries, QueryContext::boost)
+    }
+
+    /// [`RangeQuery::estimate_batch_with`] stopping before the boost: each
+    /// slot holds the unboosted partial grid that
+    /// [`RangeQuery::estimate_partial_with`] /
+    /// [`RangeQuery::estimate_stab_partial_with`] returns for its query.
+    pub fn estimate_partial_batch_with(
+        &self,
+        ctx: &mut QueryContext,
+        sketch: &SketchSet<D>,
+        queries: &[BatchQuery<D>],
+    ) -> Vec<Result<PartialEstimate>> {
+        self.answer(ctx, sketch, queries, QueryContext::partial)
     }
 }
 

@@ -45,8 +45,7 @@
 //!   currency of every variance bound;
 //! * [`plan`] — Theorem-1/2/3 space planning and the paper's
 //!   words-of-memory accounting;
-//! * [`par`] — bulk loading with a caller-chosen worker count, parallel
-//!   estimation and merging across the instance axis.
+//! * [`par`] — bulk loading with a caller-chosen worker count.
 //!
 //! ## Quick start
 //!
@@ -103,7 +102,7 @@ pub use estimators::range::{BatchQuery, RangeQuery, RangeStrategy};
 pub use estimators::SketchConfig;
 pub use kernel::{dispatch_report, preferred_lane_width, DispatchReport, INGEST_SPLIT_FLOOR};
 pub use log::{LogEntry, LogRetention, UpdateLog};
-pub use par::{par_insert_batch, par_merge_batch, par_update_batch};
+pub use par::{par_insert_batch, par_update_batch};
 pub use persist::{
     restore_pair, restore_schema, restore_sketch, restore_sketch_with_schema, snapshot_pair,
     snapshot_schema, snapshot_sketch, SchemaSnapshot, SketchPairSnapshot, SketchSnapshot,

@@ -1,5 +1,4 @@
-//! Bulk loading with an explicit worker count, and parallel merging of
-//! sketches.
+//! Bulk loading with an explicit worker count.
 //!
 //! Sketch instances are mutually independent, so work parallelizes across
 //! the instance axis. [`par_update_batch`] is [`SketchSet::update_slice`]
@@ -28,48 +27,6 @@ pub fn par_update_batch<const D: usize>(
     threads: usize,
 ) -> Result<()> {
     sketch.update_slice_on(rects, delta, threads)
-}
-
-/// Folds many sketch sets into `dst` with `threads` workers — the
-/// cross-shard fan-in of a sharded serving store. Counter merging is pure
-/// integer addition (sketches are linear), so the result is independent of
-/// worker split and part order and bit-identical to folding the parts
-/// sequentially with [`SketchSet::merge_from`].
-///
-/// All parts are checked up front (schema, words, policy); on error `dst`
-/// is untouched.
-pub fn par_merge_batch<const D: usize>(
-    dst: &mut SketchSet<D>,
-    parts: &[&SketchSet<D>],
-    threads: usize,
-) -> Result<()> {
-    for p in parts {
-        dst.check_mergeable(p)?;
-    }
-    if parts.is_empty() {
-        return Ok(());
-    }
-    let threads = threads.max(1);
-    let w = dst.words().len();
-    let instances = dst.schema().instances();
-    let per_thread = instances.div_ceil(threads) * w;
-    let len_delta: i64 = parts.iter().map(|p| p.len()).sum();
-    let counters = dst.counters_mut();
-    std::thread::scope(|scope| {
-        for (t, chunk) in counters.chunks_mut(per_thread).enumerate() {
-            scope.spawn(move || {
-                let base = t * per_thread;
-                for part in parts {
-                    let src = &part.counters()[base..base + chunk.len()];
-                    for (c, o) in chunk.iter_mut().zip(src.iter()) {
-                        *c += o;
-                    }
-                }
-            });
-        }
-    });
-    dst.add_len(len_delta);
-    Ok(())
 }
 
 /// Parallel bulk insert; see [`par_update_batch`].
@@ -212,60 +169,6 @@ mod tests {
         assert!(
             (0..sk.schema().instances()).all(|i| sk.instance_counters(i).iter().all(|&c| c == 0))
         );
-    }
-
-    #[test]
-    fn par_merge_matches_sequential_and_reset_clears() {
-        let mut rng = StdRng::seed_from_u64(106);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(67, 3), // straddles a block boundary
-            [DimSpec::dyadic(8); 2],
-        );
-        let words = Arc::new(ie_words::<2>());
-        let data = rects(90, 8);
-        let mk = || SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw);
-        let mut parts: Vec<SketchSet<2>> = (0..3).map(|_| mk()).collect();
-        for (i, r) in data.iter().enumerate() {
-            parts[i % 3].insert(r).unwrap();
-        }
-        let mut seq = mk();
-        for p in &parts {
-            seq.merge_from(p).unwrap();
-        }
-        let part_refs: Vec<&SketchSet<2>> = parts.iter().collect();
-        for threads in [1usize, 2, 5] {
-            let mut par = mk();
-            par_merge_batch(&mut par, &part_refs, threads).unwrap();
-            assert_eq!(par.len(), seq.len());
-            for inst in 0..schema.instances() {
-                assert_eq!(
-                    par.instance_counters(inst),
-                    seq.instance_counters(inst),
-                    "threads={threads} inst={inst}"
-                );
-            }
-            // Reset returns the merge target to the fresh state, reusable.
-            par.reset();
-            assert!(par.is_empty());
-            assert!(
-                (0..schema.instances()).all(|i| par.instance_counters(i).iter().all(|&c| c == 0))
-            );
-            par_merge_batch(&mut par, &part_refs, threads).unwrap();
-            assert_eq!(par.instance_counters(0), seq.instance_counters(0));
-        }
-        // Foreign parts are rejected up front, destination untouched.
-        let foreign_schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(67, 3),
-            [DimSpec::dyadic(8); 2],
-        );
-        let foreign = SketchSet::new(foreign_schema, words.clone(), EndpointPolicy::Raw);
-        let mut dst = mk();
-        assert!(par_merge_batch(&mut dst, &[&parts[0], &foreign], 2).is_err());
-        assert!(dst.is_empty());
     }
 
     #[test]

@@ -332,8 +332,8 @@ impl QueryContext {
         PlanRef { plan, hit: false }
     }
 
-    /// Boosts whatever the fill pass left in `self.atomic`.
-    fn boost(&mut self, shape: BoostShape) -> Estimate {
+    /// Finishes a fill by boosting the grid it left in `self.atomic`.
+    pub(crate) fn boost(&mut self, shape: BoostShape) -> Estimate {
         let value = mean_median_with(
             &self.atomic,
             shape.k1,
@@ -347,11 +347,13 @@ impl QueryContext {
         }
     }
 
-    /// An all-zero estimate of the right shape (degenerate queries).
-    pub(crate) fn zero_estimate(&mut self, shape: BoostShape) -> Estimate {
-        self.atomic.clear();
-        self.atomic.resize(shape.instances(), 0.0);
-        self.boost(shape)
+    /// Finishes a fill by copying its grid out unboosted, as a
+    /// shard-mergeable [`PartialEstimate`].
+    pub(crate) fn partial(&mut self, shape: BoostShape) -> PartialEstimate {
+        PartialEstimate {
+            shape,
+            atomic: self.atomic.clone(),
+        }
     }
 
     /// Pair combine: `Z_i = Σ_t coeff_t · R_i[rw_t] · S_i[sw_t]`, boosted.
@@ -374,17 +376,25 @@ impl QueryContext {
     }
 
     /// Query-side fill: leaves the atomic grid of `Z_i = Σ_t X_i[word_t] ·
-    /// Π_dim ξ̄-sum of the term's chosen cover list` in `self.atomic`.
+    /// Π_dim ξ̄-sum of the term's chosen cover list` in `self.atomic`, for
+    /// [`QueryContext::boost`] or [`QueryContext::partial`] to finish. No
+    /// plan (a degenerate query, which selects nothing) leaves all zeros.
     ///
     /// The blocked kernel takes the query products from the plan's memo
     /// when it is filled, fill it when this lookup was a cache hit, and
     /// otherwise compute them into context scratch; the scalar oracle
     /// ignores the memo entirely.
-    fn xi_fill<const D: usize>(&mut self, plan: &PlanRef<D>, sketch: &SketchSet<D>) {
-        let PlanRef { plan, hit } = plan;
+    pub(crate) fn xi_fill<const D: usize>(
+        &mut self,
+        plan: Option<&PlanRef<D>>,
+        sketch: &SketchSet<D>,
+    ) {
         let schema = sketch.schema();
         let instances = schema.instances();
         self.atomic.resize(instances, 0.0);
+        let Some(PlanRef { plan, hit }) = plan else {
+            return self.atomic.fill(0.0);
+        };
         if self.kernel == QueryKernel::Scalar {
             return xi_fill_scalar(plan, sketch, &mut self.atomic);
         }
@@ -416,38 +426,6 @@ impl QueryContext {
             &self.qprod
         };
         xi_combine(&plan.terms, products, sketch, &mut self.atomic);
-    }
-
-    /// Query-side combine, boosted.
-    pub(crate) fn xi_estimate<const D: usize>(
-        &mut self,
-        plan: &PlanRef<D>,
-        sketch: &SketchSet<D>,
-    ) -> Estimate {
-        self.xi_fill(plan, sketch);
-        self.boost(sketch.schema().shape())
-    }
-
-    /// Query-side combine, returned unboosted as a shard-mergeable
-    /// [`PartialEstimate`].
-    pub(crate) fn xi_partial<const D: usize>(
-        &mut self,
-        plan: &PlanRef<D>,
-        sketch: &SketchSet<D>,
-    ) -> PartialEstimate {
-        self.xi_fill(plan, sketch);
-        PartialEstimate {
-            shape: sketch.schema().shape(),
-            atomic: self.atomic.clone(),
-        }
-    }
-
-    /// An all-zero partial estimate of the right shape (degenerate queries).
-    pub(crate) fn zero_partial(&self, shape: BoostShape) -> PartialEstimate {
-        PartialEstimate {
-            shape,
-            atomic: vec![0.0; shape.instances()],
-        }
     }
 }
 
@@ -859,15 +837,23 @@ mod tests {
         PlanKey::new(i, PLAN_CLASS_OVERLAP, vec![i, i + 1])
     }
 
+    /// Fills `plan`'s grid over `sk` and boosts it.
+    fn estimate(ctx: &mut QueryContext, plan: &PlanRef<2>, sk: &SketchSet<2>) -> Estimate {
+        ctx.xi_fill(Some(plan), sk);
+        ctx.boost(sk.schema().shape())
+    }
+
     /// The scalar oracle's estimate of `plan` (never touches the memo).
     fn oracle(plan: &XiQueryPlan<2>, sk: &SketchSet<2>) -> Estimate {
         let cold = PlanRef {
             plan: Arc::new(plan.clone()),
             hit: false,
         };
-        QueryContext::new()
-            .with_kernel(QueryKernel::Scalar)
-            .xi_estimate(&cold, sk)
+        estimate(
+            &mut QueryContext::new().with_kernel(QueryKernel::Scalar),
+            &cold,
+            sk,
+        )
     }
 
     fn assert_same(a: &Estimate, b: &Estimate, label: &str) {
@@ -884,19 +870,19 @@ mod tests {
         let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
         let cold = ctx.plan_for(plan_key(0), || plan.clone());
         assert!(!cold.hit);
-        assert_same(&ctx.xi_estimate(&cold, &sk), &want, "miss");
+        assert_same(&estimate(&mut ctx, &cold, &sk), &want, "miss");
         assert!(cold.plan.memo.get().is_none(), "a miss fills no memo");
         assert_eq!(ctx.plan_cache_report().memo, PlanMemoStats::default());
 
         let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
         assert!(hot.hit);
-        assert_same(&ctx.xi_estimate(&hot, &sk), &want, "first hit");
+        assert_same(&estimate(&mut ctx, &hot, &sk), &want, "first hit");
         let bytes = (plan.terms.len() * sk.schema().instances() * 8) as u64;
         let report = ctx.plan_cache_report().memo;
         assert_eq!((report.fills, report.reuses), (1, 0));
         assert_eq!(report.resident_bytes, bytes);
         let warm = ctx.plan_for(plan_key(0), || unreachable!("cached"));
-        assert_same(&ctx.xi_estimate(&warm, &sk), &want, "warm");
+        assert_same(&estimate(&mut ctx, &warm, &sk), &want, "warm");
         assert_eq!(ctx.plan_cache_report().memo.reuses, 1);
     }
 
@@ -906,7 +892,7 @@ mod tests {
         let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
         let _ = ctx.plan_for(plan_key(0), || plans[0].clone());
         let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
-        ctx.xi_estimate(&hot, &sk);
+        estimate(&mut ctx, &hot, &sk);
         assert!(hot.plan.memo.get().is_some());
         let weak = Arc::downgrade(&hot.plan);
         drop(hot);
@@ -930,7 +916,7 @@ mod tests {
         for _ in 0..2 {
             for (i, plan) in plans.iter().enumerate() {
                 let r = ctx.plan_for(plan_key(i as u64), || plan.clone());
-                ctx.xi_estimate(&r, &sk);
+                estimate(&mut ctx, &r, &sk);
             }
         }
         let memoized = ctx.plan_cache_report().memo;
@@ -939,7 +925,7 @@ mod tests {
         for (i, plan) in plans.iter().enumerate() {
             let r = ctx.plan_for(plan_key(i as u64), || unreachable!("cached"));
             assert!(r.plan.memo.get().is_some());
-            assert_same(&ctx.xi_estimate(&r, &sk), &oracle(plan, &sk), "scalar");
+            assert_same(&estimate(&mut ctx, &r, &sk), &oracle(plan, &sk), "scalar");
         }
         assert_eq!(
             ctx.plan_cache_report().memo,
@@ -956,15 +942,16 @@ mod tests {
         let _ = ctx.plan_for(plan_key(0), || plans[0].clone());
         let hot = ctx.plan_for(plan_key(0), || unreachable!("cached"));
         PANIC_IN_NEXT_MEMO_FILL.with(|p| p.set(true));
-        let unwound =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.xi_estimate(&hot, &sk)));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            estimate(&mut ctx, &hot, &sk)
+        }));
         assert!(unwound.is_err(), "the injected panic fired");
         assert!(hot.plan.memo.get().is_none(), "no half-filled memo");
         assert_eq!(ctx.plan_cache_report().memo.fills, 0);
         drop(hot);
         // The plan stays cached; the next hit fills the memo and answers.
         let again = ctx.plan_for(plan_key(0), || unreachable!("still cached"));
-        assert_same(&ctx.xi_estimate(&again, &sk), &want, "after panic");
+        assert_same(&estimate(&mut ctx, &again, &sk), &want, "after panic");
         assert!(again.plan.memo.get().is_some());
         assert_eq!(ctx.plan_cache_report().memo.fills, 1);
     }
@@ -991,10 +978,20 @@ mod tests {
 
     #[test]
     fn zero_estimate_has_grid_shape() {
+        // A degenerate query's fill (no plan) zeroes whatever grid the last
+        // fill left, and both finishes keep the grid's shape.
+        let (sk, plans) = synthetic_plans(224, 1);
+        let shape = sk.schema().shape();
         let mut ctx = QueryContext::new();
-        let est = ctx.zero_estimate(crate::schema::BoostShape::new(4, 3));
+        let cold = ctx.plan_for(plan_key(0), || plans[0].clone());
+        ctx.xi_fill(Some(&cold), &sk);
+        ctx.xi_fill::<2>(None, &sk);
+        let est = ctx.boost(shape);
         assert_eq!(est.value, 0.0);
-        assert_eq!(est.row_means, vec![0.0; 3]);
+        assert_eq!(est.row_means, vec![0.0; shape.k2]);
+        let partial = ctx.partial(shape);
+        assert_eq!(partial.shape(), shape);
+        assert_eq!(partial.atomic(), vec![0.0; shape.instances()]);
     }
 
     #[test]

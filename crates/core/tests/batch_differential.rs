@@ -15,7 +15,7 @@
 //! misses: each plan's covers evaluated into scratch), the first hit (which
 //! fills each plan's query-product memo) and warm (answered from the memos)
 //! — then a batch mixing warm and brand-new queries, and the shard-partial
-//! entry points after warm-up. Every round must match the scalar oracle bit
+//! entry points (single and batched) after warm-up. Every round must match the scalar oracle bit
 //! for bit, and the memo counters must show exactly one fill per unique
 //! query, all of them in the first-hit round.
 //!
@@ -233,8 +233,10 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
                 before = after;
             }
 
-            // The shard-partial entry points read the same memos.
-            for (i, q) in batch.iter().enumerate() {
+            // The shard-partial entry points read the same memos, one query
+            // at a time or as a batch.
+            let batched = rq.estimate_partial_batch_with(&mut ctx, &sk, &batch);
+            for (i, (q, batched)) in batch.iter().zip(batched).enumerate() {
                 let (got, scalar) = match q {
                     BatchQuery::Range(rect) => (
                         rq.estimate_partial_with(&mut ctx, &sk, rect),
@@ -246,14 +248,18 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
                     ),
                 };
                 let slot = format!("{label}/partial/slot{i}");
-                match (&got, &scalar, &want[i]) {
-                    (Ok(g), Ok(s), Ok(w)) => {
+                match (&got, &batched, &scalar, &want[i]) {
+                    (Ok(g), Ok(b), Ok(s), Ok(w)) => {
                         let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(g.atomic()), bits(s.atomic()), "{slot}: atomic grid");
+                        assert_eq!(bits(b.atomic()), bits(s.atomic()), "{slot}: batched grid");
                         assert_bit_identical(w, &g.boost(), &slot);
                     }
-                    (Err(g), Err(_), Err(w)) => assert_eq!(g, w, "{slot}: errors diverged"),
-                    _ => panic!("{slot}: partial {got:?} vs scalar {scalar:?}"),
+                    (Err(g), Err(b), Err(_), Err(w)) => {
+                        assert_eq!(g, w, "{slot}: errors diverged");
+                        assert_eq!(b, w, "{slot}: batched errors diverged");
+                    }
+                    _ => panic!("{slot}: partial {got:?} / {batched:?} vs scalar {scalar:?}"),
                 }
             }
             let after = ctx.plan_cache_report().memo;
@@ -329,7 +335,11 @@ fn batch_long_truncated_covers_match_oracle() {
     // At maxLevel 4 on a 16-bit sketch domain (14 data bits, tripled) a
     // full-domain rect covers thousands of level-4 cells per dimension, far
     // more than one carry-save counter holds: the blocked fill must fold
-    // such a list in chunks, exactly like the scalar oracle sums it.
+    // such a list in chunks, exactly like the scalar oracle sums it. Its
+    // final chunk holds 17 nodes, too few for a lane count to reach 16, so
+    // two shorter rects add interval covers of 30 and 26 nodes: about half
+    // the lanes of a 30-node list count 16 or more, which reads counter
+    // plane 4 in a single chunk.
     let mut rng = StdRng::seed_from_u64(450);
     let config = SketchConfig {
         kind: XiKind::Bch,
@@ -344,6 +354,11 @@ fn batch_long_truncated_covers_match_oracle() {
     let batch = [
         BatchQuery::Range(rect(0, 16383)),
         BatchQuery::Range(rect(5, 900)),
+        BatchQuery::Range(rect(7, 160)),
+        BatchQuery::Range(HyperRect::new([
+            Interval::new(5, 140),
+            Interval::new(7, 160),
+        ])),
     ];
     let mut octx = QueryContext::new().with_kernel(QueryKernel::Scalar);
     let want: Vec<Result<Estimate>> = batch

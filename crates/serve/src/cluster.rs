@@ -401,7 +401,7 @@ mod tests {
     use geometry::rect2;
     use rand::SeedableRng;
     use sketch::estimators::SketchConfig;
-    use sketch::{RangeQuery, RangeStrategy};
+    use sketch::{BatchQuery, RangeQuery, RangeStrategy};
     use std::sync::Arc;
 
     fn serving_node(
@@ -443,20 +443,20 @@ mod tests {
         let pool = ContextPool::new(1);
         let q = rect2(0, 255, 0, 255);
         let stab = [66u64, 66u64];
-        let oracle_range = pool
-            .with(|ctx| {
-                let mut m = router.partial_range(&rq, &s0, ctx, &q)?;
-                m.merge_from(&router.partial_range(&rq, &s1, ctx, &q)?)?;
-                Ok::<_, sketch::SketchError>(m.boost())
-            })
-            .unwrap();
-        let oracle_stab = pool
-            .with(|ctx| {
-                let mut m = router.partial_stab(&rq, &s0, ctx, &stab)?;
-                m.merge_from(&router.partial_stab(&rq, &s1, ctx, &stab)?)?;
-                Ok::<_, sketch::SketchError>(m.boost())
-            })
-            .unwrap();
+        let batch = [BatchQuery::Range(q), BatchQuery::Stab(stab)];
+        let oracle: Vec<Estimate> = pool.with(|ctx| {
+            let left = router.partial_batch(&rq, &s0, ctx, &batch);
+            let right = router.partial_batch(&rq, &s1, ctx, &batch);
+            left.into_iter()
+                .zip(right)
+                .map(|(l, r)| {
+                    let mut m = l.unwrap();
+                    m.merge_from(&r.unwrap()).unwrap();
+                    m.boost()
+                })
+                .collect()
+        });
+        let (oracle_range, oracle_stab) = (&oracle[0], &oracle[1]);
 
         let mut cluster = ClusterRouter::new(vec![
             ClusterNode::new(h0.local_addr()),
@@ -497,12 +497,11 @@ mod tests {
         let pool = ContextPool::new(1);
         let q = rect2(0, 200, 0, 200);
         let oracle = pool
-            .with(|ctx| {
-                router
-                    .partial_range(&rq, &store, ctx, &q)
-                    .map(|p| p.boost())
-            })
-            .unwrap();
+            .with(|ctx| router.partial_batch(&rq, &store, ctx, &[BatchQuery::Range(q)]))
+            .pop()
+            .unwrap()
+            .unwrap()
+            .boost();
 
         let mut cluster = ClusterRouter::new(vec![
             ClusterNode::new(dead).with_replica(handle.local_addr())

@@ -3,7 +3,7 @@
 //! needs to keep the hot path allocation-free and lock-free.
 
 use crate::store::{ShardedStore, StoreEpoch};
-use sketch::{par_merge_batch, QueryContext, QueryKernel, Result, SketchSet};
+use sketch::{QueryContext, QueryKernel, Result, SketchSet};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -52,7 +52,7 @@ pub(crate) struct StoreView<const D: usize> {
 }
 
 impl<const D: usize> WorkerContext<D> {
-    /// Fresh worker state (default `Auto` kernel).
+    /// Fresh worker state (default [`QueryKernel::Wide`] kernel).
     pub fn new() -> Self {
         Self::default()
     }
@@ -111,7 +111,6 @@ impl<const D: usize> WorkerContext<D> {
         store: &ShardedStore<D>,
         epoch: &StoreEpoch<D>,
         mask: &[bool],
-        merge_threads: usize,
     ) -> Result<()> {
         // LRU, not FIFO: a hit moves to the back, so a multi-store query
         // (join) that ensures its views back to back can never evict one
@@ -136,19 +135,8 @@ impl<const D: usize> WorkerContext<D> {
         let view = self.views.last_mut().expect("just positioned at the back");
         if view.epoch != epoch.epoch() || view.mask != mask {
             view.merged.reset();
-            let parts: Vec<&SketchSet<D>> = epoch
-                .shards()
-                .iter()
-                .zip(mask.iter())
-                .filter(|(_, &selected)| selected)
-                .map(|(s, _)| s.sketch())
-                .collect();
-            if merge_threads > 1 && parts.len() > 1 {
-                par_merge_batch(&mut view.merged, &parts, merge_threads)?;
-            } else {
-                for p in parts {
-                    view.merged.merge_from(p)?;
-                }
+            for (shard, _) in epoch.shards().iter().zip(mask).filter(|(_, &on)| on) {
+                view.merged.merge_from(shard.sketch())?;
             }
             view.epoch = epoch.epoch();
             view.mask.clear();
@@ -307,18 +295,18 @@ mod tests {
         let mut ctx = WorkerContext::<2>::new();
         let epoch = ctx.epoch_for(&st);
         let all = vec![true; 3];
-        ctx.ensure_view(&st, &epoch, &all, 1).unwrap();
+        ctx.ensure_view(&st, &epoch, &all).unwrap();
         assert_eq!(view_of(&ctx.views, st.id()).len(), 2);
         // Same epoch + mask: counters must not double up.
-        ctx.ensure_view(&st, &epoch, &all, 1).unwrap();
+        ctx.ensure_view(&st, &epoch, &all).unwrap();
         assert_eq!(view_of(&ctx.views, st.id()).len(), 2);
         // A different selection rebuilds.
         let mut some = vec![true; 3];
         some[st.partition().shard_of(200)] = false;
-        ctx.ensure_view(&st, &epoch, &some, 1).unwrap();
+        ctx.ensure_view(&st, &epoch, &some).unwrap();
         assert_eq!(view_of(&ctx.views, st.id()).len(), 1);
-        // Parallel merge agrees with sequential.
-        ctx.ensure_view(&st, &epoch, &all, 4).unwrap();
+        // Switching back resets the view before refolding.
+        ctx.ensure_view(&st, &epoch, &all).unwrap();
         assert_eq!(view_of(&ctx.views, st.id()).len(), 2);
     }
 
@@ -331,7 +319,7 @@ mod tests {
         let mut ctx = WorkerContext::<2>::new();
         for st in &old {
             let epoch = ctx.epoch_for(st);
-            ctx.ensure_view(st, &epoch, &[false, false], 1).unwrap();
+            ctx.ensure_view(st, &epoch, &[false, false]).unwrap();
         }
         assert_eq!(ctx.views.len(), STORE_CACHE_CAPACITY);
         let r = store(2);
@@ -341,8 +329,8 @@ mod tests {
             .unwrap();
         let re = ctx.epoch_for(&r);
         let se = ctx.epoch_for(&s);
-        ctx.ensure_view(&r, &re, &[true, true], 1).unwrap();
-        ctx.ensure_view(&s, &se, &[true, true], 1).unwrap();
+        ctx.ensure_view(&r, &re, &[true, true]).unwrap();
+        ctx.ensure_view(&s, &se, &[true, true]).unwrap();
         assert_eq!(view_of(&ctx.views, r.id()).len(), 1);
         assert_eq!(view_of(&ctx.views, s.id()).len(), 2);
         assert_eq!(ctx.views.len(), STORE_CACHE_CAPACITY);
@@ -360,8 +348,8 @@ mod tests {
         let fe = ctx.epoch_for(first);
         let fresh = store(2);
         let fresh_epoch = ctx.epoch_for(&fresh);
-        ctx.ensure_view(first, &fe, &[false, false], 1).unwrap();
-        ctx.ensure_view(&fresh, &fresh_epoch, &[false, false], 1)
+        ctx.ensure_view(first, &fe, &[false, false]).unwrap();
+        ctx.ensure_view(&fresh, &fresh_epoch, &[false, false])
             .unwrap();
         assert!(ctx.views.iter().any(|v| v.store == first.id()));
         let _ = view_of(&ctx.views, first.id());

@@ -45,8 +45,10 @@
 //! but below `max_batch` waits up to the window for more arrivals before
 //! evaluating, so even a fleet of batch-of-1 clients fills whole worker
 //! passes ([`SketchService::answer_batch`] →
-//! [`QueryRouter::estimate_batch`]): one pool checkout, epoch check and
-//! view fold per pass, one answer per distinct query, duplicates cloned.
+//! [`QueryRouter::estimate_batch`] / [`QueryRouter::partial_batch`]): one
+//! pool checkout and epoch check per pass, one view fold and routed call
+//! per (store, partial) group, one answer per distinct query, duplicates
+//! cloned.
 //! The window trades a bounded latency add at low load for per-query cost
 //! at high load; coalesced batches stay bit-identical to sequential
 //! evaluation because every batched query runs the single-query fill.
@@ -86,6 +88,7 @@
 //! sockets. No accepted query goes unanswered.
 //!
 //! [`QueryRouter::estimate_batch`]: crate::router::QueryRouter::estimate_batch
+//! [`QueryRouter::partial_batch`]: crate::router::QueryRouter::partial_batch
 
 use super::codec::{decode_queries, encode_replies, Opcode, WireErrorCode, WireQuery, WireReply};
 use super::io::{frame_bytes, Frame, FrameDecoder};
@@ -171,10 +174,11 @@ impl Default for ServeConfig {
 /// The queries a server answers: one range estimator, optionally one join
 /// estimator, over an indexed table of sharded stores.
 ///
-/// Wire queries address stores by table index; [`SketchService::answer`]
-/// validates the index, the dimensionality and the interval bounds before
-/// touching the router, answering malformed queries with
-/// [`WireErrorCode::BadRequest`] rather than failing the connection.
+/// Wire queries address stores by table index;
+/// [`SketchService::answer_batch`] validates the index, the dimensionality
+/// and the interval bounds before touching the router, answering malformed
+/// queries with [`WireErrorCode::BadRequest`] rather than failing the
+/// connection.
 #[derive(Debug)]
 pub struct SketchService<const D: usize> {
     range: RangeQuery<D>,
@@ -225,80 +229,12 @@ impl<const D: usize> SketchService<D> {
             })
     }
 
-    /// Answers one wire query with `ctx`. Infallible by design: every
-    /// failure mode becomes a [`WireReply::Error`] entry so a bad query
-    /// can never take down its batch-mates or the connection.
-    ///
-    /// # Panics
-    ///
-    /// [`WireQuery::FaultPanic`] panics when `fault_injection` is true —
-    /// deliberately, to exercise the worker's `catch_unwind` + pool
-    /// recovery path from the wire.
-    pub fn answer(
-        &self,
-        ctx: &mut WorkerContext<D>,
-        query: &WireQuery,
-        fault_injection: bool,
-    ) -> WireReply {
-        match self.parse(query) {
-            Some(Ok(parsed)) => self.answer_parsed(ctx, parsed),
-            Some(Err(reply)) => reply,
-            None => self.answer_join_or_fault(ctx, query, fault_injection),
-        }
-    }
-
-    /// Answers a validated range or stab query, full or partial.
-    fn answer_parsed(&self, ctx: &mut WorkerContext<D>, parsed: Parsed<'_, D>) -> WireReply {
-        let (range, store) = (&self.range, parsed.store);
-        match (parsed.query, parsed.partial) {
-            (BatchQuery::Range(rect), false) => {
-                estimate_reply(self.router.estimate_range(range, store, ctx, &rect))
-            }
-            (BatchQuery::Stab(p), false) => {
-                estimate_reply(self.router.estimate_stab(range, store, ctx, &p))
-            }
-            (BatchQuery::Range(rect), true) => {
-                partial_reply(self.router.partial_range(range, store, ctx, &rect))
-            }
-            (BatchQuery::Stab(p), true) => {
-                partial_reply(self.router.partial_stab(range, store, ctx, &p))
-            }
-        }
-    }
-
-    /// The queries that carry no store-and-shape of their own: joins and
-    /// fault injection (see [`SketchService::answer`]).
-    fn answer_join_or_fault(
-        &self,
-        ctx: &mut WorkerContext<D>,
-        query: &WireQuery,
-        fault_injection: bool,
-    ) -> WireReply {
-        if let WireQuery::Join { r_store, s_store } = query {
-            let Some(join) = &self.join else {
-                return bad_request("this service has no join estimator".into());
-            };
-            let r = match self.store(*r_store) {
-                Ok(s) => Arc::clone(s),
-                Err(reply) => return reply,
-            };
-            let s = match self.store(*s_store) {
-                Ok(s) => Arc::clone(s),
-                Err(reply) => return reply,
-            };
-            return estimate_reply(self.router.estimate_join(join, &r, &s, ctx));
-        }
-        if fault_injection {
-            panic!("injected fault: wire-requested handler panic");
-        }
-        bad_request("fault injection is disabled on this server".into())
-    }
-
-    /// The one validation step of range and stab queries, full or partial,
-    /// that both answer paths run: the store index first, then `D`
-    /// non-inverted `(lo, hi)` pairs or `D` coordinates. `None` for joins
-    /// and fault injection, which carry neither.
-    fn parse(&self, query: &WireQuery) -> Option<Result<Parsed<'_, D>, WireReply>> {
+    /// The one validation step of every wire query, which also says how
+    /// [`SketchService::answer_batch`] answers it: a range or stab query,
+    /// full or partial, checks its store index first, then `D`
+    /// non-inverted `(lo, hi)` pairs or `D` coordinates; a join checks that
+    /// the service has a join estimator, then both store indices.
+    fn parse(&self, query: &WireQuery, fault_injection: bool) -> Parsed<'_, D> {
         let range = |ranges: &[(u64, u64)]| {
             rect_of::<D>(ranges).map(BatchQuery::Range).ok_or_else(|| {
                 bad_request(format!("range query needs {D} non-inverted (lo, hi) pairs"))
@@ -314,33 +250,50 @@ impl<const D: usize> SketchService<D> {
             WireQuery::Stab { store, point } => (*store, stab(point), false),
             WireQuery::RangePartial { store, ranges } => (*store, range(ranges), true),
             WireQuery::StabPartial { store, point } => (*store, stab(point), true),
-            WireQuery::Join { .. } | WireQuery::FaultPanic => return None,
+            WireQuery::Join { r_store, s_store } => {
+                let Some(join) = &self.join else {
+                    return Parsed::Reply(bad_request("this service has no join estimator".into()));
+                };
+                return match (self.store(*r_store), self.store(*s_store)) {
+                    (Ok(r), Ok(s)) => Parsed::Join(join, r, s),
+                    (Err(reply), _) | (_, Err(reply)) => Parsed::Reply(reply),
+                };
+            }
+            WireQuery::FaultPanic if fault_injection => return Parsed::Fault,
+            WireQuery::FaultPanic => {
+                return Parsed::Reply(bad_request(
+                    "fault injection is disabled on this server".into(),
+                ))
+            }
         };
-        Some(self.store(index).and_then(|store| {
-            Ok(Parsed {
+        let routed = self.store(index).and_then(|store| {
+            Ok(Parsed::Routed {
                 index,
+                partial,
                 store,
                 query: shape?,
-                partial,
             })
-        }))
+        });
+        routed.unwrap_or_else(Parsed::Reply)
     }
 
-    /// Answers a whole batch of wire queries with `ctx`, grouping the valid
-    /// range/stab queries per store so each store's group takes **one**
-    /// routed batch call ([`QueryRouter::estimate_batch`]: one route and
-    /// view fold, duplicates answered once) instead of a per-query pass.
-    /// Malformed queries answer [`WireErrorCode::BadRequest`]
-    /// individually — a bad query never costs its batch-mates the fast
-    /// path — and partial, join and fault queries take the per-query path
-    /// of [`SketchService::answer`]. Both paths validate through one
-    /// parse step, and every reply is bit-identical to the per-query
-    /// path's.
+    /// Answers a whole batch of wire queries with `ctx`. Infallible by
+    /// design: every failure mode becomes a [`WireReply::Error`] entry, so
+    /// a bad query can never take down its batch-mates or the connection.
+    ///
+    /// Valid range/stab queries are grouped per (store, partial), and each
+    /// group takes **one** routed batch call —
+    /// [`QueryRouter::estimate_batch`] or [`QueryRouter::partial_batch`]:
+    /// one route and view fold, duplicates answered once. Malformed queries
+    /// answer [`WireErrorCode::BadRequest`] individually, and joins and
+    /// fault injection take their own per-query path. Every reply is
+    /// bit-identical to answering its query alone.
     ///
     /// # Panics
     ///
-    /// Like [`SketchService::answer`], [`WireQuery::FaultPanic`] panics
-    /// when `fault_injection` is true.
+    /// [`WireQuery::FaultPanic`] panics when `fault_injection` is true —
+    /// deliberately, to exercise the worker's `catch_unwind` + pool
+    /// recovery path from the wire.
     pub fn answer_batch(
         &self,
         ctx: &mut WorkerContext<D>,
@@ -348,45 +301,52 @@ impl<const D: usize> SketchService<D> {
         fault_injection: bool,
     ) -> Vec<WireReply> {
         let mut replies: Vec<Option<WireReply>> = vec![None; queries.len()];
-        // Per distinct store index: the query slots and their parsed
-        // batch queries. Batches are `max_batch`-bounded, so linear scans
-        // over the handful of distinct stores are fine.
-        let mut group_store: Vec<u32> = Vec::new();
-        let mut group_slots: Vec<Vec<usize>> = Vec::new();
-        let mut group_queries: Vec<Vec<BatchQuery<D>>> = Vec::new();
-        let mut push = |store: u32, slot: usize, q: BatchQuery<D>| match group_store
-            .iter()
-            .position(|&s| s == store)
-        {
-            Some(g) => {
-                group_slots[g].push(slot);
-                group_queries[g].push(q);
-            }
-            None => {
-                group_store.push(store);
-                group_slots.push(vec![slot]);
-                group_queries.push(vec![q]);
-            }
-        };
+        // Batches are `max_batch`-bounded, so linear scans over the handful
+        // of distinct (store, partial) groups are fine.
+        let mut groups: Vec<Group<'_, D>> = Vec::new();
         for (slot, query) in queries.iter().enumerate() {
-            match self.parse(query) {
-                Some(Ok(p)) if !p.partial => push(p.index, slot, p.query),
-                // Partial-estimate queries, joins and fault injection keep
-                // their per-query path.
-                Some(Ok(p)) => replies[slot] = Some(self.answer_parsed(ctx, p)),
-                Some(Err(reply)) => replies[slot] = Some(reply),
-                None => {
-                    replies[slot] = Some(self.answer_join_or_fault(ctx, query, fault_injection))
+            match self.parse(query, fault_injection) {
+                Parsed::Routed {
+                    index,
+                    partial,
+                    store,
+                    query,
+                } => {
+                    match groups
+                        .iter_mut()
+                        .find(|g| (g.index, g.partial) == (index, partial))
+                    {
+                        Some(g) => {
+                            g.slots.push(slot);
+                            g.queries.push(query);
+                        }
+                        None => groups.push(Group {
+                            index,
+                            partial,
+                            store,
+                            slots: vec![slot],
+                            queries: vec![query],
+                        }),
+                    }
                 }
+                Parsed::Join(join, r, s) => {
+                    replies[slot] = Some(estimate_reply(self.router.estimate_join(join, r, s, ctx)))
+                }
+                Parsed::Fault => panic!("injected fault: wire-requested handler panic"),
+                Parsed::Reply(reply) => replies[slot] = Some(reply),
             }
         }
-        for (g, store) in group_store.iter().enumerate() {
-            let store = self.store(*store).expect("validated at classification");
-            let answers = self
-                .router
-                .estimate_batch(&self.range, store, ctx, &group_queries[g]);
-            for (&slot, answer) in group_slots[g].iter().zip(answers) {
-                replies[slot] = Some(estimate_reply(answer));
+        for g in &groups {
+            let (range, store) = (&self.range, g.store);
+            let answers: Vec<WireReply> = if g.partial {
+                let answers = self.router.partial_batch(range, store, ctx, &g.queries);
+                answers.into_iter().map(partial_reply).collect()
+            } else {
+                let answers = self.router.estimate_batch(range, store, ctx, &g.queries);
+                answers.into_iter().map(estimate_reply).collect()
+            };
+            for (&slot, reply) in g.slots.iter().zip(answers) {
+                replies[slot] = Some(reply);
             }
         }
         replies
@@ -396,14 +356,33 @@ impl<const D: usize> SketchService<D> {
     }
 }
 
-/// A range or stab wire query that passed [`SketchService::parse`].
-struct Parsed<'s, const D: usize> {
-    /// The store's table index: `answer_batch` groups queries by it.
+/// A wire query after [`SketchService::parse`].
+enum Parsed<'s, const D: usize> {
+    /// A valid range or stab query of the store at table `index`, asking
+    /// for the boosted estimate or the `partial` grid.
+    Routed {
+        index: u32,
+        partial: bool,
+        store: &'s ShardedStore<D>,
+        query: BatchQuery<D>,
+    },
+    /// A valid join between two stores.
+    Join(&'s SpatialJoin<D>, &'s ShardedStore<D>, &'s ShardedStore<D>),
+    /// A wire-requested handler panic, with fault injection on.
+    Fault,
+    /// Answered as it stands: the `BadRequest` of a malformed query, or of
+    /// a join or fault this service does not serve.
+    Reply(WireReply),
+}
+
+/// The valid range/stab queries of one batch that share a store and a
+/// finish (boosted or partial): one routed call answers them all.
+struct Group<'s, const D: usize> {
     index: u32,
-    store: &'s Arc<ShardedStore<D>>,
-    query: BatchQuery<D>,
-    /// Whether the query asks for the unboosted partial grid.
     partial: bool,
+    store: &'s ShardedStore<D>,
+    slots: Vec<usize>,
+    queries: Vec<BatchQuery<D>>,
 }
 
 /// Builds a `HyperRect` from wire `(lo, hi)` pairs; `None` on arity or

@@ -39,7 +39,8 @@ use crate::shard::SketchShard;
 use crate::store::{ShardedStore, StoreEpoch};
 use dyadic::DomainPartition;
 use geometry::{Coord, HyperRect, Interval};
-use sketch::{SketchError, UpdateLog};
+use sketch::SketchError;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Why a topology change was refused. The store is untouched in every
@@ -225,19 +226,7 @@ impl<const D: usize> ShardedStore<D> {
             .partition()
             .split_at(shard, at)
             .ok_or(RebalanceError::InvalidBoundary(at))?;
-        let log = self.log();
-        let rebuilt = self.replay_shards(&partition, &[shard, shard + 1], &log)?;
-        let mut shards = cur.shards().to_vec();
-        shards.splice(
-            shard..=shard,
-            rebuilt.into_iter().map(Arc::new).collect::<Vec<_>>(),
-        );
-        self.publish(Arc::new(StoreEpoch::assemble(
-            cur.epoch() + 1,
-            partition,
-            shards,
-        )));
-        Ok(())
+        self.replay_cut_over(&cur, partition, shard..=shard)
     }
 
     /// Merges shard `left` with its right neighbour into one shard and
@@ -253,13 +242,7 @@ impl<const D: usize> ShardedStore<D> {
             .merge_at(left)
             .ok_or(RebalanceError::UnknownShard(left))?;
         let merged = cur.shards()[left].merged_with(&cur.shards()[left + 1])?;
-        let mut shards = cur.shards().to_vec();
-        shards.splice(left..=left + 1, [Arc::new(merged)]);
-        self.publish(Arc::new(StoreEpoch::assemble(
-            cur.epoch() + 1,
-            partition,
-            shards,
-        )));
+        self.cut_over(&cur, partition, left..=left + 1, vec![merged]);
         Ok(())
     }
 
@@ -276,55 +259,68 @@ impl<const D: usize> ShardedStore<D> {
             .partition()
             .move_boundary(boundary, at)
             .ok_or(RebalanceError::InvalidBoundary(at))?;
-        let log = self.log();
-        let rebuilt = self.replay_shards(&partition, &[boundary - 1, boundary], &log)?;
+        self.replay_cut_over(&cur, partition, boundary - 1..=boundary)
+    }
+
+    /// Publishes `partition` as the next epoch after `cur`, with `cur`'s
+    /// shards `old` replaced by `new` — the cutover every topology change
+    /// ends with.
+    fn cut_over(
+        &self,
+        cur: &StoreEpoch<D>,
+        partition: DomainPartition,
+        old: RangeInclusive<usize>,
+        new: Vec<SketchShard<D>>,
+    ) {
         let mut shards = cur.shards().to_vec();
-        shards.splice(
-            boundary - 1..=boundary,
-            rebuilt.into_iter().map(Arc::new).collect::<Vec<_>>(),
-        );
+        shards.splice(old, new.into_iter().map(Arc::new));
         self.publish(Arc::new(StoreEpoch::assemble(
             cur.epoch() + 1,
             partition,
             shards,
         )));
-        Ok(())
     }
 
-    /// Rebuilds the shards at indices `targets` (under `partition`) by
-    /// replaying the complete journal: each entry's rectangles are routed
-    /// through the **new** partition and applied with the entry's original
-    /// delta, entry by entry in epoch order — recomputing counters,
-    /// coverage and update tallies exactly as if `partition` had routed
-    /// the whole history.
-    fn replay_shards(
+    /// Rebuilds the two shards of `partition` that start at `old`'s first
+    /// index by replaying the complete journal, then cuts over to them in
+    /// place of `cur`'s shards `old` (the split parent, or the two
+    /// neighbours of a moved boundary). Each journal entry's rectangles are
+    /// routed through the **new** partition and applied with the entry's
+    /// original delta, entry by entry in epoch order — recomputing
+    /// counters, coverage and update tallies exactly as if `partition` had
+    /// routed the whole history.
+    fn replay_cut_over(
         &self,
-        partition: &DomainPartition,
-        targets: &[usize],
-        log: &UpdateLog<D>,
-    ) -> Result<Vec<SketchShard<D>>, RebalanceError> {
+        cur: &StoreEpoch<D>,
+        partition: DomainPartition,
+        old: RangeInclusive<usize>,
+    ) -> Result<(), RebalanceError> {
+        let log = self.log();
         if !log.is_complete() {
             return Err(RebalanceError::LogIncomplete);
         }
-        let mut rebuilt: Vec<SketchShard<D>> = targets.iter().map(|_| self.empty_shard()).collect();
-        let mut groups: Vec<Vec<HyperRect<D>>> = vec![Vec::new(); targets.len()];
+        let first = *old.start();
+        let mut rebuilt = vec![self.empty_shard(), self.empty_shard()];
+        let mut groups: [Vec<HyperRect<D>>; 2] = Default::default();
         for entry in log.entries() {
             for g in groups.iter_mut() {
                 g.clear();
             }
             for r in entry.rects() {
-                let s = partition.shard_of(r.range(0).lo());
-                if let Some(i) = targets.iter().position(|&t| t == s) {
-                    groups[i].push(*r);
+                // Shards before `first` wrap past both groups.
+                let i = partition.shard_of(r.range(0).lo()).wrapping_sub(first);
+                if let Some(g) = groups.get_mut(i) {
+                    g.push(*r);
                 }
             }
-            for (i, g) in groups.iter().enumerate() {
+            for (shard, g) in rebuilt.iter_mut().zip(&groups) {
                 if !g.is_empty() {
-                    rebuilt[i].apply(g, entry.delta())?;
+                    shard.apply(g, entry.delta())?;
                 }
             }
         }
-        Ok(rebuilt)
+        self.cut_over(cur, partition, old, rebuilt);
+        Ok(())
     }
 }
 

@@ -39,7 +39,7 @@ use crate::context::{view_of, WorkerContext};
 use crate::store::{ShardedStore, StoreEpoch};
 use geometry::{HyperRect, Point};
 use sketch::estimators::joins::SpatialJoin;
-use sketch::{BatchQuery, Estimate, PartialEstimate, RangeQuery, Result, SketchSet};
+use sketch::{BatchQuery, Estimate, PartialEstimate, QueryContext, RangeQuery, Result, SketchSet};
 
 /// How the router selects the shards a query merges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,38 +65,25 @@ pub enum RouterMode {
 
 /// A query router over [`ShardedStore`]s; cheap to construct and `Copy`-
 /// light, typically one per service configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueryRouter {
     mode: RouterMode,
-    merge_threads: usize,
 }
 
-impl Default for QueryRouter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// A [`RangeQuery`] batch entry the routed core evaluates each view's group
+/// with: boosted or unboosted.
+type BatchEntry<const D: usize, T> =
+    fn(&RangeQuery<D>, &mut QueryContext, &SketchSet<D>, &[BatchQuery<D>]) -> Vec<Result<T>>;
 
 impl QueryRouter {
-    /// An [`RouterMode::Exact`] router with single-threaded merges.
+    /// An [`RouterMode::Exact`] router.
     pub fn new() -> Self {
-        Self {
-            mode: RouterMode::Exact,
-            merge_threads: 1,
-        }
+        Self::default()
     }
 
     /// Sets the shard-selection mode (builder form).
     pub fn with_mode(mut self, mode: RouterMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Uses `threads` workers for cross-shard counter merges (worthwhile
-    /// for many-instance schemas; merges are integer folds, so the result
-    /// is identical at any thread count).
-    pub fn with_merge_threads(mut self, threads: usize) -> Self {
-        self.merge_threads = threads.max(1);
         self
     }
 
@@ -124,7 +111,7 @@ impl QueryRouter {
     ///
     /// Each selected shard's query tally is bumped here — the read-side
     /// half of [`crate::rebalance::ShardLoadReport`]. Tallies count
-    /// selection passes, so an exact-mode batch (one pass for the whole
+    /// selection passes, so an exact-mode call (one pass for the whole
     /// batch) counts once per selected shard, and diagnostics through
     /// [`QueryRouter::selection`] count too — load telemetry, not an exact
     /// query ledger.
@@ -151,19 +138,83 @@ impl QueryRouter {
     }
 
     /// Brings `store`'s merged view in `ctx` up to date for the selection
-    /// of `q`, cycling the worker's mask scratch.
+    /// of a footprint-free query (a join side), cycling the worker's mask
+    /// scratch.
     fn route<const D: usize>(
         &self,
         store: &ShardedStore<D>,
         ctx: &mut WorkerContext<D>,
-        q: Option<&HyperRect<D>>,
     ) -> Result<()> {
         let epoch = ctx.epoch_for(store);
         let mut mask = std::mem::take(&mut ctx.mask);
-        self.selection_into(&epoch, q, &mut mask);
-        let res = ctx.ensure_view(store, &epoch, &mask, self.merge_threads);
+        self.selection_into(&epoch, None, &mut mask);
+        let res = ctx.ensure_view(store, &epoch, &mask);
         ctx.mask = mask;
         res
+    }
+
+    /// The one routed range/stab path every public entry wraps: groups
+    /// `queries` by shard selection, folds (or reuses) one merged view per
+    /// group and evaluates the group with one `entry` call. Answers are
+    /// therefore bit-identical to an unsharded sketch of each group's
+    /// selected shards, whatever the batch composition.
+    ///
+    /// With [`RouterMode::Exact`] the selection is footprint-independent,
+    /// so it is computed once per call and the whole call is one group.
+    /// With [`RouterMode::Pruned`] it is computed once per query (each
+    /// query's footprint prunes its own shards). Either way each selection
+    /// tallies its shards once.
+    fn routed<const D: usize, T>(
+        &self,
+        rq: &RangeQuery<D>,
+        store: &ShardedStore<D>,
+        ctx: &mut WorkerContext<D>,
+        queries: &[BatchQuery<D>],
+        entry: BatchEntry<D, T>,
+    ) -> Vec<Result<T>> {
+        if queries.is_empty() {
+            return Vec::new();
+        }
+        let epoch = ctx.epoch_for(store);
+        // Batches are small (`max_batch`-bounded upstream), so a linear
+        // scan over the distinct masks beats hashing them.
+        let mut groups: Vec<(Vec<bool>, Vec<usize>)> = Vec::new();
+        let mut mask = std::mem::take(&mut ctx.mask);
+        for (i, q) in queries.iter().enumerate() {
+            if i == 0 || self.mode == RouterMode::Pruned {
+                let footprint = match q {
+                    BatchQuery::Range(rect) => *rect,
+                    BatchQuery::Stab(p) => HyperRect::from_point(*p),
+                };
+                self.selection_into(&epoch, Some(&footprint), &mut mask);
+            }
+            match groups.iter_mut().find(|(m, _)| *m == mask) {
+                Some((_, slots)) => slots.push(i),
+                None => groups.push((mask.clone(), vec![i])),
+            }
+        }
+        ctx.mask = mask;
+        let mut results: Vec<Option<Result<T>>> = (0..queries.len()).map(|_| None).collect();
+        let mut sub = std::mem::take(&mut ctx.batch);
+        for (mask, slots) in &groups {
+            sub.clear();
+            sub.extend(slots.iter().map(|&i| queries[i]));
+            let answers = match ctx.ensure_view(store, &epoch, mask) {
+                Ok(()) => {
+                    let (query, views) = ctx.split();
+                    entry(rq, query, view_of(views, store.id()), &sub)
+                }
+                Err(e) => slots.iter().map(|_| Err(e.clone())).collect(),
+            };
+            for (&i, a) in slots.iter().zip(answers) {
+                results[i] = Some(a);
+            }
+        }
+        ctx.batch = sub;
+        results
+            .into_iter()
+            .map(|r| r.expect("every query grouped"))
+            .collect()
     }
 
     /// Routes a range-selectivity estimate: selects shards, reuses (or
@@ -176,9 +227,8 @@ impl QueryRouter {
         ctx: &mut WorkerContext<D>,
         q: &HyperRect<D>,
     ) -> Result<Estimate> {
-        self.route(store, ctx, Some(q))?;
-        let (query, views) = ctx.split();
-        rq.estimate_with(query, view_of(views, store.id()), q)
+        let mut answers = self.estimate_batch(rq, store, ctx, &[BatchQuery::Range(*q)]);
+        answers.pop().expect("one answer per query")
     }
 
     /// Routes a stabbing-count estimate.
@@ -189,10 +239,8 @@ impl QueryRouter {
         ctx: &mut WorkerContext<D>,
         p: &Point<D>,
     ) -> Result<Estimate> {
-        let footprint = HyperRect::from_point(*p);
-        self.route(store, ctx, Some(&footprint))?;
-        let (query, views) = ctx.split();
-        rq.estimate_stab_with(query, view_of(views, store.id()), p)
+        let mut answers = self.estimate_batch(rq, store, ctx, &[BatchQuery::Stab(*p)]);
+        answers.pop().expect("one answer per query")
     }
 
     /// Routes a whole batch of range/stab estimates against one store,
@@ -200,11 +248,11 @@ impl QueryRouter {
     /// once per query (see [`RangeQuery::estimate_batch_with`] — answers are
     /// bit-identical to the corresponding single-query routes).
     ///
-    /// With [`RouterMode::Exact`] the shard selection is
-    /// footprint-independent, so the whole batch shares one merged view and
-    /// one `estimate_batch_with` call. With [`RouterMode::Pruned`] queries
-    /// are grouped by their shard selection; each group shares a view and a
-    /// call, preserving per-group pruning exactly.
+    /// With [`RouterMode::Exact`] the whole batch shares one selection, one
+    /// merged view and one `estimate_batch_with` call. With
+    /// [`RouterMode::Pruned`] queries are grouped by their shard selection;
+    /// each group shares a view and a call, preserving per-group pruning
+    /// exactly.
     pub fn estimate_batch<const D: usize>(
         &self,
         rq: &RangeQuery<D>,
@@ -212,103 +260,33 @@ impl QueryRouter {
         ctx: &mut WorkerContext<D>,
         queries: &[BatchQuery<D>],
     ) -> Vec<Result<Estimate>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        match self.mode {
-            RouterMode::Exact => {
-                // Exact selection ignores the footprint: one route serves
-                // the whole batch.
-                if let Err(e) = self.route(store, ctx, None) {
-                    return queries.iter().map(|_| Err(e.clone())).collect();
-                }
-                let (query, views) = ctx.split();
-                rq.estimate_batch_with(query, view_of(views, store.id()), queries)
-            }
-            RouterMode::Pruned => {
-                let epoch = ctx.epoch_for(store);
-                let mut results: Vec<Option<Result<Estimate>>> =
-                    (0..queries.len()).map(|_| None).collect();
-                // Group queries by shard selection; batches are small
-                // (`max_batch`-bounded upstream), so a linear scan over the
-                // distinct masks beats hashing them.
-                let mut masks: Vec<Vec<bool>> = Vec::new();
-                let mut groups: Vec<Vec<usize>> = Vec::new();
-                let mut mask = std::mem::take(&mut ctx.mask);
-                for (i, q) in queries.iter().enumerate() {
-                    let footprint = match q {
-                        BatchQuery::Range(rect) => *rect,
-                        BatchQuery::Stab(p) => HyperRect::from_point(*p),
-                    };
-                    self.selection_into(&epoch, Some(&footprint), &mut mask);
-                    match masks.iter().position(|m| *m == mask) {
-                        Some(g) => groups[g].push(i),
-                        None => {
-                            masks.push(mask.clone());
-                            groups.push(vec![i]);
-                        }
-                    }
-                }
-                ctx.mask = mask;
-                let mut sub = std::mem::take(&mut ctx.batch);
-                for (m, idxs) in masks.iter().zip(&groups) {
-                    if let Err(e) = ctx.ensure_view(store, &epoch, m, self.merge_threads) {
-                        for &i in idxs {
-                            results[i] = Some(Err(e.clone()));
-                        }
-                        continue;
-                    }
-                    sub.clear();
-                    sub.extend(idxs.iter().map(|&i| queries[i]));
-                    let (query, views) = ctx.split();
-                    let answers = rq.estimate_batch_with(query, view_of(views, store.id()), &sub);
-                    for (&i, a) in idxs.iter().zip(answers) {
-                        results[i] = Some(a);
-                    }
-                }
-                ctx.batch = sub;
-                results
-                    .into_iter()
-                    .map(|r| r.expect("every query grouped"))
-                    .collect()
-            }
-        }
+        self.routed(rq, store, ctx, queries, RangeQuery::estimate_batch_with)
     }
 
-    /// Routes a range-selectivity estimate but stops **before boosting**,
-    /// returning the shard-merged partial grid — the mergeable form a
+    /// Routes a batch of range/stab estimates like
+    /// [`QueryRouter::estimate_batch`] but stops **before boosting**: each
+    /// slot holds the shard-merged partial grid — the mergeable form a
     /// distributed scatter-gather path ships from a store node to its
-    /// router (see [`crate::cluster`]). Boosting the result of a single
-    /// node's partial is bit-identical to [`QueryRouter::estimate_range`];
-    /// merging partials from *several* nodes is deterministic in a fixed
-    /// merge order but sums in `f64`, so it is unbiased rather than
-    /// bit-identical to a one-node counter merge (see
-    /// [`PartialEstimate`]'s merge rules).
-    pub fn partial_range<const D: usize>(
+    /// router (see [`crate::cluster`]). Boosting a single node's partial is
+    /// bit-identical to the corresponding [`QueryRouter::estimate_batch`]
+    /// answer; merging partials from *several* nodes is deterministic in a
+    /// fixed merge order but sums in `f64`, so it is unbiased rather than
+    /// bit-identical to a one-node counter merge (see [`PartialEstimate`]'s
+    /// merge rules).
+    pub fn partial_batch<const D: usize>(
         &self,
         rq: &RangeQuery<D>,
         store: &ShardedStore<D>,
         ctx: &mut WorkerContext<D>,
-        q: &HyperRect<D>,
-    ) -> Result<PartialEstimate> {
-        self.route(store, ctx, Some(q))?;
-        let (query, views) = ctx.split();
-        rq.estimate_partial_with(query, view_of(views, store.id()), q)
-    }
-
-    /// Routes a stabbing-count estimate, unboosted — the stabbing
-    /// counterpart of [`QueryRouter::partial_range`].
-    pub fn partial_stab<const D: usize>(
-        &self,
-        rq: &RangeQuery<D>,
-        store: &ShardedStore<D>,
-        ctx: &mut WorkerContext<D>,
-        p: &Point<D>,
-    ) -> Result<PartialEstimate> {
-        let footprint = HyperRect::from_point(*p);
-        self.route(store, ctx, Some(&footprint))?;
-        let (query, views) = ctx.split();
-        rq.estimate_stab_partial_with(query, view_of(views, store.id()), p)
+        queries: &[BatchQuery<D>],
+    ) -> Vec<Result<PartialEstimate>> {
+        self.routed(
+            rq,
+            store,
+            ctx,
+            queries,
+            RangeQuery::estimate_partial_batch_with,
+        )
     }
 
     /// Routes a spatial-join estimate over two sharded stores sharing the
@@ -325,8 +303,8 @@ impl QueryRouter {
         // Both views are ensured before either is looked up: ensuring the
         // second may evict an *older* cache entry and shift positions, so
         // views resolve by store id, never by index.
-        self.route(r_store, ctx, None)?;
-        self.route(s_store, ctx, None)?;
+        self.route(r_store, ctx)?;
+        self.route(s_store, ctx)?;
         let (query, views) = ctx.split();
         join.estimate_with(
             query,
@@ -524,19 +502,40 @@ mod tests {
         );
         let store = ShardedStore::like(&rq.new_sketch(), 3);
         store.insert_slice(&rects(60, 32, 255)).unwrap();
-        let router = QueryRouter::new();
-        let mut ctx = WorkerContext::new();
-        let q = rect2(20, 180, 5, 200);
-        // One node's partial, boosted, IS the direct estimate: the partial
-        // stops just short of the final (deterministic) boosting step.
-        let partial = router.partial_range(&rq, &store, &mut ctx, &q).unwrap();
-        let direct = router.estimate_range(&rq, &store, &mut ctx, &q).unwrap();
-        assert_eq!(partial.boost().value.to_bits(), direct.value.to_bits());
-        assert_eq!(partial.boost().row_means, direct.row_means);
-        let p = [30u64, 40u64];
-        let partial = router.partial_stab(&rq, &store, &mut ctx, &p).unwrap();
-        let direct = router.estimate_stab(&rq, &store, &mut ctx, &p).unwrap();
-        assert_eq!(partial.boost().value.to_bits(), direct.value.to_bits());
+        let queries = [
+            BatchQuery::Range(rect2(20, 180, 5, 200)),
+            BatchQuery::Stab([30, 40]),
+            BatchQuery::Range(rect2(20, 180, 5, 200)), // duplicate of slot 0
+            BatchQuery::Range(rect2(7, 7, 1, 90)),     // degenerate: zero grid
+            BatchQuery::Stab([30, 400]),               // out of domain
+        ];
+        for mode in [RouterMode::Exact, RouterMode::Pruned] {
+            let router = QueryRouter::new().with_mode(mode);
+            let mut ctx = WorkerContext::new();
+            // One node's partial, boosted, IS the direct estimate: the
+            // partial stops just short of the final (deterministic)
+            // boosting step.
+            let partials = router.partial_batch(&rq, &store, &mut ctx, &queries);
+            for (i, (q, partial)) in queries.iter().zip(partials).enumerate() {
+                let direct = match q {
+                    BatchQuery::Range(rect) => router.estimate_range(&rq, &store, &mut ctx, rect),
+                    BatchQuery::Stab(p) => router.estimate_stab(&rq, &store, &mut ctx, p),
+                };
+                match (partial, direct) {
+                    (Ok(partial), Ok(direct)) => {
+                        let boosted = partial.boost();
+                        assert_eq!(
+                            boosted.value.to_bits(),
+                            direct.value.to_bits(),
+                            "{mode:?} slot {i}"
+                        );
+                        assert_eq!(boosted.row_means, direct.row_means, "{mode:?} slot {i}");
+                    }
+                    (Err(p), Err(d)) => assert_eq!(p, d, "{mode:?} slot {i}"),
+                    (p, d) => panic!("{mode:?} slot {i}: partial {p:?} vs direct {d:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -550,14 +549,63 @@ mod tests {
         );
         let store = ShardedStore::like(&rq.new_sketch(), 2);
         store.insert_slice(&rects(20, 34, 255)).unwrap();
+        let tallies =
+            || -> Vec<u64> { store.load().shards().iter().map(|s| s.queries()).collect() };
         let router = QueryRouter::new();
         let mut ctx = WorkerContext::new();
-        let before: u64 = store.load().shards().iter().map(|s| s.queries()).sum();
+        let before = tallies();
         router
             .estimate_range(&rq, &store, &mut ctx, &rect2(0, 255, 0, 255))
             .unwrap();
-        let after: u64 = store.load().shards().iter().map(|s| s.queries()).sum();
-        assert_eq!(after - before, 2, "both touched shards tallied once");
+        let after: u64 = tallies().iter().sum();
+        assert_eq!(
+            after - before.iter().sum::<u64>(),
+            2,
+            "both touched shards tallied once"
+        );
+
+        // An exact-mode batch selects once for the whole call, boosted or
+        // partial: every touched shard is tallied once per call, however
+        // many queries (or failing queries) the batch holds.
+        let batch = [
+            BatchQuery::Range(rect2(0, 40, 0, 255)),
+            BatchQuery::Range(rect2(200, 255, 0, 255)),
+            BatchQuery::Range(rect2(0, 40, 0, 255)),
+            BatchQuery::Range(rect2(0, 900, 0, 255)),
+        ];
+        let before = tallies();
+        router.estimate_batch(&rq, &store, &mut ctx, &batch);
+        router.partial_batch(&rq, &store, &mut ctx, &batch);
+        router.estimate_batch(&rq, &store, &mut ctx, &[]);
+        let exact: Vec<u64> = tallies().iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(
+            exact,
+            vec![2, 2],
+            "two calls, each tallies both shards once"
+        );
+
+        // A pruned batch selects once per query: each query tallies just
+        // the shards its footprint covers.
+        let pruned = QueryRouter::new().with_mode(RouterMode::Pruned);
+        let epoch = store.load();
+        let mut want = vec![0u64; 2];
+        for q in &batch {
+            let footprint = match q {
+                BatchQuery::Range(rect) => *rect,
+                BatchQuery::Stab(p) => HyperRect::from_point(*p),
+            };
+            for (w, s) in want.iter_mut().zip(epoch.shards()) {
+                *w += u64::from(!s.is_untouched() && s.covers(&footprint));
+            }
+        }
+        assert!(
+            want.iter().any(|&w| w > 0) && want != vec![4, 4],
+            "pruning shows"
+        );
+        let before = tallies();
+        pruned.estimate_batch(&rq, &store, &mut ctx, &batch);
+        let got: Vec<u64> = tallies().iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(got, want, "pruned batches tally per query");
     }
 
     #[test]

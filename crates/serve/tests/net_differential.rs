@@ -22,13 +22,13 @@ use rand::{Rng, SeedableRng};
 use serve::net::codec::{decode_queries, encode_replies, Opcode};
 use serve::net::io::{frame_bytes, read_frame, write_frame};
 use serve::net::{
-    range_query, serve, stab_query, ClientConfig, SketchClient, WireError, WireErrorCode,
-    WireQuery, WireReply,
+    range_partial_query, range_query, serve, stab_partial_query, stab_query, ClientConfig,
+    SketchClient, WireError, WireErrorCode, WireQuery, WireReply,
 };
 use serve::{ContextPool, QueryRouter, ServeConfig, ShardedStore, SketchService, WorkerContext};
 use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
-use sketch::{Estimate, QueryKernel, RangeQuery, RangeStrategy};
+use sketch::{BatchQuery, Estimate, QueryKernel, RangeQuery, RangeStrategy};
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -314,6 +314,167 @@ fn malformed_queries_answer_bad_request_without_killing_batchmates() {
     server.shutdown();
 }
 
+/// One frame mixing every routed query class across two stores — full and
+/// partial range and stab queries, a duplicate of each, an out-of-range
+/// store index, an inverted interval and an out-of-domain partial — must be
+/// answered slot for slot as each query is answered alone: estimates and
+/// partial grids bit for bit (by the router and by `RangeQuery` over an
+/// unsharded sketch), errors with the same code and message.
+#[test]
+fn mixed_full_and_partial_frame_bit_matches_per_query_answers() {
+    let fx = fixture(908);
+    let second = Arc::new(ShardedStore::like(&fx.rq.new_sketch(), 2));
+    second.insert_slice(&fx.data[40..]).unwrap();
+    let stores = vec![Arc::clone(&fx.stores[0]), second];
+    // Unsharded oracles: the fixture deleted `data[..15]` from store 0.
+    let mut unsharded = [fx.rq.new_sketch(), fx.rq.new_sketch()];
+    unsharded[0].insert_slice(&fx.data[15..]).unwrap();
+    unsharded[1].insert_slice(&fx.data[40..]).unwrap();
+    let service = Arc::new(SketchService::new(fx.rq.clone(), stores.clone()));
+    let server = serve(
+        service,
+        Arc::new(ContextPool::new(1)),
+        &ServeConfig::default(),
+        0,
+    )
+    .unwrap();
+    let mut client = SketchClient::connect(server.local_addr()).unwrap();
+
+    let (r0, r1) = (fx.data[20], fx.data[50]);
+    let corner = |r: &HyperRect<2>| [r.range(0).lo(), r.range(1).hi()];
+    let (p0, p1) = (corner(&r0), corner(&r1));
+    let outside = HyperRect::new([Interval::new(3, 300), Interval::new(0, 9)]);
+    let queries = vec![
+        range_query(0, &r0),
+        range_partial_query(1, &r1),
+        stab_query(1, &p1),
+        stab_partial_query(0, &p0),
+        range_query(2, &r0), // out-of-range store index
+        range_query(0, &r0),
+        WireQuery::RangePartial {
+            store: 1,
+            ranges: vec![(4, 90), (60, 50)], // inverted in dim 1
+        },
+        range_partial_query(1, &r1),
+        stab_query(1, &p1),
+        stab_partial_query(0, &p0),
+        range_partial_query(0, &outside), // beyond the 8-bit domain
+    ];
+    let replies = client.query_batch(&queries).unwrap();
+    assert_eq!(replies.len(), queries.len());
+
+    let router = QueryRouter::new();
+    let mut ctx = WorkerContext::new();
+    let mut octx = sketch::QueryContext::new();
+    let bad = |message: &str| WireReply::Error {
+        code: WireErrorCode::BadRequest,
+        message: message.into(),
+    };
+    for (slot, (query, got)) in queries.iter().zip(&replies).enumerate() {
+        let label = format!("mixed/slot{slot}");
+        let (store, q, partial) = match query {
+            WireQuery::Range { store: 2, .. } => {
+                let want = bad("store index 2 out of range (2 stores)");
+                assert_replies_bit_identical(&want, got, &label);
+                continue;
+            }
+            WireQuery::RangePartial { store: 1, ranges } if ranges[1] == (60, 50) => {
+                let want = bad("range query needs 2 non-inverted (lo, hi) pairs");
+                assert_replies_bit_identical(&want, got, &label);
+                continue;
+            }
+            WireQuery::Range { store, ranges } | WireQuery::RangePartial { store, ranges } => {
+                let rect = HyperRect::new([0, 1].map(|d| Interval::new(ranges[d].0, ranges[d].1)));
+                let partial = matches!(query, WireQuery::RangePartial { .. });
+                (*store as usize, BatchQuery::Range(rect), partial)
+            }
+            WireQuery::Stab { store, point } | WireQuery::StabPartial { store, point } => {
+                let partial = matches!(query, WireQuery::StabPartial { .. });
+                (
+                    *store as usize,
+                    BatchQuery::Stab([point[0], point[1]]),
+                    partial,
+                )
+            }
+            other => panic!("{label}: unexpected query {other:?}"),
+        };
+        let want = if partial {
+            let routed = router.partial_batch(&fx.rq, &stores[store], &mut ctx, &[q]);
+            let direct = match q {
+                BatchQuery::Range(rect) => {
+                    fx.rq
+                        .estimate_partial_with(&mut octx, &unsharded[store], &rect)
+                }
+                BatchQuery::Stab(p) => {
+                    fx.rq
+                        .estimate_stab_partial_with(&mut octx, &unsharded[store], &p)
+                }
+            };
+            match (routed.into_iter().next().unwrap(), direct) {
+                (Ok(routed), Ok(direct)) => {
+                    let bits = |p: &sketch::PartialEstimate| {
+                        p.atomic().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(&routed),
+                        bits(&direct),
+                        "{label}: router vs unsharded grid"
+                    );
+                    let shape = routed.shape();
+                    WireReply::Partial {
+                        k1: shape.k1 as u16,
+                        k2: shape.k2 as u16,
+                        atomic: routed.atomic().to_vec(),
+                    }
+                }
+                (Err(routed), Err(direct)) => {
+                    assert_eq!(routed, direct, "{label}: router vs unsharded error");
+                    WireReply::Error {
+                        code: WireErrorCode::Estimate,
+                        message: routed.to_string(),
+                    }
+                }
+                (routed, direct) => panic!("{label}: router {routed:?} vs unsharded {direct:?}"),
+            }
+        } else {
+            let (routed, direct) = match q {
+                BatchQuery::Range(rect) => (
+                    router.estimate_range(&fx.rq, &stores[store], &mut ctx, &rect),
+                    fx.rq.estimate_with(&mut octx, &unsharded[store], &rect),
+                ),
+                BatchQuery::Stab(p) => (
+                    router.estimate_stab(&fx.rq, &stores[store], &mut ctx, &p),
+                    fx.rq.estimate_stab_with(&mut octx, &unsharded[store], &p),
+                ),
+            };
+            let (routed, direct) = (routed.unwrap(), direct.unwrap());
+            assert_eq!(
+                routed.value.to_bits(),
+                direct.value.to_bits(),
+                "{label}: router vs unsharded"
+            );
+            WireReply::Estimate {
+                value: routed.value,
+                row_means: routed.row_means,
+            }
+        };
+        assert_replies_bit_identical(&want, got, &label);
+    }
+    assert!(
+        matches!(
+            &replies[10],
+            WireReply::Error {
+                code: WireErrorCode::Estimate,
+                ..
+            }
+        ),
+        "the out-of-domain partial fails alone: {:?}",
+        replies[10]
+    );
+    drop(client);
+    server.shutdown();
+}
+
 fn assert_replies_bit_identical(want: &WireReply, got: &WireReply, label: &str) {
     match (want, got) {
         (
@@ -331,6 +492,22 @@ fn assert_replies_bit_identical(want: &WireReply, got: &WireReply, label: &str) 
             for (i, (x, y)) in ra.iter().zip(rb.iter()).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "{label}: row mean {i} diverged");
             }
+        }
+        (
+            WireReply::Partial {
+                k1: ka,
+                k2: kb,
+                atomic: a,
+            },
+            WireReply::Partial {
+                k1: kc,
+                k2: kd,
+                atomic: b,
+            },
+        ) => {
+            assert_eq!((ka, kb), (kc, kd), "{label}: grid shape diverged");
+            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{label}: partial grid diverged");
         }
         (want, got) => assert_eq!(want, got, "{label}: replies diverged"),
     }
