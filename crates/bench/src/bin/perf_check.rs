@@ -1,478 +1,606 @@
-//! CI perf-regression guard: rerun the quick perf_probe presets and fail
-//! if the hot paths regressed against the committed anchor numbers.
+//! CI perf-regression guard: runs the parent commit's and this change's
+//! quick `perf_probe` presets in alternating pairs and fails a row whose
+//! median per-pair change/parent ratio exceeds its tolerance.
 //!
-//! Usage: cargo run --release -p spatial-bench --bin perf_check --
-//!          [--anchor BENCH_pr13.json] [--tolerance 0.25]
+//! Usage: `perf_check --parent <dir>`
 //!
-//! Compares the blocked kernel's build ns/(obj·inst) and estimate
-//! ns/(est·inst) — join and cold range paths (the range queries never
-//! repeat, so each one runs the blocked ξ cover kernel) — at the 440-instance
-//! configuration against the matching records in the anchor file (a copy
-//! of `perf_probe` output; see EXPERIMENTS.md "Performance baseline").
-//! Anchor entries are matched by **lane width**, not kernel name: the
-//! 512-lane `wide` kernel reads the anchors' 512-lane (`wide512`) rows, and
-//! the rows of the retired 64- and 256-lane kernels are not read. The
-//! network front-end's `net` sweep is guarded at the configurations that
-//! isolate each mechanism — anchor points are matched by
-//! `(clients, batch, coalesce_us)`: single-connection p50 round-trip
-//! latency (measured over anchor; per-frame overhead with nothing to
-//! amortize it) and 64-connection wire QPS with and without the
-//! coalescing window (anchor over measured, so a *drop* fails — the
-//! multiplexer's headline number). The batch entry point's
-//! `batchq` record is guarded three times: amortized batch-64 ns/query
-//! against its anchor, and — machine-independently, tolerance 0 — two
-//! ratios measured within the run: the batch-64-over-batch-1 speedup
-//! against a hard 1.5x floor (if answering a request batch in one call
-//! stops paying at least 1.5x, the batch path or its dedup broke, whatever
-//! the runner), and the adaptive-`maxLevel` warm-over-cold ns/query ratio
-//! against a hard 3.0x floor (if a hot plan's query-product memo stops
-//! saving at least 3.0x over a cold compile-and-fill, the memo path
-//! regressed or stopped being used). The elastic-topology `rebalance`
-//! record is guarded three ways: split wall time and worst ingest cutover
-//! pause against their anchors (net-width tolerance — both are
-//! wall-clock, and the anchor was recorded from the same quick preset CI
-//! replays, since replay cost scales with the journal length), and —
-//! machine-independently, zero tolerance — the post-churn QPS recovery
-//! ratio against a hard 0.5x floor: topology churn must never leave the
-//! read path degraded.
+//! ## Pairing protocol
 //!
-//! ## Tolerance
+//! `<dir>` is a checkout of the parent commit with its own
+//! `target/release/perf_probe` built. Each side runs its own binary,
+//! `<root>/target/release/perf_probe --quick [--probe …]`, as a
+//! subprocess — the change's root is the workspace this binary was built
+//! from — and the gate reads back the record that run appended to
+//! `<root>/results/perf_probe.json` (the probe fixes its `results/`
+//! directory at compile time, so a parent's unchanged binary works as is).
+//! Both sides' records go through one extractor, so a row means the same
+//! thing on either side.
 //!
-//! The default threshold fails only a **> 25% slowdown** (`measured >
-//! anchor × 1.25`). That is deliberately generous: the anchors were
-//! recorded on one quiet reference box, while CI runners differ in
-//! microarchitecture and noisiness — the guard is meant to catch real
-//! regressions (an accidental scalar fallback, a lost vectorization, a
-//! per-call allocation creeping into the hot loop, all ≥ 1.5×), not to
-//! police single-digit drift. Speedups are never failures. Tune with
-//! `--tolerance` (fractional, e.g. `0.25`).
+//! The gate runs [`PAIRS`] pairs. Within a pair every probe runs on both
+//! sides back to back, and the side that goes first alternates across
+//! pairs and probes: a host slowdown lasting a few seconds then lands on
+//! both sides of one comparison instead of on a whole pass of one side.
+//! Per row, each pair gives one change/parent ratio (parent/change for a
+//! QPS, so a drop reads as a ratio above 1), and the row fails when the
+//! median of those ratios exceeds `1 + tolerance`. Speedups never fail.
 //!
-//! The **net metrics use a wider floor of +100%** (`NET_TOLERANCE`,
-//! raised further if `--tolerance` exceeds it): loopback TCP round-trips
-//! fold in scheduler wakeups, Nagle-free small writes and thread
-//! hand-offs, which jitter ±20–40% across runs on a busy runner — far
-//! more than the arithmetic kernels do. The net guard is therefore an
-//! order-of-magnitude guard: a real serving regression (batching lost to
-//! per-query passes, a per-query lock or merge on the hot path) costs
-//! several ×, which a 2× threshold still catches reliably.
+//! ## Rows
+//!
+//! | row | probe | guard |
+//! |-----|-------|-------|
+//! | build/wide ns/(obj·inst) | build | ratio ≤ 1.25 |
+//! | estimate/join/wide ns/(est·inst) | estimate | ratio ≤ 1.25 |
+//! | estimate/range-cold/wide ns/(est·inst) | estimate | ratio ≤ 1.25 |
+//! | net/1conn/b1 p50 µs | net | ratio ≤ 2.0 |
+//! | net/64conn/b1 qps (coalesce 0 µs) | net | parent/change ≤ 2.0 |
+//! | net/64conn/b1 qps (coalesce 200 µs) | net | parent/change ≤ 2.0 |
+//! | batchq/b64 ns/query | batchq | ratio ≤ 1.25 |
+//! | batchq/b64-over-b1 speedup | batchq | change median ≥ 1.5 |
+//! | batchq/warm-over-cold | batchq | change median ≥ 3.0 |
+//! | rebalance/split wall ms | rebalance | ratio ≤ 2.0 |
+//! | rebalance/worst ingest stall ms | rebalance | ratio ≤ 2.0 |
+//! | rebalance/qps recovery | rebalance | change median ≥ 0.5 |
+//!
+//! The kernel rows (build, join, cold range, batch 64) allow 25%: they
+//! exist to catch an accidental scalar fallback, a lost vectorization or
+//! a per-call allocation in the hot loop, all ≥ 1.5×. The net and
+//! rebalance rows allow 100%: loopback round-trips and topology cutovers
+//! fold in scheduler wakeups and thread hand-offs that jitter far more than
+//! arithmetic does, while the regressions they guard (batching lost to
+//! per-query passes, a per-query lock on the hot path, replay gone
+//! quadratic) cost several ×. The three floors are ratios measured within
+//! one run, so they need no parent: each is judged on the median of the
+//! change's runs, since a single run of unchanged code can dip below one.
+//!
+//! A row the parent's records lack is printed as `new` and does not fail
+//! (the parent predates it); a row the change's records lack fails as
+//! `LOST`, since a guard disappeared. The `perf_probe` CLI and record
+//! fields are therefore the interface to every future parent.
+//!
+//! ## Running it locally
+//!
+//! ```sh
+//! git worktree add ../parent HEAD^1 && (cd ../parent && cargo build --release -p spatial-bench --bin perf_probe)
+//! cargo build --release -p spatial-bench --bin perf_probe --bin perf_check
+//! target/release/perf_check --parent ../parent
+//! ```
+//!
+//! Build both of this side's binaries in one command: the gate runs
+//! whatever `perf_probe` sits in `target/release`, stale or not.
 
 use serde::Value;
-use sketch::{BuildKernel, QueryKernel};
-use spatial_bench::probes::{
-    batchq_probe, build_probe, estimate_probe, net_probe, rebalance_probe, QUICK_SHAPES,
-};
 use spatial_bench::report::Table;
-use spatial_bench::runner::default_threads;
 use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::time::Instant;
+use Step::{At, Find, Key};
 
-/// Fractional slowdown vs the anchor that fails the lane (see module docs).
-const DEFAULT_TOLERANCE: f64 = 0.25;
+/// Parent/change pairs per gate run. A pair of all five quick probes takes
+/// ~32 s on a 2-vCPU VM (build ~7.5 s, estimate ~3 s, net ~3 s, batchq
+/// ~1.5 s, rebalance ~1 s per side), so six pairs keep a gate run at
+/// 3.5–4 min there.
+const PAIRS: usize = 6;
 
-/// Floor tolerance for the network metrics — loopback latency jitters far
-/// more across CI runners than the arithmetic kernels (see module docs).
-const NET_TOLERANCE: f64 = 1.0;
+/// The probes the rows read, by record tag; `build` is `perf_probe`'s
+/// default probe, the rest are `--probe <tag>`.
+const PROBES: &[&str] = &["build", "estimate", "net", "batchq", "rebalance"];
 
-/// Minimum batch-64-over-batch-1 speedup the batch entry point must keep
-/// paying. Machine-independent (both sides measured in the same run), so
-/// it is enforced with zero tolerance.
-const BATCH_SPEEDUP_FLOOR: f64 = 1.5;
+/// Allowed median slowdown of the arithmetic-kernel rows.
+const KERNEL_TOLERANCE: f64 = 0.25;
 
-/// Minimum cold-over-warm ns/query ratio of the batchq probe's
-/// adaptive-`maxLevel` pair: what a memoized hot plan must keep saving over
-/// a cold one. Set at ~0.75x the 4.0x median of twelve full
-/// `perf_probe --probe batchq` runs after the nibble-table and adder-tree
-/// cover sums made the cold fill cheaper (the warm side, a memo dot
-/// product, does not run them); machine-independent (both sides measured
-/// in the same run), so it is enforced with zero tolerance.
-const WARM_OVER_COLD_FLOOR: f64 = 3.0;
+/// Allowed median slowdown of the wall-clock net and rebalance rows.
+const WALL_TOLERANCE: f64 = 1.0;
 
-/// Minimum post-churn-over-pre-churn routed QPS ratio the rebalance probe
-/// must keep. Machine-independent (both sides measured in the same run),
-/// so it is enforced with zero tolerance.
-const REBALANCE_RECOVERY_FLOOR: f64 = 0.5;
+/// How a row is judged.
+#[derive(Clone, Copy)]
+enum Guard {
+    /// Lower is better: fails when the median change/parent ratio exceeds
+    /// `1 + tolerance`.
+    Slower(f64),
+    /// Higher is better (a QPS): the per-pair ratio is parent/change, so a
+    /// drop fails past `1 + tolerance`.
+    Drop(f64),
+    /// A within-run ratio: fails when the median of the change's runs is
+    /// below the floor.
+    Floor(f64),
+}
 
-/// The instance configuration compared (first point of both the quick
-/// presets and the anchor sweeps).
-const ANCHOR_INSTANCES: u64 = 440;
+/// One hop from a record towards a row's number.
+enum Step {
+    /// The map entry under this key.
+    Key(&'static str),
+    /// The first sequence element whose fields read these values.
+    Find(&'static [(&'static str, &'static str)]),
+    /// The sequence element at this index.
+    At(usize),
+}
+
+/// One guarded metric: the probe whose record holds it, where, and its
+/// guard.
+struct Row {
+    name: &'static str,
+    probe: &'static str,
+    path: &'static [Step],
+    guard: Guard,
+}
+
+const WIDE: &[(&str, &str)] = &[("kernel", "wide")];
+
+const ROWS: &[Row] = &[
+    Row {
+        name: "build/wide ns/(obj·inst)",
+        probe: "build",
+        path: &[
+            Key("kernels"),
+            Find(WIDE),
+            Key("ns_per_obj_instance"),
+            At(0),
+        ],
+        guard: Guard::Slower(KERNEL_TOLERANCE),
+    },
+    Row {
+        name: "estimate/join/wide ns/(est·inst)",
+        probe: "estimate",
+        path: &[
+            Key("join_kernels"),
+            Find(WIDE),
+            Key("ns_per_estimate_instance"),
+            At(0),
+        ],
+        guard: Guard::Slower(KERNEL_TOLERANCE),
+    },
+    Row {
+        name: "estimate/range-cold/wide ns/(est·inst)",
+        probe: "estimate",
+        path: &[
+            Key("range_kernels"),
+            Find(WIDE),
+            Key("ns_per_estimate_instance"),
+            At(0),
+        ],
+        guard: Guard::Slower(KERNEL_TOLERANCE),
+    },
+    Row {
+        name: "net/1conn/b1 p50 µs",
+        probe: "net",
+        path: &[
+            Key("configs"),
+            Find(&[("clients", "1"), ("batch", "1"), ("coalesce_us", "0")]),
+            Key("p50_us"),
+        ],
+        guard: Guard::Slower(WALL_TOLERANCE),
+    },
+    Row {
+        name: "net/64conn/b1 qps (coalesce 0 µs)",
+        probe: "net",
+        path: &[
+            Key("configs"),
+            Find(&[("clients", "64"), ("batch", "1"), ("coalesce_us", "0")]),
+            Key("qps"),
+        ],
+        guard: Guard::Drop(WALL_TOLERANCE),
+    },
+    Row {
+        name: "net/64conn/b1 qps (coalesce 200 µs)",
+        probe: "net",
+        path: &[
+            Key("configs"),
+            Find(&[("clients", "64"), ("batch", "1"), ("coalesce_us", "200")]),
+            Key("qps"),
+        ],
+        guard: Guard::Drop(WALL_TOLERANCE),
+    },
+    Row {
+        name: "batchq/b64 ns/query",
+        probe: "batchq",
+        path: &[Key("points"), Find(&[("batch", "64")]), Key("ns_per_query")],
+        guard: Guard::Slower(KERNEL_TOLERANCE),
+    },
+    Row {
+        name: "batchq/b64-over-b1 speedup",
+        probe: "batchq",
+        path: &[Key("speedup_b64_over_b1")],
+        guard: Guard::Floor(1.5),
+    },
+    Row {
+        name: "batchq/warm-over-cold",
+        probe: "batchq",
+        path: &[Key("adaptive"), Key("speedup_warm_over_cold")],
+        guard: Guard::Floor(3.0),
+    },
+    Row {
+        name: "rebalance/split wall ms",
+        probe: "rebalance",
+        path: &[Key("ops"), Find(&[("op", "split")]), Key("wall_ms")],
+        guard: Guard::Slower(WALL_TOLERANCE),
+    },
+    Row {
+        name: "rebalance/worst ingest stall ms",
+        probe: "rebalance",
+        path: &[Key("max_ingest_stall_ms")],
+        guard: Guard::Slower(WALL_TOLERANCE),
+    },
+    Row {
+        name: "rebalance/qps recovery",
+        probe: "rebalance",
+        path: &[Key("recovery_ratio")],
+        guard: Guard::Floor(0.5),
+    },
+];
 
 fn main() {
-    let args = spatial_bench::cli::Args::parse(&[]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let tolerance: f64 = args
-        .get_or("tolerance", DEFAULT_TOLERANCE)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    let anchor_name = args.get("anchor").unwrap_or("BENCH_pr13.json");
-    let anchor_path = workspace_file(anchor_name);
-    let anchors = Anchors::load(&anchor_path).unwrap_or_else(|e| {
-        eprintln!(
-            "perf_check: cannot read anchors from {}: {e}",
-            anchor_path.display()
-        );
-        std::process::exit(2);
-    });
-
-    let threads = default_threads();
+    let args = spatial_bench::cli::Args::parse(&[]).unwrap_or_else(|e| die(&e));
+    let parent = PathBuf::from(
+        args.get("parent")
+            .unwrap_or_else(|| die("usage: perf_check --parent <built parent checkout>")),
+    );
+    let change = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     println!(
-        "perf_check: quick probes vs {} (tolerance +{:.0}%)",
-        anchor_path.display(),
-        tolerance * 100.0
+        "perf_check: {PAIRS} alternating pairs, parent {} vs change {}",
+        parent.display(),
+        change.display()
     );
-    let build = build_probe(
-        threads,
-        QUICK_SHAPES,
-        &[BuildKernel::Wide],
-        "ci-build",
-        false,
-    );
-    let estimate = estimate_probe(threads, QUICK_SHAPES, &[QueryKernel::Wide], "ci-estimate");
-    assert_eq!(build.instances, vec![ANCHOR_INSTANCES as usize]);
-    assert_eq!(estimate.instances, vec![ANCHOR_INSTANCES as usize]);
 
-    let net = net_probe(true);
-    let net_tolerance = tolerance.max(NET_TOLERANCE);
-    let batchq = batchq_probe(threads, true);
-    let rebalance = rebalance_probe(threads, true);
-
-    // (name, anchor, measured, ratio-where->1-is-worse, tolerance)
-    let mut metrics: Vec<(String, f64, f64, f64, f64)> = Vec::new();
-    for k in &build.kernels {
-        let (anchor, measured) = (anchors.build(k.lane_width), k.ns_per_obj_instance[0]);
-        metrics.push((
-            format!("build/{} ns/(obj·inst)", k.kernel),
-            anchor,
-            measured,
-            measured / anchor,
-            tolerance,
-        ));
+    // One pass per side and pair: the records that side's runs produced.
+    let (mut parent_runs, mut change_runs) = (Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        let mut passes = [Vec::new(), Vec::new()];
+        for (i, probe) in PROBES.iter().enumerate() {
+            // Side 0 is the parent; which side runs first alternates.
+            let first = (pair + i) % 2;
+            let mut secs = [0.0; 2];
+            for side in [first, 1 - first] {
+                let root = if side == 0 { &parent } else { &change };
+                let t = Instant::now();
+                passes[side].extend(run_probe(root, probe));
+                secs[side] = t.elapsed().as_secs_f64();
+            }
+            println!(
+                "  pair {}/{PAIRS} {probe:<9} {} first: parent {:.1} s, change {:.1} s",
+                pair + 1,
+                ["parent", "change"][first],
+                secs[0],
+                secs[1]
+            );
+        }
+        let [p, c] = passes;
+        parent_runs.push(p);
+        change_runs.push(c);
     }
-    for k in &estimate.join_kernels {
-        let (anchor, measured) = (
-            anchors.estimate("join", k.lane_width),
-            k.ns_per_estimate_instance[0],
-        );
-        metrics.push((
-            format!("estimate/join/{} ns/(est·inst)", k.kernel),
-            anchor,
-            measured,
-            measured / anchor,
-            tolerance,
-        ));
-    }
-    for k in &estimate.range_kernels {
-        let (anchor, measured) = (
-            anchors.estimate("range", k.lane_width),
-            k.ns_per_estimate_instance[0],
-        );
-        metrics.push((
-            format!("estimate/range-cold/{} ns/(est·inst)", k.kernel),
-            anchor,
-            measured,
-            measured / anchor,
-            tolerance,
-        ));
-    }
-    // Net latency regresses when measured grows; QPS regresses when
-    // measured *shrinks*, so its ratio is inverted (anchor over measured).
-    // Each guard pins one sweep configuration: 1 conn × batch-1 isolates
-    // per-frame latency, 64 conns × batch-1 is the multiplexer's
-    // throughput headline (guarded with the window off and on).
-    let p50_point = net_config(&net, 1, 1, 0);
-    let p50_anchor = anchors.net(1, 1, 0, "p50_us");
-    metrics.push((
-        "net/1conn/b1 p50 µs".into(),
-        p50_anchor,
-        p50_point.p50_us,
-        p50_point.p50_us / p50_anchor,
-        net_tolerance,
-    ));
-    for coalesce_us in [0u64, 200] {
-        let qps_point = net_config(&net, 64, 1, coalesce_us);
-        let qps_anchor = anchors.net(64, 1, coalesce_us, "qps");
-        metrics.push((
-            format!("net/64conn/b1 qps (coalesce {coalesce_us} µs)"),
-            qps_anchor,
-            qps_point.qps,
-            qps_anchor / qps_point.qps,
-            net_tolerance,
-        ));
-    }
-    // The batch kernel: amortized batch-64 latency vs its anchor, plus the
-    // machine-independent batching and memo floors (both sides of each
-    // ratio come from this run, so they get no tolerance).
-    let b64 = batchq
-        .points
-        .iter()
-        .find(|p| p.batch == 64)
-        .expect("batchq probe always times batch 64");
-    let b64_anchor = anchors.batchq_ns_per_query(64);
-    metrics.push((
-        "batchq/b64 ns/query".into(),
-        b64_anchor,
-        b64.ns_per_query,
-        b64.ns_per_query / b64_anchor,
-        tolerance,
-    ));
-    metrics.push((
-        format!("batchq/b64-over-b1 speedup (floor {BATCH_SPEEDUP_FLOOR}x)"),
-        BATCH_SPEEDUP_FLOOR,
-        batchq.speedup_b64_over_b1,
-        BATCH_SPEEDUP_FLOOR / batchq.speedup_b64_over_b1,
-        0.0,
-    ));
-    let warm_over_cold = batchq.adaptive.speedup_warm_over_cold;
-    metrics.push((
-        format!("batchq/warm-over-cold (floor {WARM_OVER_COLD_FLOOR}x)"),
-        WARM_OVER_COLD_FLOOR,
-        warm_over_cold,
-        WARM_OVER_COLD_FLOOR / warm_over_cold,
-        0.0,
-    ));
-    // Elastic topology: the split's wall cost (journal replay + swap) and
-    // the worst write-path cutover pause are wall-clock measurements, so
-    // they get the net-width tolerance; the QPS recovery ratio is measured
-    // against itself within the run, so it gets the hard floor.
-    let split = rebalance
-        .ops
-        .iter()
-        .find(|o| o.op == "split")
-        .expect("rebalance probe always times a split");
-    let split_anchor = rebalance_anchor(&anchors, "split", "wall_ms");
-    metrics.push((
-        "rebalance/split wall ms".into(),
-        split_anchor,
-        split.wall_ms,
-        split.wall_ms / split_anchor,
-        net_tolerance,
-    ));
-    let stall_anchor = num(get(anchors.record("rebalance"), "max_ingest_stall_ms"));
-    metrics.push((
-        "rebalance/worst ingest stall ms".into(),
-        stall_anchor,
-        rebalance.max_ingest_stall_ms,
-        rebalance.max_ingest_stall_ms / stall_anchor,
-        net_tolerance,
-    ));
-    metrics.push((
-        format!("rebalance/qps recovery (floor {REBALANCE_RECOVERY_FLOOR}x)"),
-        REBALANCE_RECOVERY_FLOOR,
-        rebalance.recovery_ratio,
-        REBALANCE_RECOVERY_FLOOR / rebalance.recovery_ratio,
-        0.0,
-    ));
 
     let mut table = Table::new(
-        "perf_check vs anchors",
-        &["metric", "anchor", "measured", "ratio", "verdict"],
+        format!("perf_check: change vs parent, median of {PAIRS} pairs"),
+        &["metric", "parent", "change", "ratio", "limit", "verdict"],
     );
     let mut failures = 0usize;
-    for (name, anchor, measured, ratio, tol) in &metrics {
-        let ok = *ratio <= 1.0 + tol;
-        if !ok {
-            failures += 1;
-        }
+    for row in ROWS {
+        let j = judge(row, &parent_runs, &change_runs);
+        failures += usize::from(j.verdict.fails());
+        let limit = match row.guard {
+            Guard::Slower(tol) | Guard::Drop(tol) => format!("≤ {:.2}", 1.0 + tol),
+            Guard::Floor(floor) => format!("≥ {floor:.1} (floor)"),
+        };
         table.push_row(vec![
-            name.clone(),
-            format!("{anchor:.2}"),
-            format!("{measured:.2}"),
-            format!("{ratio:.3}"),
-            if ok { "ok".into() } else { "REGRESSED".into() },
+            row.name.into(),
+            fmt(j.parent),
+            fmt(j.change),
+            fmt(j.ratio),
+            limit,
+            j.verdict.label().into(),
         ]);
     }
     table.print();
     if failures > 0 {
-        eprintln!(
-            "perf_check: {failures} metric(s) regressed beyond tolerance vs {}",
-            anchor_path.display()
-        );
+        eprintln!("perf_check: {failures} of {} rows failed", ROWS.len());
         std::process::exit(1);
     }
-    println!(
-        "perf_check: all {} metrics within tolerance of the anchors (+{:.0}% kernels, +{:.0}% net)",
-        metrics.len(),
-        tolerance * 100.0,
-        net_tolerance * 100.0
-    );
+    println!("perf_check: all {} rows within their guards", ROWS.len());
 }
 
-/// The measured sweep point at `(clients, batch, coalesce_us)` — the probe
-/// always runs every guarded configuration, so a miss is a bug here.
-fn net_config(
-    net: &spatial_bench::probes::NetProbeRecord,
-    clients: usize,
-    batch: usize,
-    coalesce_us: u64,
-) -> &spatial_bench::probes::NetConfigPoint {
-    net.configs
-        .iter()
-        .find(|c| c.clients == clients && c.batch == batch && c.coalesce_us == coalesce_us)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "net probe produced no ({clients} clients, batch {batch}, coalesce {coalesce_us} µs) point"
-            ))
-        })
+/// Runs one quick probe with `root`'s `perf_probe` and returns the record
+/// that run appended to `root`'s results file; `None` if the run failed.
+fn run_probe(root: &Path, probe: &str) -> Option<Value> {
+    let binary = root.join("target/release/perf_probe");
+    let mut cmd = Command::new(&binary);
+    cmd.arg("--quick");
+    if probe != "build" {
+        cmd.args(["--probe", probe]);
+    }
+    let out = cmd.output().unwrap_or_else(|e| {
+        die(&format!(
+            "cannot run {} ({e}); build it with `cargo build --release -p spatial-bench --bin perf_probe` in that checkout",
+            binary.display()
+        ))
+    });
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        eprintln!(
+            "perf_check: {probe} probe failed under {} ({}): {}",
+            root.display(),
+            out.status,
+            stderr.trim_end().lines().last().unwrap_or("")
+        );
+        return None;
+    }
+    let path = root.join("results/perf_probe.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
+    let newest = match serde_json::parse_value(&text) {
+        Ok(Value::Seq(mut records)) => records.pop(),
+        _ => None,
+    };
+    newest.filter(|r| field(r, "probe").is_some_and(|tag| is(tag, probe)))
 }
 
-/// Anchor scalar `field` of the rebalance record's `op` operation point.
-fn rebalance_anchor(anchors: &Anchors, op: &str, field: &str) -> f64 {
-    let ops = seq(get(anchors.record("rebalance"), "ops"));
-    let point = ops
-        .iter()
-        .find(|o| str_of(get(o, "op")) == op)
-        .unwrap_or_else(|| die(&format!("anchor rebalance record has no `{op}` op point")));
-    num(get(point, field))
+/// A row's medians and verdict over all pairs.
+struct Judged {
+    parent: Option<f64>,
+    change: Option<f64>,
+    ratio: Option<f64>,
+    verdict: Verdict,
 }
 
-/// A file at the workspace root (next to the committed `BENCH_*.json`).
-fn workspace_file(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join(name)
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Ok,
+    Regressed,
+    /// The parent's records lack the row: nothing to compare against.
+    New,
+    /// The change's records lack the row: its guard was lost.
+    Lost,
 }
 
-/// Anchor lookups over the `BENCH_*.json` record array.
-struct Anchors {
-    records: Vec<Value>,
-}
+impl Verdict {
+    fn fails(&self) -> bool {
+        matches!(self, Verdict::Regressed | Verdict::Lost)
+    }
 
-impl Anchors {
-    fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        match serde_json::parse_value(&text).map_err(|e| e.to_string())? {
-            Value::Seq(records) => Ok(Self { records }),
-            single => Ok(Self {
-                records: vec![single],
-            }),
+    fn label(&self) -> &'static str {
+        match self {
+            Verdict::Ok => "ok",
+            Verdict::Regressed => "REGRESSED",
+            Verdict::New => "new",
+            Verdict::Lost => "LOST",
         }
     }
+}
 
-    /// Anchor build ns/(obj·inst) of the `lane_width`-lane kernel at the
-    /// compared instances.
-    fn build(&self, lane_width: usize) -> f64 {
-        let record = self.record("build");
-        let idx = self.instance_index(record);
-        let entry = kernel_by_width(seq(get(record, "kernels")), lane_width, "build");
-        num(&seq(get(entry, "ns_per_obj_instance"))[idx])
-    }
-
-    /// Anchor estimate ns/(est·inst) of `path` (`join`/`range`) at
-    /// `lane_width` lanes.
-    fn estimate(&self, path: &str, lane_width: usize) -> f64 {
-        let record = self.record("estimate");
-        let idx = self.instance_index(record);
-        let entry = kernel_by_width(
-            seq(get(record, &format!("{path}_kernels"))),
-            lane_width,
-            path,
-        );
-        num(&seq(get(entry, "ns_per_estimate_instance"))[idx])
-    }
-
-    /// Anchor scalar `field` (`p50_us` / `qps`) of the `net` sweep point
-    /// at `(clients, batch, coalesce_us)`.
-    fn net(&self, clients: u64, batch: u64, coalesce_us: u64, field: &str) -> f64 {
-        let configs = seq(get(self.record("net"), "configs"));
-        let point = configs
-            .iter()
-            .find(|c| {
-                num(get(c, "clients")) as u64 == clients
-                    && num(get(c, "batch")) as u64 == batch
-                    && num(get(c, "coalesce_us")) as u64 == coalesce_us
-            })
-            .unwrap_or_else(|| {
-                die(&format!(
-                    "anchor net record has no ({clients} clients, batch {batch}, coalesce {coalesce_us} µs) point"
-                ))
-            });
-        num(get(point, field))
-    }
-
-    /// Anchor amortized ns/query of the `batchq` record at `batch` queries
-    /// per call.
-    fn batchq_ns_per_query(&self, batch: u64) -> f64 {
-        let points = seq(get(self.record("batchq"), "points"));
-        let point = points
-            .iter()
-            .find(|p| num(get(p, "batch")) as u64 == batch)
-            .unwrap_or_else(|| die(&format!("anchor batchq record has no batch-{batch} point")));
-        num(get(point, "ns_per_query"))
-    }
-
-    fn record(&self, probe: &str) -> &Value {
-        self.records
-            .iter()
-            .find(|r| str_of(get(r, "probe")) == probe)
-            .unwrap_or_else(|| die(&format!("anchor file has no `{probe}` record")))
-    }
-
-    fn instance_index(&self, record: &Value) -> usize {
-        seq(get(record, "instances"))
-            .iter()
-            .position(|v| num(v) as u64 == ANCHOR_INSTANCES)
-            .unwrap_or_else(|| {
-                die(&format!(
-                    "anchor record has no {ANCHOR_INSTANCES}-instance configuration"
-                ))
-            })
+/// Judges `row` over paired passes: `parent[i]` and `change[i]` are the
+/// records each side produced in pair `i`.
+fn judge(row: &Row, parent: &[Vec<Value>], change: &[Vec<Value>]) -> Judged {
+    let values = |passes: &[Vec<Value>]| -> Option<Vec<f64>> {
+        passes.iter().map(|pass| read(row, pass)).collect()
+    };
+    let (p, c) = (values(parent), values(change));
+    let ratio = match (row.guard, &p, &c) {
+        (Guard::Slower(_) | Guard::Drop(_), Some(p), Some(c)) => {
+            let per_pair: Vec<f64> = p
+                .iter()
+                .zip(c)
+                .map(|(p, c)| match row.guard {
+                    Guard::Drop(_) => p / c,
+                    _ => c / p,
+                })
+                .collect();
+            Some(median(&per_pair))
+        }
+        _ => None,
+    };
+    let pass_if = |ok: bool| if ok { Verdict::Ok } else { Verdict::Regressed };
+    let verdict = match (row.guard, &c, ratio) {
+        (_, None, _) => Verdict::Lost,
+        (Guard::Floor(floor), Some(c), _) => pass_if(median(c) >= floor),
+        (Guard::Slower(tol) | Guard::Drop(tol), _, Some(ratio)) => pass_if(ratio <= 1.0 + tol),
+        _ => Verdict::New,
+    };
+    Judged {
+        parent: p.as_deref().map(median),
+        change: c.as_deref().map(median),
+        ratio,
+        verdict,
     }
 }
 
-/// Finds the anchor entry whose `lane_width` matches — the per-width anchor
-/// sets keyed by lane width rather than kernel name.
-fn kernel_by_width<'a>(kernels: &'a [Value], lane_width: usize, what: &str) -> &'a Value {
-    kernels
+/// The row's number in one pass's records, if they hold it.
+fn read(row: &Row, pass: &[Value]) -> Option<f64> {
+    let mut v = pass
         .iter()
-        .find(|k| num(get(k, "lane_width")) as usize == lane_width)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "anchor has no {what} kernel at {lane_width} lanes"
-            ))
-        })
-}
-
-fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
+        .find(|r| field(r, "probe").is_some_and(|tag| is(tag, row.probe)))?;
+    for step in row.path {
+        v = match (step, v) {
+            (Key(key), _) => field(v, key)?,
+            (At(i), Value::Seq(items)) => items.get(*i)?,
+            (Find(want), Value::Seq(items)) => items.iter().find(|item| {
+                want.iter()
+                    .all(|(key, text)| field(item, key).is_some_and(|f| is(f, text)))
+            })?,
+            _ => return None,
+        };
+    }
     match v {
-        Value::Map(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| die(&format!("anchor record is missing `{key}`"))),
-        other => die(&format!(
-            "expected a map with `{key}`, got {}",
-            other.kind()
-        )),
+        Value::Float(f) => Some(*f),
+        Value::Int(i) => Some(*i as f64),
+        Value::UInt(u) => Some(*u as f64),
+        _ => None,
     }
 }
 
-fn seq(v: &Value) -> &[Value] {
+fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
     match v {
-        Value::Seq(entries) => entries,
-        other => die(&format!("expected a sequence, got {}", other.kind())),
+        Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
     }
 }
 
-fn str_of(v: &Value) -> &str {
+/// Whether a string or integer field reads `text`.
+fn is(v: &Value, text: &str) -> bool {
     match v {
-        Value::Str(s) => s,
-        other => die(&format!("expected a string, got {}", other.kind())),
+        Value::Str(s) => s == text,
+        Value::UInt(u) => u.to_string() == text,
+        Value::Int(i) => i.to_string() == text,
+        _ => false,
     }
 }
 
-fn num(v: &Value) -> f64 {
-    match v {
-        Value::Float(f) => *f,
-        Value::Int(i) => *i as f64,
-        Value::UInt(u) => *u as f64,
-        other => die(&format!("expected a number, got {}", other.kind())),
+/// Median; the mean of the middle two for an even count.
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
     }
+}
+
+fn fmt(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".into(), |v| format!("{v:.3}"))
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("perf_check: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One pass's records, shaped like `perf_probe --quick` output (only
+    /// the fields the rows read, plus the scalar kernels they must skip).
+    fn pass(build: f64, qps_64: f64, b64_over_b1: f64) -> Vec<Value> {
+        let json = format!(
+            r#"[
+            {{"probe": "build", "instances": [440], "kernels": [
+                {{"kernel": "scalar", "lane_width": 1, "ns_per_obj_instance": [290.0]}},
+                {{"kernel": "wide", "lane_width": 512, "ns_per_obj_instance": [{build}]}}]}},
+            {{"probe": "estimate", "instances": [440],
+              "join_kernels": [{{"kernel": "scalar", "ns_per_estimate_instance": [9.0]}},
+                               {{"kernel": "wide", "ns_per_estimate_instance": [1.5]}}],
+              "range_kernels": [{{"kernel": "scalar", "ns_per_estimate_instance": [220.0]}},
+                                {{"kernel": "wide", "ns_per_estimate_instance": [25.0]}}]}},
+            {{"probe": "net", "configs": [
+                {{"clients": 1, "batch": 1, "coalesce_us": 0, "p50_us": 40.0, "qps": 20000.0}},
+                {{"clients": 1, "batch": 1, "coalesce_us": 200, "p50_us": 45.0, "qps": 19000.0}},
+                {{"clients": 64, "batch": 1, "coalesce_us": 0, "p50_us": 900.0, "qps": {qps_64}}},
+                {{"clients": 64, "batch": 1, "coalesce_us": 200, "p50_us": 950.0, "qps": 60000.0}}]}},
+            {{"probe": "batchq", "points": [
+                {{"batch": 1, "ns_per_query": 4000.0}},
+                {{"batch": 64, "ns_per_query": 2000.0}}],
+              "speedup_b64_over_b1": {b64_over_b1},
+              "adaptive": {{"max_level": 9, "speedup_warm_over_cold": 4.0}}}},
+            {{"probe": "rebalance", "ops": [
+                {{"op": "split", "wall_ms": 50.0}}, {{"op": "move", "wall_ms": 49.0}}],
+              "max_ingest_stall_ms": 50.0, "recovery_ratio": 1.0}}
+            ]"#
+        );
+        match serde_json::parse_value(&json).unwrap() {
+            Value::Seq(records) => records,
+            other => panic!("expected a record array, got {}", other.kind()),
+        }
+    }
+
+    fn row(name: &str) -> &'static Row {
+        ROWS.iter().find(|r| r.name == name).unwrap()
+    }
+
+    #[test]
+    fn every_row_reads_a_parent_shaped_pass() {
+        let records = pass(40.0, 50_000.0, 2.0);
+        for row in ROWS {
+            assert!(PROBES.contains(&row.probe), "{} is never run", row.probe);
+            assert!(read(row, &records).is_some(), "{} unread", row.name);
+        }
+        assert_eq!(read(row("build/wide ns/(obj·inst)"), &records), Some(40.0));
+        assert_eq!(
+            read(row("net/64conn/b1 qps (coalesce 0 µs)"), &records),
+            Some(50_000.0)
+        );
+    }
+
+    #[test]
+    fn median_ratio_over_an_even_pair_count() {
+        let build = row("build/wide ns/(obj·inst)");
+        let parent: Vec<_> = (0..4).map(|_| pass(40.0, 5e4, 2.0)).collect();
+        // Pair ratios 1.1, 1.2, 1.3, 2.0: the median is 1.25 (the mean of
+        // the middle two), at the limit, although the mean is 1.4.
+        let change: Vec<_> = [44.0, 48.0, 52.0, 80.0]
+            .iter()
+            .map(|&ns| pass(ns, 5e4, 2.0))
+            .collect();
+        let j = judge(build, &parent, &change);
+        assert!((j.ratio.unwrap() - 1.25).abs() < 1e-9);
+        assert_eq!(j.verdict, Verdict::Ok);
+        // Pair ratios 1.1, 1.2, 1.4, 2.0: median 1.3 fails.
+        let change: Vec<_> = [44.0, 48.0, 56.0, 80.0]
+            .iter()
+            .map(|&ns| pass(ns, 5e4, 2.0))
+            .collect();
+        assert_eq!(judge(build, &parent, &change).verdict, Verdict::Regressed);
+    }
+
+    #[test]
+    fn qps_rows_fail_on_a_drop_not_a_rise() {
+        let qps = row("net/64conn/b1 qps (coalesce 0 µs)");
+        let parent = vec![pass(40.0, 50_000.0, 2.0); 2];
+        let judged = |change_qps: f64| {
+            let change = vec![pass(40.0, change_qps, 2.0); 2];
+            judge(qps, &parent, &change)
+        };
+        let fell = judged(20_000.0);
+        assert!((fell.ratio.unwrap() - 2.5).abs() < 1e-9);
+        assert_eq!(fell.verdict, Verdict::Regressed);
+        assert_eq!(judged(30_000.0).verdict, Verdict::Ok);
+        assert_eq!(judged(200_000.0).verdict, Verdict::Ok);
+    }
+
+    #[test]
+    fn floors_judge_the_median_of_the_change_runs() {
+        let floor = row("batchq/b64-over-b1 speedup");
+        // The parent is not consulted, even when it reads far below.
+        let parent = vec![pass(40.0, 5e4, 0.5); 4];
+        let runs = |speedups: [f64; 4]| -> Vec<Vec<Value>> {
+            speedups.iter().map(|&s| pass(40.0, 5e4, s)).collect()
+        };
+        // One run dips to 1.16, below the 1.5 floor; the median is 1.75.
+        let j = judge(floor, &parent, &runs([1.16, 1.8, 1.9, 1.7]));
+        assert!((j.change.unwrap() - 1.75).abs() < 1e-9);
+        assert_eq!(j.verdict, Verdict::Ok);
+        let j = judge(floor, &parent, &runs([1.16, 1.2, 1.9, 1.7]));
+        assert_eq!(j.verdict, Verdict::Regressed);
+    }
+
+    #[test]
+    fn a_row_the_parent_lacks_is_new_and_passes() {
+        let split = row("rebalance/split wall ms");
+        // A parent that predates the rebalance probe.
+        let mut old = pass(40.0, 5e4, 2.0);
+        old.retain(|r| !field(r, "probe").is_some_and(|t| is(t, "rebalance")));
+        let j = judge(split, &[old.clone(), old], &vec![pass(40.0, 5e4, 2.0); 2]);
+        assert_eq!(j.verdict, Verdict::New);
+        assert!(!j.verdict.fails());
+        assert_eq!(j.parent, None);
+        assert_eq!(j.change, Some(50.0));
+    }
+
+    #[test]
+    fn a_row_the_change_lacks_fails_as_lost() {
+        let warm = row("batchq/warm-over-cold");
+        let parent = vec![pass(40.0, 5e4, 2.0); 2];
+        // One of the change's passes lost the batchq record (its run
+        // failed); the other still has it.
+        let mut failed = pass(40.0, 5e4, 2.0);
+        failed.retain(|r| !field(r, "probe").is_some_and(|t| is(t, "batchq")));
+        let j = judge(warm, &parent, &[pass(40.0, 5e4, 2.0), failed]);
+        assert_eq!(j.verdict, Verdict::Lost);
+        assert!(j.verdict.fails());
+        let qps = row("net/64conn/b1 qps (coalesce 200 µs)");
+        let mut no_net = pass(40.0, 5e4, 2.0);
+        no_net.retain(|r| !field(r, "probe").is_some_and(|t| is(t, "net")));
+        assert_eq!(
+            judge(qps, &parent, &[no_net.clone(), no_net]).verdict,
+            Verdict::Lost
+        );
+    }
 }

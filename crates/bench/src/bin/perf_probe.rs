@@ -3,10 +3,10 @@
 //! The default probe times the sketch build under both maintenance kernels
 //! (scalar oracle and the 512-lane blocked kernel; see
 //! `sketch::BuildKernel`) and appends one JSON record per run to
-//! `results/perf_probe.json` — the committed `BENCH_*.json` anchors are
+//! `results/perf_probe.json` — the committed `BENCH_*.json` files are
 //! copies of such records. Every per-kernel record carries the kernel
 //! variant, its lane width and its instance-block size, and every record
-//! carries the runtime kernel constants (the ingest worker cap), so anchors
+//! carries the runtime kernel constants (the ingest worker cap), so records
 //! stay self-describing. `--probe estimate` times the *estimation* path the
 //! same way under both query kernels (`sketch::QueryKernel`), join and
 //! range; `--probe serve` times the serving layer — router QPS vs shard count (1/2/4)
@@ -29,8 +29,13 @@
 //! before, during and after a split/merge storm, every phase asserted
 //! bit-identical to an unsharded oracle.
 //!
-//! The probe harnesses themselves live in `spatial_bench::probes`, shared
-//! with the CI `perf_check` regression guard.
+//! The probe harnesses themselves live in `spatial_bench::probes`.
+//!
+//! This CLI is the interface of the CI `perf_check` gate, which runs a
+//! parent commit's `perf_probe --quick [--probe estimate|net|batchq|rebalance]`
+//! and this commit's side by side and reads back each run's record: keep
+//! those flags and the record fields they write stable, or the next
+//! change's gate loses the rows that read them.
 //!
 //! Usage: cargo run --release -p spatial-bench --bin perf_probe
 //!        [-- --gis | --range | --quick | --probe <estimate|serve|net|batchq|rebalance>]
@@ -41,7 +46,7 @@
 use rand::SeedableRng;
 use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
-use sketch::{par_insert_batch, BoostShape, BuildKernel, QueryKernel};
+use sketch::{par_insert_batch, BoostShape};
 use spatial_bench::cli::Args;
 use spatial_bench::probes::{
     batchq_probe, build_probe, estimate_probe, net_probe, rebalance_probe, serve_probe,
@@ -66,12 +71,7 @@ fn main() {
 
     match args.get("probe") {
         Some("estimate") => {
-            estimate_probe(
-                threads,
-                shapes(ESTIMATE_SHAPES),
-                &[QueryKernel::Scalar, QueryKernel::Wide],
-                "estimate",
-            );
+            estimate_probe(threads, shapes(ESTIMATE_SHAPES));
             return;
         }
         Some("serve") => {
@@ -178,13 +178,7 @@ fn main() {
 
     // Default probe: build-throughput sweep across both kernels plus one
     // exact-join timing. Each run *appends* a record to
-    // results/perf_probe.json (the committed BENCH_*.json anchors are
+    // results/perf_probe.json (the committed BENCH_*.json files are
     // copies of such records), so successive runs stay diffable.
-    build_probe(
-        threads,
-        shapes(BUILD_SHAPES),
-        &[BuildKernel::Scalar, BuildKernel::Wide],
-        "build",
-        true,
-    );
+    build_probe(threads, shapes(BUILD_SHAPES));
 }

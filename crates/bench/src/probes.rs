@@ -1,11 +1,13 @@
-//! Reusable perf-probe harnesses: build, estimate and serve throughput
-//! sweeps with self-describing JSON records.
+//! Perf-probe harnesses behind the `perf_probe` binary: build, estimate,
+//! serve, net, batch and rebalance sweeps with self-describing JSON
+//! records.
 //!
-//! The `perf_probe` binary drives these interactively; the `perf_check`
-//! binary reruns the quick presets in CI and compares the returned records
-//! against the committed `BENCH_*.json` anchors. Every probe **appends**
-//! its record to `results/perf_probe.json` (the committed anchors are
-//! copies of such records) and returns it for in-process comparison.
+//! Every probe **appends** its record to `results/perf_probe.json` (the
+//! committed `BENCH_*.json` files are copies of such records, kept as
+//! history). The `perf_check` gate runs the quick presets of two builds as
+//! subprocesses and reads these records back, so a record's field names
+//! are read by every later commit's gate: rename or drop one only together
+//! with the row that reads it.
 
 use rand::SeedableRng;
 use serve::net::{range_query as wire_range, SketchClient, WireReply};
@@ -24,10 +26,10 @@ const ESTIMATE_PROBE_BUDGET_MS: u128 = 250;
 /// Distinct queries the estimate probe cycles on its cold range path: 16x
 /// the 64 plans one query context caches, so no query is still cached when
 /// it comes round again and every estimate compiles and evaluates cold.
-pub const COLD_RANGE_POOL: usize = 1024;
+const COLD_RANGE_POOL: usize = 1024;
 
 /// `(k1, k2)` boosting shapes of the quick build and estimate presets (the
-/// points `perf_check` reruns and anchors).
+/// points `perf_check` compares).
 pub const QUICK_SHAPES: &[(usize, usize)] = &[(88, 5)];
 
 /// Shapes of the full build sweep: 440, 2200 and 6000 instances.
@@ -38,7 +40,7 @@ pub const ESTIMATE_SHAPES: &[(usize, usize)] = &[(88, 5), (203, 5), (820, 5)];
 
 /// `(name, lane_width, block_size)` of a build kernel, recorded with every
 /// probe point.
-pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
+fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
     match kernel {
         BuildKernel::Scalar => ("scalar", 1, 1),
         BuildKernel::Wide => ("wide", 512, 512),
@@ -46,23 +48,23 @@ pub fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
 }
 
 /// `(name, lane_width, block_size)` of a query kernel.
-pub fn query_kernel_meta(kernel: QueryKernel) -> (&'static str, usize, usize) {
+fn query_kernel_meta(kernel: QueryKernel) -> (&'static str, usize, usize) {
     match kernel {
         QueryKernel::Scalar => ("scalar", 1, 1),
         QueryKernel::Wide => ("wide", 512, 512),
     }
 }
 
-/// The runtime kernel constants recorded with every probe record, so an
-/// anchor file documents the machine it was measured on.
+/// The runtime kernel constants recorded with every probe record, so a
+/// record documents the machine it was measured on.
 #[derive(serde::Serialize)]
-pub struct DispatchMeta {
+struct DispatchMeta {
     /// Workers a blocked slice ingest splits its instance blocks across.
-    pub ingest_threads: usize,
+    ingest_threads: usize,
 }
 
 /// Snapshots [`sketch::dispatch_report`] into the serializable probe form.
-pub fn dispatch_meta() -> DispatchMeta {
+fn dispatch_meta() -> DispatchMeta {
     let report = sketch::dispatch_report();
     DispatchMeta {
         ingest_threads: report.ingest_threads,
@@ -70,7 +72,7 @@ pub fn dispatch_meta() -> DispatchMeta {
 }
 
 /// Times `f` repeatedly until the budget elapses; returns ns per call.
-pub fn time_ns_per_call(mut f: impl FnMut() -> f64) -> f64 {
+fn time_ns_per_call(mut f: impl FnMut() -> f64) -> f64 {
     // Warm up (context scratch growth, branch predictors).
     let mut sink = 0.0;
     for _ in 0..3 {
@@ -112,13 +114,13 @@ pub fn range_query_workload(seed: u64, count: usize, bits: u32) -> Vec<geometry:
 
 /// Ratio of one kernel's timings over another's (higher = `faster` wins).
 #[derive(serde::Serialize)]
-pub struct Speedup {
+struct Speedup {
     /// The kernel expected to win.
-    pub faster: String,
+    faster: String,
     /// The kernel it is compared against.
-    pub baseline: String,
+    baseline: String,
     /// Baseline ns divided by faster ns, per instance configuration.
-    pub ratio_per_config: Vec<f64>,
+    ratio_per_config: Vec<f64>,
 }
 
 fn speedups_of(names: &[&'static str], ns_per_kernel: &[Vec<f64>]) -> Vec<Speedup> {
@@ -137,64 +139,61 @@ fn speedups_of(names: &[&'static str], ns_per_kernel: &[Vec<f64>]) -> Vec<Speedu
 
 /// One query kernel's estimate timings across the instance configurations.
 #[derive(serde::Serialize)]
-pub struct QueryKernelRecord {
+struct QueryKernelRecord {
     /// Kernel name (`scalar` / `wide`).
-    pub kernel: String,
+    kernel: String,
     /// Instance lanes per kernel word.
-    pub lane_width: usize,
+    lane_width: usize,
     /// Instances per evaluation block.
-    pub block_size: usize,
+    block_size: usize,
     /// Whole-estimate latency per configuration.
-    pub ns_per_estimate: Vec<f64>,
+    ns_per_estimate: Vec<f64>,
     /// Latency normalized per boosting instance.
-    pub ns_per_estimate_instance: Vec<f64>,
+    ns_per_estimate_instance: Vec<f64>,
 }
 
 /// The `--probe estimate` record: join and range estimation throughput.
 #[derive(serde::Serialize)]
-pub struct EstimateProbeRecord {
-    /// Probe tag (`estimate` / `ci-estimate`).
-    pub probe: String,
+struct EstimateProbeRecord {
+    /// Probe tag (`estimate`).
+    probe: String,
     /// Objects summarized per sketch.
-    pub objects: usize,
+    objects: usize,
     /// Data-domain bits per dimension.
-    pub domain_bits: u32,
+    domain_bits: u32,
     /// Instance counts probed.
-    pub instances: Vec<usize>,
+    instances: Vec<usize>,
     /// The runtime dispatch decision on the probing machine.
-    pub dispatch: DispatchMeta,
+    dispatch: DispatchMeta,
     /// Join-path timings per kernel.
-    pub join_kernels: Vec<QueryKernelRecord>,
+    join_kernels: Vec<QueryKernelRecord>,
     /// Adjacent-kernel ratios (wide over scalar).
-    pub join_speedups: Vec<Speedup>,
+    join_speedups: Vec<Speedup>,
     /// Cold range-path timings per kernel: no query repeats within the
     /// plan cache's reach, so every estimate compiles its plan and runs the
     /// blocked ξ cover kernel (the path every first query takes).
-    pub range_kernels: Vec<QueryKernelRecord>,
+    range_kernels: Vec<QueryKernelRecord>,
     /// Adjacent-kernel ratios for the cold range path.
-    pub range_speedups: Vec<Speedup>,
+    range_speedups: Vec<Speedup>,
     /// Warm range-path timings per kernel: a recurring set of 8 queries,
     /// answered from their plans' query-product memos.
-    pub range_warm_kernels: Vec<QueryKernelRecord>,
+    range_warm_kernels: Vec<QueryKernelRecord>,
 }
 
-/// Estimation-path throughput under the given query kernels, for the join
-/// (counter-product combine) and range (query-side ξ sums) paths, appended
-/// to `results/perf_probe.json` like the build probe. The range path is
-/// timed cold (a pool of [`COLD_RANGE_POOL`] queries, far more than one
-/// context's plan cache holds, so every lookup misses) and warm (8 recurring
-/// queries, answered from their memos), at every `(k1, k2)` of `configs`.
-pub fn estimate_probe(
-    threads: usize,
-    configs: &[(usize, usize)],
-    kernels: &[QueryKernel],
-    probe: &str,
-) -> EstimateProbeRecord {
+/// Estimation-path throughput under both query kernels (scalar oracle and
+/// `wide`), for the join (counter-product combine) and range (query-side
+/// ξ sums) paths, appended to `results/perf_probe.json` like the build
+/// probe. The range path is timed cold (a pool of `COLD_RANGE_POOL`
+/// queries, far more than one context's plan cache holds, so every lookup
+/// misses) and warm (8 recurring queries, answered from their memos), at
+/// every `(k1, k2)` of `configs`.
+pub fn estimate_probe(threads: usize, configs: &[(usize, usize)]) {
+    let kernels = [QueryKernel::Scalar, QueryKernel::Wide];
     let bits = 14u32;
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(20_000, bits, 0.0, 5).generate();
     let mut record = EstimateProbeRecord {
-        probe: probe.into(),
+        probe: "estimate".into(),
         objects: data.len(),
         domain_bits: bits,
         instances: configs.iter().map(|&(k1, k2)| k1 * k2).collect(),
@@ -206,7 +205,7 @@ pub fn estimate_probe(
         range_warm_kernels: Vec::new(),
     };
 
-    for &kernel in kernels {
+    for kernel in kernels {
         let (name, lane_width, block_size) = query_kernel_meta(kernel);
         let mut join_rec = QueryKernelRecord {
             kernel: name.into(),
@@ -311,63 +310,57 @@ pub fn estimate_probe(
     }
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
-    record
 }
 
 /// One build kernel's timings across the instance configurations.
 #[derive(serde::Serialize)]
-pub struct KernelRecord {
+struct KernelRecord {
     /// Kernel name (`scalar` / `wide`).
-    pub kernel: String,
+    kernel: String,
     /// Instance lanes per kernel word.
-    pub lane_width: usize,
+    lane_width: usize,
     /// Instances per evaluation block.
-    pub block_size: usize,
+    block_size: usize,
     /// Whole-build wall time per configuration.
-    pub build_secs: Vec<f64>,
+    build_secs: Vec<f64>,
     /// Build cost normalized per object and instance.
-    pub ns_per_obj_instance: Vec<f64>,
+    ns_per_obj_instance: Vec<f64>,
 }
 
 /// The default-probe record: build throughput per maintenance kernel.
 #[derive(serde::Serialize)]
-pub struct BuildProbeRecord {
-    /// Probe tag (`build` / `ci-build`).
-    pub probe: String,
+struct BuildProbeRecord {
+    /// Probe tag (`build`).
+    probe: String,
     /// Objects ingested per build.
-    pub objects: usize,
+    objects: usize,
     /// Data-domain bits per dimension.
-    pub domain_bits: u32,
+    domain_bits: u32,
     /// Worker threads used for the parallel build.
-    pub threads: usize,
+    threads: usize,
     /// Instance counts probed.
-    pub instances: Vec<usize>,
+    instances: Vec<usize>,
     /// The runtime dispatch decision on the probing machine.
-    pub dispatch: DispatchMeta,
+    dispatch: DispatchMeta,
     /// Per-kernel timings.
-    pub kernels: Vec<KernelRecord>,
+    kernels: Vec<KernelRecord>,
     /// Adjacent-kernel ratios (wide over scalar).
-    pub speedups: Vec<Speedup>,
-    /// `None` (serialized as null) when the probe skips the exact join.
-    pub exact_join_pairs: Option<u64>,
-    /// Exact-join wall time, when measured.
-    pub exact_join_secs: Option<f64>,
+    speedups: Vec<Speedup>,
+    /// Pairs the 50K × 50K exact join found.
+    exact_join_pairs: u64,
+    /// Exact-join wall time.
+    exact_join_secs: f64,
 }
 
-/// Build-throughput sweep per maintenance kernel at every `(k1, k2)` of
-/// `configs`; optionally one exact-join timing. Appends a record to
-/// `results/perf_probe.json`.
-pub fn build_probe(
-    threads: usize,
-    configs: &[(usize, usize)],
-    kernels: &[BuildKernel],
-    probe: &str,
-    exact: bool,
-) -> BuildProbeRecord {
+/// Build-throughput sweep under both maintenance kernels (scalar oracle
+/// and `wide`) at every `(k1, k2)` of `configs`, plus one exact-join
+/// timing. Appends a record to `results/perf_probe.json`.
+pub fn build_probe(threads: usize, configs: &[(usize, usize)]) {
+    let kernels = [BuildKernel::Scalar, BuildKernel::Wide];
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(50_000, 14, 0.0, 1).generate();
     let mut record = BuildProbeRecord {
-        probe: probe.into(),
+        probe: "build".into(),
         objects: data.len(),
         domain_bits: 14,
         threads,
@@ -375,10 +368,10 @@ pub fn build_probe(
         dispatch: dispatch_meta(),
         kernels: Vec::new(),
         speedups: Vec::new(),
-        exact_join_pairs: None,
-        exact_join_secs: None,
+        exact_join_pairs: 0,
+        exact_join_secs: 0.0,
     };
-    for &kernel in kernels {
+    for kernel in kernels {
         let (name, lane_width, block_size) = build_kernel_meta(kernel);
         let mut rec = KernelRecord {
             kernel: name.into(),
@@ -423,19 +416,16 @@ pub fn build_probe(
             s.faster, s.baseline, s.ratio_per_config
         );
     }
-    if exact {
-        let s: Vec<geometry::HyperRect<2>> =
-            datagen::SyntheticSpec::paper(50_000, 14, 0.0, 2).generate();
-        let t = Instant::now();
-        let c = exact::rect_join_count(&data, &s);
-        let el = t.elapsed();
-        println!("exact join 50K x 50K: {c} pairs in {el:?}");
-        record.exact_join_pairs = Some(c);
-        record.exact_join_secs = Some(el.as_secs_f64());
-    }
+    let s: Vec<geometry::HyperRect<2>> =
+        datagen::SyntheticSpec::paper(50_000, 14, 0.0, 2).generate();
+    let t = Instant::now();
+    let c = exact::rect_join_count(&data, &s);
+    let el = t.elapsed();
+    println!("exact join 50K x 50K: {c} pairs in {el:?}");
+    record.exact_join_pairs = c;
+    record.exact_join_secs = el.as_secs_f64();
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
-    record
 }
 
 /// One `(clients, batch, coalesce_us)` configuration's measurements in the
@@ -448,63 +438,63 @@ pub fn build_probe(
 /// clients (fixed round counts, so the workload itself is deterministic;
 /// only the timings vary with the machine).
 #[derive(serde::Serialize)]
-pub struct NetConfigPoint {
+struct NetConfigPoint {
     /// Concurrent client connections.
-    pub clients: usize,
+    clients: usize,
     /// Queries per batch frame.
-    pub batch: usize,
+    batch: usize,
     /// Cross-connection coalescing window active on the server
     /// (microseconds; `0` = coalescing off, drain immediately).
-    pub coalesce_us: u64,
+    coalesce_us: u64,
     /// Frames each client keeps in flight (1 = blocking round-trips, the
     /// pure-RTT measurement; deeper pipelines measure wire throughput the
     /// way a real caller drives the front-end). Latencies at depth > 1 are
     /// frame *turnaround* times — they include queueing behind the
     /// connection's own earlier frames.
-    pub pipeline: usize,
+    pipeline: usize,
     /// Batch round-trips per client.
-    pub rounds_per_client: usize,
+    rounds_per_client: usize,
     /// Median batch round-trip latency, microseconds.
-    pub p50_us: f64,
+    p50_us: f64,
     /// 99th-percentile batch round-trip latency, microseconds.
-    pub p99_us: f64,
+    p99_us: f64,
     /// 99.9th-percentile batch round-trip latency, microseconds.
-    pub p999_us: f64,
+    p999_us: f64,
     /// Aggregate queries per second across all clients (batch answers
     /// count each query once).
-    pub qps: f64,
+    qps: f64,
     /// Queries the server evaluated (its own counter; shed queries are
     /// counted separately and were zero if `shed` is zero).
-    pub served: u64,
+    served: u64,
     /// Queries shed at admission during the run.
-    pub shed: u64,
+    shed: u64,
     /// Worker passes the workers ran — `served / batches` is the realized
     /// coalescing factor (queries amortized per context pass).
-    pub batches: u64,
+    batches: u64,
 }
 
 /// The `--probe net` record: a sweep of the TCP front-end over connection
 /// counts × coalescing windows, each configuration against a fresh server
 /// with concurrent ingest churning epochs underneath.
 #[derive(serde::Serialize)]
-pub struct NetProbeRecord {
+struct NetProbeRecord {
     /// Probe tag (`net`).
-    pub probe: String,
+    probe: String,
     /// Objects summarized in the served store.
-    pub objects: usize,
+    objects: usize,
     /// Data-domain bits per dimension.
-    pub domain_bits: u32,
+    domain_bits: u32,
     /// Boosting instances per sketch.
-    pub instances: usize,
+    instances: usize,
     /// The runtime dispatch decision on the probing machine.
-    pub dispatch: DispatchMeta,
+    dispatch: DispatchMeta,
     /// Reactor threads multiplexing connections in every configuration.
-    pub reactors: usize,
+    reactors: usize,
     /// One measurement per swept `(clients, batch, coalesce_us)` point.
-    pub configs: Vec<NetConfigPoint>,
+    configs: Vec<NetConfigPoint>,
     /// Store epochs swapped in by the concurrent-ingest writer across the
     /// whole sweep.
-    pub ingest_epochs: u64,
+    ingest_epochs: u64,
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -630,7 +620,7 @@ fn net_config_point<const D: usize>(
 /// against a fresh real TCP server, with a writer swapping epochs in for
 /// every measurement window. Appends a record to
 /// `results/perf_probe.json`.
-pub fn net_probe(quick: bool) -> NetProbeRecord {
+pub fn net_probe(quick: bool) {
     let bits = 14u32;
     let objects = if quick { 5_000 } else { 20_000 };
     let data: Vec<geometry::HyperRect<2>> =
@@ -724,33 +714,32 @@ pub fn net_probe(quick: bool) -> NetProbeRecord {
     );
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
-    record
 }
 
 /// Compiled-plan cache counters recorded with the batch probe — the
 /// serializable mirror of [`sketch::PlanCacheReport`]: the plan LRU and
 /// the query-product memos its hot plans carry.
 #[derive(serde::Serialize)]
-pub struct PlanCacheMeta {
+struct PlanCacheMeta {
     /// Plan cache hits.
-    pub single_hits: u64,
+    single_hits: u64,
     /// Plan cache misses (cold compiles).
-    pub single_misses: u64,
+    single_misses: u64,
     /// Plans evicted by the LRU.
-    pub single_evictions: u64,
+    single_evictions: u64,
     /// Query-product memos filled (once per plan, on its first hit).
-    pub memo_fills: u64,
+    memo_fills: u64,
     /// Estimates answered from an already-filled memo.
-    pub memo_reuses: u64,
+    memo_reuses: u64,
     /// Memoized plans evicted (memo freed with the plan).
-    pub memo_dropped: u64,
+    memo_dropped: u64,
     /// Memo bytes held by the cached plans at the snapshot.
-    pub memo_resident_bytes: u64,
+    memo_resident_bytes: u64,
 }
 
 /// Snapshots a [`sketch::PlanCacheReport`] into the serializable probe
 /// form.
-pub fn plan_cache_meta(report: &sketch::PlanCacheReport) -> PlanCacheMeta {
+fn plan_cache_meta(report: &sketch::PlanCacheReport) -> PlanCacheMeta {
     PlanCacheMeta {
         single_hits: report.single.hits,
         single_misses: report.single.misses,
@@ -764,13 +753,13 @@ pub fn plan_cache_meta(report: &sketch::PlanCacheReport) -> PlanCacheMeta {
 
 /// One batch size's timings in the `--probe batchq` sweep.
 #[derive(serde::Serialize)]
-pub struct BatchPoint {
+struct BatchPoint {
     /// Queries per `estimate_batch_with` call.
-    pub batch: usize,
+    batch: usize,
     /// Amortized latency per query at this batch size.
-    pub ns_per_query: f64,
+    ns_per_query: f64,
     /// Latency normalized per query and boosting instance.
-    pub ns_per_query_instance: f64,
+    ns_per_query_instance: f64,
 }
 
 /// The `--probe batchq` sweep's warm-vs-cold pair on an adaptive-`maxLevel`
@@ -778,50 +767,50 @@ pub struct BatchPoint {
 /// shape answered from query-product memos (a recurring hot set) and from
 /// never-repeating queries (every plan compiled and its covers evaluated).
 #[derive(serde::Serialize)]
-pub struct AdaptiveBatchPoints {
+struct AdaptiveBatchPoints {
     /// The §6.5 adaptive `maxLevel` the sketch was built with.
-    pub max_level: u32,
+    max_level: u32,
     /// Queries per `estimate_batch_with` call at both points.
-    pub batch: usize,
+    batch: usize,
     /// Amortized latency per query over the warm hot set: every plan is
     /// cached with its memo filled, so each answer is one counter dot
     /// product per instance.
-    pub warm_ns_per_query: f64,
+    warm_ns_per_query: f64,
     /// Amortized latency per query when no query ever repeats: plan
     /// compiles, one per-plan cover fill per query, LRU churn.
-    pub cold_ns_per_query: f64,
+    cold_ns_per_query: f64,
     /// `cold_ns_per_query / warm_ns_per_query`: how much a warm query
     /// saves over a cold one.
-    pub speedup_warm_over_cold: f64,
+    speedup_warm_over_cold: f64,
 }
 
 /// The `--probe batchq` record: batch entry-point throughput vs the
 /// sequential single-query path, over a serving-shaped hot set.
 #[derive(serde::Serialize)]
-pub struct BatchProbeRecord {
+struct BatchProbeRecord {
     /// Probe tag (`batchq`).
-    pub probe: String,
+    probe: String,
     /// Objects summarized per sketch.
-    pub objects: usize,
+    objects: usize,
     /// Data-domain bits per dimension.
-    pub domain_bits: u32,
+    domain_bits: u32,
     /// Boosting instances per sketch.
-    pub instances: usize,
+    instances: usize,
     /// The runtime dispatch decision on the probing machine.
-    pub dispatch: DispatchMeta,
+    dispatch: DispatchMeta,
     /// Distinct queries in the cycled hot set.
-    pub query_set: usize,
+    query_set: usize,
     /// Amortized per-query timings at each batch size over the hot set on
     /// the fully dyadic sketch (batch 1 takes the sequential single-query
     /// path — the baseline the batch amortizes).
-    pub points: Vec<BatchPoint>,
+    points: Vec<BatchPoint>,
     /// Batch-1 ns/query over batch-64 ns/query: how much cheaper each
     /// query gets when a whole batch is answered in one call.
-    pub speedup_b64_over_b1: f64,
+    speedup_b64_over_b1: f64,
     /// Plan-cache counters accumulated across the `points` sweep.
-    pub plan_cache: PlanCacheMeta,
+    plan_cache: PlanCacheMeta,
     /// Warm (memo) vs cold (per-plan fill) on an adaptive-`maxLevel` sketch.
-    pub adaptive: AdaptiveBatchPoints,
+    adaptive: AdaptiveBatchPoints,
 }
 
 /// The hot-set shape every batchq point uses: ranges, with every 8th query
@@ -849,7 +838,7 @@ fn batchq_queries(rects: &[geometry::HyperRect<2>]) -> Vec<BatchQuery<2>> {
 /// adaptive-`maxLevel` sketch times batch-8 calls warm (hot set, memos
 /// filled) and cold (never-repeating queries, per-plan fills). Appends a
 /// record to `results/perf_probe.json`.
-pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
+pub fn batchq_probe(threads: usize, quick: bool) {
     let bits = 14u32;
     let objects = if quick { 5_000 } else { 20_000 };
     let data: Vec<geometry::HyperRect<2>> =
@@ -970,7 +959,6 @@ pub fn batchq_probe(threads: usize, quick: bool) -> BatchProbeRecord {
     };
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
-    record
 }
 
 /// Answers one batch, returning the sum of its estimates (a sink the
@@ -989,46 +977,46 @@ fn answer_sum(
 
 /// One shard count's serve-path throughput.
 #[derive(serde::Serialize)]
-pub struct ServeShardPoint {
+struct ServeShardPoint {
     /// Shards in the store.
-    pub shards: usize,
+    shards: usize,
     /// Warm-path range-query latency through router + pooled context.
-    pub range_ns_per_query: f64,
+    range_ns_per_query: f64,
     /// `1e9 / range_ns_per_query` — the steady-state single-core QPS.
-    pub range_qps: f64,
+    range_qps: f64,
     /// Ingest cost per object through the store (staging clone + epoch
     /// swap included).
-    pub ingest_ns_per_obj: f64,
+    ingest_ns_per_obj: f64,
 }
 
 /// The `--probe serve` record: router QPS vs shard count against the
 /// direct single-sketch baseline.
 #[derive(serde::Serialize)]
-pub struct ServeProbeRecord {
+struct ServeProbeRecord {
     /// Probe tag (`serve`).
-    pub probe: String,
+    probe: String,
     /// Objects summarized.
-    pub objects: usize,
+    objects: usize,
     /// Data-domain bits per dimension.
-    pub domain_bits: u32,
+    domain_bits: u32,
     /// Boosting instances per sketch.
-    pub instances: usize,
+    instances: usize,
     /// The runtime dispatch decision on the probing machine.
-    pub dispatch: DispatchMeta,
+    dispatch: DispatchMeta,
     /// Distinct queries cycled (exercises the compiled-plan cache the way
     /// a serving hot set would).
-    pub query_set: usize,
+    query_set: usize,
     /// Direct `RangeQuery::estimate_with` latency on an unsharded sketch —
     /// the floor the router should stay within epsilon of between ingests.
-    pub unsharded_ns_per_query: f64,
+    unsharded_ns_per_query: f64,
     /// Per-shard-count timings.
-    pub shard_points: Vec<ServeShardPoint>,
+    shard_points: Vec<ServeShardPoint>,
 }
 
 /// Serve-path throughput: steady-state router QPS (warm merged view, warm
 /// plan cache) and ingest/swap cost, per shard count. Appends a record to
 /// `results/perf_probe.json`.
-pub fn serve_probe(threads: usize, quick: bool) -> ServeProbeRecord {
+pub fn serve_probe(threads: usize, quick: bool) {
     let bits = 14u32;
     let objects = if quick { 5_000 } else { 20_000 };
     let data: Vec<geometry::HyperRect<2>> =
@@ -1099,24 +1087,23 @@ pub fn serve_probe(threads: usize, quick: bool) -> ServeProbeRecord {
     }
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
-    record
 }
 
 /// One online topology operation's cost, as measured by the rebalance
 /// probe.
 #[derive(serde::Serialize)]
-pub struct RebalanceOpPoint {
+struct RebalanceOpPoint {
     /// Operation kind (`split` / `move` / `merge`).
-    pub op: String,
+    op: String,
     /// Wall time of the operation: journal replay of the rebuilt shards
     /// (merges skip it) plus the atomic epoch swap.
-    pub wall_ms: f64,
+    wall_ms: f64,
     /// Longest single `insert_slice` a concurrent ingest thread observed
     /// while the operation ran — the write-path cutover pause (topology
     /// changes hold the writer lock; queries never wait on it).
-    pub ingest_stall_ms: f64,
+    ingest_stall_ms: f64,
     /// Shard count after the operation.
-    pub shards_after: usize,
+    shards_after: usize,
 }
 
 /// The `--probe rebalance` record: online split / boundary-move / merge
@@ -1124,40 +1111,40 @@ pub struct RebalanceOpPoint {
 /// and after the topology churn. Every phase is asserted bit-identical to
 /// an unsharded oracle before timing moves on.
 #[derive(serde::Serialize)]
-pub struct RebalanceProbeRecord {
+struct RebalanceProbeRecord {
     /// Probe tag (`rebalance`).
-    pub probe: String,
+    probe: String,
     /// Objects summarized and journaled — the replay-cost driver, so
-    /// anchors for this probe are preset-specific (CI compares quick runs
-    /// against a quick-preset anchor).
-    pub objects: usize,
+    /// records of this probe compare only within one preset (CI compares
+    /// quick runs with quick runs).
+    objects: usize,
     /// Data-domain bits per dimension.
-    pub domain_bits: u32,
+    domain_bits: u32,
     /// Boosting instances per sketch.
-    pub instances: usize,
+    instances: usize,
     /// The runtime dispatch decision on the probing machine.
-    pub dispatch: DispatchMeta,
+    dispatch: DispatchMeta,
     /// Distinct queries cycled through the router.
-    pub query_set: usize,
+    query_set: usize,
     /// Warm routed QPS before any topology change (2 shards).
-    pub qps_before: f64,
+    qps_before: f64,
     /// Per-operation timings: a split at an unaligned cut, a boundary
     /// move, and a merge, in that order.
-    pub ops: Vec<RebalanceOpPoint>,
+    ops: Vec<RebalanceOpPoint>,
     /// Worst write-path stall across the measured operations — the
     /// headline cutover-pause number.
-    pub max_ingest_stall_ms: f64,
+    max_ingest_stall_ms: f64,
     /// Warm routed QPS measured while a split/merge storm churned the
     /// topology. Reads never pause for a cutover, so this should stay
     /// near `qps_before`.
-    pub qps_during_storm: f64,
+    qps_during_storm: f64,
     /// Topology operations completed during the storm window.
-    pub storm_ops: usize,
+    storm_ops: usize,
     /// Warm routed QPS after the churn settled back to 2 shards.
-    pub qps_after: f64,
+    qps_after: f64,
     /// `qps_after / qps_before` — CI holds this above a floor: topology
     /// churn must not leave the read path degraded.
-    pub recovery_ratio: f64,
+    recovery_ratio: f64,
 }
 
 /// Rebalance-path probe: cost of online split / boundary-move / merge on a
@@ -1165,7 +1152,7 @@ pub struct RebalanceProbeRecord {
 /// QPS before / during / after the churn — with bit-match assertions
 /// against an unsharded oracle at every step. Appends a record to
 /// `results/perf_probe.json`.
-pub fn rebalance_probe(threads: usize, quick: bool) -> RebalanceProbeRecord {
+pub fn rebalance_probe(threads: usize, quick: bool) {
     use rand::Rng as _;
     let bits = 14u32;
     let objects = if quick { 5_000 } else { 20_000 };
@@ -1364,5 +1351,4 @@ pub fn rebalance_probe(threads: usize, quick: bool) -> RebalanceProbeRecord {
 
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
-    record
 }
