@@ -27,10 +27,7 @@ struct Record {
 }
 
 fn main() {
-    let args = Args::parse(&[]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse(&[], &["size", "trials", "threads"]);
     let size: usize = args.get_or("size", 20_000).expect("--size");
     let trials: u32 = args.get_or("trials", 3).expect("--trials");
     let threads: usize = args

@@ -38,10 +38,7 @@ struct Record {
 }
 
 fn main() {
-    let args = Args::parse(&["paper-scale"]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse(&["paper-scale"], &["zipf", "trials", "threads"]);
     let zipf: f64 = args.get_or("zipf", 0.0).expect("--zipf");
     let trials: u32 = args.get_or("trials", 3).expect("--trials");
     let threads: usize = args

@@ -35,10 +35,7 @@ struct Record {
 }
 
 fn main() {
-    let args = Args::parse(&["paper-scale"]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse(&["paper-scale"], &["epsilon", "phi", "threads"]);
     let epsilon: f64 = args.get_or("epsilon", 0.3).expect("--epsilon");
     let phi: f64 = args.get_or("phi", 0.01).expect("--phi");
     let threads: usize = args

@@ -100,10 +100,7 @@ fn run_pair(pair: &str, budgets: &[f64], trials: u32, threads: usize, seed: u64)
 }
 
 fn main() {
-    let args = Args::parse(&["paper-scale"]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse(&["paper-scale"], &["pair", "trials", "threads", "seed"]);
     let pair = args.get("pair").unwrap_or("all").to_string();
     let trials: u32 = args.get_or("trials", 2).expect("--trials");
     let threads: usize = args

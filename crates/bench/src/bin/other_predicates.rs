@@ -46,10 +46,7 @@ fn lattice_rects(n: usize, bits: u32, grid: u64, seed: u64) -> Vec<HyperRect<2>>
 }
 
 fn main() {
-    let args = Args::parse(&[]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse(&[], &["size", "trials", "threads"]);
     let size: usize = args.get_or("size", 8_000).expect("--size");
     let trials: u32 = args.get_or("trials", 3).expect("--trials");
     let threads: usize = args

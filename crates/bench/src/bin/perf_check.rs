@@ -75,11 +75,12 @@ use std::process::Command;
 use std::time::Instant;
 use Step::{At, Find, Key};
 
-/// Parent/change pairs per gate run. A pair of all five quick probes takes
-/// ~32 s on a 2-vCPU VM (build ~7.5 s, estimate ~3 s, net ~3 s, batchq
-/// ~1.5 s, rebalance ~1 s per side), so six pairs keep a gate run at
-/// 3.5–4 min there.
-const PAIRS: usize = 6;
+/// Parent/change pairs per gate run. One side's five quick probes take
+/// ~7 s on a 2-vCPU VM (build ~0.8 s, estimate ~1.2 s, net ~2.5 s, batchq
+/// ~1.5 s, rebalance ~1.1 s), so ten pairs take ~2.5 min there, or ~3.7
+/// min against a parent whose build and estimate probes still time the
+/// scalar kernels (~15 s a side).
+const PAIRS: usize = 10;
 
 /// The probes the rows read, by record tag; `build` is `perf_probe`'s
 /// default probe, the rest are `--probe <tag>`.
@@ -229,7 +230,7 @@ const ROWS: &[Row] = &[
 ];
 
 fn main() {
-    let args = spatial_bench::cli::Args::parse(&[]).unwrap_or_else(|e| die(&e));
+    let args = spatial_bench::cli::Args::parse(&[], &["parent"]);
     let parent = PathBuf::from(
         args.get("parent")
             .unwrap_or_else(|| die("usage: perf_check --parent <built parent checkout>")),
@@ -467,18 +468,35 @@ fn die(msg: &str) -> ! {
 mod tests {
     use super::*;
 
-    /// One pass's records, shaped like `perf_probe --quick` output (only
-    /// the fields the rows read, plus the scalar kernels they must skip).
+    /// One pass's records, shaped like the `perf_probe --quick` output of a
+    /// parent that still times the scalar kernels: only the fields the rows
+    /// read, plus the scalar kernels they must skip.
     fn pass(build: f64, qps_64: f64, b64_over_b1: f64) -> Vec<Value> {
+        pass_of(true, build, qps_64, b64_over_b1)
+    }
+
+    /// One pass's records; `parent_shaped` adds the scalar kernels, the
+    /// speedups and the exact-join fields that older probes recorded.
+    fn pass_of(parent_shaped: bool, build: f64, qps_64: f64, b64_over_b1: f64) -> Vec<Value> {
+        let (scalar_build, scalar_join, scalar_range, extras) = if parent_shaped {
+            (
+                r#"{"kernel": "scalar", "lane_width": 1, "ns_per_obj_instance": [290.0]},"#,
+                r#"{"kernel": "scalar", "ns_per_estimate_instance": [9.0]},"#,
+                r#"{"kernel": "scalar", "ns_per_estimate_instance": [220.0]},"#,
+                r#""speedups": [{"faster": "wide", "baseline": "scalar", "ratio_per_config": [7.0]}],
+                   "exact_join_pairs": 1000, "exact_join_secs": 0.5,"#,
+            )
+        } else {
+            ("", "", "", "")
+        };
         let json = format!(
             r#"[
-            {{"probe": "build", "instances": [440], "kernels": [
-                {{"kernel": "scalar", "lane_width": 1, "ns_per_obj_instance": [290.0]}},
+            {{"probe": "build", "instances": [440], {extras} "kernels": [{scalar_build}
                 {{"kernel": "wide", "lane_width": 512, "ns_per_obj_instance": [{build}]}}]}},
             {{"probe": "estimate", "instances": [440],
-              "join_kernels": [{{"kernel": "scalar", "ns_per_estimate_instance": [9.0]}},
+              "join_kernels": [{scalar_join}
                                {{"kernel": "wide", "ns_per_estimate_instance": [1.5]}}],
-              "range_kernels": [{{"kernel": "scalar", "ns_per_estimate_instance": [220.0]}},
+              "range_kernels": [{scalar_range}
                                 {{"kernel": "wide", "ns_per_estimate_instance": [25.0]}}]}},
             {{"probe": "net", "configs": [
                 {{"clients": 1, "batch": 1, "coalesce_us": 0, "p50_us": 40.0, "qps": 20000.0}},
@@ -517,6 +535,36 @@ mod tests {
             read(row("net/64conn/b1 qps (coalesce 0 µs)"), &records),
             Some(50_000.0)
         );
+    }
+
+    #[test]
+    fn every_row_reads_a_change_shaped_pass() {
+        // Wide-only kernels, no speedups, exact-join or serve records: a
+        // trim that drops a field some row walks fails here.
+        let records = pass_of(false, 40.0, 50_000.0, 2.0);
+        for key in ["speedups", "exact_join_pairs", "exact_join_secs"] {
+            assert!(field(&records[0], key).is_none());
+        }
+        for row in ROWS {
+            assert!(read(row, &records).is_some(), "{} unread", row.name);
+        }
+        assert_eq!(read(row("build/wide ns/(obj·inst)"), &records), Some(40.0));
+        assert_eq!(
+            read(row("estimate/range-cold/wide ns/(est·inst)"), &records),
+            Some(25.0)
+        );
+        // The parent-shaped pass reads the same numbers, so a parent that
+        // still times the scalar kernels pairs row for row with the change.
+        let parent = vec![pass(40.0, 50_000.0, 2.0); 2];
+        let change = vec![records; 2];
+        for row in ROWS {
+            assert_eq!(
+                judge(row, &parent, &change).verdict,
+                Verdict::Ok,
+                "{}",
+                row.name
+            );
+        }
     }
 
     #[test]

@@ -31,10 +31,7 @@ struct Record {
 }
 
 fn main() {
-    let args = Args::parse(&[]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = Args::parse(&[], &["size", "queries", "trials", "threads"]);
     let size: usize = args.get_or("size", 30_000).expect("--size");
     let queries: usize = args.get_or("queries", 40).expect("--queries");
     let trials: u32 = args.get_or("trials", 2).expect("--trials");

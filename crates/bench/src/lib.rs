@@ -14,7 +14,8 @@
 //! | `endpoint_strategies` | Section 5.2 vs Appendix C |
 //! | `dimensionality` | Section 6.1 curse of dimensionality |
 //! | `other_predicates` | Appendix B: overlap+ and containment joins |
-//! | `perf_probe` | build/throughput smoke numbers |
+//! | `perf_probe` | build/estimate/net/batch/rebalance probes the `perf_check` gate pairs |
+//! | `perf_check` | paired change-vs-parent perf-regression gate |
 //!
 //! Binaries print aligned tables and write CSV/JSON under `results/`.
 //! Default workload sizes are scaled down to finish in seconds-to-minutes;

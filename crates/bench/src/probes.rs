@@ -1,6 +1,10 @@
 //! Perf-probe harnesses behind the `perf_probe` binary: build, estimate,
-//! serve, net, batch and rebalance sweeps with self-describing JSON
-//! records.
+//! net, batch and rebalance sweeps with self-describing JSON records.
+//!
+//! Each probe times what a `perf_check` row reads or a gate floor needs,
+//! and no more: the build and estimate probes time only the blocked
+//! (`wide`) kernels, whose scalar oracles the differential suites and the
+//! `estimator_throughput` bench cover.
 //!
 //! Every probe **appends** its record to `results/perf_probe.json` (the
 //! committed `BENCH_*.json` files are copies of such records, kept as
@@ -37,23 +41,6 @@ pub const BUILD_SHAPES: &[(usize, usize)] = &[(88, 5), (440, 5), (1200, 5)];
 
 /// Shapes of the full estimate sweep: 440, 1015 and 4100 instances.
 pub const ESTIMATE_SHAPES: &[(usize, usize)] = &[(88, 5), (203, 5), (820, 5)];
-
-/// `(name, lane_width, block_size)` of a build kernel, recorded with every
-/// probe point.
-fn build_kernel_meta(kernel: BuildKernel) -> (&'static str, usize, usize) {
-    match kernel {
-        BuildKernel::Scalar => ("scalar", 1, 1),
-        BuildKernel::Wide => ("wide", 512, 512),
-    }
-}
-
-/// `(name, lane_width, block_size)` of a query kernel.
-fn query_kernel_meta(kernel: QueryKernel) -> (&'static str, usize, usize) {
-    match kernel {
-        QueryKernel::Scalar => ("scalar", 1, 1),
-        QueryKernel::Wide => ("wide", 512, 512),
-    }
-}
 
 /// The runtime kernel constants recorded with every probe record, so a
 /// record documents the machine it was measured on.
@@ -92,9 +79,10 @@ fn time_ns_per_call(mut f: impl FnMut() -> f64) -> f64 {
 }
 
 /// Seeded random range queries over a 2-d `2^bits` domain (side lengths
-/// `n/8 + U[0, n/4)`): the shared workload the estimate probe, the serve
-/// probe and the `serve_throughput` bench all cycle, so their numbers stay
-/// comparable — tweak the shape here and every consumer moves together.
+/// `n/8 + U[0, n/4)`): the shared workload the estimate, net, batch and
+/// rebalance probes and the `serve_throughput` bench all cycle, so their
+/// numbers stay comparable — tweak the shape here and every consumer moves
+/// together.
 pub fn range_query_workload(seed: u64, count: usize, bits: u32) -> Vec<geometry::HyperRect<2>> {
     use rand::Rng as _;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -112,47 +100,42 @@ pub fn range_query_workload(seed: u64, count: usize, bits: u32) -> Vec<geometry:
         .collect()
 }
 
-/// Ratio of one kernel's timings over another's (higher = `faster` wins).
-#[derive(serde::Serialize)]
-struct Speedup {
-    /// The kernel expected to win.
-    faster: String,
-    /// The kernel it is compared against.
-    baseline: String,
-    /// Baseline ns divided by faster ns, per instance configuration.
-    ratio_per_config: Vec<f64>,
-}
+/// The one kernel every probe times, the 512-lane blocked kernel, as its
+/// records tag it: the `perf_check` rows find their numbers under
+/// `kernel: "wide"`.
+const WIDE: &str = "wide";
 
-fn speedups_of(names: &[&'static str], ns_per_kernel: &[Vec<f64>]) -> Vec<Speedup> {
-    (1..names.len())
-        .map(|i| Speedup {
-            faster: names[i].into(),
-            baseline: names[i - 1].into(),
-            ratio_per_config: ns_per_kernel[i - 1]
-                .iter()
-                .zip(ns_per_kernel[i].iter())
-                .map(|(base, fast)| base / fast)
-                .collect(),
-        })
-        .collect()
-}
-
-/// One query kernel's estimate timings across the instance configurations.
+/// The query kernel's estimate timings across the instance configurations.
 #[derive(serde::Serialize)]
 struct QueryKernelRecord {
-    /// Kernel name (`scalar` / `wide`).
+    /// Kernel name (`wide`).
     kernel: String,
     /// Instance lanes per kernel word.
     lane_width: usize,
-    /// Instances per evaluation block.
-    block_size: usize,
     /// Whole-estimate latency per configuration.
     ns_per_estimate: Vec<f64>,
     /// Latency normalized per boosting instance.
     ns_per_estimate_instance: Vec<f64>,
 }
 
-/// The `--probe estimate` record: join and range estimation throughput.
+impl QueryKernelRecord {
+    fn wide() -> Self {
+        Self {
+            kernel: WIDE.into(),
+            lane_width: fourwise::LaneWord::LANES,
+            ns_per_estimate: Vec::new(),
+            ns_per_estimate_instance: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, ns: f64, instances: usize) {
+        self.ns_per_estimate.push(ns);
+        self.ns_per_estimate_instance.push(ns / instances as f64);
+    }
+}
+
+/// The `--probe estimate` record: join and cold range estimation
+/// throughput.
 #[derive(serde::Serialize)]
 struct EstimateProbeRecord {
     /// Probe tag (`estimate`).
@@ -165,169 +148,93 @@ struct EstimateProbeRecord {
     instances: Vec<usize>,
     /// The runtime dispatch decision on the probing machine.
     dispatch: DispatchMeta,
-    /// Join-path timings per kernel.
+    /// Join-path timings.
     join_kernels: Vec<QueryKernelRecord>,
-    /// Adjacent-kernel ratios (wide over scalar).
-    join_speedups: Vec<Speedup>,
-    /// Cold range-path timings per kernel: no query repeats within the
-    /// plan cache's reach, so every estimate compiles its plan and runs the
-    /// blocked ξ cover kernel (the path every first query takes).
+    /// Cold range-path timings: no query repeats within the plan cache's
+    /// reach, so every estimate compiles its plan and runs the blocked ξ
+    /// cover kernel (the path every first query takes).
     range_kernels: Vec<QueryKernelRecord>,
-    /// Adjacent-kernel ratios for the cold range path.
-    range_speedups: Vec<Speedup>,
-    /// Warm range-path timings per kernel: a recurring set of 8 queries,
-    /// answered from their plans' query-product memos.
-    range_warm_kernels: Vec<QueryKernelRecord>,
 }
 
-/// Estimation-path throughput under both query kernels (scalar oracle and
-/// `wide`), for the join (counter-product combine) and range (query-side
-/// ξ sums) paths, appended to `results/perf_probe.json` like the build
-/// probe. The range path is timed cold (a pool of `COLD_RANGE_POOL`
-/// queries, far more than one context's plan cache holds, so every lookup
-/// misses) and warm (8 recurring queries, answered from their memos), at
-/// every `(k1, k2)` of `configs`.
+/// Estimation-path throughput under the blocked query kernel, for the join
+/// (counter-product combine) and cold range (query-side ξ sums) paths, at
+/// every `(k1, k2)` of `configs`. The range path cycles a pool of
+/// `COLD_RANGE_POOL` queries, far more than one context's plan cache holds,
+/// so every lookup misses. Appends a record to `results/perf_probe.json`.
 pub fn estimate_probe(threads: usize, configs: &[(usize, usize)]) {
-    let kernels = [QueryKernel::Scalar, QueryKernel::Wide];
     let bits = 14u32;
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(20_000, bits, 0.0, 5).generate();
-    let mut record = EstimateProbeRecord {
+    let queries = range_query_workload(9, COLD_RANGE_POOL, bits);
+    let (mut join_rec, mut range_rec) = (QueryKernelRecord::wide(), QueryKernelRecord::wide());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    for &(k1, k2) in configs {
+        let instances = k1 * k2;
+        let join = SpatialJoin::<2>::new(
+            &mut rng,
+            SketchConfig::new(k1, k2),
+            [bits, bits],
+            EndpointStrategy::Transform,
+        );
+        let mut r = join.new_sketch_r();
+        let mut s = join.new_sketch_s();
+        par_insert_batch(&mut r, &data, threads).unwrap();
+        par_insert_batch(&mut s, &data[..10_000], threads).unwrap();
+        let mut ctx = QueryContext::new().with_kernel(QueryKernel::Wide);
+        let ns = time_ns_per_call(|| join.estimate_with(&mut ctx, &r, &s).unwrap().value);
+        println!(
+            "join   wide kernel, instances {instances}: {ns:.0} ns/estimate ({:.2} ns/(est.inst))",
+            ns / instances as f64
+        );
+        join_rec.push(ns, instances);
+
+        let rq = sketch::RangeQuery::<2>::new(
+            &mut rng,
+            SketchConfig::new(k1, k2),
+            [bits, bits],
+            sketch::RangeStrategy::Transform,
+        );
+        let mut sk = rq.new_sketch();
+        par_insert_batch(&mut sk, &data, threads).unwrap();
+        let mut qi = 0usize;
+        let ns = time_ns_per_call(|| {
+            qi = (qi + 1) % queries.len();
+            rq.estimate_with(&mut ctx, &sk, &queries[qi]).unwrap().value
+        });
+        println!(
+            "range  wide kernel cold, instances {instances}: {ns:.0} ns/estimate ({:.2} ns/(est.inst))",
+            ns / instances as f64
+        );
+        range_rec.push(ns, instances);
+    }
+    let record = EstimateProbeRecord {
         probe: "estimate".into(),
         objects: data.len(),
         domain_bits: bits,
         instances: configs.iter().map(|&(k1, k2)| k1 * k2).collect(),
         dispatch: dispatch_meta(),
-        join_kernels: Vec::new(),
-        join_speedups: Vec::new(),
-        range_kernels: Vec::new(),
-        range_speedups: Vec::new(),
-        range_warm_kernels: Vec::new(),
+        join_kernels: vec![join_rec],
+        range_kernels: vec![range_rec],
     };
-
-    for kernel in kernels {
-        let (name, lane_width, block_size) = query_kernel_meta(kernel);
-        let mut join_rec = QueryKernelRecord {
-            kernel: name.into(),
-            lane_width,
-            block_size,
-            ns_per_estimate: Vec::new(),
-            ns_per_estimate_instance: Vec::new(),
-        };
-        let mut range_rec = QueryKernelRecord {
-            kernel: name.into(),
-            lane_width,
-            block_size,
-            ns_per_estimate: Vec::new(),
-            ns_per_estimate_instance: Vec::new(),
-        };
-        let mut range_warm_rec = QueryKernelRecord {
-            kernel: name.into(),
-            lane_width,
-            block_size,
-            ns_per_estimate: Vec::new(),
-            ns_per_estimate_instance: Vec::new(),
-        };
-        // Fresh RNG per kernel: all kernels see identical schema draws.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for &(k1, k2) in configs {
-            let instances = k1 * k2;
-            let join = SpatialJoin::<2>::new(
-                &mut rng,
-                SketchConfig::new(k1, k2),
-                [bits, bits],
-                EndpointStrategy::Transform,
-            );
-            let mut r = join.new_sketch_r();
-            let mut s = join.new_sketch_s();
-            par_insert_batch(&mut r, &data, threads).unwrap();
-            par_insert_batch(&mut s, &data[..10_000], threads).unwrap();
-            let mut ctx = QueryContext::new().with_kernel(kernel);
-            let ns = time_ns_per_call(|| join.estimate_with(&mut ctx, &r, &s).unwrap().value);
-            println!(
-                "join   {kernel:?} kernel, instances {instances}: {ns:.0} ns/estimate ({:.2} ns/(est.inst))",
-                ns / instances as f64
-            );
-            join_rec.ns_per_estimate.push(ns);
-            join_rec
-                .ns_per_estimate_instance
-                .push(ns / instances as f64);
-
-            let rq = sketch::RangeQuery::<2>::new(
-                &mut rng,
-                SketchConfig::new(k1, k2),
-                [bits, bits],
-                sketch::RangeStrategy::Transform,
-            );
-            let mut sk = rq.new_sketch();
-            par_insert_batch(&mut sk, &data, threads).unwrap();
-            for (temp, pool, rec) in [
-                ("cold", COLD_RANGE_POOL, &mut range_rec),
-                ("warm", 8, &mut range_warm_rec),
-            ] {
-                let queries = range_query_workload(9, pool, bits);
-                let mut qi = 0usize;
-                let ns = time_ns_per_call(|| {
-                    qi = (qi + 1) % queries.len();
-                    rq.estimate_with(&mut ctx, &sk, &queries[qi]).unwrap().value
-                });
-                println!(
-                    "range  {kernel:?} kernel {temp}, instances {instances}: {ns:.0} ns/estimate ({:.2} ns/(est.inst))",
-                    ns / instances as f64
-                );
-                rec.ns_per_estimate.push(ns);
-                rec.ns_per_estimate_instance.push(ns / instances as f64);
-            }
-        }
-        record.join_kernels.push(join_rec);
-        record.range_kernels.push(range_rec);
-        record.range_warm_kernels.push(range_warm_rec);
-    }
-    let names: Vec<&'static str> = kernels.iter().map(|&k| query_kernel_meta(k).0).collect();
-    let join_ns: Vec<Vec<f64>> = record
-        .join_kernels
-        .iter()
-        .map(|k| k.ns_per_estimate.clone())
-        .collect();
-    let range_ns: Vec<Vec<f64>> = record
-        .range_kernels
-        .iter()
-        .map(|k| k.ns_per_estimate.clone())
-        .collect();
-    record.join_speedups = speedups_of(&names, &join_ns);
-    record.range_speedups = speedups_of(&names, &range_ns);
-    for s in &record.join_speedups {
-        println!(
-            "join  {} speedup over {}: {:?}",
-            s.faster, s.baseline, s.ratio_per_config
-        );
-    }
-    for s in &record.range_speedups {
-        println!(
-            "range {} speedup over {}: {:?}",
-            s.faster, s.baseline, s.ratio_per_config
-        );
-    }
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
 }
 
-/// One build kernel's timings across the instance configurations.
+/// The build kernel's timings across the instance configurations.
 #[derive(serde::Serialize)]
 struct KernelRecord {
-    /// Kernel name (`scalar` / `wide`).
+    /// Kernel name (`wide`).
     kernel: String,
     /// Instance lanes per kernel word.
     lane_width: usize,
-    /// Instances per evaluation block.
-    block_size: usize,
     /// Whole-build wall time per configuration.
     build_secs: Vec<f64>,
     /// Build cost normalized per object and instance.
     ns_per_obj_instance: Vec<f64>,
 }
 
-/// The default-probe record: build throughput per maintenance kernel.
+/// The default-probe record: build throughput of the blocked maintenance
+/// kernel.
 #[derive(serde::Serialize)]
 struct BuildProbeRecord {
     /// Probe tag (`build`).
@@ -342,88 +249,50 @@ struct BuildProbeRecord {
     instances: Vec<usize>,
     /// The runtime dispatch decision on the probing machine.
     dispatch: DispatchMeta,
-    /// Per-kernel timings.
+    /// Build timings.
     kernels: Vec<KernelRecord>,
-    /// Adjacent-kernel ratios (wide over scalar).
-    speedups: Vec<Speedup>,
-    /// Pairs the 50K × 50K exact join found.
-    exact_join_pairs: u64,
-    /// Exact-join wall time.
-    exact_join_secs: f64,
 }
 
-/// Build-throughput sweep under both maintenance kernels (scalar oracle
-/// and `wide`) at every `(k1, k2)` of `configs`, plus one exact-join
-/// timing. Appends a record to `results/perf_probe.json`.
+/// Build-throughput sweep under the blocked maintenance kernel at every
+/// `(k1, k2)` of `configs`. Appends a record to `results/perf_probe.json`.
 pub fn build_probe(threads: usize, configs: &[(usize, usize)]) {
-    let kernels = [BuildKernel::Scalar, BuildKernel::Wide];
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(50_000, 14, 0.0, 1).generate();
-    let mut record = BuildProbeRecord {
+    let mut rec = KernelRecord {
+        kernel: WIDE.into(),
+        lane_width: fourwise::LaneWord::LANES,
+        build_secs: Vec::new(),
+        ns_per_obj_instance: Vec::new(),
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    for &(k1, k2) in configs {
+        let join = SpatialJoin::<2>::new(
+            &mut rng,
+            SketchConfig::new(k1, k2),
+            [14, 14],
+            EndpointStrategy::Transform,
+        );
+        let mut r = join.new_sketch_r().with_kernel(BuildKernel::Wide);
+        let t = Instant::now();
+        par_insert_batch(&mut r, &data, threads).unwrap();
+        let el = t.elapsed();
+        let ns = el.as_nanos() as f64 / (data.len() as f64 * (k1 * k2) as f64);
+        println!(
+            "wide kernel, instances {}: {el:?} total, {ns:.1} ns/(obj.inst)",
+            k1 * k2
+        );
+        rec.build_secs.push(el.as_secs_f64());
+        rec.ns_per_obj_instance.push(ns);
+    }
+    let record = BuildProbeRecord {
         probe: "build".into(),
         objects: data.len(),
         domain_bits: 14,
         threads,
         instances: configs.iter().map(|&(k1, k2)| k1 * k2).collect(),
         dispatch: dispatch_meta(),
-        kernels: Vec::new(),
-        speedups: Vec::new(),
-        exact_join_pairs: 0,
-        exact_join_secs: 0.0,
+        kernels: vec![rec],
     };
-    for kernel in kernels {
-        let (name, lane_width, block_size) = build_kernel_meta(kernel);
-        let mut rec = KernelRecord {
-            kernel: name.into(),
-            lane_width,
-            block_size,
-            build_secs: Vec::new(),
-            ns_per_obj_instance: Vec::new(),
-        };
-        // Fresh RNG per kernel: all kernels see identical schema draws.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        for &(k1, k2) in configs {
-            let join = SpatialJoin::<2>::new(
-                &mut rng,
-                SketchConfig::new(k1, k2),
-                [14, 14],
-                EndpointStrategy::Transform,
-            );
-            let mut r = join.new_sketch_r().with_kernel(kernel);
-            let t = Instant::now();
-            par_insert_batch(&mut r, &data, threads).unwrap();
-            let el = t.elapsed();
-            let ns = el.as_nanos() as f64 / (data.len() as f64 * (k1 * k2) as f64);
-            println!(
-                "{kernel:?} kernel, instances {}: {el:?} total, {ns:.1} ns/(obj.inst)",
-                k1 * k2
-            );
-            rec.build_secs.push(el.as_secs_f64());
-            rec.ns_per_obj_instance.push(ns);
-        }
-        record.kernels.push(rec);
-    }
-    let names: Vec<&'static str> = kernels.iter().map(|&k| build_kernel_meta(k).0).collect();
-    let ns: Vec<Vec<f64>> = record
-        .kernels
-        .iter()
-        .map(|k| k.ns_per_obj_instance.clone())
-        .collect();
-    record.speedups = speedups_of(&names, &ns);
-    for s in &record.speedups {
-        println!(
-            "build {} speedup over {}: {:?}",
-            s.faster, s.baseline, s.ratio_per_config
-        );
-    }
-    let s: Vec<geometry::HyperRect<2>> =
-        datagen::SyntheticSpec::paper(50_000, 14, 0.0, 2).generate();
-    let t = Instant::now();
-    let c = exact::rect_join_count(&data, &s);
-    let el = t.elapsed();
-    println!("exact join 50K x 50K: {c} pairs in {el:?}");
-    record.exact_join_pairs = c;
-    record.exact_join_secs = el.as_secs_f64();
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());
 }
@@ -973,120 +842,6 @@ fn answer_sum(
         .iter()
         .map(|r| r.as_ref().unwrap().value)
         .sum()
-}
-
-/// One shard count's serve-path throughput.
-#[derive(serde::Serialize)]
-struct ServeShardPoint {
-    /// Shards in the store.
-    shards: usize,
-    /// Warm-path range-query latency through router + pooled context.
-    range_ns_per_query: f64,
-    /// `1e9 / range_ns_per_query` — the steady-state single-core QPS.
-    range_qps: f64,
-    /// Ingest cost per object through the store (staging clone + epoch
-    /// swap included).
-    ingest_ns_per_obj: f64,
-}
-
-/// The `--probe serve` record: router QPS vs shard count against the
-/// direct single-sketch baseline.
-#[derive(serde::Serialize)]
-struct ServeProbeRecord {
-    /// Probe tag (`serve`).
-    probe: String,
-    /// Objects summarized.
-    objects: usize,
-    /// Data-domain bits per dimension.
-    domain_bits: u32,
-    /// Boosting instances per sketch.
-    instances: usize,
-    /// The runtime dispatch decision on the probing machine.
-    dispatch: DispatchMeta,
-    /// Distinct queries cycled (exercises the compiled-plan cache the way
-    /// a serving hot set would).
-    query_set: usize,
-    /// Direct `RangeQuery::estimate_with` latency on an unsharded sketch —
-    /// the floor the router should stay within epsilon of between ingests.
-    unsharded_ns_per_query: f64,
-    /// Per-shard-count timings.
-    shard_points: Vec<ServeShardPoint>,
-}
-
-/// Serve-path throughput: steady-state router QPS (warm merged view, warm
-/// plan cache) and ingest/swap cost, per shard count. Appends a record to
-/// `results/perf_probe.json`.
-pub fn serve_probe(threads: usize, quick: bool) {
-    let bits = 14u32;
-    let objects = if quick { 5_000 } else { 20_000 };
-    let data: Vec<geometry::HyperRect<2>> =
-        datagen::SyntheticSpec::paper(objects, bits, 0.0, 5).generate();
-    let (k1, k2) = (203usize, 5usize);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let rq = sketch::RangeQuery::<2>::new(
-        &mut rng,
-        SketchConfig::new(k1, k2),
-        [bits, bits],
-        sketch::RangeStrategy::Transform,
-    );
-    let queries = range_query_workload(9, 32, bits);
-
-    // Unsharded baseline.
-    let mut oracle = rq.new_sketch();
-    par_insert_batch(&mut oracle, &data, threads).unwrap();
-    let mut octx = QueryContext::new();
-    let mut qi = 0usize;
-    let base_ns = time_ns_per_call(|| {
-        qi = (qi + 1) % queries.len();
-        rq.estimate_with(&mut octx, &oracle, &queries[qi])
-            .unwrap()
-            .value
-    });
-    println!(
-        "serve  unsharded baseline: {base_ns:.0} ns/query ({:.0} qps)",
-        1e9 / base_ns
-    );
-
-    let mut record = ServeProbeRecord {
-        probe: "serve".into(),
-        objects: data.len(),
-        domain_bits: bits,
-        instances: k1 * k2,
-        dispatch: dispatch_meta(),
-        query_set: queries.len(),
-        unsharded_ns_per_query: base_ns,
-        shard_points: Vec::new(),
-    };
-    for shards in [1usize, 2, 4] {
-        let store = ShardedStore::like(&oracle, shards);
-        // Ingest in serving-sized batches; time the staging + swap path.
-        let t = Instant::now();
-        for chunk in data.chunks(512) {
-            store.insert_slice(chunk).unwrap();
-        }
-        let ingest_ns = t.elapsed().as_nanos() as f64 / data.len() as f64;
-        let router = QueryRouter::new();
-        let pool = ContextPool::new(1);
-        let mut qi = 0usize;
-        let ns = time_ns_per_call(|| {
-            qi = (qi + 1) % queries.len();
-            pool.with(|ctx| router.estimate_range(&rq, &store, ctx, &queries[qi]))
-                .unwrap()
-                .value
-        });
-        println!(
-            "serve  {shards} shard(s): {ns:.0} ns/query ({:.0} qps), ingest {ingest_ns:.0} ns/obj",
-            1e9 / ns
-        );
-        record.shard_points.push(ServeShardPoint {
-            shards,
-            range_ns_per_query: ns,
-            range_qps: 1e9 / ns,
-            ingest_ns_per_obj: ingest_ns,
-        });
-    }
-    let path = crate::report::append_json("perf_probe", &record);
-    println!("appended to {}", path.display());
 }
 
 /// One online topology operation's cost, as measured by the rebalance

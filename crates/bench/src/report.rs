@@ -3,7 +3,8 @@
 
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::fs;
+use std::fs::{self, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Workspace-level results directory (created on demand).
@@ -133,16 +134,44 @@ pub fn write_json<T: Serialize>(name: &str, record: &T) -> PathBuf {
 
 /// Appends a JSON experiment record to `results/<name>.json`, keeping the
 /// file a JSON *array* with one entry per run so successive probe runs are
-/// diffable instead of overwriting each other. A pre-existing single-record
-/// file (the old `write_json` format) is absorbed as the first entry; an
-/// unparseable file is moved aside to `<name>.json.corrupt` (never silently
-/// discarded) before a fresh array is started.
+/// diffable instead of overwriting each other.
+///
+/// The record is spliced in place of the array's closing `]`, so an append
+/// costs O(record), not O(file): the existing entries are neither parsed
+/// nor rewritten. A file that does not look like an array (first non-blank
+/// byte `[`, last `]`) is parsed whole: a single record (the old
+/// `write_json` format) is absorbed as the first entry, and an unparseable
+/// file — a truncated array included — is moved aside to
+/// `<name>.json.corrupt` (never silently discarded) before a fresh array is
+/// started.
 pub fn append_json<T: Serialize>(name: &str, record: &T) -> PathBuf {
     let path = results_dir().join(format!("{name}.json"));
-    let mut records: Vec<serde::Value> = match fs::read_to_string(&path) {
-        Ok(text) => match serde_json::parse_value(&text) {
-            Ok(serde::Value::Seq(entries)) => entries,
-            Ok(single) => vec![single],
+    ensure_parent(&path);
+    let open = |truncate: bool| {
+        OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(truncate)
+            .open(&path)
+            .expect("open records file")
+    };
+    let mut file = open(false);
+    let len = file.metadata().expect("stat records file").len();
+    let scan = |file: &mut fs::File, end, forward| {
+        non_blank(file, end, forward).expect("read records file")
+    };
+    let first = scan(&mut file, len, true);
+    let last = scan(&mut file, len, false);
+    // Where the new entry goes, and what precedes it there.
+    let (at, lead) = match (first, last) {
+        (None, _) => (0, "[\n".to_string()),
+        (Some((_, b'[')), Some((close, b']'))) => {
+            let empty = scan(&mut file, close, false).map(|(_, b)| b) == Some(b'[');
+            (close, if empty { "\n" } else { ",\n" }.to_string())
+        }
+        _ => match serde_json::parse_value(&fs::read_to_string(&path).unwrap_or_default()) {
+            Ok(single) => (0, format!("[\n  {},\n", indented(&single))),
             Err(e) => {
                 let aside = results_dir().join(format!("{name}.json.corrupt"));
                 fs::rename(&path, &aside).expect("preserve unparseable records file");
@@ -151,16 +180,47 @@ pub fn append_json<T: Serialize>(name: &str, record: &T) -> PathBuf {
                     path.display(),
                     aside.display()
                 );
-                Vec::new()
+                file = open(true);
+                (0, "[\n".to_string())
             }
         },
-        Err(_) => Vec::new(),
     };
-    records.push(serde::ser::to_value(record).expect("serialize record"));
-    let body = serde_json::to_string_pretty(&records).expect("serialize records");
-    ensure_parent(&path);
-    fs::write(&path, body).expect("write json");
+    file.set_len(at).expect("truncate records file");
+    file.seek(SeekFrom::Start(at)).expect("seek records file");
+    file.write_all(format!("{lead}  {}\n]\n", indented(record)).as_bytes())
+        .expect("write json");
     path
+}
+
+/// A record pretty-printed one level deep, as an array entry.
+fn indented<T: Serialize + ?Sized>(record: &T) -> String {
+    serde_json::to_string_pretty(record)
+        .expect("serialize record")
+        .replace('\n', "\n  ")
+}
+
+/// The first (`forward`) or last non-whitespace byte of `file` before
+/// offset `end`, with its offset, reading in small chunks from that end.
+fn non_blank(file: &mut fs::File, end: u64, forward: bool) -> std::io::Result<Option<(u64, u8)>> {
+    let mut buf = [0u8; 256];
+    let mut done = 0u64;
+    while done < end {
+        let n = (end - done).min(buf.len() as u64) as usize;
+        let at = if forward { done } else { end - done - n as u64 };
+        file.seek(SeekFrom::Start(at))?;
+        file.read_exact(&mut buf[..n])?;
+        let chunk = &buf[..n];
+        let hit = if forward {
+            chunk.iter().position(|b| !b.is_ascii_whitespace())
+        } else {
+            chunk.iter().rposition(|b| !b.is_ascii_whitespace())
+        };
+        if let Some(i) = hit {
+            return Ok(Some((at + i as u64, chunk[i])));
+        }
+        done += n as u64;
+    }
+    Ok(None)
 }
 
 /// Relative error of an estimate against the truth (`|est - truth| / truth`);
@@ -230,32 +290,48 @@ mod tests {
         #[derive(serde::Serialize)]
         struct Rec {
             run: u32,
+            tags: Vec<&'static str>,
         }
-        let name = "append_json_test";
-        let path = results_dir().join(format!("{name}.json"));
-        let _ = std::fs::remove_file(&path);
-        // Legacy single-record file is absorbed as the first entry.
-        write_json(name, &Rec { run: 0 });
-        append_json(name, &Rec { run: 1 });
-        append_json(name, &Rec { run: 2 });
-        let text = std::fs::read_to_string(&path).unwrap();
-        let runs: Vec<Rec2> = serde_json::from_str(&text).unwrap();
-        assert_eq!(runs.iter().map(|r| r.run).collect::<Vec<_>>(), [0, 1, 2]);
-
-        // A corrupt file is preserved aside, not silently discarded.
-        std::fs::write(&path, "{not json").unwrap();
-        append_json(name, &Rec { run: 9 });
-        let aside = results_dir().join(format!("{name}.json.corrupt"));
-        assert_eq!(std::fs::read_to_string(&aside).unwrap(), "{not json");
-        let runs: Vec<Rec2> =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(runs.iter().map(|r| r.run).collect::<Vec<_>>(), [9]);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&aside);
-
         #[derive(serde::Deserialize)]
         struct Rec2 {
             run: u32,
         }
+        let rec = |run| Rec {
+            run,
+            tags: vec!["a", "b"],
+        };
+        let name = "append_json_test";
+        let path = results_dir().join(format!("{name}.json"));
+        let aside = results_dir().join(format!("{name}.json.corrupt"));
+        let runs = || -> Vec<u32> {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let runs: Vec<Rec2> = serde_json::from_str(&text).unwrap();
+            runs.iter().map(|r| r.run).collect()
+        };
+        let _ = std::fs::remove_file(&path);
+        // Legacy single-record file is absorbed as the first entry, and
+        // every later append splices into the array in place.
+        write_json(name, &rec(0));
+        for run in 1..200 {
+            append_json(name, &rec(run));
+        }
+        assert_eq!(runs(), (0..200).collect::<Vec<_>>());
+
+        // An empty array, with trailing blank lines, takes its first entry.
+        std::fs::write(&path, " [ ]\n\n").unwrap();
+        append_json(name, &rec(5));
+        append_json(name, &rec(6));
+        assert_eq!(runs(), [5, 6]);
+
+        // A corrupt file is preserved aside, not silently discarded; so is
+        // an array cut off mid-write.
+        for corrupt in ["{not json", "[\n  {\"run\": 1},\n  {\"ru"] {
+            std::fs::write(&path, corrupt).unwrap();
+            append_json(name, &rec(9));
+            assert_eq!(std::fs::read_to_string(&aside).unwrap(), corrupt);
+            assert_eq!(runs(), [9]);
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&aside);
     }
 }
