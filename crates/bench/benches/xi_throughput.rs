@@ -1,14 +1,14 @@
 //! Microbench: four-wise independent variable generation — the innermost
-//! operation of every sketch update. Compares the BCH construction (with
-//! and without shared cube precomputation) against the cubic-polynomial
-//! family, the bit-sliced evaluation of a full 512-lane block (the width
-//! the blocked kernels run), plus the GF(2^k) cube itself.
+//! operation of every sketch update. Times the BCH construction with and
+//! without shared cube precomputation, the bit-sliced evaluation of a full
+//! 512-lane block (the width the blocked kernels run) against the same
+//! lanes evaluated one family at a time, plus the GF(2^k) cube itself.
 //! The `cover_sum` groups time one bit-sliced cover sum on the cover shapes
 //! the kernels see, at a full and a partly filled 512-lane block.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dyadic::{interval_cover, point_cover, DyadicDomain};
-use fourwise::{LaneCounter, LaneWord, XiBlock, XiContext, XiFamily, XiKind, XiSeed};
+use fourwise::{BchBlock, BchFamily, BchSeed, LaneCounter, LaneWord, XiContext};
 use geometry::Interval;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,30 +23,27 @@ fn bench_xi(c: &mut Criterion) {
     let mut group = c.benchmark_group("xi_generation");
     group.throughput(Throughput::Elements(indices.len() as u64));
 
-    for kind in [XiKind::Bch, XiKind::Poly] {
-        let ctx = XiContext::new(kind, bits);
-        let fam = ctx.family(ctx.random_seed(&mut rng));
-        let pres: Vec<_> = indices.iter().map(|&i| ctx.precompute(i)).collect();
-
-        group.bench_function(format!("{kind:?}/precomputed"), |b| {
-            b.iter(|| {
-                let mut acc = 0i64;
-                for p in &pres {
-                    acc += fam.xi_pre(black_box(*p));
-                }
-                acc
-            })
-        });
-        group.bench_function(format!("{kind:?}/standalone"), |b| {
-            b.iter(|| {
-                let mut acc = 0i64;
-                for &i in &indices {
-                    acc += fam.xi(black_box(i));
-                }
-                acc
-            })
-        });
-    }
+    let ctx = XiContext::new(bits);
+    let fam = ctx.family(ctx.random_seed(&mut rng));
+    let pres: Vec<_> = indices.iter().map(|&i| ctx.precompute(i)).collect();
+    group.bench_function("Bch/precomputed", |b| {
+        b.iter(|| {
+            let mut acc = 0i64;
+            for p in &pres {
+                acc += fam.xi_pre(black_box(*p));
+            }
+            acc
+        })
+    });
+    group.bench_function("Bch/standalone", |b| {
+        b.iter(|| {
+            let mut acc = 0i64;
+            for &i in &indices {
+                acc += fam.xi(black_box(i));
+            }
+            acc
+        })
+    });
     group.finish();
 
     // Block evaluation: a whole lane word of instances per pass (the
@@ -56,33 +53,28 @@ fn bench_xi(c: &mut Criterion) {
     group.throughput(Throughput::Elements(
         indices.len() as u64 * LaneWord::LANES as u64,
     ));
-    for kind in [XiKind::Bch, XiKind::Poly] {
-        let ctx = XiContext::new(kind, bits);
-        let seeds: Vec<XiSeed> = (0..LaneWord::LANES)
-            .map(|_| ctx.random_seed(&mut rng))
-            .collect();
-        let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
-        let block = XiBlock::pack(&ctx, &seeds);
-        let pres: Vec<_> = indices.iter().map(|&i| ctx.precompute(i)).collect();
-
-        group.bench_function(format!("{kind:?}/bitsliced"), |b| {
-            let mut counter = LaneCounter::new();
-            let mut sums = vec![0i64; LaneWord::LANES];
-            b.iter(|| {
-                block.sum_pre_into(black_box(&pres), &mut counter, &mut sums);
-                sums[0]
-            })
-        });
-        group.bench_function(format!("{kind:?}/scalar_lanes"), |b| {
-            b.iter(|| {
-                let mut acc = 0i64;
-                for fam in &fams {
-                    acc += fam.sum_pre(black_box(&pres));
-                }
-                acc
-            })
-        });
-    }
+    let seeds: Vec<BchSeed> = (0..LaneWord::LANES)
+        .map(|_| ctx.random_seed(&mut rng))
+        .collect();
+    let fams: Vec<BchFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
+    let block = BchBlock::pack(&ctx, &seeds);
+    group.bench_function("Bch/bitsliced", |b| {
+        let mut counter = LaneCounter::new();
+        let mut sums = vec![0i64; LaneWord::LANES];
+        b.iter(|| {
+            block.sum_pre_into(black_box(&pres), &mut counter, &mut sums);
+            sums[0]
+        })
+    });
+    group.bench_function("Bch/scalar_lanes", |b| {
+        b.iter(|| {
+            let mut acc = 0i64;
+            for fam in &fams {
+                acc += fam.sum_pre(black_box(&pres));
+            }
+            acc
+        })
+    });
     group.finish();
 
     // Cover sums on the shapes the kernels fold, over a 2^16 domain: a cold
@@ -99,11 +91,10 @@ fn bench_xi(c: &mut Criterion) {
         ("point_cover", point_cover(&domain, 12_345, 8)),
         ("level8_run", (256 + 40..256 + 110).collect()),
     ];
-    let ctx = XiContext::new(XiKind::Bch, bits);
     for lanes in [LaneWord::LANES, 160] {
         let mut group = c.benchmark_group(format!("cover_sum_{lanes}lanes"));
-        let seeds: Vec<XiSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
-        let block = XiBlock::pack(&ctx, &seeds);
+        let seeds: Vec<BchSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
+        let block = BchBlock::pack(&ctx, &seeds);
         for (name, ids) in &shapes {
             let pres: Vec<_> = ids.iter().map(|&i| ctx.precompute(i)).collect();
             group.throughput(Throughput::Elements(pres.len() as u64));
@@ -120,7 +111,6 @@ fn bench_xi(c: &mut Criterion) {
     }
 
     // The shared per-index precomputation itself (table-hit path).
-    let ctx = XiContext::new(XiKind::Bch, bits);
     let mut group = c.benchmark_group("cube_precompute");
     group.throughput(Throughput::Elements(indices.len() as u64));
     group.bench_function("tabulated", |b| {

@@ -75,7 +75,6 @@ fn main() {
         for t in 0..trials {
             let mut rng = rand::rngs::StdRng::seed_from_u64(70 + 13 * t as u64);
             let config = SketchConfig {
-                kind: fourwise::XiKind::Bch,
                 shape,
                 max_level: Some(ml),
             };

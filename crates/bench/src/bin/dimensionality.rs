@@ -71,7 +71,6 @@ fn run_dim<const D: usize>(
     for t in 0..trials {
         let mut rng = rand::rngs::StdRng::seed_from_u64(10_000 + 7 * t as u64 + D as u64);
         let config = SketchConfig {
-            kind: fourwise::XiKind::Bch,
             shape,
             max_level: Some(max_level),
         };

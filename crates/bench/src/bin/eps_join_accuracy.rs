@@ -70,7 +70,6 @@ fn main() {
                 // cube extent (2ε) so point covers stop sharing high levels.
                 let max_level = sketch::plan::adaptive_max_level(2.0 * eps as f64, bits);
                 let config = SketchConfig {
-                    kind: fourwise::XiKind::Bch,
                     shape,
                     max_level: Some(max_level),
                 };

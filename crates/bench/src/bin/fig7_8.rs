@@ -111,7 +111,6 @@ fn main() {
         use rand::SeedableRng as _;
         let mut rng = rand::rngs::StdRng::seed_from_u64(900 + i as u64);
         let config = SketchConfig {
-            kind: fourwise::XiKind::Bch,
             shape,
             max_level: Some(max_level),
         };

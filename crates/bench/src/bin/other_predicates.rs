@@ -59,7 +59,6 @@ fn main() {
     let shape = BoostShape::new(400, 5);
     let max_level = plan::adaptive_max_level(mean_sketch_extent(&[&r, &s]), bits + 2);
     let config = SketchConfig {
-        kind: fourwise::XiKind::Bch,
         shape,
         max_level: Some(max_level),
     };

@@ -70,7 +70,6 @@ pub fn sketch_join_estimate_2d(
     let mut rng = StdRng::seed_from_u64(seed);
     let max_level = plan::adaptive_max_level(mean_sketch_extent(&[r, s]), data_bits + 2);
     let config = SketchConfig {
-        kind: fourwise::XiKind::Bch,
         shape,
         max_level: Some(max_level),
     };

@@ -792,19 +792,13 @@ mod tests {
     use super::*;
     use crate::comp::ie_words;
     use crate::schema::{BoostShape, DimSpec};
-    use fourwise::XiKind;
     use geometry::rect2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn schema2(seed: u64, k1: usize, k2: usize) -> Arc<SketchSchema<2>> {
         let mut rng = StdRng::seed_from_u64(seed);
-        SketchSchema::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(k1, k2),
-            [DimSpec::dyadic(8); 2],
-        )
+        SketchSchema::new(&mut rng, BoostShape::new(k1, k2), [DimSpec::dyadic(8); 2])
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn containment_pair<const SD: usize, R: Rng + ?Sized>(
         Some(ml) => DimSpec::with_max_level(data_bits, ml),
         None => DimSpec::dyadic(data_bits),
     });
-    let schema = SketchSchema::new(rng, config.kind, config.shape, dims);
+    let schema = SketchSchema::new(rng, config.shape, dims);
     // Outer side: interval cover of [a, b] in every sketch dimension.
     // Inner side: the point (c, d, ...) — one point cover per dimension.
     let per_dim: [Vec<DimTerm>; SD] =

@@ -40,7 +40,7 @@ impl<const D: usize> EpsJoin<D> {
             Some(ml) => DimSpec::with_max_level(data_bits, ml),
             None => DimSpec::dyadic(data_bits),
         });
-        let schema = SketchSchema::new(rng, config.kind, config.shape, dims);
+        let schema = SketchSchema::new(rng, config.shape, dims);
         // Per-dimension factor: point cover of a_i  ×  interval cover of the
         // cube's range — one term, coefficient 1 (Lemma 8).
         let per_dim: [Vec<DimTerm>; D] =

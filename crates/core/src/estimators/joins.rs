@@ -86,7 +86,7 @@ fn build_pair<const D: usize, R: Rng + ?Sized>(
             None => DimSpec::dyadic(bits),
         }
     });
-    let schema = SketchSchema::new(rng, config.kind, config.shape, dims);
+    let schema = SketchSchema::new(rng, config.shape, dims);
     let per_dim: [Vec<DimTerm>; D] = std::array::from_fn(|_| per_dim_terms.clone());
     let terms = PairTerms::from_dim_terms(&per_dim);
     PairEstimator::new(schema, terms, r_policy, s_policy)

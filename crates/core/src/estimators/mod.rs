@@ -14,13 +14,13 @@ pub mod joins;
 pub mod range;
 
 use crate::schema::BoostShape;
-use fourwise::XiKind;
 
-/// Construction-time configuration shared by all estimators.
+/// Construction-time configuration shared by all estimators. Every
+/// estimator draws its ξ-families from the BCH four-wise construction
+/// (Section 2.2); the configuration picks the boosting grid and the
+/// `maxLevel` truncation.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchConfig {
-    /// Which four-wise independent generator to use.
-    pub kind: XiKind,
     /// Boosting grid shape (`k1` averaged, median of `k2`).
     pub shape: BoostShape,
     /// Optional `maxLevel` truncation (Section 6.5). `None` = fully dyadic.
@@ -28,19 +28,12 @@ pub struct SketchConfig {
 }
 
 impl SketchConfig {
-    /// Default configuration: BCH families, fully dyadic covers.
+    /// Default configuration: fully dyadic covers.
     pub fn new(k1: usize, k2: usize) -> Self {
         Self {
-            kind: XiKind::Bch,
             shape: BoostShape::new(k1, k2),
             max_level: None,
         }
-    }
-
-    /// Sets the xi construction.
-    pub fn with_kind(mut self, kind: XiKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// Sets the `maxLevel` truncation.

@@ -86,7 +86,7 @@ impl<const D: usize> RangeQuery<D> {
                 None => DimSpec::dyadic(bits),
             }
         });
-        let schema = SketchSchema::new(rng, config.kind, config.shape, dims);
+        let schema = SketchSchema::new(rng, config.shape, dims);
         // Words {I, U}^D in mask order (bit set = UpperPoint).
         let mut words = Vec::with_capacity(1 << D);
         for mask in 0..(1u32 << D) {

@@ -45,7 +45,6 @@ mod tests {
     use crate::atomic::EndpointPolicy;
     use crate::comp::ie_words;
     use crate::schema::{BoostShape, DimSpec, SketchSchema};
-    use fourwise::XiKind;
     use geometry::rect2;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng};
@@ -72,7 +71,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(100);
         let schema = SketchSchema::<2>::new(
             &mut rng,
-            XiKind::Bch,
             BoostShape::new(7, 3), // deliberately not divisible by threads
             [DimSpec::dyadic(8); 2],
         );
@@ -105,12 +103,8 @@ mod tests {
         // split across workers that cannot divide the block count evenly;
         // 220 objects put the slice above the split floor.
         let mut rng = StdRng::seed_from_u64(104);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(260, 2),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(260, 2), [DimSpec::dyadic(8); 2]);
         let words = Arc::new(ie_words::<2>());
         let data = rects(220, 5);
         let mut seq = SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw)
@@ -134,12 +128,8 @@ mod tests {
     #[test]
     fn invalid_batch_leaves_sketch_untouched() {
         let mut rng = StdRng::seed_from_u64(101);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(2, 2),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(2, 2), [DimSpec::dyadic(8); 2]);
         let words = Arc::new(ie_words::<2>());
         let mut sk = SketchSet::new(schema, words, EndpointPolicy::Raw);
         let mut data = rects(10, 2);
@@ -154,12 +144,8 @@ mod tests {
     #[test]
     fn parallel_delete_batch() {
         let mut rng = StdRng::seed_from_u64(102);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(4, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(4, 3), [DimSpec::dyadic(8); 2]);
         let words = Arc::new(ie_words::<2>());
         let mut sk = SketchSet::new(schema, words, EndpointPolicy::Raw);
         let data = rects(100, 3);
@@ -174,12 +160,8 @@ mod tests {
     #[test]
     fn more_threads_than_instances() {
         let mut rng = StdRng::seed_from_u64(103);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(1, 1),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(1, 1), [DimSpec::dyadic(8); 2]);
         let words = Arc::new(ie_words::<2>());
         let mut sk = SketchSet::new(schema, words, EndpointPolicy::Raw);
         par_insert_batch(&mut sk, &rects(5, 4), 16).unwrap();

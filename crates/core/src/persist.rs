@@ -8,28 +8,31 @@
 //! the endpoint policy, and the counters.
 //!
 //! Snapshots are plain `serde` values (the workspace ships `serde_json` for
-//! the harness; any format works). Restoring reconstructs the GF(2^k)
-//! contexts deterministically from the domain configuration, so a snapshot
-//! is self-contained.
+//! the harness; any format works). Every seed is a plain BCH seed
+//! ([`BchSeed`], `2k + 1` bits per family). Restoring reconstructs the
+//! GF(2^k) contexts deterministically from the domain configuration, so a
+//! snapshot is self-contained. Restore validates the shape and domain
+//! fields first, so a corrupt or hostile snapshot fails with
+//! [`SketchError::InvalidParameter`] instead of a panic.
 
 use crate::atomic::{EndpointPolicy, SketchSet};
 use crate::comp::{Comp, Word};
 use crate::error::{Result, SketchError};
 use crate::schema::{BoostShape, DimSpec, SketchSchema};
-use fourwise::{XiKind, XiSeed};
+use dyadic::DyadicDomain;
+use fourwise::BchSeed;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Serializable form of a [`SketchSchema`].
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct SchemaSnapshot {
-    kind: XiKind,
     k1: usize,
     k2: usize,
     /// `(sketch_bits, max_level)` per dimension.
     dims: Vec<(u32, u32)>,
     /// Seeds, instance-major (`seeds[instance][dim]`).
-    seeds: Vec<Vec<XiSeed>>,
+    seeds: Vec<Vec<BchSeed>>,
 }
 
 /// Serializable form of a [`SketchSet`] (including its schema, so a single
@@ -84,7 +87,6 @@ fn policy_from_tag(tag: u8) -> Result<EndpointPolicy> {
 /// Captures a schema.
 pub fn snapshot_schema<const D: usize>(schema: &SketchSchema<D>) -> SchemaSnapshot {
     SchemaSnapshot {
-        kind: schema.kind(),
         k1: schema.shape().k1,
         k2: schema.shape().k2,
         dims: schema
@@ -98,35 +100,50 @@ pub fn snapshot_schema<const D: usize>(schema: &SketchSchema<D>) -> SchemaSnapsh
     }
 }
 
+/// `Ok` when `ok`, else [`SketchError::InvalidParameter`] with `msg`.
+fn ensure(ok: bool, msg: &'static str) -> Result<()> {
+    ok.then_some(()).ok_or(SketchError::InvalidParameter(msg))
+}
+
 /// Restores a schema. The const dimensionality must match the snapshot.
 pub fn restore_schema<const D: usize>(snap: &SchemaSnapshot) -> Result<Arc<SketchSchema<D>>> {
-    if snap.dims.len() != D {
-        return Err(SketchError::InvalidParameter(
-            "snapshot dimensionality does not match the requested type",
-        ));
+    ensure(
+        snap.dims.len() == D,
+        "snapshot dimensionality does not match the requested type",
+    )?;
+    ensure(
+        snap.k1 >= 1 && snap.k2 >= 1,
+        "snapshot boosting shape factors must be positive",
+    )?;
+    ensure(
+        snap.k1.checked_mul(snap.k2) == Some(snap.seeds.len()),
+        "snapshot seed count does not match its boosting shape",
+    )?;
+    for &(bits, max_level) in &snap.dims {
+        ensure(
+            (1..=DyadicDomain::MAX_BITS).contains(&bits),
+            "snapshot domain bits out of range",
+        )?;
+        ensure(
+            max_level <= bits,
+            "snapshot maxLevel exceeds its domain bits",
+        )?;
     }
     let dims: [DimSpec; D] = std::array::from_fn(|i| DimSpec {
         sketch_bits: snap.dims[i].0,
         max_level: snap.dims[i].1,
     });
-    let shape = BoostShape::new(snap.k1, snap.k2);
-    if snap.seeds.len() != shape.instances() {
-        return Err(SketchError::InvalidParameter(
-            "snapshot seed count does not match its boosting shape",
-        ));
-    }
-    let mut seeds = Vec::with_capacity(snap.seeds.len());
-    for row in &snap.seeds {
-        if row.len() != D {
-            return Err(SketchError::InvalidParameter(
-                "snapshot seed row has wrong dimensionality",
-            ));
-        }
-        let mut arr = [row[0]; D];
-        arr.copy_from_slice(row);
-        seeds.push(arr);
-    }
-    Ok(SketchSchema::restore(snap.kind, shape, dims, seeds))
+    let seeds = snap
+        .seeds
+        .iter()
+        .map(|row| row.as_slice().try_into())
+        .collect::<std::result::Result<_, _>>()
+        .map_err(|_| SketchError::InvalidParameter("snapshot seed row has wrong dimensionality"))?;
+    Ok(SketchSchema::restore(
+        BoostShape::new(snap.k1, snap.k2),
+        dims,
+        seeds,
+    ))
 }
 
 /// Captures a sketch set (schema included).
@@ -149,7 +166,7 @@ pub fn snapshot_sketch<const D: usize>(sketch: &SketchSet<D>) -> SketchSnapshot 
 
 /// Restores a sketch set against an already-restored schema (so several
 /// sketches can share it). The supplied schema must *be* the snapshot's
-/// schema — same kind, shape, dimensions and seeds
+/// schema — same shape, dimensions and seeds
 /// ([`SketchError::SchemaMismatch`] otherwise): counters are only
 /// meaningful under the seeds that built them, so restoring against any
 /// other schema would silently corrupt every subsequent estimate.
@@ -160,23 +177,26 @@ pub fn restore_sketch_with_schema<const D: usize>(
     if snapshot_schema(&schema) != snap.schema {
         return Err(SketchError::SchemaMismatch);
     }
-    let mut words: Vec<Word<D>> = Vec::with_capacity(snap.words.len());
-    for w in &snap.words {
-        if w.len() != D {
-            return Err(SketchError::InvalidParameter(
-                "snapshot word has wrong dimensionality",
-            ));
-        }
-        let mut arr = [Comp::Interval; D];
-        arr.copy_from_slice(w);
-        words.push(arr);
-    }
-    if snap.counters.len() != schema.instances() * words.len() {
-        return Err(SketchError::InvalidParameter(
-            "snapshot counter array has wrong size",
-        ));
-    }
-    let mut sketch = SketchSet::new(schema, Arc::new(words), policy_from_tag(snap.policy_tag)?);
+    let words: Vec<Word<D>> = snap
+        .words
+        .iter()
+        .map(|w| w.as_slice().try_into())
+        .collect::<std::result::Result<_, _>>()
+        .map_err(|_| SketchError::InvalidParameter("snapshot word has wrong dimensionality"))?;
+    ensure(!words.is_empty(), "snapshot carries no words")?;
+    ensure(
+        snap.counters.len() == schema.instances() * words.len(),
+        "snapshot counter array has wrong size",
+    )?;
+    let policy = policy_from_tag(snap.policy_tag)?;
+    ensure(
+        schema
+            .dims()
+            .iter()
+            .all(|d| d.sketch_bits >= policy.extra_bits()),
+        "snapshot domain is narrower than its endpoint policy needs",
+    )?;
+    let mut sketch = SketchSet::new(schema, Arc::new(words), policy);
     sketch.counters_mut().copy_from_slice(&snap.counters);
     sketch.add_len(snap.len);
     Ok(sketch)
@@ -216,7 +236,6 @@ pub fn restore_pair<const D: usize>(
 mod tests {
     use super::*;
     use crate::comp::ie_words;
-    use fourwise::XiKind;
     use geometry::rect2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -225,7 +244,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let schema = SketchSchema::<2>::new(
             &mut rng,
-            XiKind::Bch,
             BoostShape::new(4, 3),
             [DimSpec::with_max_level(10, 7); 2],
         );
@@ -272,12 +290,7 @@ mod tests {
     fn restored_pair_is_joinable() {
         use crate::estimator::{DimTerm, PairEstimator, PairTerms};
         let mut rng = StdRng::seed_from_u64(6);
-        let schema = SketchSchema::<1>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(32, 3),
-            [DimSpec::dyadic(8)],
-        );
+        let schema = SketchSchema::<1>::new(&mut rng, BoostShape::new(32, 3), [DimSpec::dyadic(8)]);
         let dim = vec![
             DimTerm::new(Comp::Interval, Comp::Endpoints, 0.5),
             DimTerm::new(Comp::Endpoints, Comp::Interval, 0.5),
@@ -322,16 +335,44 @@ mod tests {
         assert!(restore_sketch::<2>(&snap).is_err());
         // Foreign pair.
         let mut rng = StdRng::seed_from_u64(7);
-        let other_schema = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(4, 3),
-            [DimSpec::dyadic(10); 2],
-        );
+        let other_schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(4, 3), [DimSpec::dyadic(10); 2]);
         let other = SketchSet::new(other_schema, Arc::new(ie_words::<2>()), EndpointPolicy::Raw);
         assert_eq!(
             snapshot_pair(&sk, &other).unwrap_err(),
             SketchError::SchemaMismatch
         );
+        // Hostile schema fields fail with a typed error, not a panic: zero
+        // boost factors, domain bits outside 1..=40, maxLevel above the
+        // domain bits, a domain too narrow for the tripled endpoint policy,
+        // and an empty word set.
+        let hostile: [fn(&mut SketchSnapshot); 8] = [
+            |s| s.schema.k1 = 0,
+            |s| s.schema.k2 = 0,
+            |s| s.schema.dims[0].0 = 0,
+            |s| s.schema.dims[1] = (70, 7),
+            |s| s.schema.dims[0].1 = 11,
+            |s| s.schema.dims = vec![(1, 1); 2],
+            |s| s.schema.k1 = usize::MAX,
+            |s| s.words.clear(),
+        ];
+        for (i, corrupt) in hostile.into_iter().enumerate() {
+            let mut snap = snapshot_sketch(&sk);
+            corrupt(&mut snap);
+            assert!(
+                matches!(
+                    restore_sketch::<2>(&snap),
+                    Err(SketchError::InvalidParameter(_))
+                ),
+                "hostile snapshot {i}"
+            );
+        }
+        // The format before seeds became plain BCH seeds carried a `kind`
+        // and tagged every seed `{"Bch": {..}}`; it no longer parses.
+        let tagged = r#"{"kind":"Bch","k1":1,"k2":1,"dims":[[4,4]],"seeds":[[{"Bch":{"b0":true,"s1":3,"s3":5}}]]}"#;
+        assert!(serde_json::from_str::<SchemaSnapshot>(tagged).is_err());
+        let plain = r#"{"k1":1,"k2":1,"dims":[[4,4]],"seeds":[[{"b0":true,"s1":3,"s3":5}]]}"#;
+        let back: SchemaSnapshot = serde_json::from_str(plain).unwrap();
+        assert!(restore_schema::<1>(&back).is_ok());
     }
 }

@@ -709,7 +709,6 @@ mod tests {
     use crate::atomic::EndpointPolicy;
     use crate::comp::ie_words;
     use crate::schema::{DimSpec, SketchSchema};
-    use fourwise::XiKind;
     use geometry::rect2;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng};
@@ -740,7 +739,6 @@ mod tests {
         // 70 instances: one partial block with two occupied words.
         let schema = SketchSchema::<2>::new(
             &mut rng,
-            XiKind::Bch,
             crate::schema::BoostShape::new(35, 2),
             [DimSpec::dyadic(8); 2],
         );
@@ -794,7 +792,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = SketchSchema::<2>::new(
             &mut rng,
-            XiKind::Bch,
             crate::schema::BoostShape::new(35, 2),
             [DimSpec::dyadic(8); 2],
         );

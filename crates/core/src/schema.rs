@@ -10,7 +10,7 @@
 
 use crate::error::{Result, SketchError};
 use dyadic::DyadicDomain;
-use fourwise::{LaneWord, XiBlock, XiContext, XiKind, XiSeed};
+use fourwise::{BchBlock, BchSeed, LaneWord, XiContext};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -75,53 +75,39 @@ static SCHEMA_COUNTER: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug)]
 pub struct SketchSchema<const D: usize> {
     id: u64,
-    kind: XiKind,
     shape: BoostShape,
     dims: [DimSpec; D],
     dyadic: [DyadicDomain; D],
     xi_ctx: [XiContext; D],
     /// One seed per (instance, dimension); instance `i = row * k1 + col`.
-    seeds: Vec<[XiSeed; D]>,
+    seeds: Vec<[BchSeed; D]>,
     /// Per dimension, the instance seeds re-packed into bit-sliced
     /// evaluation blocks of 512 consecutive instances (the last block may
     /// be partial) — the blocked kernels' working set. Packed lazily on
     /// first blocked-kernel use, so a schema that only ever runs the scalar
     /// oracle never packs it.
-    seed_blocks: OnceLock<[Vec<XiBlock>; D]>,
+    seed_blocks: OnceLock<[Vec<BchBlock>; D]>,
 }
 
 impl<const D: usize> SketchSchema<D> {
     /// Draws a fresh schema. All `k1·k2·D` seeds are independent, matching
     /// the paper's requirement that instances be i.i.d. and that dimensions
     /// use mutually independent ξ-families.
-    pub fn new<R: Rng + ?Sized>(
-        rng: &mut R,
-        kind: XiKind,
-        shape: BoostShape,
-        dims: [DimSpec; D],
-    ) -> Arc<Self> {
+    pub fn new<R: Rng + ?Sized>(rng: &mut R, shape: BoostShape, dims: [DimSpec; D]) -> Arc<Self> {
         assert!(D >= 1, "schemas need at least one dimension");
-        let dyadic = dims.map(|d| DyadicDomain::new(d.sketch_bits));
-        // ξ indices are dyadic node ids, which need bits+1 bits.
-        let xi_ctx = dims.map(|d| XiContext::new(kind, d.sketch_bits + 1));
         let mut seeds = Vec::with_capacity(shape.instances());
         for _ in 0..shape.instances() {
-            let mut row = [XiSeed::random(rng, kind, 1); D];
-            for (i, ctx) in xi_ctx.iter().enumerate() {
-                row[i] = ctx.random_seed(rng);
+            // The row's placeholder seed is drawn from `rng` too, ahead of
+            // the D real ones. The draw is kept so that a given `rng` stream
+            // keeps producing the same seeds, counters and answers.
+            let mut row = [BchSeed::random(rng, 1); D];
+            for (seed, d) in row.iter_mut().zip(&dims) {
+                // ξ indices are dyadic node ids, which need bits+1 bits.
+                *seed = BchSeed::random(rng, d.sketch_bits + 1);
             }
             seeds.push(row);
         }
-        Arc::new(Self {
-            id: SCHEMA_COUNTER.fetch_add(1, Ordering::Relaxed),
-            kind,
-            shape,
-            dims,
-            dyadic,
-            xi_ctx,
-            seeds,
-            seed_blocks: OnceLock::new(),
-        })
+        Self::restore(shape, dims, seeds)
     }
 
     /// Rebuilds a schema from explicit seeds (snapshot restore; see the
@@ -129,22 +115,17 @@ impl<const D: usize> SketchSchema<D> {
     /// identity: sketches restored *together* share it, which preserves
     /// combinability exactly for sketches that were combinable when captured.
     pub(crate) fn restore(
-        kind: XiKind,
         shape: BoostShape,
         dims: [DimSpec; D],
-        seeds: Vec<[XiSeed; D]>,
+        seeds: Vec<[BchSeed; D]>,
     ) -> Arc<Self> {
         assert_eq!(seeds.len(), shape.instances(), "seed/shape mismatch");
-        let dyadic = dims.map(|d| DyadicDomain::new(d.sketch_bits));
-        let xi_ctx: [XiContext; D] =
-            std::array::from_fn(|i| XiContext::new(kind, dims[i].sketch_bits + 1));
         Arc::new(Self {
             id: SCHEMA_COUNTER.fetch_add(1, Ordering::Relaxed),
-            kind,
             shape,
             dims,
-            dyadic,
-            xi_ctx,
+            dyadic: dims.map(|d| DyadicDomain::new(d.sketch_bits)),
+            xi_ctx: dims.map(|d| XiContext::new(d.sketch_bits + 1)),
             seeds,
             seed_blocks: OnceLock::new(),
         })
@@ -153,11 +134,6 @@ impl<const D: usize> SketchSchema<D> {
     /// Unique identity of this schema within the process.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The xi construction in use.
-    pub fn kind(&self) -> XiKind {
-        self.kind
     }
 
     /// Boosting grid shape.
@@ -186,7 +162,7 @@ impl<const D: usize> SketchSchema<D> {
     }
 
     /// Seeds of one instance.
-    pub fn instance_seeds(&self, instance: usize) -> &[XiSeed; D] {
+    pub fn instance_seeds(&self, instance: usize) -> &[BchSeed; D] {
         &self.seeds[instance]
     }
 
@@ -194,14 +170,14 @@ impl<const D: usize> SketchSchema<D> {
     /// seeds of instances `[512·b, 512·(b+1))` (the last block holds the
     /// remainder). The first call packs the planes from the instance seeds
     /// (thread-safe, once per schema).
-    pub fn seed_blocks(&self, dim: usize) -> &[XiBlock] {
+    pub fn seed_blocks(&self, dim: usize) -> &[BchBlock] {
         &self.seed_blocks.get_or_init(|| {
             std::array::from_fn(|dim| {
                 self.seeds
                     .chunks(LaneWord::LANES)
                     .map(|chunk| {
-                        let col: Vec<XiSeed> = chunk.iter().map(|row| row[dim]).collect();
-                        XiBlock::pack(&self.xi_ctx[dim], &col)
+                        let col: Vec<BchSeed> = chunk.iter().map(|row| row[dim]).collect();
+                        BchBlock::pack(&self.xi_ctx[dim], &col)
                     })
                     .collect()
             })
@@ -244,18 +220,8 @@ mod tests {
     #[test]
     fn schema_shape_and_ids() {
         let mut rng = StdRng::seed_from_u64(1);
-        let a = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(4, 3),
-            [DimSpec::dyadic(8); 2],
-        );
-        let b = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(4, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let a = SketchSchema::<2>::new(&mut rng, BoostShape::new(4, 3), [DimSpec::dyadic(8); 2]);
+        let b = SketchSchema::<2>::new(&mut rng, BoostShape::new(4, 3), [DimSpec::dyadic(8); 2]);
         assert_ne!(a.id(), b.id());
         assert_eq!(a.instances(), 12);
         assert_eq!(a.instance_seeds(0).len(), 2);
@@ -264,14 +230,35 @@ mod tests {
     }
 
     #[test]
+    fn seed_stream_is_pinned() {
+        // Literal seeds for a fixed rng and shape: any change to how `new`
+        // consumes the rng (the per-row placeholder draw included) re-seeds
+        // every sketch and fails here.
+        let mut rng = StdRng::seed_from_u64(2004);
+        let s = SketchSchema::<2>::new(
+            &mut rng,
+            BoostShape::new(3, 1),
+            [DimSpec::dyadic(6), DimSpec::dyadic(10)],
+        );
+        let seed = |b0, s1, s3| BchSeed { b0, s1, s3 };
+        assert_eq!(
+            s.instance_seeds(0),
+            &[seed(true, 61, 58), seed(true, 618, 479)]
+        );
+        assert_eq!(
+            s.instance_seeds(1),
+            &[seed(false, 125, 83), seed(false, 1747, 484)]
+        );
+        assert_eq!(
+            s.instance_seeds(2),
+            &[seed(true, 33, 89), seed(true, 204, 800)]
+        );
+    }
+
+    #[test]
     fn coordinate_validation() {
         let mut rng = StdRng::seed_from_u64(2);
-        let s = SketchSchema::<1>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(1, 1),
-            [DimSpec::dyadic(4)],
-        );
+        let s = SketchSchema::<1>::new(&mut rng, BoostShape::new(1, 1), [DimSpec::dyadic(4)]);
         assert!(s.check_coord(0, 15).is_ok());
         assert_eq!(
             s.check_coord(0, 16),
@@ -286,12 +273,7 @@ mod tests {
     #[test]
     fn seed_bits_accounting() {
         let mut rng = StdRng::seed_from_u64(3);
-        let s = SketchSchema::<1>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(2, 2),
-            [DimSpec::dyadic(10)],
-        );
+        let s = SketchSchema::<1>::new(&mut rng, BoostShape::new(2, 2), [DimSpec::dyadic(10)]);
         // node bits = 11, per-family seed = 2*11+1 = 23 bits, 4 instances.
         assert_eq!(s.seed_bits(), 4 * 23);
     }
@@ -300,12 +282,7 @@ mod tests {
     fn seed_blocks_cover_all_instances() {
         let mut rng = StdRng::seed_from_u64(4);
         // 65 instances: one partial block, two occupied words.
-        let s = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(13, 5),
-            [DimSpec::dyadic(8); 2],
-        );
+        let s = SketchSchema::<2>::new(&mut rng, BoostShape::new(13, 5), [DimSpec::dyadic(8); 2]);
         assert_eq!(s.instance_blocks(), 1);
         for dim in 0..2 {
             let blocks = s.seed_blocks(dim);
@@ -340,12 +317,7 @@ mod tests {
     fn wide_seed_blocks_mirror_narrow_packing() {
         let mut rng = StdRng::seed_from_u64(5);
         // 300 instances: one partial block with 5 of 8 words occupied.
-        let s = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(150, 2),
-            [DimSpec::dyadic(8); 2],
-        );
+        let s = SketchSchema::<2>::new(&mut rng, BoostShape::new(150, 2), [DimSpec::dyadic(8); 2]);
         assert_eq!(s.instance_blocks(), 1);
         for dim in 0..2 {
             let blocks = s.seed_blocks(dim);
@@ -360,12 +332,7 @@ mod tests {
     fn wide512_seed_blocks_mirror_narrow_packing() {
         let mut rng = StdRng::seed_from_u64(6);
         // 520 instances: one full 512-lane block plus an 8-lane tail.
-        let s = SketchSchema::<2>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(260, 2),
-            [DimSpec::dyadic(8); 2],
-        );
+        let s = SketchSchema::<2>::new(&mut rng, BoostShape::new(260, 2), [DimSpec::dyadic(8); 2]);
         assert_eq!(s.instance_blocks(), 2);
         let blocks = s.seed_blocks(0);
         assert_eq!(blocks.len(), 2);

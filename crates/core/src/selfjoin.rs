@@ -184,7 +184,6 @@ mod tests {
     use super::*;
     use crate::comp::ie_words;
     use crate::schema::{BoostShape, SketchSchema};
-    use fourwise::XiKind;
     use geometry::rect2;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng};
@@ -248,12 +247,8 @@ mod tests {
     #[test]
     fn sketched_estimate_tracks_exact() {
         let mut rng = StdRng::seed_from_u64(90);
-        let schema = SketchSchema::<1>::new(
-            &mut rng,
-            XiKind::Bch,
-            BoostShape::new(600, 5),
-            [DimSpec::dyadic(8)],
-        );
+        let schema =
+            SketchSchema::<1>::new(&mut rng, BoostShape::new(600, 5), [DimSpec::dyadic(8)]);
         let words = Arc::new(ie_words::<1>());
         let mut sk = SketchSet::new(schema, words.clone(), EndpointPolicy::Raw);
         let mut grng = StdRng::seed_from_u64(6);

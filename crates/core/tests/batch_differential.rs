@@ -5,8 +5,7 @@
 //! distinct query once through the same per-plan fill the single-query
 //! calls run, and clones the answer into its duplicates. Every batched
 //! answer must be **bit-identical** — boosted value *and* every row mean —
-//! to the corresponding single-query call, across both ξ constructions,
-//! dims 1–3, batch sizes 1/7/64 and one batch larger than the plan cache,
+//! to the corresponding single-query call, across dims 1–3, batch sizes 1/7/64 and one batch larger than the plan cache,
 //! both kernels, a partly filled block on every prefix-fold branch, and
 //! batches containing overlapping rects, exact duplicates, stabs at shared
 //! data corners, degenerate rects and out-of-domain failures.
@@ -23,7 +22,6 @@
 //! `tests-release` lane with `#[cfg_attr(debug_assertions, ignore)]`,
 //! following the ROADMAP convention.
 
-use fourwise::XiKind;
 use geometry::{HyperRect, Interval};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,8 +32,6 @@ use sketch::{
     Result, SketchSet,
 };
 use std::collections::HashSet;
-
-const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 
 fn assert_bit_identical(want: &Estimate, got: &Estimate, label: &str) {
     assert_eq!(
@@ -150,12 +146,12 @@ fn memo_delta(before: PlanMemoStats, after: PlanMemoStats) -> (u64, u64) {
 /// size through both kernels, each slot compared bit-for-bit
 /// against the sequential scalar oracle over three rounds (cold, memo fill,
 /// warm), a half-warm half-new batch, and the partial entry points.
-fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: u64) {
-    let label = format!("batch/{kind:?}/{D}d/{k1}x1");
+fn batch_config<const D: usize>(k1: usize, sizes: &[usize], seed: u64) {
+    let label = format!("batch/{D}d/{k1}x1");
     let mut rng = StdRng::seed_from_u64(seed);
     let rq = RangeQuery::<D>::new(
         &mut rng,
-        SketchConfig::new(k1, 1).with_kind(kind),
+        SketchConfig::new(k1, 1),
         [8; D],
         RangeStrategy::Transform,
     );
@@ -274,12 +270,10 @@ fn batch_config<const D: usize>(kind: XiKind, k1: usize, sizes: &[usize], seed: 
 
 #[test]
 fn batch_kernels_agree_1d_2d() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        // 67 instances: a partial block with one full backing word plus a
-        // 3-lane tail.
-        batch_config::<1>(kind, 67, &[1, 7], 400 + i as u64);
-        batch_config::<2>(kind, 13, &[1, 7], 410 + i as u64);
-    }
+    // 67 instances: a partial block with one full backing word plus a
+    // 3-lane tail.
+    batch_config::<1>(67, &[1, 7], 400);
+    batch_config::<2>(13, &[1, 7], 410);
 }
 
 /// Instance counts occupying 1, 2, 3 and 4 of a block's 8 backing words:
@@ -292,12 +286,12 @@ fn fold_widths_match_oracle() {
     for (i, k1) in FOLD_WIDTHS.into_iter().enumerate() {
         let seed = 470 + 10 * i as u64;
         // Range and stab batches, cold, memo-filling and warm.
-        batch_config::<2>(XiKind::Bch, k1, &[7], seed);
+        batch_config::<2>(k1, &[7], seed);
         // Joins: the blocked pair fill over the same partly filled block.
         let mut rng = StdRng::seed_from_u64(seed + 1);
         let join = SpatialJoin::<2>::new(
             &mut rng,
-            SketchConfig::new(k1, 1).with_kind(XiKind::Poly),
+            SketchConfig::new(k1, 1),
             [8; 2],
             EndpointStrategy::Transform,
         );
@@ -315,19 +309,15 @@ fn fold_widths_match_oracle() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn batch_kernels_agree_batch64() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        batch_config::<1>(kind, 67, &[64], 420 + i as u64);
-        batch_config::<2>(kind, 67, &[64], 430 + i as u64);
-    }
+    batch_config::<1>(67, &[64], 420);
+    batch_config::<2>(67, &[64], 430);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn batch_kernels_agree_3d_multiblock() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        // 520 instances: a full 512-lane block plus an 8-lane tail.
-        batch_config::<3>(kind, 520, &[1, 7, 64], 440 + i as u64);
-    }
+    // 520 instances: a full 512-lane block plus an 8-lane tail.
+    batch_config::<3>(520, &[1, 7, 64], 440);
 }
 
 #[test]
@@ -342,7 +332,6 @@ fn batch_long_truncated_covers_match_oracle() {
     // plane 4 in a single chunk.
     let mut rng = StdRng::seed_from_u64(450);
     let config = SketchConfig {
-        kind: XiKind::Bch,
         shape: sketch::BoostShape::new(67, 1),
         max_level: Some(4),
     };

@@ -5,7 +5,7 @@
 //! produce **bit-identical** `Estimate`s —
 //! boosted value *and* every row mean — to the scalar reference kernel
 //! across all five query classes (spatial join, overlap+, range/stab,
-//! containment, ε-join), both ξ constructions and dimensions 1–3. The
+//! containment, ε-join) and dimensions 1–3. The
 //! blocked kernels reorder the arithmetic across lanes but never within one
 //! instance's accumulation, so any divergence at all is a kernel bug, not
 //! float noise.
@@ -14,7 +14,6 @@
 //! `tests-release` lane with `#[cfg_attr(debug_assertions, ignore)]`,
 //! following the ROADMAP convention.
 
-use fourwise::XiKind;
 use geometry::{HyperRect, Interval, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,8 +23,6 @@ use sketch::{
     EpsJoin, Estimate, IntervalContainment, QueryContext, QueryKernel, RangeQuery, RangeStrategy,
     RectContainment,
 };
-
-const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 
 fn assert_bit_identical(scalar: &Estimate, blocked: &Estimate, label: &str) {
     assert_eq!(
@@ -83,15 +80,10 @@ fn rand_points<const D: usize>(rng: &mut StdRng, n: usize, max: u64) -> Vec<Poin
 }
 
 /// One spatial-join configuration through both kernels.
-fn join_config<const D: usize>(kind: XiKind, strategy: EndpointStrategy, k1: usize, seed: u64) {
-    let label = format!("join/{kind:?}/{strategy:?}/{D}d/{k1}x1");
+fn join_config<const D: usize>(strategy: EndpointStrategy, k1: usize, seed: u64) {
+    let label = format!("join/{strategy:?}/{D}d/{k1}x1");
     let mut rng = StdRng::seed_from_u64(seed);
-    let join = SpatialJoin::<D>::new(
-        &mut rng,
-        SketchConfig::new(k1, 1).with_kind(kind),
-        [8; D],
-        strategy,
-    );
+    let join = SpatialJoin::<D>::new(&mut rng, SketchConfig::new(k1, 1), [8; D], strategy);
     let mut r = join.new_sketch_r();
     let mut s = join.new_sketch_s();
     let max = (1u64 << r.data_bits()[0]) - 1;
@@ -102,66 +94,52 @@ fn join_config<const D: usize>(kind: XiKind, strategy: EndpointStrategy, k1: usi
 
 #[test]
 fn spatial_join_kernels_agree_1d() {
-    for kind in KINDS {
-        for (i, strategy) in [
-            EndpointStrategy::AssumeDistinct,
-            EndpointStrategy::Transform,
-            EndpointStrategy::CorrectCommon,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            // 67 instances: a partial block with one full backing word
-            // plus a 3-lane tail.
-            join_config::<1>(kind, strategy, 67, 300 + i as u64);
-        }
+    for (i, strategy) in [
+        EndpointStrategy::AssumeDistinct,
+        EndpointStrategy::Transform,
+        EndpointStrategy::CorrectCommon,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        // 67 instances: a partial block with one full backing word
+        // plus a 3-lane tail.
+        join_config::<1>(strategy, 67, 300 + i as u64);
     }
 }
 
 #[test]
 fn spatial_join_kernels_agree_2d() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        join_config::<2>(kind, EndpointStrategy::Transform, 67, 310 + i as u64);
-    }
+    join_config::<2>(EndpointStrategy::Transform, 67, 310);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn spatial_join_kernels_agree_3d_multiblock() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        // 520 instances: a full 512-lane block plus an 8-lane tail.
-        join_config::<3>(kind, EndpointStrategy::Transform, 520, 320 + i as u64);
-        join_config::<3>(kind, EndpointStrategy::AssumeDistinct, 520, 325 + i as u64);
-    }
+    // 520 instances: a full 512-lane block plus an 8-lane tail.
+    join_config::<3>(EndpointStrategy::Transform, 520, 320);
+    join_config::<3>(EndpointStrategy::AssumeDistinct, 520, 325);
 }
 
 #[test]
 fn overlap_plus_kernels_agree() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let label = format!("overlap+/{kind:?}");
-        let mut rng = StdRng::seed_from_u64(340 + i as u64);
-        let join =
-            OverlapPlusJoin::<2>::new(&mut rng, SketchConfig::new(13, 5).with_kind(kind), [8; 2]);
-        let mut r = join.new_sketch_r();
-        let mut s = join.new_sketch_s();
-        let max = (1u64 << r.data_bits()[0]) - 1;
-        r.insert_slice(&rand_rects::<2>(&mut rng, 40, max)).unwrap();
-        s.insert_slice(&rand_rects::<2>(&mut rng, 40, max)).unwrap();
-        both(|ctx| join.estimate_with(ctx, &r, &s).unwrap(), &label);
-    }
+    let label = "overlap+";
+    let mut rng = StdRng::seed_from_u64(340);
+    let join = OverlapPlusJoin::<2>::new(&mut rng, SketchConfig::new(13, 5), [8; 2]);
+    let mut r = join.new_sketch_r();
+    let mut s = join.new_sketch_s();
+    let max = (1u64 << r.data_bits()[0]) - 1;
+    r.insert_slice(&rand_rects::<2>(&mut rng, 40, max)).unwrap();
+    s.insert_slice(&rand_rects::<2>(&mut rng, 40, max)).unwrap();
+    both(|ctx| join.estimate_with(ctx, &r, &s).unwrap(), label);
 }
 
 /// One range-query configuration (overlap counts + stabbing counts +
 /// degenerate query) through both kernels.
-fn range_config<const D: usize>(kind: XiKind, strategy: RangeStrategy, k1: usize, seed: u64) {
-    let label = format!("range/{kind:?}/{strategy:?}/{D}d/{k1}x1");
+fn range_config<const D: usize>(strategy: RangeStrategy, k1: usize, seed: u64) {
+    let label = format!("range/{strategy:?}/{D}d/{k1}x1");
     let mut rng = StdRng::seed_from_u64(seed);
-    let rq = RangeQuery::<D>::new(
-        &mut rng,
-        SketchConfig::new(k1, 1).with_kind(kind),
-        [8; D],
-        strategy,
-    );
+    let rq = RangeQuery::<D>::new(&mut rng, SketchConfig::new(k1, 1), [8; D], strategy);
     let mut sk = rq.new_sketch();
     let data = rand_rects::<D>(&mut rng, 60, 255);
     sk.insert_slice(&data).unwrap();
@@ -186,11 +164,9 @@ fn range_config<const D: usize>(kind: XiKind, strategy: RangeStrategy, k1: usize
 
 #[test]
 fn range_kernels_agree_1d_2d() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<1>(kind, RangeStrategy::Transform, 67, 350 + i as u64);
-        range_config::<2>(kind, RangeStrategy::AssumeDistinct, 13, 355 + i as u64);
-        range_config::<2>(kind, RangeStrategy::Transform, 67, 360 + i as u64);
-    }
+    range_config::<1>(RangeStrategy::Transform, 67, 350);
+    range_config::<2>(RangeStrategy::AssumeDistinct, 13, 355);
+    range_config::<2>(RangeStrategy::Transform, 67, 360);
 }
 
 /// A rect whose interval cover, in every dimension of `domain` truncated
@@ -217,17 +193,12 @@ fn range_kernels_agree_on_long_cover_lists() {
     // build and the query side. Raw endpoints (AssumeDistinct) keep the
     // query's cover exactly the one `long_cover_rect` measured.
     const MAX_LEVEL: u32 = 3;
-    for (i, (kind, k1)) in [(XiKind::Bch, 160), (XiKind::Poly, 40)]
-        .into_iter()
-        .enumerate()
-    {
-        let label = format!("range/long covers/{kind:?}/{k1}x1");
+    for (i, k1) in [160, 40].into_iter().enumerate() {
+        let label = format!("range/long covers/{k1}x1");
         let mut rng = StdRng::seed_from_u64(380 + i as u64);
         let rq = RangeQuery::<2>::new(
             &mut rng,
-            SketchConfig::new(k1, 1)
-                .with_kind(kind)
-                .with_max_level(MAX_LEVEL),
+            SketchConfig::new(k1, 1).with_max_level(MAX_LEVEL),
             [8; 2],
             RangeStrategy::AssumeDistinct,
         );
@@ -250,104 +221,71 @@ fn range_kernels_agree_on_long_cover_lists() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn range_kernels_agree_3d_multiblock() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<3>(kind, RangeStrategy::Transform, 520, 370 + i as u64);
-    }
+    range_config::<3>(RangeStrategy::Transform, 520, 370);
 }
 
 #[test]
 fn containment_kernels_agree() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let label = format!("containment/{kind:?}");
-        let mut rng = StdRng::seed_from_u64(380 + i as u64);
-        let est = IntervalContainment::new(&mut rng, SketchConfig::new(67, 1).with_kind(kind), 8);
-        let mut outer = est.new_sketch_outer();
-        let mut inner = est.new_sketch_inner();
-        for _ in 0..40 {
-            let lo = rng.gen_range(0..200u64);
-            est.insert_outer(&mut outer, &Interval::new(lo, lo + rng.gen_range(8..40u64)))
-                .unwrap();
-            let lo = rng.gen_range(0..240u64);
-            est.insert_inner(&mut inner, &Interval::new(lo, lo + rng.gen_range(1..14u64)))
-                .unwrap();
-        }
-        both(
-            |ctx| est.estimate_with(ctx, &outer, &inner).unwrap(),
-            &label,
-        );
+    let label = "containment";
+    let mut rng = StdRng::seed_from_u64(380);
+    let est = IntervalContainment::new(&mut rng, SketchConfig::new(67, 1), 8);
+    let mut outer = est.new_sketch_outer();
+    let mut inner = est.new_sketch_inner();
+    for _ in 0..40 {
+        let lo = rng.gen_range(0..200u64);
+        est.insert_outer(&mut outer, &Interval::new(lo, lo + rng.gen_range(8..40u64)))
+            .unwrap();
+        let lo = rng.gen_range(0..240u64);
+        est.insert_inner(&mut inner, &Interval::new(lo, lo + rng.gen_range(1..14u64)))
+            .unwrap();
     }
+    both(|ctx| est.estimate_with(ctx, &outer, &inner).unwrap(), label);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn rect_containment_kernels_agree_4d_sketch() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let label = format!("rect-containment/{kind:?}");
-        let mut rng = StdRng::seed_from_u64(390 + i as u64);
-        let est = RectContainment::new(&mut rng, SketchConfig::new(130, 1).with_kind(kind), 6);
-        let mut outer = est.new_sketch_outer();
-        let mut inner = est.new_sketch_inner();
-        for _ in 0..25 {
-            let x = rng.gen_range(0..30u64);
-            let y = rng.gen_range(0..30u64);
-            est.insert_outer(
-                &mut outer,
-                &geometry::rect2(
-                    x,
-                    x + rng.gen_range(8..30u64),
-                    y,
-                    y + rng.gen_range(8..30u64),
-                ),
-            )
-            .unwrap();
-            let x = rng.gen_range(0..55u64);
-            let y = rng.gen_range(0..55u64);
-            est.insert_inner(
-                &mut inner,
-                &geometry::rect2(x, x + rng.gen_range(1..8u64), y, y + rng.gen_range(1..8u64)),
-            )
-            .unwrap();
-        }
-        both(
-            |ctx| est.estimate_with(ctx, &outer, &inner).unwrap(),
-            &label,
-        );
+    let label = "rect-containment";
+    let mut rng = StdRng::seed_from_u64(390);
+    let est = RectContainment::new(&mut rng, SketchConfig::new(130, 1), 6);
+    let mut outer = est.new_sketch_outer();
+    let mut inner = est.new_sketch_inner();
+    for _ in 0..25 {
+        let x = rng.gen_range(0..30u64);
+        let y = rng.gen_range(0..30u64);
+        est.insert_outer(
+            &mut outer,
+            &geometry::rect2(
+                x,
+                x + rng.gen_range(8..30u64),
+                y,
+                y + rng.gen_range(8..30u64),
+            ),
+        )
+        .unwrap();
+        let x = rng.gen_range(0..55u64);
+        let y = rng.gen_range(0..55u64);
+        est.insert_inner(
+            &mut inner,
+            &geometry::rect2(x, x + rng.gen_range(1..8u64), y, y + rng.gen_range(1..8u64)),
+        )
+        .unwrap();
     }
+    both(|ctx| est.estimate_with(ctx, &outer, &inner).unwrap(), label);
 }
 
 #[test]
 fn eps_join_kernels_agree() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        for k1 in [13usize, 67] {
-            let label = format!("eps/{kind:?}/{k1}x1");
-            let mut rng = StdRng::seed_from_u64(400 + 10 * i as u64 + k1 as u64);
-            let est = EpsJoin::<2>::new(&mut rng, SketchConfig::new(k1, 1).with_kind(kind), 8, 5);
-            let mut a = est.new_sketch_a();
-            let mut b = est.new_sketch_b();
-            for p in rand_points::<2>(&mut rng, 50, 255) {
-                est.insert_a(&mut a, &p).unwrap();
-            }
-            for p in rand_points::<2>(&mut rng, 50, 255) {
-                est.insert_b(&mut b, &p).unwrap();
-            }
-            both(|ctx| est.estimate_with(ctx, &a, &b).unwrap(), &label);
-        }
-    }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
-fn eps_join_kernels_agree_3d_multiblock() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let label = format!("eps/{kind:?}/3d");
-        let mut rng = StdRng::seed_from_u64(420 + i as u64);
-        let est = EpsJoin::<3>::new(&mut rng, SketchConfig::new(520, 1).with_kind(kind), 7, 4);
+    for k1 in [13usize, 67] {
+        let label = format!("eps/{k1}x1");
+        let mut rng = StdRng::seed_from_u64(400 + k1 as u64);
+        let est = EpsJoin::<2>::new(&mut rng, SketchConfig::new(k1, 1), 8, 5);
         let mut a = est.new_sketch_a();
         let mut b = est.new_sketch_b();
-        for p in rand_points::<3>(&mut rng, 40, 127) {
+        for p in rand_points::<2>(&mut rng, 50, 255) {
             est.insert_a(&mut a, &p).unwrap();
         }
-        for p in rand_points::<3>(&mut rng, 40, 127) {
+        for p in rand_points::<2>(&mut rng, 50, 255) {
             est.insert_b(&mut b, &p).unwrap();
         }
         both(|ctx| est.estimate_with(ctx, &a, &b).unwrap(), &label);
@@ -355,25 +293,40 @@ fn eps_join_kernels_agree_3d_multiblock() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
+fn eps_join_kernels_agree_3d_multiblock() {
+    let label = "eps/3d";
+    let mut rng = StdRng::seed_from_u64(420);
+    let est = EpsJoin::<3>::new(&mut rng, SketchConfig::new(520, 1), 7, 4);
+    let mut a = est.new_sketch_a();
+    let mut b = est.new_sketch_b();
+    for p in rand_points::<3>(&mut rng, 40, 127) {
+        est.insert_a(&mut a, &p).unwrap();
+    }
+    for p in rand_points::<3>(&mut rng, 40, 127) {
+        est.insert_b(&mut b, &p).unwrap();
+    }
+    both(|ctx| est.estimate_with(ctx, &a, &b).unwrap(), label);
+}
+
+#[test]
 fn self_join_estimates_agree() {
     use sketch::selfjoin::{estimate_self_join_with, estimate_word_self_join_with};
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let label = format!("selfjoin/{kind:?}");
-        let mut rng = StdRng::seed_from_u64(430 + i as u64);
-        let join = SpatialJoin::<2>::new(
-            &mut rng,
-            SketchConfig::new(67, 1).with_kind(kind),
-            [8; 2],
-            EndpointStrategy::AssumeDistinct,
-        );
-        let mut r = join.new_sketch_r();
-        r.insert_slice(&rand_rects::<2>(&mut rng, 60, 255)).unwrap();
-        both(|ctx| estimate_self_join_with(ctx, &r), &label);
-        both(
-            |ctx| estimate_word_self_join_with(ctx, &r, 1),
-            &format!("{label}/word1"),
-        );
-    }
+    let label = "selfjoin";
+    let mut rng = StdRng::seed_from_u64(430);
+    let join = SpatialJoin::<2>::new(
+        &mut rng,
+        SketchConfig::new(67, 1),
+        [8; 2],
+        EndpointStrategy::AssumeDistinct,
+    );
+    let mut r = join.new_sketch_r();
+    r.insert_slice(&rand_rects::<2>(&mut rng, 60, 255)).unwrap();
+    both(|ctx| estimate_self_join_with(ctx, &r), label);
+    both(
+        |ctx| estimate_word_self_join_with(ctx, &r, 1),
+        &format!("{label}/word1"),
+    );
 }
 
 #[test]

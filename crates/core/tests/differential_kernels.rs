@@ -2,7 +2,7 @@
 //!
 //! `BuildKernel::Wide` (512-lane bit-sliced blocks) must produce
 //! **bit-identical** `SketchSet` counters to the scalar reference path for
-//! every construction, endpoint policy, dimensionality, word set,
+//! every endpoint policy, dimensionality, word set,
 //! insert/delete mix and block occupancy — sketches are exact integer
 //! linear summaries, so any divergence at all is a kernel bug. Partly
 //! filled blocks fold 1, 2, 4 or all 8 backing words depending on how many
@@ -66,7 +66,7 @@ fn range_words<const D: usize>() -> Vec<Word<D>> {
 
 /// Runs every word set whose words leave some components unread — the
 /// range and join words and single-component sets — under every policy.
-fn run_partial_word_sets<const D: usize>(kind: fourwise::XiKind, shape: BoostShape, seed: u64) {
+fn run_partial_word_sets<const D: usize>(shape: BoostShape, seed: u64) {
     for (i, policy) in POLICIES.into_iter().enumerate() {
         for (j, (set, words)) in [
             ("range {I,U}", range_words::<D>()),
@@ -79,7 +79,7 @@ fn run_partial_word_sets<const D: usize>(kind: fourwise::XiKind, shape: BoostSha
         .enumerate()
         {
             let seed = seed + 10 * i as u64 + j as u64;
-            run_words(kind, policy, shape, seed, words, set);
+            run_words(policy, shape, seed, words, set);
         }
     }
 }
@@ -109,18 +109,12 @@ fn assert_identical<const D: usize>(scalar: &SketchSet<D>, blocked: &SketchSet<D
 /// Streams a seeded insert/delete mix through the scalar oracle and the
 /// blocked kernel and demands bit-identical counters after every phase of
 /// the stream.
-fn run_config<const D: usize>(
-    kind: fourwise::XiKind,
-    policy: EndpointPolicy,
-    shape: BoostShape,
-    seed: u64,
-) {
-    run_words(kind, policy, shape, seed, all_comp_words::<D>(), "all");
+fn run_config<const D: usize>(policy: EndpointPolicy, shape: BoostShape, seed: u64) {
+    run_words(policy, shape, seed, all_comp_words::<D>(), "all");
 }
 
 /// [`run_config`] over an explicit word set.
 fn run_words<const D: usize>(
-    kind: fourwise::XiKind,
     policy: EndpointPolicy,
     shape: BoostShape,
     seed: u64,
@@ -128,7 +122,7 @@ fn run_words<const D: usize>(
     set: &str,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let schema = SketchSchema::<D>::new(&mut rng, kind, shape, [DimSpec::dyadic(8); D]);
+    let schema = SketchSchema::<D>::new(&mut rng, shape, [DimSpec::dyadic(8); D]);
     // The oracle also maintains a word for every component, so its scratch
     // compiles every cover list whatever `words` read: a word's counters
     // must not depend on which other words its sketch maintains.
@@ -137,7 +131,7 @@ fn run_words<const D: usize>(
     let mut scalar =
         SketchSet::new(schema.clone(), oracle_words, policy).with_kernel(BuildKernel::Scalar);
     let mut blocked = SketchSet::new(schema.clone(), words, policy).with_kernel(BuildKernel::Wide);
-    let label = format!("{kind:?}/{policy:?}/{D}d/{shape:?}/{set}");
+    let label = format!("{policy:?}/{D}d/{shape:?}/{set}");
     let max = (1u64 << scalar.data_bits()[0]) - 1;
 
     let mut live: Vec<HyperRect<D>> = Vec::new();
@@ -191,24 +185,14 @@ const FOLD_WIDTHS: [usize; 4] = [40, 100, 160, 250];
 #[test]
 fn differential_bch_all_policies_1d() {
     for (i, policy) in POLICIES.into_iter().enumerate() {
-        run_config::<1>(
-            fourwise::XiKind::Bch,
-            policy,
-            BLOCK_SPANNING,
-            900 + i as u64,
-        );
+        run_config::<1>(policy, BLOCK_SPANNING, 900 + i as u64);
     }
 }
 
 #[test]
 fn differential_bch_all_policies_2d() {
     for (i, policy) in POLICIES.into_iter().enumerate() {
-        run_config::<2>(
-            fourwise::XiKind::Bch,
-            policy,
-            BLOCK_SPANNING,
-            910 + i as u64,
-        );
+        run_config::<2>(policy, BLOCK_SPANNING, 910 + i as u64);
     }
 }
 
@@ -216,50 +200,7 @@ fn differential_bch_all_policies_2d() {
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn differential_bch_all_policies_3d() {
     for (i, policy) in POLICIES.into_iter().enumerate() {
-        run_config::<3>(
-            fourwise::XiKind::Bch,
-            policy,
-            BLOCK_SPANNING,
-            920 + i as u64,
-        );
-    }
-}
-
-#[test]
-fn differential_poly_all_policies_1d() {
-    for (i, policy) in POLICIES.into_iter().enumerate() {
-        run_config::<1>(
-            fourwise::XiKind::Poly,
-            policy,
-            BLOCK_SPANNING,
-            930 + i as u64,
-        );
-    }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
-fn differential_poly_all_policies_2d() {
-    for (i, policy) in POLICIES.into_iter().enumerate() {
-        run_config::<2>(
-            fourwise::XiKind::Poly,
-            policy,
-            BLOCK_SPANNING,
-            940 + i as u64,
-        );
-    }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
-fn differential_poly_all_policies_3d() {
-    for (i, policy) in POLICIES.into_iter().enumerate() {
-        run_config::<3>(
-            fourwise::XiKind::Poly,
-            policy,
-            BLOCK_SPANNING,
-            950 + i as u64,
-        );
+        run_config::<3>(policy, BLOCK_SPANNING, 920 + i as u64);
     }
 }
 
@@ -267,14 +208,14 @@ fn differential_poly_all_policies_3d() {
 fn differential_partial_word_sets_1d_2d() {
     // TripledShrunk drops the geometry of degenerate ranges but keeps the
     // leaves, so every policy runs on the 2-word prefix fold.
-    run_partial_word_sets::<1>(fourwise::XiKind::Bch, BLOCK_SPANNING, 1000);
-    run_partial_word_sets::<2>(fourwise::XiKind::Bch, BLOCK_SPANNING, 1100);
+    run_partial_word_sets::<1>(BLOCK_SPANNING, 1000);
+    run_partial_word_sets::<2>(BLOCK_SPANNING, 1100);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
-fn differential_partial_word_sets_3d_poly_multiblock() {
-    run_partial_word_sets::<3>(fourwise::XiKind::Poly, WIDE_SPANNING, 1200);
+fn differential_partial_word_sets_3d_multiblock() {
+    run_partial_word_sets::<3>(WIDE_SPANNING, 1200);
 }
 
 #[test]
@@ -283,7 +224,6 @@ fn differential_instance_shapes() {
     // partial blocks — tail handling must stay identical everywhere.
     for (i, (k1, k2)) in [(5, 1), (64, 1), (13, 5), (64, 3)].into_iter().enumerate() {
         run_config::<2>(
-            fourwise::XiKind::Bch,
             EndpointPolicy::Tripled,
             BoostShape::new(k1, k2),
             960 + i as u64,
@@ -298,9 +238,8 @@ fn differential_fold_widths_match_oracle() {
     for (i, k1) in FOLD_WIDTHS.into_iter().enumerate() {
         let shape = BoostShape::new(k1, 1);
         let seed = 990 + 10 * i as u64;
-        run_config::<2>(fourwise::XiKind::Bch, EndpointPolicy::Tripled, shape, seed);
+        run_config::<2>(EndpointPolicy::Tripled, shape, seed);
         run_words(
-            fourwise::XiKind::Poly,
             EndpointPolicy::Raw,
             shape,
             seed + 1,
@@ -315,18 +254,8 @@ fn differential_fold_widths_match_oracle() {
 fn differential_wide_spanning_shapes() {
     // Partly filled blocks at and just above the majority cutover: 300
     // lanes (5 of 8 words) and 256 lanes (4 of 8).
-    run_config::<2>(
-        fourwise::XiKind::Bch,
-        EndpointPolicy::Tripled,
-        WIDE_SPANNING,
-        970,
-    );
-    run_config::<1>(
-        fourwise::XiKind::Poly,
-        EndpointPolicy::Raw,
-        BoostShape::new(256, 1),
-        971,
-    );
+    run_config::<2>(EndpointPolicy::Tripled, WIDE_SPANNING, 970);
+    run_config::<1>(EndpointPolicy::Raw, BoostShape::new(256, 1), 971);
 }
 
 #[test]
@@ -334,18 +263,8 @@ fn differential_wide_spanning_shapes() {
 fn differential_wide512_spanning_shapes() {
     // Shapes straddling the 512-lane block width: a full block plus a tiny
     // tail (one occupied backing word of eight), and an exact fit.
-    run_config::<2>(
-        fourwise::XiKind::Bch,
-        EndpointPolicy::Tripled,
-        WIDE512_SPANNING,
-        975,
-    );
-    run_config::<1>(
-        fourwise::XiKind::Poly,
-        EndpointPolicy::Raw,
-        BoostShape::new(512, 1),
-        976,
-    );
+    run_config::<2>(EndpointPolicy::Tripled, WIDE512_SPANNING, 975);
+    run_config::<1>(EndpointPolicy::Raw, BoostShape::new(512, 1), 976);
 }
 
 /// A rect whose interval cover, in every dimension of `domain` truncated
@@ -372,14 +291,10 @@ fn differential_long_cover_lists_match_oracle() {
     // nodes. Streamed and sliced, inserted and deleted, on a 1-word and a
     // 4-word partial block, every counter must match the scalar oracle.
     const MAX_LEVEL: u32 = 3;
-    for (i, (kind, k1)) in [(fourwise::XiKind::Bch, 160), (fourwise::XiKind::Poly, 40)]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, k1) in [160, 40].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(1100 + i as u64);
         let schema = SketchSchema::<2>::new(
             &mut rng,
-            kind,
             BoostShape::new(k1, 1),
             [DimSpec::with_max_level(8, MAX_LEVEL); 2],
         );
@@ -390,7 +305,7 @@ fn differential_long_cover_lists_match_oracle() {
         let data: Vec<HyperRect<2>> = (0..90)
             .map(|_| long_cover_rect(&mut rng, domain, MAX_LEVEL))
             .collect();
-        let label = format!("long covers/{kind:?}/{k1} instances");
+        let label = format!("long covers/{k1} instances");
         let (mut scalar, mut streamed, mut sliced) = (
             new(BuildKernel::Scalar),
             new(BuildKernel::Wide),
@@ -420,12 +335,7 @@ fn default_kernel_is_blocked_at_every_size() {
     let mut rng = StdRng::seed_from_u64(980);
     let words = Arc::new(ie_words::<1>());
     for k1 in [1, 67, 160, 383, 384, 1015] {
-        let schema = SketchSchema::<1>::new(
-            &mut rng,
-            fourwise::XiKind::Bch,
-            BoostShape::new(k1, 1),
-            [DimSpec::dyadic(8)],
-        );
+        let schema = SketchSchema::<1>::new(&mut rng, BoostShape::new(k1, 1), [DimSpec::dyadic(8)]);
         let sk = SketchSet::new(schema, words.clone(), EndpointPolicy::Raw);
         assert_eq!(sk.kernel(), BuildKernel::Wide, "{k1} instances");
         assert_eq!(sketch::preferred_lane_width(k1), 512, "{k1} instances");
@@ -435,12 +345,7 @@ fn default_kernel_is_blocked_at_every_size() {
 #[test]
 fn slice_ingestion_matches_streaming_inserts() {
     let mut rng = StdRng::seed_from_u64(70);
-    let schema = SketchSchema::<2>::new(
-        &mut rng,
-        fourwise::XiKind::Bch,
-        BoostShape::new(33, 2),
-        [DimSpec::dyadic(8); 2],
-    );
+    let schema = SketchSchema::<2>::new(&mut rng, BoostShape::new(33, 2), [DimSpec::dyadic(8); 2]);
     let words = Arc::new(all_comp_words::<2>());
     let data: Vec<HyperRect<2>> = (0..300).map(|_| rand_rect::<2>(&mut rng, 255)).collect();
 
@@ -470,8 +375,7 @@ fn slice_ingestion_matches_streaming_inserts() {
 /// instance blocks, must match the scalar streaming oracle bit for bit.
 fn run_split(shape: BoostShape, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let kind = fourwise::XiKind::Bch;
-    let schema = SketchSchema::<2>::new(&mut rng, kind, shape, [DimSpec::dyadic(8); 2]);
+    let schema = SketchSchema::<2>::new(&mut rng, shape, [DimSpec::dyadic(8); 2]);
     let words = Arc::new(all_comp_words::<2>());
     let new = |k| SketchSet::new(schema.clone(), words.clone(), EndpointPolicy::Raw).with_kernel(k);
     let above = sketch::INGEST_SPLIT_FLOOR.div_ceil(schema.instances()) + 3;
@@ -517,12 +421,7 @@ fn split_slices_match_streaming_oracle_1015() {
 #[test]
 fn slice_ingestion_validates_up_front() {
     let mut rng = StdRng::seed_from_u64(71);
-    let schema = SketchSchema::<2>::new(
-        &mut rng,
-        fourwise::XiKind::Bch,
-        BoostShape::new(4, 2),
-        [DimSpec::dyadic(8); 2],
-    );
+    let schema = SketchSchema::<2>::new(&mut rng, BoostShape::new(4, 2), [DimSpec::dyadic(8); 2]);
     let words = Arc::new(ie_words::<2>());
     let mut sk = SketchSet::new(schema, words, EndpointPolicy::Raw);
     let mut data: Vec<HyperRect<2>> = (0..20).map(|_| rand_rect::<2>(&mut rng, 255)).collect();
@@ -539,12 +438,7 @@ fn slice_ingestion_validates_up_front() {
 fn kernels_are_switchable_mid_stream() {
     // A sketch may swap kernels at any point without perturbing its state.
     let mut rng = StdRng::seed_from_u64(72);
-    let schema = SketchSchema::<2>::new(
-        &mut rng,
-        fourwise::XiKind::Bch,
-        BoostShape::new(20, 1),
-        [DimSpec::dyadic(8); 2],
-    );
+    let schema = SketchSchema::<2>::new(&mut rng, BoostShape::new(20, 1), [DimSpec::dyadic(8); 2]);
     let words = Arc::new(ie_words::<2>());
     let data: Vec<HyperRect<2>> = (0..120).map(|_| rand_rect::<2>(&mut rng, 255)).collect();
 

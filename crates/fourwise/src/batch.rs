@@ -2,8 +2,8 @@
 //! *and* query kernels.
 //!
 //! Sketch maintenance evaluates the *same* index against thousands of
-//! independent family instances. The scalar path ([`XiFamily::xi_pre`])
-//! dispatches per instance and pays a popcount each time. This module
+//! independent family instances. The scalar path ([`BchFamily::xi_pre`])
+//! evaluates one instance at a time and pays a popcount each time. This module
 //! transposes the problem: the seeds of up to [`LaneWord::LANES`] (512)
 //! instances are packed into *bit planes* (`plane[b]` holds bit `b` of every
 //! lane's seed), and the planes into per-nibble XOR tables, so one index is
@@ -11,7 +11,7 @@
 //! domain — `O(k)` word operations for a full block instead of `O(k)` per
 //! instance. Every block, mask and counter plane is one [`LaneWord`]; the
 //! per-lane sums are bit-identical to the scalar families'
-//! ([`XiFamily::sum_pre`]), which the tests check lane for lane.
+//! ([`BchFamily::sum_pre`]), which the tests check lane for lane.
 //!
 //! Partly filled blocks (a schema smaller than the lane width, or the tail
 //! of a larger one) carry an *occupancy* word count: every backing word at
@@ -23,7 +23,7 @@
 //! (Majority-occupied blocks stay on the full fixed-width code: folding the
 //! provably-zero dead words is free.)
 //!
-//! For the BCH family the sign of lane `j` is
+//! The sign of lane `j` is
 //! `b0_j ⊕ <s1_j, i> ⊕ <s3_j, i³>`; XOR-ing the `s1` plane of every set bit
 //! of `i` and the `s3` plane of every set bit of `i³` computes all lanes'
 //! inner products simultaneously (the classic bit-slicing of GF(2) linear
@@ -35,10 +35,7 @@
 //! space of a 2^16 domain), where the set-bit walk took one data-dependent
 //! XOR per set bit and mispredicted its exit. The tables take
 //! `2·⌈k/4⌉·16` lane words per block — 10 KiB at 512 lanes and `k = 17`,
-//! against 2.2 KiB for the planes they replace. The polynomial family is
-//! not linear over GF(2), so its block falls back to per-lane Horner
-//! evaluation behind the same interface — the blocked kernel stays
-//! construction-agnostic and bit-identical either way.
+//! against 2.2 KiB for the planes they replace.
 //!
 //! Component sums over dyadic covers use [`LaneCounter`], a carry-save adder
 //! network over sign masks: the block masks of a cover's nodes are folded
@@ -53,20 +50,23 @@
 //! a ±1 mask `m` over `n` nodes is `n - 2·ones(lane)`, exactly the integer
 //! sum the scalar oracle computes.
 
-use crate::family::{IndexPre, XiContext, XiKind, XiSeed};
+use crate::bch::BchSeed;
+use crate::family::{IndexPre, XiContext};
 use crate::lane::LaneWord;
-use crate::poly::PolyFamily;
 
 #[cfg(doc)]
-use crate::family::XiFamily;
+use crate::bch::BchFamily;
 
 /// Upper bound on the number of masks a [`LaneCounter`] can absorb
 /// (`2^PLANES - 1`). Dyadic covers have at most `2·bits ≤ 126` nodes, within
 /// bounds for every supported domain.
 const PLANES: usize = 8;
 
-/// Packed seeds of up to [`LaneWord::LANES`] BCH family instances over one domain,
-/// stored as per-nibble XOR tables for one-pass block evaluation.
+/// Packed seeds of up to [`LaneWord::LANES`] family instances over one
+/// domain, stored as per-nibble XOR tables for one-pass block evaluation.
+///
+/// The block analogue of [`BchFamily`]: built once per (schema, dimension,
+/// instance block) and reused for every update.
 #[derive(Debug, Clone)]
 pub struct BchBlock {
     lanes: u32,
@@ -91,19 +91,26 @@ struct NibbleTables {
 }
 
 impl BchBlock {
-    fn pack(seeds: impl Iterator<Item = crate::bch::BchSeed>, k: u32) -> Self {
+    /// Packs a block from per-instance seeds drawn for `ctx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` is empty or holds more than [`LaneWord::LANES`]
+    /// entries.
+    pub fn pack(ctx: &XiContext, seeds: &[BchSeed]) -> Self {
+        assert!(
+            !seeds.is_empty() && seeds.len() <= LaneWord::LANES,
+            "xi blocks hold 1..={} seeds, got {}",
+            LaneWord::LANES,
+            seeds.len()
+        );
+        let k = ctx.bits() as usize;
         // Bit planes first: `s1[b]` lane `j` = bit `b` of seed `j`'s
         // first-order mask, `s3[b]` the same for the third-order mask.
         let mut b0 = LaneWord::zero();
-        let mut s1 = vec![LaneWord::zero(); k as usize];
-        let mut s3 = vec![LaneWord::zero(); k as usize];
-        let mut lanes = 0u32;
-        for (j, seed) in seeds.enumerate() {
-            assert!(
-                j < LaneWord::LANES,
-                "xi block holds at most {} seeds",
-                LaneWord::LANES
-            );
+        let mut s1 = vec![LaneWord::zero(); k];
+        let mut s3 = vec![LaneWord::zero(); k];
+        for (j, seed) in seeds.iter().enumerate() {
             if seed.b0 {
                 b0.set_bit(j);
             }
@@ -117,7 +124,6 @@ impl BchBlock {
                     plane.set_bit(j);
                 }
             }
-            lanes += 1;
         }
         // Then the nibble tables: entry `v` is entry `v & (v - 1)` (`v`
         // without its lowest set bit) XOR the plane of that bit. Planes at
@@ -134,24 +140,35 @@ impl BchBlock {
             }
             t
         };
-        let nibbles = (0..(k as usize).div_ceil(4))
+        let nibbles = (0..k.div_ceil(4))
             .map(|q| NibbleTables {
                 s1: table(&s1, q),
                 s3: table(&s3, q),
             })
             .collect();
-        let words = (lanes as usize).div_ceil(64) as u32;
         Self {
-            lanes,
-            words,
+            lanes: seeds.len() as u32,
+            words: seeds.len().div_ceil(64) as u32,
             b0,
             nibbles,
         }
     }
 
-    /// Sign mask of the block at one index: lane `j`'s bit set ⇔ lane `j`'s
-    /// `xi = -1`. Bits at or above the block's lane count are zero (partial
-    /// tail blocks fold only their occupied backing words).
+    /// Number of occupied lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes as usize
+    }
+
+    /// Number of occupied backing words (`lanes().div_ceil(64)`) — the
+    /// occupancy mask partial tail blocks hand to the prefix-limited folds.
+    #[inline]
+    pub fn occupied_words(&self) -> usize {
+        self.words as usize
+    }
+
+    /// Sign mask of the whole block at one index: lane `j`'s bit set ⇔ lane
+    /// `j`'s `xi_i = -1`. Bits at or above [`BchBlock::lanes`] are zero
+    /// (partial tail blocks fold only their occupied backing words).
     ///
     /// One `s1` and one `s3` table lookup per nibble of the domain: a fixed
     /// trip count, whatever bits the index and its cube have set.
@@ -177,110 +194,9 @@ impl BchBlock {
         acc
     }
 
-    fn lanes(&self) -> usize {
-        self.lanes as usize
-    }
-}
-
-/// Block of polynomial family instances. The construction is not GF(2)-linear
-/// so lanes evaluate individually, packed into the same mask interface.
-#[derive(Debug, Clone)]
-pub struct PolyBlock {
-    fams: Vec<PolyFamily>,
-}
-
-impl PolyBlock {
-    /// Sign mask at one index (see [`BchBlock::eval_mask`]).
-    #[inline]
-    pub fn eval_mask(&self, pre: IndexPre) -> LaneWord {
-        let mut mask = LaneWord::zero();
-        for (j, fam) in self.fams.iter().enumerate() {
-            if fam.xi(pre.index) < 0 {
-                mask.set_bit(j);
-            }
-        }
-        mask
-    }
-}
-
-/// Packed evaluation block for up to [`LaneWord::LANES`] family instances.
-///
-/// The block analogue of [`XiFamily`]: built once per (schema, dimension,
-/// instance block) and reused for every update.
-#[derive(Debug, Clone)]
-pub enum XiBlock {
-    /// Bit-sliced BCH block.
-    Bch(BchBlock),
-    /// Per-lane polynomial block.
-    Poly(PolyBlock),
-}
-
-impl XiBlock {
-    /// Packs a block from per-instance seeds drawn for `ctx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty, holds more than [`LaneWord::LANES`] entries, or
-    /// any seed kind does not match the context kind.
-    pub fn pack(ctx: &XiContext, seeds: &[XiSeed]) -> Self {
-        assert!(
-            !seeds.is_empty() && seeds.len() <= LaneWord::LANES,
-            "xi blocks hold 1..={} seeds, got {}",
-            LaneWord::LANES,
-            seeds.len()
-        );
-        match ctx.kind() {
-            XiKind::Bch => XiBlock::Bch(BchBlock::pack(
-                seeds.iter().map(|s| match s {
-                    XiSeed::Bch(b) => *b,
-                    XiSeed::Poly(_) => panic!("xi seed kind does not match context kind"),
-                }),
-                ctx.bits(),
-            )),
-            XiKind::Poly => XiBlock::Poly(PolyBlock {
-                fams: seeds
-                    .iter()
-                    .map(|s| match s {
-                        XiSeed::Poly(p) => PolyFamily::new(*p),
-                        XiSeed::Bch(_) => panic!("xi seed kind does not match context kind"),
-                    })
-                    .collect(),
-            }),
-        }
-    }
-
-    /// Number of occupied lanes.
-    pub fn lanes(&self) -> usize {
-        match self {
-            XiBlock::Bch(b) => b.lanes(),
-            XiBlock::Poly(p) => p.fams.len(),
-        }
-    }
-
-    /// Number of occupied backing words (`lanes().div_ceil(64)`) — the
-    /// occupancy mask partial tail blocks hand to the prefix-limited folds.
-    #[inline]
-    pub fn occupied_words(&self) -> usize {
-        match self {
-            XiBlock::Bch(b) => b.words as usize,
-            XiBlock::Poly(p) => p.fams.len().div_ceil(64),
-        }
-    }
-
-    /// Sign mask of the whole block at one index: lane `j`'s bit set ⇔ lane
-    /// `j`'s `xi_i = -1`. Bits at or above [`XiBlock::lanes`] are
-    /// unspecified.
-    #[inline]
-    pub fn eval_mask(&self, pre: IndexPre) -> LaneWord {
-        match self {
-            XiBlock::Bch(b) => b.eval_mask(pre),
-            XiBlock::Poly(p) => p.eval_mask(pre),
-        }
-    }
-
     /// Per-lane `Σ xi` over a precomputed index list — the block analogue of
-    /// [`XiFamily::sum_pre`]. Writes `out[j]` for every occupied lane `j`
-    /// (`out` must hold at least [`XiBlock::lanes`] entries); `counter` is
+    /// [`BchFamily::sum_pre`]. Writes `out[j]` for every occupied lane `j`
+    /// (`out` must hold at least [`BchBlock::lanes`] entries); `counter` is
     /// cleared and reused as carry-save scratch. Lists longer than
     /// [`LaneCounter::CAPACITY`] are folded in chunks.
     #[inline]
@@ -355,10 +271,10 @@ impl BlockSums {
     }
 
     /// Evaluates per-lane `Σ xi` of `block` over `pres` into slot `slot`
-    /// (the block analogue of [`XiFamily::sum_pre`], see
-    /// [`XiBlock::sum_pre_into`]). Grows the slot bank as needed.
+    /// (the block analogue of [`BchFamily::sum_pre`], see
+    /// [`BchBlock::sum_pre_into`]). Grows the slot bank as needed.
     #[inline]
-    pub fn eval_into(&mut self, slot: usize, block: &XiBlock, pres: &[IndexPre]) {
+    pub fn eval_into(&mut self, slot: usize, block: &BchBlock, pres: &[IndexPre]) {
         self.reserve_slots(slot + 1);
         let buf = &mut self.sums[slot * LaneWord::LANES..(slot + 1) * LaneWord::LANES];
         block.sum_pre_into(pres, &mut self.counter, buf);
@@ -623,14 +539,14 @@ fn transpose8(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::XiFamily;
+    use crate::bch::BchFamily;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng};
 
-    fn random_block(kind: XiKind, k: u32, lanes: usize, seed: u64) -> (XiContext, Vec<XiSeed>) {
+    fn random_block(k: u32, lanes: usize, seed: u64) -> (XiContext, Vec<BchSeed>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let ctx = XiContext::new(kind, k);
-        let seeds: Vec<XiSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
+        let ctx = XiContext::new(k);
+        let seeds: Vec<BchSeed> = (0..lanes).map(|_| ctx.random_seed(&mut rng)).collect();
         (ctx, seeds)
     }
 
@@ -638,20 +554,18 @@ mod tests {
     fn eval_mask_matches_scalar_families() {
         // One lane, a partial first word, one and four whole words (a
         // 1- and a 4-word prefix fold) and the full block.
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            for lanes in [1usize, 7, 64, 256, LaneWord::LANES] {
-                let (ctx, seeds) = random_block(kind, 12, lanes, 31 + lanes as u64);
-                let block = XiBlock::pack(&ctx, &seeds);
-                assert_eq!(block.lanes(), lanes);
-                let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
-                for i in [0u64, 1, 2, 77, 4095] {
-                    let pre = ctx.precompute(i);
-                    let mask = block.eval_mask(pre);
-                    for (j, fam) in fams.iter().enumerate() {
-                        let expect = fam.xi_pre(pre);
-                        let got = 1 - 2 * mask.bit(j) as i64;
-                        assert_eq!(got, expect, "{kind:?} lane {j} index {i}");
-                    }
+        for lanes in [1usize, 7, 64, 256, LaneWord::LANES] {
+            let (ctx, seeds) = random_block(12, lanes, 31 + lanes as u64);
+            let block = BchBlock::pack(&ctx, &seeds);
+            assert_eq!(block.lanes(), lanes);
+            let fams: Vec<BchFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
+            for i in [0u64, 1, 2, 77, 4095] {
+                let pre = ctx.precompute(i);
+                let mask = block.eval_mask(pre);
+                for (j, fam) in fams.iter().enumerate() {
+                    let expect = fam.xi_pre(pre);
+                    let got = 1 - 2 * mask.bit(j) as i64;
+                    assert_eq!(got, expect, "lane {j} index {i}");
                 }
             }
         }
@@ -660,22 +574,20 @@ mod tests {
     #[test]
     fn sum_pre_into_matches_scalar_sum() {
         let mut rng = StdRng::seed_from_u64(5);
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            // 100 stays within one LaneCounter chunk; 1000 forces the
-            // multi-chunk accumulation path.
-            for n in [100usize, 1000] {
-                let (ctx, seeds) = random_block(kind, 10, LaneWord::LANES, 77);
-                let block = XiBlock::pack(&ctx, &seeds);
-                let pres: Vec<IndexPre> = (0..n)
-                    .map(|_| ctx.precompute(rng.gen_range(0..1024u64)))
-                    .collect();
-                let mut counter = LaneCounter::new();
-                let mut sums = vec![0i64; LaneWord::LANES];
-                block.sum_pre_into(&pres, &mut counter, &mut sums);
-                for (j, &seed) in seeds.iter().enumerate() {
-                    let fam = ctx.family(seed);
-                    assert_eq!(sums[j], fam.sum_pre(&pres), "{kind:?} n={n} lane {j}");
-                }
+        // 100 stays within one LaneCounter chunk; 1000 forces the
+        // multi-chunk accumulation path.
+        for n in [100usize, 1000] {
+            let (ctx, seeds) = random_block(10, LaneWord::LANES, 77);
+            let block = BchBlock::pack(&ctx, &seeds);
+            let pres: Vec<IndexPre> = (0..n)
+                .map(|_| ctx.precompute(rng.gen_range(0..1024u64)))
+                .collect();
+            let mut counter = LaneCounter::new();
+            let mut sums = vec![0i64; LaneWord::LANES];
+            block.sum_pre_into(&pres, &mut counter, &mut sums);
+            for (j, &seed) in seeds.iter().enumerate() {
+                let fam = ctx.family(seed);
+                assert_eq!(sums[j], fam.sum_pre(&pres), "n={n} lane {j}");
             }
         }
     }
@@ -685,24 +597,17 @@ mod tests {
         // A full block's per-lane sums over a 120-node list equal the
         // scalar family sums in every lane of every backing word.
         let mut rng = StdRng::seed_from_u64(91);
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            let (ctx, seeds) = random_block(kind, 11, LaneWord::LANES, 92);
-            let block = XiBlock::pack(&ctx, &seeds);
-            let pres: Vec<IndexPre> = (0..120)
-                .map(|_| ctx.precompute(rng.gen_range(0..2048u64)))
-                .collect();
-            let mut counter = LaneCounter::new();
-            let mut sums = vec![0i64; LaneWord::LANES];
-            block.sum_pre_into(&pres, &mut counter, &mut sums);
-            for (j, &seed) in seeds.iter().enumerate() {
-                let fam = ctx.family(seed);
-                assert_eq!(
-                    sums[j],
-                    fam.sum_pre(&pres),
-                    "{kind:?} word {} lane {j}",
-                    j / 64
-                );
-            }
+        let (ctx, seeds) = random_block(11, LaneWord::LANES, 92);
+        let block = BchBlock::pack(&ctx, &seeds);
+        let pres: Vec<IndexPre> = (0..120)
+            .map(|_| ctx.precompute(rng.gen_range(0..2048u64)))
+            .collect();
+        let mut counter = LaneCounter::new();
+        let mut sums = vec![0i64; LaneWord::LANES];
+        block.sum_pre_into(&pres, &mut counter, &mut sums);
+        for (j, &seed) in seeds.iter().enumerate() {
+            let fam = ctx.family(seed);
+            assert_eq!(sums[j], fam.sum_pre(&pres), "word {} lane {j}", j / 64);
         }
     }
 
@@ -715,33 +620,27 @@ mod tests {
         // and 449 the full one.
         for lanes in [40usize, 70, 129, 160, 300, 449] {
             let mut rng = StdRng::seed_from_u64(4096 + lanes as u64);
-            for kind in [XiKind::Bch, XiKind::Poly] {
-                let (ctx, seeds) = random_block(kind, 12, lanes, 55 + lanes as u64);
-                let block = XiBlock::pack(&ctx, &seeds);
-                assert_eq!(block.lanes(), lanes);
-                assert_eq!(block.occupied_words(), lanes.div_ceil(64));
-                let pres: Vec<IndexPre> = (0..90)
-                    .map(|_| ctx.precompute(rng.gen_range(0..4096u64)))
-                    .collect();
-                let mut counter = LaneCounter::new();
-                let mut sums = vec![0i64; lanes];
-                block.sum_pre_into(&pres, &mut counter, &mut sums);
-                for (j, &seed) in seeds.iter().enumerate() {
-                    let fam = ctx.family(seed);
-                    assert_eq!(
-                        sums[j],
-                        fam.sum_pre(&pres),
-                        "{kind:?} lanes={lanes} lane {j}"
-                    );
-                }
+            let (ctx, seeds) = random_block(12, lanes, 55 + lanes as u64);
+            let block = BchBlock::pack(&ctx, &seeds);
+            assert_eq!(block.lanes(), lanes);
+            assert_eq!(block.occupied_words(), lanes.div_ceil(64));
+            let pres: Vec<IndexPre> = (0..90)
+                .map(|_| ctx.precompute(rng.gen_range(0..4096u64)))
+                .collect();
+            let mut counter = LaneCounter::new();
+            let mut sums = vec![0i64; lanes];
+            block.sum_pre_into(&pres, &mut counter, &mut sums);
+            for (j, &seed) in seeds.iter().enumerate() {
+                let fam = ctx.family(seed);
+                assert_eq!(sums[j], fam.sum_pre(&pres), "lanes={lanes} lane {j}");
             }
         }
     }
 
     #[test]
     fn sum_pre_into_empty_list_is_zero() {
-        let (ctx, seeds) = random_block(XiKind::Bch, 8, 3, 11);
-        let block = XiBlock::pack(&ctx, &seeds);
+        let (ctx, seeds) = random_block(8, 3, 11);
+        let block = BchBlock::pack(&ctx, &seeds);
         let mut counter = LaneCounter::new();
         let mut sums = [7i64; LaneWord::LANES];
         block.sum_pre_into(&[], &mut counter, &mut sums);
@@ -751,8 +650,8 @@ mod tests {
     #[test]
     fn block_sums_holds_independent_slots() {
         let mut rng = StdRng::seed_from_u64(6);
-        let (ctx, seeds) = random_block(XiKind::Bch, 10, LaneWord::LANES, 78);
-        let block = XiBlock::pack(&ctx, &seeds);
+        let (ctx, seeds) = random_block(10, LaneWord::LANES, 78);
+        let block = BchBlock::pack(&ctx, &seeds);
         let list_a: Vec<IndexPre> = (0..40u64)
             .map(|_| ctx.precompute(rng.gen_range(0..1024u64)))
             .collect();
@@ -790,8 +689,8 @@ mod tests {
     #[test]
     fn slot_products_match_per_lane_fold() {
         let mut rng = StdRng::seed_from_u64(17);
-        let (ctx, seeds) = random_block(XiKind::Bch, 10, LaneWord::LANES, 79);
-        let block = XiBlock::pack(&ctx, &seeds);
+        let (ctx, seeds) = random_block(10, LaneWord::LANES, 79);
+        let block = BchBlock::pack(&ctx, &seeds);
         let lists: Vec<Vec<IndexPre>> = (0..3)
             .map(|n| {
                 (0..20 + 9 * n)
@@ -886,7 +785,7 @@ mod tests {
     }
 
     /// Folds `masks` eight at a time through the adder tree (the remainder
-    /// one at a time, as [`XiBlock::sum_pre_into`] does) and one at a time,
+    /// one at a time, as [`BchBlock::sum_pre_into`] does) and one at a time,
     /// and checks that both counters agree plane for plane.
     fn assert_octet_fold_matches_single_adds(masks: &[LaneWord], words: usize, label: &str) {
         let mut octet = LaneCounter::new();
@@ -1002,9 +901,9 @@ mod tests {
                     .collect()
             };
             for lanes in [1usize, 40, 160, 512] {
-                let (ctx, seeds) = random_block(XiKind::Bch, k, lanes, 41 + k as u64);
-                let block = XiBlock::pack(&ctx, &seeds);
-                let fams: Vec<XiFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
+                let (ctx, seeds) = random_block(k, lanes, 41 + k as u64);
+                let block = BchBlock::pack(&ctx, &seeds);
+                let fams: Vec<BchFamily> = seeds.iter().map(|&s| ctx.family(s)).collect();
                 for &i in &indices {
                     let pre = ctx.precompute(i);
                     let mask = block.eval_mask(pre);
@@ -1027,22 +926,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not match")]
-    fn pack_rejects_mismatched_seed_kind() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let poly_ctx = XiContext::new(XiKind::Poly, 8);
-        let seed = poly_ctx.random_seed(&mut rng);
-        let bch_ctx = XiContext::new(XiKind::Bch, 8);
-        let _ = XiBlock::pack(&bch_ctx, &[seed]);
-    }
-
-    #[test]
     #[should_panic(expected = "1..=512 seeds")]
     fn pack_rejects_oversized_block() {
         let mut rng = StdRng::seed_from_u64(10);
-        let ctx = XiContext::new(XiKind::Bch, 8);
-        let seeds: Vec<XiSeed> = (0..513).map(|_| ctx.random_seed(&mut rng)).collect();
-        let _ = XiBlock::pack(&ctx, &seeds);
+        let ctx = XiContext::new(8);
+        let seeds: Vec<BchSeed> = (0..513).map(|_| ctx.random_seed(&mut rng)).collect();
+        let _ = BchBlock::pack(&ctx, &seeds);
     }
 
     #[test]

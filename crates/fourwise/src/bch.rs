@@ -21,6 +21,7 @@
 //! the same domain evaluate the same index, the cube can be computed once and
 //! shared (see [`BchFamily::xi_with_cube`]).
 
+use crate::family::IndexPre;
 use crate::gf2::GfContext;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -104,6 +105,20 @@ impl BchFamily {
         let mixed = (self.seed.s1 & i) ^ (self.seed.s3 & cube);
         let bit = (mixed.count_ones() & 1) as u64 ^ self.seed.b0 as u64;
         1 - 2 * bit as i64
+    }
+
+    /// Evaluates `xi_i` (+1 or -1) with the shared precomputation of an
+    /// [`XiContext`](crate::XiContext).
+    #[inline(always)]
+    pub fn xi_pre(&self, pre: IndexPre) -> i64 {
+        self.xi_with_cube(pre.index, pre.cube)
+    }
+
+    /// Sums `xi` over a precomputed index list — the inner loop of sketch
+    /// updates (covers are short: O(log n) entries).
+    #[inline]
+    pub fn sum_pre(&self, pres: &[IndexPre]) -> i64 {
+        pres.iter().map(|&p| self.xi_pre(p)).sum()
     }
 }
 

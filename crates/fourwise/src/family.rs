@@ -1,17 +1,15 @@
-//! A unified interface over the available four-wise independent generators.
+//! The shared per-domain evaluation context of the BCH families.
 //!
-//! Sketch schemas pick a [`XiKind`] once; every atomic sketch instance then
-//! draws its own [`XiSeed`] and evaluates variables through [`XiFamily`].
-//! The interface is shaped around the sketch hot loop: callers first
-//! precompute per-index data shared by *all* instances (the GF(2^k) cube for
-//! the BCH family, see [`IndexPre`]), then evaluate each instance's variable
-//! with a few word operations.
+//! Every atomic sketch instance draws its own [`BchSeed`] and evaluates
+//! variables through a [`BchFamily`]. The interface is shaped around the
+//! sketch hot loop: callers first precompute per-index data shared by *all*
+//! instances (the GF(2^k) cube, see [`IndexPre`]) through one
+//! [`XiContext`], then evaluate each instance's variable with a few word
+//! operations.
 
 use crate::bch::{BchFamily, BchSeed};
 use crate::gf2::GfContext;
-use crate::poly::{PolyFamily, PolySeed};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Largest index-space size (in bits) for which [`XiContext`] eagerly
@@ -19,182 +17,66 @@ use std::sync::Arc;
 /// is computed on the fly per index.
 pub const CUBE_TABLE_MAX_BITS: u32 = 21;
 
-/// Which four-wise independent construction to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum XiKind {
-    /// BCH over GF(2^k): the paper's construction; seed is exactly `2k+1`
-    /// bits, exactly unbiased, and index cubes are shared across instances.
-    #[default]
-    Bch,
-    /// Random cubic polynomial over Z_{2^61-1}; see [`crate::poly`].
-    Poly,
-}
-
-/// Seed for one family instance, tagged by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum XiSeed {
-    /// Seed of a BCH family.
-    Bch(BchSeed),
-    /// Seed of a cubic-polynomial family.
-    Poly(PolySeed),
-}
-
-impl XiSeed {
-    /// Draws a random seed of the given kind for a domain of `2^k` indices.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R, kind: XiKind, k: u32) -> Self {
-        match kind {
-            XiKind::Bch => XiSeed::Bch(BchSeed::random(rng, k)),
-            XiKind::Poly => XiSeed::Poly(PolySeed::random(rng)),
-        }
-    }
-
-    /// The construction this seed belongs to.
-    pub fn kind(&self) -> XiKind {
-        match self {
-            XiSeed::Bch(_) => XiKind::Bch,
-            XiSeed::Poly(_) => XiKind::Poly,
-        }
-    }
-}
-
 /// Precomputed per-index data shared by every instance over the same domain.
 ///
-/// For the BCH family this holds `i^3` in GF(2^k); computing it once per
-/// index per update (instead of once per index per *instance*) is what makes
-/// maintaining thousands of instances affordable.
+/// This holds `i^3` in GF(2^k); computing it once per index per update
+/// (instead of once per index per *instance*) is what makes maintaining
+/// thousands of instances affordable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexPre {
     /// The index itself.
     pub index: u64,
-    /// `index^3` in GF(2^k) (0 for non-BCH kinds, unused).
+    /// `index^3` in GF(2^k).
     pub cube: u64,
 }
 
 /// Shared, instance-independent evaluation context for a domain of `2^k`
 /// indices.
 ///
-/// For BCH families over moderate domains (`k <=` [`CUBE_TABLE_MAX_BITS`])
-/// the context eagerly tabulates `i³` for every index — cubes are
-/// seed-independent, so this one table serves every sketch instance and
-/// turns the per-index precomputation into an array load.
+/// Over moderate domains (`k <=` [`CUBE_TABLE_MAX_BITS`]) the context
+/// eagerly tabulates `i³` for every index — cubes are seed-independent, so
+/// this one table serves every sketch instance and turns the per-index
+/// precomputation into an array load.
 #[derive(Debug, Clone)]
 pub struct XiContext {
-    kind: XiKind,
-    k: u32,
-    gf: Option<GfContext>,
+    gf: GfContext,
     cube_table: Option<Arc<[u64]>>,
 }
 
 impl XiContext {
-    /// Creates a context of the given kind for indices in `[0, 2^k)`.
-    pub fn new(kind: XiKind, k: u32) -> Self {
-        let gf = match kind {
-            XiKind::Bch => Some(GfContext::new(k)),
-            XiKind::Poly => None,
-        };
-        let cube_table = match gf {
-            Some(gf) if k <= CUBE_TABLE_MAX_BITS => {
-                let table: Vec<u64> = (0..(1u64 << k)).map(|i| gf.cube(i)).collect();
-                Some(Arc::from(table.into_boxed_slice()))
-            }
-            _ => None,
-        };
-        Self {
-            kind,
-            k,
-            gf,
-            cube_table,
-        }
-    }
-
-    /// The construction kind.
-    pub fn kind(&self) -> XiKind {
-        self.kind
+    /// Creates a context for indices in `[0, 2^k)`.
+    pub fn new(k: u32) -> Self {
+        let gf = GfContext::new(k);
+        let cube_table = (k <= CUBE_TABLE_MAX_BITS).then(|| {
+            let table: Vec<u64> = (0..(1u64 << k)).map(|i| gf.cube(i)).collect();
+            Arc::from(table.into_boxed_slice())
+        });
+        Self { gf, cube_table }
     }
 
     /// Domain bits `k`.
     pub fn bits(&self) -> u32 {
-        self.k
+        self.gf.degree()
     }
 
     /// Precomputes the shared per-index data.
     #[inline]
     pub fn precompute(&self, index: u64) -> IndexPre {
-        let cube = match (&self.cube_table, &self.gf) {
-            (Some(table), _) => table[index as usize],
-            (None, Some(gf)) => gf.cube(index),
-            (None, None) => 0,
+        let cube = match &self.cube_table {
+            Some(table) => table[index as usize],
+            None => self.gf.cube(index),
         };
         IndexPre { index, cube }
     }
 
     /// Instantiates a family from a seed drawn for this context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the seed kind does not match the context kind.
-    pub fn family(&self, seed: XiSeed) -> XiFamily {
-        match (seed, self.gf) {
-            (XiSeed::Bch(s), Some(gf)) => XiFamily::Bch(BchFamily::new(s, gf)),
-            (XiSeed::Poly(s), None) => XiFamily::Poly(PolyFamily::new(s)),
-            _ => panic!("xi seed kind does not match context kind"),
-        }
+    pub fn family(&self, seed: BchSeed) -> BchFamily {
+        BchFamily::new(seed, self.gf)
     }
 
     /// Draws a fresh random seed appropriate for this context.
-    pub fn random_seed<R: Rng + ?Sized>(&self, rng: &mut R) -> XiSeed {
-        XiSeed::random(rng, self.kind, self.k)
-    }
-}
-
-/// One instantiated four-wise independent family.
-#[derive(Debug, Clone, Copy)]
-pub enum XiFamily {
-    /// BCH-over-GF(2^k) family.
-    Bch(BchFamily),
-    /// Cubic-polynomial family.
-    Poly(PolyFamily),
-}
-
-impl XiFamily {
-    /// Evaluates `xi_i` (+1 or -1) with the shared precomputation.
-    #[inline(always)]
-    pub fn xi_pre(&self, pre: IndexPre) -> i64 {
-        match self {
-            XiFamily::Bch(f) => f.xi_with_cube(pre.index, pre.cube),
-            XiFamily::Poly(f) => f.xi(pre.index),
-        }
-    }
-
-    /// Evaluates `xi_i` standalone (computes any per-index data itself).
-    #[inline]
-    pub fn xi(&self, i: u64) -> i64 {
-        match self {
-            XiFamily::Bch(f) => f.xi(i),
-            XiFamily::Poly(f) => f.xi(i),
-        }
-    }
-
-    /// Sums `xi` over a precomputed index list — the inner loop of sketch
-    /// updates (covers are short: O(log n) entries).
-    #[inline]
-    pub fn sum_pre(&self, pres: &[IndexPre]) -> i64 {
-        match self {
-            XiFamily::Bch(f) => {
-                let mut acc = 0i64;
-                for p in pres {
-                    acc += f.xi_with_cube(p.index, p.cube);
-                }
-                acc
-            }
-            XiFamily::Poly(f) => {
-                let mut acc = 0i64;
-                for p in pres {
-                    acc += f.xi(p.index);
-                }
-                acc
-            }
-        }
+    pub fn random_seed<R: Rng + ?Sized>(&self, rng: &mut R) -> BchSeed {
+        BchSeed::random(rng, self.bits())
     }
 }
 
@@ -205,25 +87,21 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn context_roundtrip_both_kinds() {
+    fn context_roundtrip() {
         let mut rng = StdRng::seed_from_u64(21);
-        for kind in [XiKind::Bch, XiKind::Poly] {
-            let ctx = XiContext::new(kind, 14);
-            let seed = ctx.random_seed(&mut rng);
-            assert_eq!(seed.kind(), kind);
-            let fam = ctx.family(seed);
-            for i in [0u64, 1, 77, 16383] {
-                let pre = ctx.precompute(i);
-                assert_eq!(fam.xi(i), fam.xi_pre(pre));
-                assert!(fam.xi(i) == 1 || fam.xi(i) == -1);
-            }
+        let ctx = XiContext::new(14);
+        let fam = ctx.family(ctx.random_seed(&mut rng));
+        for i in [0u64, 1, 77, 16383] {
+            let pre = ctx.precompute(i);
+            assert_eq!(fam.xi(i), fam.xi_pre(pre));
+            assert!(fam.xi(i) == 1 || fam.xi(i) == -1);
         }
     }
 
     #[test]
     fn sum_pre_matches_loop() {
         let mut rng = StdRng::seed_from_u64(22);
-        let ctx = XiContext::new(XiKind::Bch, 10);
+        let ctx = XiContext::new(10);
         let fam = ctx.family(ctx.random_seed(&mut rng));
         let pres: Vec<IndexPre> = (0..100u64).map(|i| ctx.precompute(i)).collect();
         let expect: i64 = pres.iter().map(|p| fam.xi(p.index)).sum();
@@ -231,23 +109,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not match")]
-    fn mismatched_seed_kind_panics() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let bch_ctx = XiContext::new(XiKind::Bch, 8);
-        let poly_ctx = XiContext::new(XiKind::Poly, 8);
-        let seed = poly_ctx.random_seed(&mut rng);
-        let _ = bch_ctx.family(seed);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let ctx = XiContext::new(XiKind::Bch, 12);
-        let seed = XiSeed::Bch(crate::bch::BchSeed {
+        let ctx = XiContext::new(12);
+        let seed = BchSeed {
             b0: true,
             s1: 0b1010_1010_1010,
             s3: 0b0110_0110_0110,
-        });
+        };
         let f1 = ctx.family(seed);
         let f2 = ctx.family(seed);
         for i in 0..4096u64 {

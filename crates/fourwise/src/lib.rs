@@ -10,21 +10,18 @@
 //! and any `xi_i` evaluated in `O(k)`-bit operations — the storage/time
 //! tradeoff every sketch in this workspace relies on.
 //!
-//! Two constructions are provided:
+//! The construction is the classical BCH code over GF(2^k) with a seed of
+//! exactly `2k + 1` bits (the paper's, Section 2.2): [`bch`] defines the
+//! seed and the scalar family, exactly four-wise independent and verified
+//! exhaustively in tests.
 //!
-//! * [`bch`] — the classical BCH-code construction over GF(2^k) with a seed
-//!   of exactly `2k + 1` bits (the paper's construction). Exactly four-wise
-//!   independent; verified exhaustively in tests.
-//! * [`poly`] — a random cubic polynomial over Z_{2^61-1} mapped to a sign by
-//!   parity; four-wise independent with a negligible (< 2^-61) sign bias.
-//!
-//! [`family`] wraps both behind one interface shaped for the sketch hot loop
-//! (shared per-index precomputation across thousands of instances),
+//! [`family`] holds the per-domain [`XiContext`] shaped for the sketch hot
+//! loop (per-index precomputation shared across thousands of instances),
 //! [`lane`] defines the 512-lane [`LaneWord`] every bit-sliced structure is
 //! packed into, [`batch`] builds the bit-sliced evaluation blocks behind the
 //! blocked build *and* query kernels (plus the [`BlockSums`] scratch each
 //! query's covers are evaluated into), and
-//! [`gf2`] supplies the carry-less GF(2^k) arithmetic the BCH family needs.
+//! [`gf2`] supplies the carry-less GF(2^k) arithmetic the family needs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,11 +31,9 @@ pub mod bch;
 pub mod family;
 pub mod gf2;
 pub mod lane;
-pub mod poly;
 
-pub use batch::{BlockSums, LaneCounter, XiBlock};
+pub use batch::{BchBlock, BlockSums, LaneCounter};
 pub use bch::{BchFamily, BchSeed};
-pub use family::{IndexPre, XiContext, XiFamily, XiKind, XiSeed, CUBE_TABLE_MAX_BITS};
+pub use family::{IndexPre, XiContext, CUBE_TABLE_MAX_BITS};
 pub use gf2::GfContext;
 pub use lane::LaneWord;
-pub use poly::{PolyFamily, PolySeed};

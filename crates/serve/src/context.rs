@@ -260,12 +260,8 @@ mod tests {
 
     fn store(shards: usize) -> ShardedStore<2> {
         let mut rng = StdRng::seed_from_u64(11);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            fourwise::XiKind::Bch,
-            BoostShape::new(5, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(5, 3), [DimSpec::dyadic(8); 2]);
         ShardedStore::new(
             schema,
             Arc::new(ie_words::<2>()),

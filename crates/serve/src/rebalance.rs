@@ -336,12 +336,8 @@ mod tests {
 
     fn store(shards: usize, seed: u64) -> ShardedStore<2> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            fourwise::XiKind::Bch,
-            BoostShape::new(13, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(13, 3), [DimSpec::dyadic(8); 2]);
         ShardedStore::new(
             schema,
             std::sync::Arc::new(ie_words::<2>()),

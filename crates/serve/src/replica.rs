@@ -253,12 +253,8 @@ mod tests {
 
     fn primary(seed: u64, window: usize) -> ShardedStore<2> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            fourwise::XiKind::Bch,
-            BoostShape::new(13, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(13, 3), [DimSpec::dyadic(8); 2]);
         ShardedStore::new(schema, Arc::new(ie_words::<2>()), EndpointPolicy::Raw, 3)
             .with_log(LogRetention::Entries(window))
     }

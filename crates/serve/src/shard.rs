@@ -170,12 +170,8 @@ mod tests {
 
     fn shard() -> SketchShard<2> {
         let mut rng = StdRng::seed_from_u64(1);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            fourwise::XiKind::Bch,
-            BoostShape::new(4, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(4, 3), [DimSpec::dyadic(8); 2]);
         SketchShard::new(SketchSet::new(
             schema,
             Arc::new(ie_words::<2>()),

@@ -395,14 +395,19 @@ impl<const D: usize> ShardedStore<D> {
             let coverage = match &snap.coverage[i] {
                 None => None,
                 Some(ranges) => {
-                    if ranges.len() != D {
-                        return Err(SketchError::InvalidParameter(
+                    let ranges: Vec<geometry::Interval> = ranges
+                        .iter()
+                        .map(|&(lo, hi)| geometry::Interval::try_new(lo, hi))
+                        .collect::<Option<_>>()
+                        .ok_or(SketchError::InvalidParameter(
+                            "store snapshot coverage box is inverted",
+                        ))?;
+                    let ranges = ranges.try_into().map_err(|_| {
+                        SketchError::InvalidParameter(
                             "store snapshot coverage has wrong dimensionality",
-                        ));
-                    }
-                    Some(HyperRect::new(std::array::from_fn(|d| {
-                        geometry::Interval::new(ranges[d].0, ranges[d].1)
-                    })))
+                        )
+                    })?;
+                    Some(HyperRect::new(ranges))
                 }
             };
             shards.push(Arc::new(SketchShard::with_restored_meta(
@@ -419,6 +424,8 @@ impl<const D: usize> ShardedStore<D> {
                 return Err(SketchError::WordMismatch);
             }
         }
+        // `restore_sketch_with_schema` rejected any domain narrower than the
+        // policy's extra bits, so this cannot underflow.
         let data_bits: [u32; D] =
             std::array::from_fn(|i| schema.dims()[i].sketch_bits - policy.extra_bits());
         let partition = DomainPartition::from_boundaries(data_bits[0], snap.boundaries.clone())
@@ -484,12 +491,8 @@ mod tests {
 
     fn store(shards: usize, seed: u64) -> ShardedStore<2> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let schema = SketchSchema::<2>::new(
-            &mut rng,
-            fourwise::XiKind::Bch,
-            BoostShape::new(13, 3),
-            [DimSpec::dyadic(8); 2],
-        );
+        let schema =
+            SketchSchema::<2>::new(&mut rng, BoostShape::new(13, 3), [DimSpec::dyadic(8); 2]);
         ShardedStore::new(
             schema,
             Arc::new(ie_words::<2>()),
@@ -636,7 +639,6 @@ mod tests {
         let mut other_rng = StdRng::seed_from_u64(999);
         let other = SketchSchema::<2>::new(
             &mut other_rng,
-            fourwise::XiKind::Bch,
             BoostShape::new(13, 3),
             [DimSpec::dyadic(8); 2],
         );
@@ -647,6 +649,45 @@ mod tests {
         // The matching schema restores fine.
         let ok = ShardedStore::restore_with_schema(&snap, Arc::clone(st.schema())).unwrap();
         assert_eq!(ok.load().total_len(), 20);
+
+        // Hostile snapshots fail with a typed error, not a panic.
+        let invalid = |snap: &StoreSnapshot| {
+            matches!(
+                ShardedStore::<2>::restore(snap),
+                Err(SketchError::InvalidParameter(_))
+            )
+        };
+        // An inverted coverage box.
+        let mut inverted = snap.clone();
+        inverted.coverage[0] = Some(vec![(90, 10), (0, 5)]);
+        assert!(invalid(&inverted));
+        // A 1-bit domain under the tripled policy, which needs 2 extra bits.
+        let json = serde_json::to_string(&snap).unwrap();
+        let narrow = json
+            .replace(r#""dims":[[8,8],[8,8]]"#, r#""dims":[[1,1],[1,1]]"#)
+            .replace(r#""policy_tag":0"#, r#""policy_tag":1"#);
+        assert_ne!(narrow, json);
+        assert!(invalid(&serde_json::from_str(&narrow).unwrap()));
+        // The format with a `kind` field and `{"Bch": {..}}`-tagged seeds
+        // no longer parses.
+        let tagged = tag_seeds(&json.replace(r#""k1":"#, r#""kind":"Bch","k1":"#));
+        assert_ne!(tagged, json);
+        assert!(serde_json::from_str::<StoreSnapshot>(&tagged).is_err());
+    }
+
+    /// Wraps every seed object `{"b0":..}` of a snapshot's JSON as
+    /// `{"Bch":{"b0":..}}`.
+    fn tag_seeds(json: &str) -> String {
+        let mut parts = json.split(r#"{"b0":"#);
+        let mut out = parts.next().unwrap_or_default().to_string();
+        for part in parts {
+            let close = part.find('}').expect("seed object closes");
+            out.push_str(r#"{"Bch":{"b0":"#);
+            out.push_str(&part[..=close]);
+            out.push('}');
+            out.push_str(&part[close + 1..]);
+        }
+        out
     }
 
     #[test]

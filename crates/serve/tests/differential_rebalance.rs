@@ -8,8 +8,7 @@
 //! **bit-identical** (boosted value and every row mean) to a single
 //! unsharded `SketchSet` fed the same object stream. The suite checks that
 //! invariant before, between and after each topology op, through
-//! post-rebalance ingest and deletes, across both ξ constructions and both
-//! query kernels; a concurrency case hammers queries *while* the
+//! post-rebalance ingest and deletes, across both query kernels; a concurrency case hammers queries *while* the
 //! topology changes under them (cutover is one atomic epoch swap, so no
 //! query may ever observe a half-rebalanced store); and the replica cases
 //! walk snapshot install → log tail → failover, requiring the promoted
@@ -19,7 +18,6 @@
 //! `tests-release` lane with `#[cfg_attr(debug_assertions, ignore)]`,
 //! following the ROADMAP convention.
 
-use fourwise::XiKind;
 use geometry::{HyperRect, Interval, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,7 +30,6 @@ use sketch::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 const KERNELS: [QueryKernel; 2] = [QueryKernel::Scalar, QueryKernel::Wide];
 
 fn assert_bit_identical(oracle: &Estimate, routed: &Estimate, label: &str) {
@@ -96,11 +93,11 @@ fn check_all_kernels<const D: usize>(
 /// The core scenario over `n` objects: ingest → split (unaligned) → ingest
 /// → move → merge → delete, with a full oracle comparison between every
 /// step.
-fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64) {
+fn rebalance_config<const D: usize>(k1: usize, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let rq = RangeQuery::<D>::new(
         &mut rng,
-        SketchConfig::new(k1, 1).with_kind(kind),
+        SketchConfig::new(k1, 1),
         [8; D],
         RangeStrategy::Transform,
     );
@@ -118,7 +115,7 @@ fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64
         })),
     ];
     let p: Point<D> = std::array::from_fn(|d| data[11].range(d).lo());
-    let label = |step: &str| format!("rebalance/{kind:?}/{D}d/{k1}x1/{step}");
+    let label = |step: &str| format!("rebalance/{D}d/{k1}x1/{step}");
 
     oracle.insert_slice(early).unwrap();
     store.insert_slice(early).unwrap();
@@ -148,10 +145,8 @@ fn rebalance_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64
 
 #[test]
 fn topology_changes_preserve_answers_1d_2d() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        rebalance_config::<1>(kind, 13, 60, 700 + i as u64);
-        rebalance_config::<2>(kind, 13, 60, 710 + i as u64);
-    }
+    rebalance_config::<1>(13, 60, 700);
+    rebalance_config::<2>(13, 60, 710);
 }
 
 #[test]
@@ -163,11 +158,9 @@ fn topology_changes_preserve_answers_multiblock() {
     // 1500 objects over three shards give ingest groups and replayed entries
     // above INGEST_SPLIT_FLOOR, so ingest and replay split the blocks
     // across workers.
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        rebalance_config::<2>(kind, 67, 60, 720 + i as u64);
-        rebalance_config::<3>(kind, 150, 60, 730 + i as u64);
-        rebalance_config::<2>(kind, 520, 1500, 735 + i as u64);
-    }
+    rebalance_config::<2>(67, 60, 720);
+    rebalance_config::<3>(150, 60, 730);
+    rebalance_config::<2>(520, 1500, 735);
 }
 
 /// Spatial joins merge only at the counter level, on both sides — so
@@ -175,42 +168,40 @@ fn topology_changes_preserve_answers_multiblock() {
 /// estimate bit-identical too.
 #[test]
 fn joins_survive_topology_changes_on_both_sides() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(740 + i as u64);
-        let join = SpatialJoin::<2>::new(
-            &mut rng,
-            SketchConfig::new(13, 1).with_kind(kind),
-            [8, 8],
-            EndpointStrategy::Transform,
-        );
-        let r_data = rand_rects::<2>(&mut rng, 50, 60);
-        let s_data = rand_rects::<2>(&mut rng, 50, 60);
-        let mut r_oracle = join.new_sketch_r();
-        let mut s_oracle = join.new_sketch_s();
-        r_oracle.insert_slice(&r_data).unwrap();
-        s_oracle.insert_slice(&s_data).unwrap();
-        let want = join.estimate(&r_oracle, &s_oracle).unwrap();
+    let mut rng = StdRng::seed_from_u64(740);
+    let join = SpatialJoin::<2>::new(
+        &mut rng,
+        SketchConfig::new(13, 1),
+        [8, 8],
+        EndpointStrategy::Transform,
+    );
+    let r_data = rand_rects::<2>(&mut rng, 50, 60);
+    let s_data = rand_rects::<2>(&mut rng, 50, 60);
+    let mut r_oracle = join.new_sketch_r();
+    let mut s_oracle = join.new_sketch_s();
+    r_oracle.insert_slice(&r_data).unwrap();
+    s_oracle.insert_slice(&s_data).unwrap();
+    let want = join.estimate(&r_oracle, &s_oracle).unwrap();
 
-        let r_store = ShardedStore::like(&r_oracle, 3).with_log(LogRetention::Full);
-        let s_store = ShardedStore::like(&s_oracle, 2).with_log(LogRetention::Full);
-        r_store.insert_slice(&r_data).unwrap();
-        s_store.insert_slice(&s_data).unwrap();
+    let r_store = ShardedStore::like(&r_oracle, 3).with_log(LogRetention::Full);
+    let s_store = ShardedStore::like(&s_oracle, 2).with_log(LogRetention::Full);
+    r_store.insert_slice(&r_data).unwrap();
+    s_store.insert_slice(&s_data).unwrap();
 
-        let router = QueryRouter::new();
-        let mut ctx = WorkerContext::new();
-        let label = format!("join-topology/{kind:?}");
-        let before = router
-            .estimate_join(&join, &r_store, &s_store, &mut ctx)
-            .unwrap();
-        assert_bit_identical(&want, &before, &format!("{label}/before"));
+    let router = QueryRouter::new();
+    let mut ctx = WorkerContext::new();
+    let label = "join-topology";
+    let before = router
+        .estimate_join(&join, &r_store, &s_store, &mut ctx)
+        .unwrap();
+    assert_bit_identical(&want, &before, &format!("{label}/before"));
 
-        r_store.split_shard(0, 19).unwrap();
-        s_store.merge_shards(0).unwrap();
-        let after = router
-            .estimate_join(&join, &r_store, &s_store, &mut ctx)
-            .unwrap();
-        assert_bit_identical(&want, &after, &format!("{label}/after"));
-    }
+    r_store.split_shard(0, 19).unwrap();
+    s_store.merge_shards(0).unwrap();
+    let after = router
+        .estimate_join(&join, &r_store, &s_store, &mut ctx)
+        .unwrap();
+    assert_bit_identical(&want, &after, &format!("{label}/after"));
 }
 
 /// Readers hammering the store while its topology changes under them:

@@ -4,8 +4,7 @@
 //! The router's exact mode must be **bit-identical** — boosted value *and*
 //! every row mean — to a single unsharded `SketchSet` fed the same object
 //! stream, for every query class it serves (range selectivity, stabbing
-//! counts, spatial joins), across shard counts {1, 3, 8}, both ξ
-//! constructions, dimensions 1–3, every query kernel, and through ingest
+//! counts, spatial joins), across shard counts {1, 3, 8}, dimensions 1–3, every query kernel, and through ingest
 //! histories that include deletes and multiple epoch swaps. Any divergence
 //! at all is a router/merge bug, not float noise: counter merges are
 //! integer folds and the estimate then runs the very same kernel code.
@@ -17,7 +16,6 @@
 //! `tests-release` lane with `#[cfg_attr(debug_assertions, ignore)]`,
 //! following the ROADMAP convention.
 
-use fourwise::XiKind;
 use geometry::{HyperRect, Interval, Point};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +24,6 @@ use sketch::estimators::joins::{EndpointStrategy, SpatialJoin};
 use sketch::estimators::SketchConfig;
 use sketch::{Estimate, QueryContext, QueryKernel, RangeQuery, RangeStrategy, SketchSet};
 
-const KINDS: [XiKind; 2] = [XiKind::Bch, XiKind::Poly];
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const KERNELS: [QueryKernel; 2] = [QueryKernel::Scalar, QueryKernel::Wide];
 
@@ -85,11 +82,11 @@ fn feed_oracle<const D: usize>(oracle: &mut SketchSet<D>, data: &[HyperRect<D>])
 
 /// One range/stab configuration of `n` objects across the shard counts and
 /// both kernels.
-fn range_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64) {
+fn range_config<const D: usize>(k1: usize, n: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let rq = RangeQuery::<D>::new(
         &mut rng,
-        SketchConfig::new(k1, 1).with_kind(kind),
+        SketchConfig::new(k1, 1),
         [8; D],
         RangeStrategy::Transform,
     );
@@ -118,7 +115,7 @@ fn range_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64) {
     for kernel in KERNELS {
         let mut octx = QueryContext::new().with_kernel(kernel);
         for (store, &n) in stores.iter().zip(SHARD_COUNTS.iter()) {
-            let label = format!("range/{kind:?}/{D}d/{k1}x1/{n}shards/{kernel:?}");
+            let label = format!("range/{D}d/{k1}x1/{n}shards/{kernel:?}");
             let mut ctx = WorkerContext::new().with_kernel(kernel);
             for (qi, q) in [&q_shared, &q_all, &q_degenerate].into_iter().enumerate() {
                 let routed = router.estimate_range(&rq, store, &mut ctx, q).unwrap();
@@ -137,11 +134,11 @@ fn range_config<const D: usize>(kind: XiKind, k1: usize, n: usize, seed: u64) {
 
 /// One spatial-join configuration across the shard-count matrix (both
 /// sides sharded, different shard counts per side to stress the merge).
-fn join_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
+fn join_config<const D: usize>(k1: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let join = SpatialJoin::<D>::new(
         &mut rng,
-        SketchConfig::new(k1, 1).with_kind(kind),
+        SketchConfig::new(k1, 1),
         [8; D],
         EndpointStrategy::Transform,
     );
@@ -154,7 +151,7 @@ fn join_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
     let router = QueryRouter::new();
     for &rn in &SHARD_COUNTS {
         for &sn in &[1usize, 8] {
-            let label = format!("join/{kind:?}/{D}d/{k1}x1/{rn}x{sn}shards");
+            let label = format!("join/{D}d/{k1}x1/{rn}x{sn}shards");
             let r_store = ShardedStore::like(&r_oracle, rn);
             let s_store = ShardedStore::like(&s_oracle, sn);
             feed_store(&r_store, &r_data);
@@ -171,10 +168,8 @@ fn join_config<const D: usize>(kind: XiKind, k1: usize, seed: u64) {
 
 #[test]
 fn range_router_agrees_1d_2d() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<1>(kind, 13, 60, 500 + i as u64);
-        range_config::<2>(kind, 13, 60, 510 + i as u64);
-    }
+    range_config::<1>(13, 60, 500);
+    range_config::<2>(13, 60, 510);
 }
 
 #[test]
@@ -185,27 +180,21 @@ fn range_router_agrees_multiblock() {
     // view. 520 instances span two 512-lane blocks, and the
     // one-shard store's ingest batches of 130 objects clear
     // INGEST_SPLIT_FLOOR, so its ingest splits the blocks across workers.
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        range_config::<2>(kind, 67, 60, 520 + i as u64);
-        range_config::<3>(kind, 150, 60, 530 + i as u64);
-        range_config::<2>(kind, 520, 390, 535 + i as u64);
-    }
+    range_config::<2>(67, 60, 520);
+    range_config::<3>(150, 60, 530);
+    range_config::<2>(520, 390, 535);
 }
 
 #[test]
 fn join_router_agrees_1d_2d() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        join_config::<1>(kind, 13, 540 + i as u64);
-        join_config::<2>(kind, 13, 550 + i as u64);
-    }
+    join_config::<1>(13, 540);
+    join_config::<2>(13, 550);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavyweight: tests-release lane")]
 fn join_router_agrees_3d_multiblock() {
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        join_config::<3>(kind, 150, 560 + i as u64);
-    }
+    join_config::<3>(150, 560);
 }
 
 #[test]

@@ -46,7 +46,6 @@ fn main() {
     let instances = plan::instances_for_dataset_words(2, words);
     let shape = BoostShape::new(instances / 5, 5);
     let config = SketchConfig {
-        kind: spatial_sketch::fourwise::XiKind::Bch,
         shape,
         max_level: Some(max_level),
     };

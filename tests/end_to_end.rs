@@ -185,7 +185,6 @@ fn planner_guarantee_holds() {
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(70);
     let cfg = SketchConfig {
-        kind: spatial_sketch::fourwise::XiKind::Bch,
         shape,
         max_level: Some(max_level),
     };
