@@ -29,6 +29,7 @@
 //! | row | probe | guard |
 //! |-----|-------|-------|
 //! | build/wide ns/(obj·inst) | build | ratio ≤ 1.25 |
+//! | build/adaptive range ns/(obj·inst) | build | ratio ≤ 1.25 |
 //! | estimate/join/wide ns/(est·inst) | estimate | ratio ≤ 1.25 |
 //! | estimate/range-cold/wide ns/(est·inst) | estimate | ratio ≤ 1.25 |
 //! | net/1conn/b1 p50 µs | net | ratio ≤ 2.0 |
@@ -41,7 +42,7 @@
 //! | rebalance/worst ingest stall ms | rebalance | ratio ≤ 2.0 |
 //! | rebalance/qps recovery | rebalance | change median ≥ 0.5 |
 //!
-//! The kernel rows (build, join, cold range, batch 64) allow 25%: they
+//! The kernel rows (both builds, join, cold range, batch 64) allow 25%: they
 //! exist to catch an accidental scalar fallback, a lost vectorization or
 //! a per-call allocation in the hot loop, all ≥ 1.5×. The net and
 //! rebalance rows allow 100%: loopback round-trips and topology cutovers
@@ -137,6 +138,12 @@ const ROWS: &[Row] = &[
             Key("ns_per_obj_instance"),
             At(0),
         ],
+        guard: Guard::Slower(KERNEL_TOLERANCE),
+    },
+    Row {
+        name: "build/adaptive range ns/(obj·inst)",
+        probe: "build",
+        path: &[Key("adaptive"), Key("ns_per_obj_instance")],
         guard: Guard::Slower(KERNEL_TOLERANCE),
     },
     Row {
@@ -492,7 +499,8 @@ mod tests {
         let json = format!(
             r#"[
             {{"probe": "build", "instances": [440], {extras} "kernels": [{scalar_build}
-                {{"kernel": "wide", "lane_width": 512, "ns_per_obj_instance": [{build}]}}]}},
+                {{"kernel": "wide", "lane_width": 512, "ns_per_obj_instance": [{build}]}}],
+              "adaptive": {{"instances": 1015, "max_level": 7, "ns_per_obj_instance": 9.0}}}},
             {{"probe": "estimate", "instances": [440],
               "join_kernels": [{scalar_join}
                                {{"kernel": "wide", "ns_per_estimate_instance": [1.5]}}],

@@ -39,6 +39,13 @@ pub const QUICK_SHAPES: &[(usize, usize)] = &[(88, 5)];
 /// Shapes of the full build sweep: 440, 2200 and 6000 instances.
 pub const BUILD_SHAPES: &[(usize, usize)] = &[(88, 5), (440, 5), (1200, 5)];
 
+/// `(k1, k2)` of the build probe's adaptive point: the 1015 instances the
+/// repo benchmark's optimizer-hot and rebalance-churn stores build with.
+const ADAPTIVE_BUILD_SHAPE: (usize, usize) = (203, 5);
+
+/// LANDO objects the adaptive build point ingests per build.
+const ADAPTIVE_BUILD_OBJECTS: usize = 10_000;
+
 /// Shapes of the full estimate sweep: 440, 1015 and 4100 instances.
 pub const ESTIMATE_SHAPES: &[(usize, usize)] = &[(88, 5), (203, 5), (820, 5)];
 
@@ -251,10 +258,75 @@ struct BuildProbeRecord {
     dispatch: DispatchMeta,
     /// Build timings.
     kernels: Vec<KernelRecord>,
+    /// The benchmark's build shape, timed in every run.
+    adaptive: AdaptiveBuildPoint,
+}
+
+/// One build in the shape the repo benchmark's stores take: range words
+/// `{I, U}²` at the §6.5 adaptive `maxLevel`, 1015 instances, small GIS
+/// rectangles. Short covers make the per-word counter products a large
+/// share of it, where the dyadic sweep's join sketches are dominated by ξ
+/// cover sums.
+#[derive(serde::Serialize)]
+struct AdaptiveBuildPoint {
+    /// Objects ingested per build.
+    objects: usize,
+    /// Boosting instances.
+    instances: usize,
+    /// The adaptive `maxLevel`.
+    max_level: u32,
+    /// Workers: one, so the point times the kernel, not the split.
+    threads: usize,
+    /// Fastest of three builds' wall time.
+    build_secs: f64,
+    /// That build's cost per object and instance.
+    ns_per_obj_instance: f64,
+}
+
+/// Times [`AdaptiveBuildPoint`]'s build on one thread, fastest of three.
+fn adaptive_build_point() -> AdaptiveBuildPoint {
+    let bits = datagen::GIS_DOMAIN_BITS;
+    let data: Vec<geometry::HyperRect<2>> = datagen::lando(1)
+        .into_iter()
+        .take(ADAPTIVE_BUILD_OBJECTS)
+        .collect();
+    let max_level =
+        sketch::plan::adaptive_max_level(crate::runner::mean_sketch_extent(&[&data]), bits + 2);
+    let (k1, k2) = ADAPTIVE_BUILD_SHAPE;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let rq = sketch::RangeQuery::<2>::new(
+        &mut rng,
+        SketchConfig::new(k1, k2).with_max_level(max_level),
+        [bits, bits],
+        sketch::RangeStrategy::Transform,
+    );
+    let build_secs = (0..3)
+        .map(|_| {
+            let mut sk = rq.new_sketch().with_kernel(BuildKernel::Wide);
+            let t = Instant::now();
+            par_insert_batch(&mut sk, &data, 1).unwrap();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let ns = build_secs * 1e9 / (data.len() * k1 * k2) as f64;
+    println!(
+        "wide kernel, adaptive maxLevel {max_level}, range words, instances {}, 1 thread: {ns:.1} ns/(obj.inst)",
+        k1 * k2
+    );
+    AdaptiveBuildPoint {
+        objects: data.len(),
+        instances: k1 * k2,
+        max_level,
+        threads: 1,
+        build_secs,
+        ns_per_obj_instance: ns,
+    }
 }
 
 /// Build-throughput sweep under the blocked maintenance kernel at every
-/// `(k1, k2)` of `configs`. Appends a record to `results/perf_probe.json`.
+/// `(k1, k2)` of `configs`, plus one single-threaded build in the repo
+/// benchmark's shape (range words, adaptive `maxLevel`, 1015 instances).
+/// Appends a record to `results/perf_probe.json`.
 pub fn build_probe(threads: usize, configs: &[(usize, usize)]) {
     let data: Vec<geometry::HyperRect<2>> =
         datagen::SyntheticSpec::paper(50_000, 14, 0.0, 1).generate();
@@ -292,6 +364,7 @@ pub fn build_probe(threads: usize, configs: &[(usize, usize)]) {
         instances: configs.iter().map(|&(k1, k2)| k1 * k2).collect(),
         dispatch: dispatch_meta(),
         kernels: vec![rec],
+        adaptive: adaptive_build_point(),
     };
     let path = crate::report::append_json("perf_probe", &record);
     println!("appended to {}", path.display());

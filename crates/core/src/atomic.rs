@@ -31,6 +31,7 @@ use dyadic::{interval_cover_into, point_cover_into};
 use fourwise::{IndexPre, LaneCounter, LaneWord};
 use geometry::transform::{shrink_interval, triple, triple_interval};
 use geometry::{HyperRect, Interval};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Objects per scratch chunk in [`SketchSet::update_slice`]: bounds scratch
@@ -97,17 +98,19 @@ impl EndpointPolicy {
 }
 
 /// Which component inputs one dimension's words read — the interval cover,
-/// the lower and upper point covers (`E` reads both) and the leaf signs —
-/// derived from the word set: [`SketchSet::fill_scratch`] compiles only
-/// these lists and the blocked kernels sum and unpack only these, so a
-/// range sketch's `{I, U}` words never pay for the lower point cover or the
-/// leaves. The scalar oracle evaluates every component regardless (an
-/// uncompiled list sums to zero, and no word reads it).
+/// the lower and upper point covers (`E` reads both, and their sum) and the
+/// leaf signs — derived from the word set: [`SketchSet::fill_scratch`]
+/// compiles only these lists and the blocked kernels sum and unpack only
+/// these, so a range sketch's `{I, U}` words never pay for the lower point
+/// cover or the leaves. The scalar oracle evaluates every component
+/// regardless (an uncompiled list sums to zero, and no word reads it).
 #[derive(Debug, Clone, Copy, Default)]
 struct DimNeeds {
     cover: bool,
     lo: bool,
     hi: bool,
+    /// Some word reads `Endpoints`, so blocks sum the `lo + hi` column.
+    ends: bool,
     leaf: bool,
 }
 
@@ -119,7 +122,7 @@ impl DimNeeds {
             for (n, comp) in needs.iter_mut().zip(w.iter()) {
                 match comp {
                     Comp::Interval => n.cover = true,
-                    Comp::Endpoints => (n.lo, n.hi) = (true, true),
+                    Comp::Endpoints => (n.lo, n.hi, n.ends) = (true, true, true),
                     Comp::LowerPoint => n.lo = true,
                     Comp::UpperPoint => n.hi = true,
                     Comp::LowerLeaf | Comp::UpperLeaf => n.leaf = true,
@@ -193,77 +196,78 @@ impl DimVals {
     }
 }
 
-/// One dimension's component values for a whole instance block, one lane per
-/// instance (the block analogue of `DimVals`), one [`LaneWord`] block
-/// long.
-#[derive(Debug, Clone)]
+/// One dimension's component columns for a whole instance block, one lane
+/// per instance (the block analogue of `DimVals`). Only the columns some
+/// word reads are ever grown and filled; `ends` holds `lo + hi` for the
+/// `Endpoints` words.
+#[derive(Debug, Default)]
 struct DimLanes {
     interval: Vec<i64>,
     lo: Vec<i64>,
     hi: Vec<i64>,
+    ends: Vec<i64>,
     leaf_lo: Vec<i64>,
     leaf_hi: Vec<i64>,
 }
 
 impl DimLanes {
-    fn new(lanes: usize) -> Self {
-        Self {
-            interval: vec![0; lanes],
-            lo: vec![0; lanes],
-            hi: vec![0; lanes],
-            leaf_lo: vec![0; lanes],
-            leaf_hi: vec![0; lanes],
-        }
-    }
-
-    /// Multiplies one word component's column into the per-lane product
-    /// buffer: `prod[j] *= component(word[dim], lane j)`. Every arm is a
-    /// contiguous elementwise `i64` loop the compiler autovectorizes — the
-    /// per-lane multiply order (dimension by dimension) matches the scalar
-    /// kernel exactly, keeping the counters bit-identical.
-    #[inline]
-    fn mul_into(&self, comp: Comp, prod: &mut [i64]) {
-        match comp {
-            Comp::Interval => mul_lanes(prod, &self.interval),
-            Comp::Endpoints => {
-                for (p, (lo, hi)) in prod.iter_mut().zip(self.lo.iter().zip(self.hi.iter())) {
-                    *p *= *lo + *hi;
-                }
+    /// Grows the columns `needs` names to a full [`LaneWord`] block.
+    fn reserve(&mut self, needs: DimNeeds) {
+        for (need, col) in [
+            (needs.cover, &mut self.interval),
+            (needs.lo, &mut self.lo),
+            (needs.hi, &mut self.hi),
+            (needs.ends, &mut self.ends),
+            (needs.leaf, &mut self.leaf_lo),
+            (needs.leaf, &mut self.leaf_hi),
+        ] {
+            if need && col.len() < LaneWord::LANES {
+                col.resize(LaneWord::LANES, 0);
             }
-            Comp::LowerPoint => mul_lanes(prod, &self.lo),
-            Comp::UpperPoint => mul_lanes(prod, &self.hi),
-            Comp::LowerLeaf => mul_lanes(prod, &self.leaf_lo),
-            Comp::UpperLeaf => mul_lanes(prod, &self.leaf_hi),
+        }
+    }
+
+    /// The column a word's component in this dimension reads.
+    #[inline]
+    fn column(&self, comp: Comp) -> &[i64] {
+        match comp {
+            Comp::Interval => &self.interval,
+            Comp::Endpoints => &self.ends,
+            Comp::LowerPoint => &self.lo,
+            Comp::UpperPoint => &self.hi,
+            Comp::LowerLeaf => &self.leaf_lo,
+            Comp::UpperLeaf => &self.leaf_hi,
         }
     }
 }
 
-/// Elementwise product-accumulate over lanes (`prod[j] *= vals[j]`).
-#[inline]
-fn mul_lanes(prod: &mut [i64], vals: &[i64]) {
-    for (p, v) in prod.iter_mut().zip(vals.iter()) {
-        *p *= *v;
-    }
-}
-
-/// Reusable working memory of the blocked kernel: one carry-save counter
-/// plus per-dimension component lanes. Allocated lazily and kept across
-/// updates; each scoped worker of a split ingest holds its own.
-#[derive(Debug, Clone)]
-struct LaneScratch<const D: usize> {
+/// Working memory of the blocked kernel: one carry-save counter plus
+/// per-dimension component columns. One lives per thread
+/// ([`LaneScratch::with`]) and serves every sketch that thread ingests
+/// into, so a sketch, and every staging clone of it, carries counters only.
+#[derive(Debug, Default)]
+struct LaneScratch {
     counter: LaneCounter,
-    dims: [DimLanes; D],
-    /// Per-lane running word product (see [`DimLanes::mul_into`]).
-    prod: Vec<i64>,
+    dims: Vec<DimLanes>,
 }
 
-impl<const D: usize> LaneScratch<D> {
-    fn new() -> Self {
-        Self {
-            counter: LaneCounter::new(),
-            dims: std::array::from_fn(|_| DimLanes::new(LaneWord::LANES)),
-            prod: vec![0; LaneWord::LANES],
-        }
+thread_local! {
+    static LANE_SCRATCH: RefCell<LaneScratch> = RefCell::default();
+}
+
+impl LaneScratch {
+    /// Runs `walk` with this thread's scratch, its first `D` dimensions'
+    /// columns grown to what `needs` names.
+    fn with<const D: usize, R>(needs: &[DimNeeds; D], walk: impl FnOnce(&mut Self) -> R) -> R {
+        LANE_SCRATCH.with_borrow_mut(|ls| {
+            if ls.dims.len() < D {
+                ls.dims.resize_with(D, DimLanes::default);
+            }
+            for (dl, n) in ls.dims.iter_mut().zip(needs) {
+                dl.reserve(*n);
+            }
+            walk(ls)
+        })
     }
 }
 
@@ -281,9 +285,6 @@ pub struct SketchSet<const D: usize> {
     /// Net inserted object count (inserts minus deletes).
     len: i64,
     kernel: BuildKernel,
-    /// Lazily allocated blocked-kernel working memory (`None` until the
-    /// first blocked update).
-    lanes: Option<LaneScratch<D>>,
 }
 
 impl<const D: usize> SketchSet<D> {
@@ -314,7 +315,6 @@ impl<const D: usize> SketchSet<D> {
             counters,
             len: 0,
             kernel: BuildKernel::default(),
-            lanes: None,
         }
     }
 
@@ -429,10 +429,10 @@ impl<const D: usize> SketchSet<D> {
     /// `threads` workers. The blocked kernel cuts its instance blocks into
     /// `min(threads, blocks)` contiguous spans (one span, so no worker,
     /// below [`kernel::INGEST_SPLIT_FLOOR`]) and opens one thread scope for
-    /// the whole slice: the calling thread walks the first span with the
-    /// sketch's lane scratch, scoped workers walk the others with their
-    /// own, and every span fills its own chunk scratches. The scalar oracle
-    /// never splits.
+    /// the whole slice: the calling thread walks the first span, scoped
+    /// workers walk the others, each with its thread's lane scratch, and
+    /// every span fills its own chunk scratches. The scalar oracle never
+    /// splits.
     pub(crate) fn update_slice_on(
         &mut self,
         rects: &[HyperRect<D>],
@@ -444,11 +444,7 @@ impl<const D: usize> SketchSet<D> {
         }
         let mut counters = std::mem::take(&mut self.counters);
         match self.kernel {
-            BuildKernel::Wide => {
-                let mut lanes = self.lanes.take().unwrap_or_else(LaneScratch::new);
-                self.walk_spans(rects, delta, threads, &mut lanes, &mut counters);
-                self.lanes = Some(lanes);
-            }
+            BuildKernel::Wide => self.walk_spans(rects, delta, threads, &mut counters),
             BuildKernel::Scalar => {
                 let (schema, words) = (&*self.schema, &self.words[..]);
                 self.for_each_chunk(rects, |chunk| {
@@ -469,22 +465,17 @@ impl<const D: usize> SketchSet<D> {
     /// spans and streams every chunk of `rects` over each span (see
     /// [`SketchSet::update_slice_on`]). Spans hold whole blocks, so lanes
     /// never straddle a worker boundary.
-    fn walk_spans(
-        &self,
-        rects: &[HyperRect<D>],
-        delta: i64,
-        threads: usize,
-        lanes: &mut LaneScratch<D>,
-        counters: &mut [i64],
-    ) {
+    fn walk_spans(&self, rects: &[HyperRect<D>], delta: i64, threads: usize, counters: &mut [i64]) {
         let blocks = self.schema.instance_blocks();
         let small = rects.len() * self.schema.instances() < kernel::INGEST_SPLIT_FLOOR;
         let spans = if small { 1 } else { threads.clamp(1, blocks) };
         let per_span = blocks.div_ceil(spans);
         let span_len = per_span * LaneWord::LANES * self.words.len();
-        let walk = |first: usize, span: &mut [i64], lanes: &mut LaneScratch<D>| {
-            self.for_each_chunk(rects, |chunk| {
-                apply_chunk_blocked(&self.schema, &self.words, chunk, first, lanes, span, delta)
+        let walk = |first: usize, span: &mut [i64]| {
+            LaneScratch::with(&self.needs, |lanes| {
+                self.for_each_chunk(rects, |chunk| {
+                    apply_chunk_blocked(&self.schema, &self.words, chunk, first, lanes, span, delta)
+                })
             })
         };
         std::thread::scope(|scope| {
@@ -492,9 +483,9 @@ impl<const D: usize> SketchSet<D> {
             for first in (per_span..blocks).step_by(per_span) {
                 let (span, tail) = rest.split_at_mut(span_len.min(rest.len()));
                 rest = tail;
-                scope.spawn(move || walk(first, span, &mut LaneScratch::new()));
+                scope.spawn(move || walk(first, span));
             }
-            walk(0, head, lanes);
+            walk(0, head);
         });
     }
 
@@ -570,7 +561,7 @@ impl<const D: usize> SketchSet<D> {
     }
 
     /// Resets every counter to zero and the net length to `0`, keeping the
-    /// schema, words, policy and kernel scratch. A reset sketch is
+    /// schema, words, policy and kernel. A reset sketch is
     /// indistinguishable from a freshly constructed one — the serving layer
     /// reuses one sketch set per worker as a cross-shard merge target
     /// instead of reallocating per query.
@@ -680,7 +671,7 @@ fn apply_chunk_blocked<const D: usize>(
     words: &[Word<D>],
     scratches: &[RectScratch<D>],
     first: usize,
-    lanes: &mut LaneScratch<D>,
+    lanes: &mut LaneScratch,
     counters: &mut [i64],
     delta: i64,
 ) {
@@ -725,28 +716,29 @@ fn prefetch_scratch<const D: usize>(scratch: &RectScratch<D>) {
 /// Applies one object's scratch to a whole instance block's counter rows.
 ///
 /// `counter_rows` must hold exactly the block's rows (`lanes × words.len()`
-/// counters, instance-major). Per dimension, only the components the
-/// scratch carries — those the words read ([`DimNeeds`]) — are computed for
-/// all lanes, each cover list by one bit-sliced pass over its nodes; the word products then run word-major —
-/// per word, the per-lane product column is built up dimension by
-/// dimension with contiguous elementwise multiplies (see
-/// [`DimLanes::mul_into`]) and scattered into the counter rows once.
+/// counters, instance-major). Per dimension, only the columns some word
+/// reads ([`DimNeeds`]) are computed for all lanes: each cover list by one
+/// bit-sliced pass over its nodes, the leaf signs from one mask each, and
+/// the `Endpoints` column as `lo + hi` once per block. Then one pass per
+/// word resolves the word's column in every dimension and adds
+/// `delta · Π_dim column[lane]` to each lane's counter, multiplying in the
+/// scalar oracle's order (delta, then dimension 0, 1, …), so the counters
+/// stay bit-identical. The workspace builds for baseline x86-64, whose
+/// SSE2 has no packed `i64` multiply, so the products are scalar either
+/// way; one fused pass per word saves the memory passes a per-word product
+/// buffer would cost.
 fn apply_block<const D: usize>(
     schema: &SketchSchema<D>,
     words: &[Word<D>],
     scratch: &RectScratch<D>,
     block: usize,
-    ls: &mut LaneScratch<D>,
+    ls: &mut LaneScratch,
     counter_rows: &mut [i64],
     delta: i64,
 ) {
     let lanes = schema.seed_blocks(0)[block].lanes();
-    let LaneScratch {
-        counter,
-        dims,
-        prod,
-    } = ls;
-    for (dim, dl) in dims.iter_mut().enumerate() {
+    let LaneScratch { counter, dims } = ls;
+    for (dim, dl) in dims[..D].iter_mut().enumerate() {
         let xb = &schema.seed_blocks(dim)[block];
         let ds = &scratch.dims[dim];
         let needs = ds.needs;
@@ -764,6 +756,11 @@ fn apply_block<const D: usize>(
                 out[..lanes].fill(0);
             }
         }
+        if needs.ends {
+            for ((e, lo), hi) in dl.ends[..lanes].iter_mut().zip(&dl.lo).zip(&dl.hi) {
+                *e = lo + hi;
+            }
+        }
         if needs.leaf {
             let mask_lo = xb.eval_mask(ds.leaf_lo);
             let mask_hi = xb.eval_mask(ds.leaf_hi);
@@ -775,14 +772,10 @@ fn apply_block<const D: usize>(
     }
     let w = words.len();
     debug_assert_eq!(counter_rows.len(), lanes * w);
-    let prod = &mut prod[..lanes];
     for (wi, word) in words.iter().enumerate() {
-        prod.fill(delta);
-        for dim in 0..D {
-            dims[dim].mul_into(word[dim], prod);
-        }
-        for (lane, p) in prod.iter().enumerate() {
-            counter_rows[lane * w + wi] += *p;
+        let cols: [&[i64]; D] = std::array::from_fn(|dim| &dims[dim].column(word[dim])[..lanes]);
+        for (lane, row) in counter_rows.chunks_exact_mut(w).enumerate() {
+            row[wi] += cols.iter().fold(delta, |p, col| p * col[lane]);
         }
     }
 }

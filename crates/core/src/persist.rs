@@ -133,6 +133,17 @@ pub fn restore_schema<const D: usize>(snap: &SchemaSnapshot) -> Result<Arc<Sketc
         sketch_bits: snap.dims[i].0,
         max_level: snap.dims[i].1,
     });
+    // A family over `2^k` indices reads `k = sketch_bits + 1` seed bits:
+    // higher bits change no answer but would survive a re-snapshot.
+    let fits = |seed: &BchSeed, (bits, _): (u32, u32)| (seed.s1 | seed.s3) >> (bits + 1) == 0;
+    ensure(
+        snap.seeds.iter().all(|row| {
+            row.iter()
+                .zip(&snap.dims)
+                .all(|(seed, &dim)| fits(seed, dim))
+        }),
+        "snapshot seed wider than its domain",
+    )?;
     let seeds = snap
         .seeds
         .iter()
@@ -345,8 +356,8 @@ mod tests {
         // Hostile schema fields fail with a typed error, not a panic: zero
         // boost factors, domain bits outside 1..=40, maxLevel above the
         // domain bits, a domain too narrow for the tripled endpoint policy,
-        // and an empty word set.
-        let hostile: [fn(&mut SketchSnapshot); 8] = [
+        // an empty word set, and seeds wider than their domain.
+        let hostile: [fn(&mut SketchSnapshot); 10] = [
             |s| s.schema.k1 = 0,
             |s| s.schema.k2 = 0,
             |s| s.schema.dims[0].0 = 0,
@@ -355,6 +366,9 @@ mod tests {
             |s| s.schema.dims = vec![(1, 1); 2],
             |s| s.schema.k1 = usize::MAX,
             |s| s.words.clear(),
+            // Seed bits at `sketch_bits + 1` (here 11) and above.
+            |s| s.schema.seeds[3][1].s1 |= 1 << 11,
+            |s| s.schema.seeds[0][0].s3 |= 1 << 40,
         ];
         for (i, corrupt) in hostile.into_iter().enumerate() {
             let mut snap = snapshot_sketch(&sk);
@@ -367,6 +381,10 @@ mod tests {
                 "hostile snapshot {i}"
             );
         }
+        // The top bit a family reads (bit `sketch_bits`) still restores.
+        let mut widest = snapshot_sketch(&sk);
+        widest.schema.seeds[3][1].s1 |= 1 << 10;
+        assert!(restore_sketch::<2>(&widest).is_ok());
         // The format before seeds became plain BCH seeds carried a `kind`
         // and tagged every seed `{"Bch": {..}}`; it no longer parses.
         let tagged = r#"{"kind":"Bch","k1":1,"k2":1,"dims":[[4,4]],"seeds":[[{"Bch":{"b0":true,"s1":3,"s3":5}}]]}"#;

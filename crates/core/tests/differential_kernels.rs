@@ -64,20 +64,22 @@ fn range_words<const D: usize>() -> Vec<Word<D>> {
     ie_words::<D>().into_iter().map(|w| w.map(upper)).collect()
 }
 
-/// Runs every word set whose words leave some components unread — the
-/// range and join words and single-component sets — under every policy.
+/// The word sets whose words leave some components unread: the range and
+/// join words and single-component sets.
+fn partial_word_sets<const D: usize>() -> [(&'static str, Vec<Word<D>>); 5] {
+    [
+        ("range {I,U}", range_words::<D>()),
+        ("join {I,E}", ie_words::<D>()),
+        ("LowerPoint only", vec![[Comp::LowerPoint; D]]),
+        ("UpperLeaf only", vec![[Comp::UpperLeaf; D]]),
+        ("Endpoints only", vec![[Comp::Endpoints; D]]),
+    ]
+}
+
+/// Runs every partial word set under every policy.
 fn run_partial_word_sets<const D: usize>(shape: BoostShape, seed: u64) {
     for (i, policy) in POLICIES.into_iter().enumerate() {
-        for (j, (set, words)) in [
-            ("range {I,U}", range_words::<D>()),
-            ("join {I,E}", ie_words::<D>()),
-            ("LowerPoint only", vec![[Comp::LowerPoint; D]]),
-            ("UpperLeaf only", vec![[Comp::UpperLeaf; D]]),
-            ("Endpoints only", vec![[Comp::Endpoints; D]]),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (j, (set, words)) in partial_word_sets::<D>().into_iter().enumerate() {
             let seed = seed + 10 * i as u64 + j as u64;
             run_words(policy, shape, seed, words, set);
         }
@@ -416,6 +418,38 @@ fn split_slices_match_streaming_oracle_520() {
 fn split_slices_match_streaming_oracle_1015() {
     // Two 512-lane blocks, the second 503 lanes full.
     run_split(BoostShape::new(203, 5), 986);
+}
+
+#[test]
+fn non_unit_deltas_match_oracle() {
+    // Deltas 3 and -7 through the slice walk and a forced two-worker walk,
+    // for every word set, on a partly filled block (67 instances) and on a
+    // full block plus an 8-lane tail whose slices split (520 instances).
+    for (shape, seed) in [(BLOCK_SPANNING, 1300), (WIDE512_SPANNING, 1400)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = SketchSchema::<2>::new(&mut rng, shape, [DimSpec::dyadic(8); 2]);
+        // Each phase reaches the split floor; only two blocks can split.
+        let above = sketch::INGEST_SPLIT_FLOOR.div_ceil(schema.instances()) + 3;
+        let objects = 2 * above;
+        // 6-bit coordinates fit every policy's data domain.
+        let data: Vec<HyperRect<2>> = (0..objects).map(|_| rand_rect(&mut rng, 63)).collect();
+        let sets = std::iter::once(("all", all_comp_words::<2>())).chain(partial_word_sets::<2>());
+        for (i, (set, words)) in sets.enumerate() {
+            let policy = POLICIES[i % POLICIES.len()];
+            let words = Arc::new(words);
+            let new = |k| SketchSet::new(schema.clone(), words.clone(), policy).with_kernel(k);
+            let mut oracle = new(BuildKernel::Scalar);
+            let (mut sliced, mut split) = (new(BuildKernel::Wide), new(BuildKernel::Wide));
+            for (delta, rects) in [(3, &data[..]), (-7, &data[objects - above..])] {
+                let label = format!("{policy:?}/{shape:?}/{set}/delta {delta}");
+                oracle.update_slice(rects, delta).unwrap();
+                sliced.update_slice(rects, delta).unwrap();
+                par_update_batch(&mut split, rects, delta, 2).unwrap();
+                assert_identical(&oracle, &sliced, &label);
+                assert_identical(&oracle, &split, &format!("{label}/split"));
+            }
+        }
+    }
 }
 
 #[test]

@@ -28,6 +28,16 @@
 //! see either the previous epoch or the fully ingested one, never a
 //! partial batch).
 //!
+//! A panic while one of the store's locks is held (the epoch pointer, the
+//! writer lock, the journal) poisons it; every site takes the lock over as
+//! it stands. None of them can be left half-updated: the epoch pointer
+//! changes in one assignment, the writer lock guards no data, and an
+//! ingest takes the journal and copies its batch *before* it publishes,
+//! so only `UpdateLog::record` runs between a publication and its journal
+//! entry, and its one check (epoch order) comes before it changes
+//! anything. The journal therefore never lacks a published batch, and
+//! recovery needs no reset.
+//!
 //! ## The update log
 //!
 //! Stores opted in via [`ShardedStore::with_log`] journal every published
@@ -46,7 +56,7 @@ use sketch::{
     Result, SketchError, SketchSchema, SketchSet, SketchSnapshot, UpdateLog, Word,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 static STORE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -175,7 +185,7 @@ impl<const D: usize> ShardedStore<D> {
     /// restored store keeps its history honest.
     pub fn with_log(self, retention: LogRetention) -> Self {
         {
-            let mut log = self.log.lock().expect("log lock poisoned");
+            let mut log = self.log();
             *log = UpdateLog::new_with_floor(retention, log.floor());
         }
         self
@@ -232,19 +242,22 @@ impl<const D: usize> ShardedStore<D> {
 
     /// The current published epoch (brief read lock to clone the `Arc`;
     /// pooled workers cache the result and revalidate by tag instead of
-    /// calling this per query).
+    /// calling this per query). A poisoned lock is taken over as it stands
+    /// (see the module docs).
     pub fn load(&self) -> Arc<StoreEpoch<D>> {
-        Arc::clone(&self.current.read().expect("store lock poisoned"))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Serializes this caller against ingest and other topology changes.
+    /// Serializes this caller against ingest and other topology changes,
+    /// taking a poisoned lock over: it guards no data.
     pub(crate) fn writer_lock(&self) -> MutexGuard<'_, ()> {
-        self.writer.lock().expect("writer lock poisoned")
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The update journal.
+    /// The update journal, taking a poisoned lock over as it stands (see
+    /// the module docs).
     pub(crate) fn log(&self) -> MutexGuard<'_, UpdateLog<D>> {
-        self.log.lock().expect("log lock poisoned")
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes `next` as the current epoch: swap behind the write lock,
@@ -252,7 +265,7 @@ impl<const D: usize> ShardedStore<D> {
     /// least) the new epoch behind the lock. Callers hold the writer lock.
     pub(crate) fn publish(&self, next: Arc<StoreEpoch<D>>) {
         let epoch = next.epoch;
-        *self.current.write().expect("store lock poisoned") = next;
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next;
         self.epoch_tag.store(epoch, Ordering::Release);
     }
 
@@ -310,16 +323,18 @@ impl<const D: usize> ShardedStore<D> {
             cur.partition.clone(),
             shards,
         ));
-        self.publish(Arc::clone(&next));
         // Journal under the new epoch, still inside the writer lock so
-        // entries land in epoch order. A no-retention log only advances
-        // its floor — skip copying the batch.
+        // entries land in epoch order. The journal is taken and the batch
+        // copied before the swap, so a panic there publishes nothing. A
+        // no-retention log only advances its floor — skip copying the
+        // batch.
         let mut log = self.log();
         let batch = if matches!(log.retention(), LogRetention::None) {
             Arc::new(Vec::new())
         } else {
             Arc::new(rects.to_vec())
         };
+        self.publish(Arc::clone(&next));
         log.record(next.epoch, delta, batch);
         Ok(())
     }
@@ -717,6 +732,87 @@ mod tests {
         let log = restored.log();
         assert!(!log.is_complete());
         assert_eq!(log.floor(), 2);
+    }
+
+    /// The store locks a panic can poison.
+    #[derive(Debug, Clone, Copy)]
+    enum StoreLock {
+        Epoch,
+        Writer,
+        Log,
+    }
+
+    /// Poisons `lock` by panicking on another thread while holding it.
+    fn poison(st: &ShardedStore<2>, lock: StoreLock) {
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| match lock {
+                StoreLock::Epoch => {
+                    let _guard = st.current.write();
+                    panic!("injected panic while holding the epoch lock");
+                }
+                StoreLock::Writer => {
+                    let _guard = st.writer.lock();
+                    panic!("injected panic while holding the writer lock");
+                }
+                StoreLock::Log => {
+                    let _guard = st.log.lock();
+                    panic!("injected panic while holding the journal lock");
+                }
+            });
+            assert!(held.join().is_err());
+        });
+        let poisoned = match lock {
+            StoreLock::Epoch => st.current.is_poisoned(),
+            StoreLock::Writer => st.writer.is_poisoned(),
+            StoreLock::Log => st.log.is_poisoned(),
+        };
+        assert!(poisoned, "{lock:?} lock not poisoned");
+    }
+
+    /// Asserts the fold of `st`'s shards is bit-identical to `oracle`.
+    fn assert_matches(st: &ShardedStore<2>, oracle: &SketchSet<2>, label: &str) {
+        let mut merged = st.empty_sketch();
+        for s in st.load().shards() {
+            merged.merge_from(s.sketch()).unwrap();
+        }
+        assert_eq!(merged.len(), oracle.len(), "{label}: net length");
+        for inst in 0..st.schema().instances() {
+            assert_eq!(
+                merged.instance_counters(inst),
+                oracle.instance_counters(inst),
+                "{label}: instance {inst}"
+            );
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_are_taken_over() {
+        for (i, lock) in [StoreLock::Epoch, StoreLock::Writer, StoreLock::Log]
+            .into_iter()
+            .enumerate()
+        {
+            let st = store(3, 40 + i as u64).with_log(LogRetention::Full);
+            let data = rects(90, 50 + i as u64);
+            st.insert_slice(&data[..40]).unwrap();
+            poison(&st, lock);
+            let label = format!("{lock:?}");
+            // Ingest and load through the poisoned lock.
+            st.insert_slice(&data[40..]).unwrap();
+            st.delete_slice(&data[..15]).unwrap();
+            assert_eq!(st.load().epoch(), 4, "{label}");
+            assert_eq!(st.log().entries().count(), 3, "{label}: journal");
+            let mut oracle = st.empty_sketch();
+            oracle.insert_slice(&data[15..]).unwrap();
+            assert_matches(&st, &oracle, &label);
+            // A split replays the journal through the new partition.
+            st.split_shard(0, 37).unwrap();
+            assert_eq!(st.shard_count(), 4, "{label}");
+            assert_matches(&st, &oracle, &format!("{label}/split"));
+            // A snapshot restores to the same store.
+            let restored = ShardedStore::<2>::restore(&st.snapshot()).unwrap();
+            assert_eq!(restored.epoch_tag(), 5, "{label}");
+            assert_matches(&restored, &oracle, &format!("{label}/restored"));
+        }
     }
 
     #[test]
